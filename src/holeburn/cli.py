@@ -131,7 +131,9 @@ def _cmd_fit_expdecay(args):
 def _cmd_fit_linear(args):
     cfg = load_config(args.config)
     x, y, _ = csvio.read_xy(args.points, args.x_column, args.y_column)
-    fit = fit_linear_ci(x, y, confidence=args.confidence)
+    confidence = cfg.confidence if args.confidence is None \
+        else args.confidence
+    fit = fit_linear_ci(x, y, confidence=confidence)
     payload = {"input": args.points, **fit.to_dict()}
     csvio.write_report(args.out, _report(cfg, "fit linear", payload))
     print(f"fit linear: slope = {fit.slope:.4g} +- {fit.slope_ci:.2g} "
@@ -266,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True)
     p.add_argument("--x-column", default="x")
     p.add_argument("--y-column", default="y")
-    p.add_argument("--confidence", type=float, default=0.80)
+    p.add_argument("--confidence", type=float, default=None,
+                   help="slope CI level (default: [fit] confidence)")
     p.add_argument("--out", default="linear_fit.json")
     p.set_defaults(func=_cmd_fit_linear)
 

@@ -1,12 +1,13 @@
-"""Least-squares estimators built on the simplex minimizer.
+"""Separable least-squares estimators built on the simplex minimizer.
 
-All nonlinear fits run through `minimize` on internally normalized
-parameters (frequencies in units of the scan span, signals in units of
-their spread), which keeps the stopping rule meaningful when parameter
-magnitudes differ by many orders.  Reported values are always mapped back
-to physical units.  Parameter uncertainties come from the usual
-linearization at the optimum: cov = s^2 (J^T J)^-1 with a finite-difference
-Jacobian and s^2 the residual variance.
+Scale-like parameters enter every model linearly, so `minimize` searches
+only the nonlinear ones and the objective solves the rest by bounded
+linear least squares (variable projection, Golub & Pereyra 1973).  The
+search runs on normalized data (frequencies in units of the scan span,
+signals in units of their spread), so its stopping rule is invariant to
+shifts and scaling.  Reported values are in physical units, with
+uncertainties from the linearization at the optimum over all parameters:
+cov = s^2 (J^T J)^-1, finite-difference J, s^2 the residual variance.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .integrator import IntegrationDomain, TrapDecayModel
 from .model import BeamGeometry, MaterialParams
-from .simplex import MinimizeOptions, MinimizeResult, minimize
+from .simplex import MinimizeOptions, minimize
+
+# Objective value at a nonpositive trapping rate, hole width or lifetime.
+_REJECT = 1e300
 
 
 class FitError(RuntimeError):
@@ -40,6 +43,21 @@ def lorentzian_hole(freq, baseline, depth, center, fwhm):
 def exp_decay(t, amplitude, tau, offset=0.0):
     """Exponential decay amplitude * exp(-t/tau) + offset."""
     return amplitude * np.exp(-np.asarray(t, dtype=float) / tau) + offset
+
+
+def _linear_coefficients(design, target, lower):
+    """Bounded linear least squares: min |design @ c - target| with c >= lower.
+
+    Returns the coefficients and the residual sum of squares.  Columns are
+    normalized for the solver; the bounds (0 or -inf) are scale-free.
+    """
+    from scipy.optimize import lsq_linear
+
+    norms = np.sqrt(np.einsum("ij,ij->j", design, design))
+    norms[norms == 0] = 1.0
+    sol = lsq_linear(design / norms, target, bounds=(lower, np.inf),
+                     method="bvls")
+    return sol.x / norms, 2.0 * float(sol.cost)
 
 
 def _fd_jacobian(model_fn, params, rel_step=1e-6):
@@ -216,40 +234,31 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None,
     y_off = float(np.median(y))
     y_scale = float(np.ptp(y)) or 1.0
     yn = (y - y_off) / y_scale
-    weights = None
+    weights = np.ones_like(y)  # 1/sigma on the normalized signal, or 1
     if sigma_point is not None:
         sigma = np.broadcast_to(np.asarray(sigma_point, dtype=float), y.shape)
         if np.any(sigma <= 0):
             raise ValueError("sigma_point must be positive")
-        weights = y_scale / sigma  # 1/sigma on the normalized signal
+        weights = y_scale / sigma
 
-    # Seeds: center at the minimum, width at 10% of the span, baseline at
-    # the upper-quartile level.
-    c0 = float(np.percentile(yn, 75))
-    d0 = max(c0 - float(np.min(yn)), 1e-3)
-    x0 = float(x[np.argmin(yn)])
-    w0 = 0.1
+    lower = np.array([-np.inf, 0.0])  # baseline free, depth >= 0
+    target = yn * weights
 
-    # depth and width enter through their magnitudes, so the reported hole
-    # is never "negative" (a bump simply fits as zero depth)
+    def project(p):
+        design = np.column_stack(
+            [weights, weights * lorentzian_hole(x, 0.0, 1.0, *p)])
+        return _linear_coefficients(design, target, lower)
+
     def objective(p):
-        r = lorentzian_hole(x, p[0], abs(p[1]), p[2], p[3]) - yn
-        if weights is not None:
-            r = r * weights
-        return float(np.dot(r, r))
+        return project(p)[1] if p[1] > 0 else _REJECT
 
+    # Seeds: center at the minimum, width at 10% of the span.
     opts = options or MinimizeOptions(xtol_rel=1e-10, ftol_rel=1e-10,
                                       max_iter=4000)
-    res = minimize(objective, [c0, d0, x0, w0], opts)
-    res2 = minimize(objective, res.x, opts)  # restart polish
-    if res2.fun <= res.fun:
-        res = MinimizeResult(res2.x, res2.fun, res.iterations + res2.iterations,
-                             res.nfev + res2.nfev,
-                             res.converged or res2.converged)
+    res = minimize(objective, [float(x[np.argmin(yn)]), 0.1], opts)
 
-    cn, dn, xn0, wn = res.x
-    dn = abs(dn)
-    wn = abs(wn)
+    (cn, dn), _ = project(res.x)
+    xn0, wn = res.x
     baseline = cn * y_scale + y_off
     depth = dn * y_scale
     center = xn0 * span + f_mid
@@ -263,7 +272,7 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None,
     weighted = residuals if point_weights is None else residuals * point_weights
     sse = float(np.dot(weighted, weighted))
 
-    if not res.converged or fwhm <= 0:
+    if not res.converged:
         raise FitError("Lorentzian hole fit failed",
                        diagnostics={"converged": res.converged,
                                     "fwhm_hz": fwhm, "residual_sse": sse,
@@ -312,42 +321,39 @@ def fit_exponential(times, values, with_offset=True,
     y_scale = float(np.ptp(y)) or max(abs(float(np.max(y))), 1.0)
     yn = y / y_scale
 
-    c0 = float(np.min(yn)) if with_offset else 0.0
-    a0 = float(yn[0]) - c0
-    below = np.nonzero(yn - c0 <= a0 / np.e)[0]
-    tau0 = float(xt[below[0]]) if below.size and below[0] > 0 else 1.0 / 3.0
+    lower = np.full(2 if with_offset else 1, -np.inf)  # amplitude, offset free
 
-    if with_offset:
-        def objective(p):
-            r = exp_decay(xt, p[0], abs(p[1]) + 1e-12, p[2]) - yn
-            return float(np.dot(r, r))
-        x0 = [a0, tau0, c0]
-    else:
-        def objective(p):
-            r = exp_decay(xt, p[0], abs(p[1]) + 1e-12, 0.0) - yn
-            return float(np.dot(r, r))
-        x0 = [a0, tau0]
+    def project(tau_n):
+        cols = [exp_decay(xt, 1.0, tau_n)]
+        if with_offset:
+            cols.append(np.ones_like(xt))
+        return _linear_coefficients(np.column_stack(cols), yn, lower)
+
+    def objective(p):
+        return project(p[0])[1] if p[0] > 0 else _REJECT
 
     opts = options or MinimizeOptions(xtol_rel=1e-10, ftol_rel=1e-10,
                                       max_iter=4000)
-    res = minimize(objective, x0, opts)
-    res = minimize(objective, res.x, opts)
+    res = minimize(objective, [1.0 / 3.0], opts)
 
-    tau_n = abs(res.x[1]) + 1e-12
+    tau_n = res.x[0]
+    coef, _ = project(tau_n)
     tau = tau_n * tspan
     # Amplitude refers to t = 0 of the model a exp(-t/tau); the internal
     # fit is anchored at t[0].
-    amp = res.x[0] * y_scale * np.exp(t[0] / tau)
-    offset = res.x[2] * y_scale if with_offset else None
+    with np.errstate(over="ignore"):
+        amp = coef[0] * y_scale * np.exp(t[0] / tau)
+    if not np.isfinite(amp):  # tau collapsed far below the sample spacing
+        raise FitError("exponential fit found no resolvable decay",
+                       diagnostics={"tau_s": float(tau),
+                                    "iterations": res.iterations})
+    offset = coef[1] * y_scale if with_offset else None
 
-    if with_offset:
-        def model(p):
-            return exp_decay(t, p[0], p[1], p[2])
-        params = np.array([amp, tau, offset])
-    else:
-        def model(p):
-            return exp_decay(t, p[0], p[1])
-        params = np.array([amp, tau])
+    params = np.array([amp, tau] + ([offset] if with_offset else []))
+
+    def model(p):
+        return exp_decay(t, *p)
+
     residuals = model(params) - y
     errs = _param_errors(model, params, residuals)
     sse = float(np.dot(residuals, residuals))
@@ -384,7 +390,9 @@ def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
     s2 = sse / dof
     slope_err = float(np.sqrt(s2 / sxx))
     intercept_err = float(np.sqrt(s2 * (1.0 / x.size + x.mean() ** 2 / sxx)))
-    tq = float(stats.t.ppf(0.5 + confidence / 2.0, dof))
+    from scipy.special import stdtrit
+
+    tq = float(stdtrit(dof, 0.5 + confidence / 2.0))
     return LinearFit(slope=slope, intercept=intercept, confidence=confidence,
                      slope_ci=tq * slope_err, slope_err=slope_err,
                      intercept_err=intercept_err, residual=sse)
@@ -425,7 +433,8 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     gamma_trap and the background coefficient B are shared across curves;
     the scale factor A is individual, absorbing detection-efficiency drift
     between measurements.  Minimizes the summed squared difference between
-    A_c * S_c(t; gamma_trap) + B * P_c and the measured count rates.
+    A_c * S_c(t; gamma_trap) + B * P_c and the measured count rates, with
+    A_c >= 0 and B >= 0.
 
     Parameters
     ----------
@@ -439,6 +448,8 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     options : TrapFitOptions, optional
     """
     opts = options or TrapFitOptions()
+    if not opts.gamma_trap_seed > 0:
+        raise ValueError("gamma_trap_seed must be positive")
     triples = _curve_triples(curves)
     if not triples:
         raise ValueError("need at least one curve")
@@ -450,46 +461,34 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
         models.append(TrapDecayModel(material, geom, domain)
                       .compressed(opts.n_bins))
 
-    g_seed = opts.gamma_trap_seed
-    a_seeds, b_terms = [], []
-    shapes = [m.signal(t, g_seed) for m, (t, _, _) in zip(models, triples)]
-    for (t, y, p0), s in zip(triples, shapes):
-        denom = s[0] - s[-1]
-        a0 = (y[0] - y[-1]) / denom if abs(denom) > 0 else y[0] / max(s[0], 1e-300)
-        if not np.isfinite(a0) or a0 <= 0:
-            a0 = y[0] / max(s[0], 1e-300)
-        a_seeds.append(a0)
-        b_terms.append((y[-1] - a0 * s[-1]) / p0)
-    b_seed = max(float(np.median(b_terms)), 0.0)
-    b_scale = max(b_seed, 0.01 * abs(float(np.median(
-        [y[-1] / p0 for _, y, p0 in triples]))), 1e-30)
+    # One linear problem over all curves: a column of S_c(t) per curve (its
+    # A_c) and a shared column of P_c (B).
+    sizes = [t.size for t, _, _ in triples]
+    curve_of_row = np.repeat(np.arange(len(triples)), sizes)
+    rows = np.arange(curve_of_row.size)
+    y_all = np.concatenate([y for _, y, _ in triples])
+    lower = np.zeros(len(triples) + 1)
+    design = np.zeros((rows.size, len(triples) + 1))
+    design[:, -1] = np.repeat([p0 for _, _, p0 in triples], sizes)
 
-    scales = np.array([g_seed] + a_seeds + [b_scale])
+    def project(gamma):
+        design[rows, curve_of_row] = np.concatenate(
+            [m.signal(t, gamma) for m, (t, _, _) in zip(models, triples)])
+        return _linear_coefficients(design, y_all, lower)
 
     def objective(xn):
-        p = xn * scales
-        gamma, b = p[0], p[-1]
-        sse = 0.0
-        with np.errstate(over="ignore"):
-            for (t, y, p0), m, a in zip(triples, models, p[1:-1]):
-                r = a * m.signal(t, gamma) + b * p0 - y
-                sse += float(np.dot(r, r))
-        return sse if np.isfinite(sse) else 1e300
+        if not xn[0] > 0:
+            return _REJECT
+        return project(xn[0] * opts.gamma_trap_seed)[1]
 
-    x0 = np.concatenate([[1.0], np.ones(len(triples)), [b_seed / b_scale]])
-    res = minimize(objective, x0,
+    res = minimize(objective, [1.0],
                    MinimizeOptions(xtol_rel=opts.xtol_rel,
                                    ftol_rel=opts.ftol_rel,
                                    max_iter=opts.max_iter))
 
-    p = res.x * scales
-    if p[0] <= 0:
-        raise FitError("trap fit produced a nonpositive trapping rate",
-                       diagnostics={"gamma_trap_per_s": float(p[0]),
-                                    "residual_sse": float(res.fun),
-                                    "iterations": res.iterations})
-    return TrapFitResult(gamma_trap=float(p[0]),
-                         background_b=float(p[-1]),
-                         scale_a=[float(a) for a in p[1:-1]],
-                         residual=float(res.fun), converged=res.converged,
+    gamma = float(res.x[0] * opts.gamma_trap_seed)
+    coef, sse = project(gamma)
+    return TrapFitResult(gamma_trap=gamma, background_b=float(coef[-1]),
+                         scale_a=[float(a) for a in coef[:-1]],
+                         residual=sse, converged=res.converged,
                          iterations=res.iterations)

@@ -231,6 +231,26 @@ class TestCli:
         data = json.loads(report.read_text())
         assert data["slope"] == pytest.approx(2.0)
 
+    def test_fit_linear_confidence_from_config(self, tmp_path):
+        pts = tmp_path / "pts.csv"
+        x = np.linspace(0, 5, 10)
+        y = 2 * x + 1 + np.random.default_rng(4).normal(0, 0.3, x.size)
+        csvio.write_xy(pts, x, y, "x", "y")
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[fit]\nconfidence = 0.99\n")
+        report = tmp_path / "lin.json"
+        argv = ["--config", str(cfgfile), "fit", "linear", "--points",
+                str(pts), "--out", str(report)]
+        assert main(argv) == 0
+        data = json.loads(report.read_text())
+        assert data["confidence"] == 0.99
+        assert data["config"]["fit"]["confidence"] == 0.99
+        assert data["slope_ci"] == pytest.approx(
+            hb.fit_linear_ci(x, y, 0.99).slope_ci, rel=1e-12)
+        # an explicit flag still wins over the config
+        assert main(argv + ["--confidence", "0.5"]) == 0
+        assert json.loads(report.read_text())["confidence"] == 0.5
+
     def test_fit_trap_end_to_end(self, tmp_path):
         cfgfile = tmp_path / "cfg.ini"
         cfgfile.write_text("[domain]\nn_r = 16\nn_z = 16\nn_delta = 32\n")

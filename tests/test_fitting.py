@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holeburn as hb
 from holeburn import FitError
@@ -17,6 +24,17 @@ def fast_domain():
     return hb.IntegrationDomain(n_r=24, n_z=24, n_delta=48)
 
 
+@pytest.fixture(scope="module")
+def two_curve_batch(material, fast_domain):
+    """Poisson two-power batch as (times, counts, power) triples."""
+    t = np.linspace(0, 120, 31)
+    noise = hb.NoiseSpec(kind="poisson", seed=8)
+    powers = [8e-6, 29e-6]
+    curves = hb.gen_decay_batch(material, 9e4, 0.19, 9.4e7, powers, t, noise,
+                                domain=fast_domain)
+    return [(c.time_s, c.counts_per_s, p0) for c, p0 in zip(curves, powers)]
+
+
 class TestHoleFit:
     freq = np.linspace(-100e6, 100e6, 1500)
 
@@ -30,21 +48,29 @@ class TestHoleFit:
         assert fit.fwhm == pytest.approx(truth["fwhm"], rel=1e-6)
         assert fit.hole_detected and fit.converged
 
-    def test_baseline_shift_absorbed(self):
+    @settings(max_examples=25, deadline=None)
+    @given(c=st.floats(0.01, 100.0), d=st.floats(-200.0, 200.0))
+    def test_baseline_shift_absorbed(self, c, d):
+        # y -> c*y + d: baseline maps along, depth scales, shape unchanged
         y = hb.lorentzian_hole(self.freq, 1.0, 0.4, -50e6, 6e6)
         a = hb.fit_hole_lorentzian(self.freq, y)
-        b = hb.fit_hole_lorentzian(self.freq, y + 123.25)
-        assert b.baseline - a.baseline == pytest.approx(123.25, rel=1e-9)
-        assert b.depth == pytest.approx(a.depth, rel=1e-9)
+        b = hb.fit_hole_lorentzian(self.freq, c * y + d)
+        assert (b.baseline - d) / c == pytest.approx(a.baseline, rel=1e-9)
+        assert b.depth == pytest.approx(c * a.depth, rel=1e-9)
         assert b.fwhm == pytest.approx(a.fwhm, rel=1e-9)
         assert b.center == pytest.approx(a.center, rel=1e-9)
 
-    def test_frequency_translation(self):
+    @settings(max_examples=25, deadline=None)
+    @given(shift=st.floats(-1e9, 1e9))
+    def test_frequency_translation(self, shift):
         y = hb.lorentzian_hole(self.freq, 1.0, 0.4, -50e6, 6e6)
         a = hb.fit_hole_lorentzian(self.freq, y)
-        b = hb.fit_hole_lorentzian(self.freq + 250e6, y)
+        b = hb.fit_hole_lorentzian(self.freq + shift, y)
         assert b.fwhm == pytest.approx(a.fwhm, rel=1e-9)
-        assert b.center - a.center == pytest.approx(250e6, rel=1e-9)
+        # the center is located on the span-normalized axis, so a shift
+        # near zero is resolved to 1e-9 of the span, not of the shift
+        assert b.center - a.center == pytest.approx(
+            shift, rel=1e-9, abs=1e-9 * np.ptp(self.freq))
 
     def test_flat_trace_not_detected(self):
         fit = hb.fit_hole_lorentzian(self.freq, np.full_like(self.freq, 2.0))
@@ -107,13 +133,15 @@ class TestExponentialFit:
         assert fit.offset is None
         assert fit.tau == pytest.approx(0.1, rel=1e-6)
 
-    def test_value_rescaling_leaves_tau(self):
+    @settings(max_examples=25, deadline=None)
+    @given(c=st.one_of(st.floats(0.01, 100.0), st.floats(-100.0, -0.01)))
+    def test_value_rescaling_leaves_tau(self, c):
         y = hb.exp_decay(self.times, 1.0, 0.072, 0.1)
         a = hb.fit_exponential(self.times, y)
-        b = hb.fit_exponential(self.times, 2.0 * y)
+        b = hb.fit_exponential(self.times, c * y)
         assert b.tau == pytest.approx(a.tau, rel=1e-9)
-        assert b.amplitude == pytest.approx(2 * a.amplitude, rel=1e-9)
-        assert b.offset == pytest.approx(2 * a.offset, rel=1e-9)
+        assert b.amplitude == pytest.approx(c * a.amplitude, rel=1e-9)
+        assert b.offset == pytest.approx(c * a.offset, rel=1e-9)
 
     def test_constant_data(self):
         fit = hb.fit_exponential(self.times, np.full_like(self.times, 3.0))
@@ -123,6 +151,16 @@ class TestExponentialFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             hb.fit_exponential([0.0, 1.0, 2.0], [3.0, 2.0, 1.0])
+
+    def test_unresolvable_decay_raises(self):
+        # a decay complete before the second sample drives tau toward 0,
+        # where the amplitude at t = 0 is no longer a finite number
+        t = np.arange(1.0, 9.0)
+        y = np.zeros_like(t)
+        y[0] = 1.0
+        with pytest.raises(FitError) as err:
+            hb.fit_exponential(t, y)
+        assert err.value.diagnostics["tau_s"] < 1e-3
 
 
 class TestLinearFit:
@@ -179,6 +217,44 @@ class TestTrapFit:
         assert rev.scale_a[0] == pytest.approx(fwd.scale_a[1], rel=1e-4)
         assert rev.scale_a[1] == pytest.approx(fwd.scale_a[0], rel=1e-4)
 
+    @settings(max_examples=8, deadline=None)
+    @given(c=st.floats(1e-3, 1e3))
+    def test_value_rescaling_scales_a_and_b(self, material, fast_domain,
+                                            two_curve_batch, c):
+        curves = two_curve_batch
+        base = hb.fit_trap_model(curves, material, domain=fast_domain)
+        scaled = hb.fit_trap_model([(t, c * y, p0) for t, y, p0 in curves],
+                                   material, domain=fast_domain)
+        assert scaled.gamma_trap == pytest.approx(base.gamma_trap, rel=1e-6)
+        assert scaled.residual == pytest.approx(c**2 * base.residual,
+                                                rel=1e-6)
+        assert scaled.background_b == pytest.approx(c * base.background_b,
+                                                    rel=1e-4)
+        for sa, ba in zip(scaled.scale_a, base.scale_a):
+            assert sa == pytest.approx(c * ba, rel=1e-4)
+
+    def test_negative_background_clamped(self, material, fast_domain):
+        # True B = 0 and each curve lowered by 2e6 counts/W x P, so the
+        # unconstrained optimum has B < 0; the fit must stop at B = 0.
+        t = np.linspace(0, 120, 31)
+        noise = hb.NoiseSpec(kind="poisson", seed=3)
+        powers = [8e-6, 29e-6]
+        curves = hb.gen_decay_batch(material, 9e4, 0.19, 0.0, powers, t,
+                                    noise, domain=fast_domain)
+        shifted = [(c.time_s, c.counts_per_s - 2e6 * p0, p0)
+                   for c, p0 in zip(curves, powers)]
+        res = hb.fit_trap_model(shifted, material, domain=fast_domain)
+        assert res.converged
+        assert res.background_b == 0.0
+        assert all(a >= 0 for a in res.scale_a)
+        hb.ScaledSignalParams(res.scale_a[0], res.background_b, powers[0])
+
+    def test_nonpositive_seed_rejected(self, material, fast_domain,
+                                       two_curve_batch):
+        with pytest.raises(ValueError, match="seed"):
+            hb.fit_trap_model(two_curve_batch, material, domain=fast_domain,
+                              options=hb.TrapFitOptions(gamma_trap_seed=-1e5))
+
     def test_degenerate_curve_rejected(self, material, fast_domain):
         t = np.linspace(0, 10, 11)
         with pytest.raises(ValueError, match="degenerate"):
@@ -196,3 +272,18 @@ class TestTrapFit:
         y = np.linspace(5, 1, 11)
         with pytest.raises(ValueError, match="power"):
             hb.fit_trap_model([(t, y, None)], material, domain=fast_domain)
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily by the fits that use it, so every CLI
+    # command (zeeman and simulate included) starts without its cost
+    src = str(Path(hb.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, holeburn; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holeburn as hb
+from holeburn import integrator
 from holeburn.integrator import write_signal_csv
 
 
@@ -181,6 +186,62 @@ class TestDetectedSignal:
         with pytest.raises(ValueError):
             hb.detected_signal(bad_t, material, geom, 7e4, small_domain)
 
+    @pytest.mark.parametrize("bad_t", [[np.nan], [0.0, np.inf]])
+    def test_nonfinite_times_rejected(self, material, geom, small_domain,
+                                      bad_t):
+        with pytest.raises(ValueError):
+            hb.detected_signal(bad_t, material, geom, 7e4, small_domain)
+
+    def test_chunks_sum_to_single_chunk(self, material, geom, small_domain,
+                                        monkeypatch):
+        t = np.linspace(0, 200, 9)
+        whole = hb.detected_signal(t, material, geom, 7e4, small_domain)
+        monkeypatch.setattr(integrator, "_CHUNK_POINT_BUDGET", 300)
+        chunks = list(integrator._iter_cloud(material, geom, small_domain))
+        assert len(chunks) == small_domain.n_z
+        chunked = hb.detected_signal(t, material, geom, 7e4, small_domain)
+        np.testing.assert_allclose(chunked.values, whole.values, rtol=1e-13)
+
+
+def naive_decay_sum(t, rate, amp):
+    return np.array([np.dot(amp, np.exp(-rate * tj)) for tj in t])
+
+
+class TestDecaySum:
+    @settings(max_examples=30, deadline=None)
+    @given(n_times=st.sampled_from([1, 81, 2001]),
+           edge=st.sampled_from([(1, -1), (1, 0), (1, 1), (3, 7)]),
+           t_max=st.floats(0.0, 250.0),
+           rate_max=st.floats(0.0, 2.0),
+           frozen_frac=st.sampled_from([0.0, 0.1, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_naive_loop(self, n_times, edge, t_max, rate_max,
+                                frozen_frac, seed):
+        """Every node count around a block edge sums like the plain loop."""
+        rng = np.random.default_rng(seed)
+        block = max(1, integrator._SUM_BLOCK_ELEMENTS // n_times)
+        n_nodes = edge[0] * block + edge[1]
+        t = rng.uniform(0.0, t_max, n_times)
+        t[0] = 0.0
+        rate = rng.uniform(0.0, rate_max, n_nodes)
+        rate[rng.random(n_nodes) < frozen_frac] = 0.0
+        amp = rng.lognormal(0.0, 3.0, n_nodes)
+        np.testing.assert_allclose(integrator._decay_sum(t, rate, amp),
+                                   naive_decay_sum(t, rate, amp), rtol=1e-13)
+
+    def test_work_array_stays_one_block(self):
+        rng = np.random.default_rng(5)
+        t = np.linspace(0.0, 200.0, 2001)
+        rate = rng.uniform(0.0, 1.0, 200_000)
+        amp = rng.uniform(0.0, 1.0, 200_000)
+        tracemalloc.start()
+        try:
+            integrator._decay_sum(t, rate, amp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * integrator._SUM_BLOCK_ELEMENTS + t.nbytes
+
 
 class TestScaledSignal:
     def test_zero_scale_is_background(self):
@@ -231,7 +292,21 @@ class TestRefinement:
         assert err.value.best_result.converged is False
 
 
+@pytest.fixture(scope="module")
+def decay_models(material, geom, small_domain):
+    model = hb.TrapDecayModel(material, geom, small_domain)
+    return {"direct": model, "compressed": model.compressed(64)}
+
+
 class TestTrapDecayModel:
+    @pytest.mark.parametrize("kind", ["direct", "compressed"])
+    @pytest.mark.parametrize("bad_t", [
+        [], 5.0, [[0.0, 1.0]], [-1.0, 0.0], [np.nan],
+    ])
+    def test_bad_time_grids_rejected(self, decay_models, kind, bad_t):
+        with pytest.raises(ValueError):
+            decay_models[kind].signal(bad_t, 7e4)
+
     def test_matches_detected_signal(self, material, geom, small_domain):
         t = np.linspace(0, 200, 9)
         model = hb.TrapDecayModel(material, geom, small_domain)
@@ -254,6 +329,14 @@ class TestTrapDecayModel:
         out = comp.signal(np.array([0.0, 1e12]), 1.0)
         assert out[0] == pytest.approx(6.0)
         assert out[1] == pytest.approx(1.0)
+
+    def test_all_frozen_cloud_is_constant(self):
+        from holeburn.integrator import CompressedDecayModel
+        comp = CompressedDecayModel(np.array([1.0, 2.0]), np.zeros(2),
+                                    n_bins=8)
+        assert comp.bin_k.size == 0
+        out = comp.signal(np.array([0.0, 1e12]), 1.0)
+        assert np.array_equal(out, [3.0, 3.0])
 
 
 def test_signal_csv_roundtrip(tmp_path, material, geom, small_domain):

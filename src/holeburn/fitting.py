@@ -24,6 +24,10 @@ from .simplex import MinimizeOptions, minimize
 # Objective value at a nonpositive trapping rate, hole width or lifetime.
 _REJECT = 1e300
 
+# A fitted lifetime longer than this many sampled spans cannot be told from
+# a straight line by the data, so the lifetime fit rejects it.
+_MAX_TAU_SPANS = 100
+
 
 class FitError(RuntimeError):
     """A fit could not produce a usable parameter estimate."""
@@ -303,7 +307,9 @@ def fit_exponential(times, values, with_offset=True,
     """Fit a exp(-t/tau) plus an optional constant floor.
 
     The offset mode captures a persistent residual level that the decay
-    relaxes onto instead of zero.
+    relaxes onto instead of zero.  Raises FitError when the data resolve
+    no lifetime: tau far below the sample spacing, or beyond
+    `_MAX_TAU_SPANS` sampled spans.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -343,9 +349,11 @@ def fit_exponential(times, values, with_offset=True,
     # fit is anchored at t[0].
     with np.errstate(over="ignore"):
         amp = coef[0] * y_scale * np.exp(t[0] / tau)
-    if not np.isfinite(amp):  # tau collapsed far below the sample spacing
+    # tau collapsed far below the sample spacing, or grew so far past the
+    # sampled span that the decay is indistinguishable from a line.
+    if not np.isfinite(amp) or tau > _MAX_TAU_SPANS * tspan:
         raise FitError("exponential fit found no resolvable decay",
-                       diagnostics={"tau_s": float(tau),
+                       diagnostics={"tau_s": float(tau), "span_s": tspan,
                                     "iterations": res.iterations})
     offset = coef[1] * y_scale if with_offset else None
 
@@ -401,7 +409,7 @@ def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
 def _curve_triples(curves):
     """Normalize fit input to (times, counts, power) triples."""
     out = []
-    for item in curves:
+    for index, item in enumerate(curves):
         if isinstance(item, tuple) and len(item) == 3:
             t, y, p0 = item
         elif isinstance(item, tuple) and len(item) == 2:
@@ -421,6 +429,9 @@ def _curve_triples(curves):
             raise ValueError("degenerate curve: constant signal")
         if p0 is None or p0 <= 0:
             raise ValueError("each curve needs a positive excitation power")
+        if np.any(t < 0):
+            raise ValueError(f"curve {index} ({p0:g} W): time stamps must be "
+                             f"nonnegative, got t = {t.min():g} s")
         out.append((t, y, float(p0)))
     return out
 

@@ -3,9 +3,10 @@
 Each point of the (r, z, detuning) grid evolves independently: its local
 steady-state populations set a fluorescence amplitude and a trap-filling
 rate, and the detected signal is the collection-weighted sum of the
-per-point exponentials.  The azimuthal integral is a plain factor 2 pi
-because nothing depends on it, and the r dr Jacobian is folded into the
-quadrature weights (midpoint rule on uniform grids in r, z and detuning).
+per-point exponentials, each built from the formulas in `model.py`.  The
+azimuthal integral is a plain factor 2 pi because nothing depends on it,
+and the r dr Jacobian is folded into the quadrature weights (midpoint
+rule on uniform grids in r, z and detuning).
 
 Every S(t) in this module goes through one kernel, `_decay_sum`.  It
 walks the nodes in blocks of about `_SUM_BLOCK_ELEMENTS` node-time pairs
@@ -22,10 +23,12 @@ run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import model
 from .model import BeamGeometry, MaterialParams
 
 # Points per z-chunk are capped so refined grids stream through bounded
@@ -171,51 +174,41 @@ def _iter_cloud(material: MaterialParams, geom: BeamGeometry,
     amplitude_density = f0 N coll I_L / (2 (I_L + I_sat) + q I_L) and
     k = q I_L / (2 (I_L + I_sat) + q I_L), which reduce to the two-level
     steady state with k = 0 when the conduction-band coupling vanishes.
+    (`model.py`'s ratio functions raise there, and wide domains underflow
+    the Gaussian envelope to exactly 0.)  intensity_fn and coll_fn each
+    replace one `model.py` profile.
     """
     r, z, d, dr, dz, dd = _grid_axes(domain)
     cell = 2 * np.pi * dr * dz * dd
-
-    g_spon = material.gamma_rec_spon
-    i_sat = material.sat_intensity
-    e_gamma = material.photon_energy
     prefactor = material.fluor_rate * material.ion_density
+
+    if intensity_fn is None:
+        intensity_fn = partial(model.beam_intensity, geom=geom)
+    if coll_fn is None:
+        coll_fn = partial(model.collection_efficiency, geom=geom,
+                          coll0=material.coll0)
 
     n_chunk = max(1, _CHUNK_POINT_BUDGET // max(1, domain.n_r * domain.n_delta))
     for start in range(0, domain.n_z, n_chunk):
-        z_chunk = z[start:start + n_chunk]
-        rr, zz = np.meshgrid(r, z_chunk, indexing="ij")
-        if intensity_fn is not None:
-            i_sp = np.broadcast_to(np.asarray(intensity_fn(rr, zz), dtype=float),
-                                   rr.shape)
-        else:
-            w = geom.waist * np.sqrt(1 + (zz / geom.rayleigh) ** 2)
-            gauss = (geom.waist / w) ** 2 * np.exp(-2 * rr**2 / w**2)
-            i_sp = geom.peak_intensity * gauss
-        if coll_fn is not None:
-            coll = np.broadcast_to(np.asarray(coll_fn(rr, zz), dtype=float),
-                                   rr.shape)
-        elif intensity_fn is None:
-            coll = material.coll0 * gauss
-        else:
-            w = geom.waist * np.sqrt(1 + (zz / geom.rayleigh) ** 2)
-            coll = material.coll0 * (geom.waist / w) ** 2 * np.exp(
-                -2 * rr**2 / w**2)
+        rr, zz = np.meshgrid(r, z[start:start + n_chunk], indexing="ij")
+        i_sp, coll = (np.broadcast_to(np.asarray(fn(rr, zz), dtype=float),
+                                      rr.shape)
+                      for fn in (intensity_fn, coll_fn))
 
         # Ionization couples to the full local intensity (its band is far
         # too broad for MHz-scale detuning to matter); only the optical
         # transition sees the detuning Lorentzian, with a linewidth power
         # broadened by the same local intensity.
-        g_ion = material.sigma_ion * i_sp / e_gamma
-        q = g_ion / (g_ion + g_spon)
-        ghom_half = 0.5 * material.hom_linewidth0 * np.sqrt(1 + i_sp / i_sat)
-
-        lor = ghom_half[:, :, None] ** 2 / (d[None, None, :] ** 2
-                                            + ghom_half[:, :, None] ** 2)
-        i_l = i_sp[:, :, None] * lor
-        denom = 2 * (i_l + i_sat) + q[:, :, None] * i_l
+        g_ion = model.ionization_rate(i_sp, material.sigma_ion,
+                                      material.vac_wavelength)
+        q = (g_ion / (g_ion + material.gamma_rec_spon))[:, :, None]
+        g_hom = model.power_broadened_linewidth(i_sp, material)
+        i_l = model.detuned_intensity(i_sp[:, :, None], d[None, None, :],
+                                      g_hom[:, :, None])
+        denom = 2 * (i_l + material.sat_intensity) + q * i_l
         amp = (prefactor * cell) * coll[:, :, None] * rr[:, :, None] \
             * i_l / denom
-        k = q[:, :, None] * i_l / denom
+        k = q * i_l / denom
         yield amp.reshape(-1), k.reshape(-1)
 
 
@@ -341,11 +334,15 @@ class CompressedDecayModel:
             self.bin_amp = np.zeros(0)
             self.bin_k = np.zeros(0)
             return
-        lo, hi = np.log(k_live.min()), np.log(k_live.max())
-        hi = np.nextafter(hi, np.inf)
-        edges = np.linspace(lo, hi, n_bins + 1)
-        idx = np.clip(np.searchsorted(edges, np.log(k_live), side="right") - 1,
-                      0, n_bins - 1)
+        log_k = np.log(k_live)
+        lo = log_k.min()
+        # The tiny floor keeps an all-equal cloud at k = 1 (log k = 0, whose
+        # one-ulp span underflows when divided) in bin 0 instead of 0/0.
+        width = max((np.nextafter(log_k.max(), np.inf) - lo) / n_bins,
+                    np.finfo(float).tiny)
+        # log_k - lo >= 0, so truncation is floor; the largest k can round
+        # up to n_bins and belongs in the last bin.
+        idx = np.minimum(((log_k - lo) / width).astype(np.intp), n_bins - 1)
         wsum = np.bincount(idx, weights=amp_live, minlength=n_bins)
         ksum = np.bincount(idx, weights=amp_live * k_live, minlength=n_bins)
         used = wsum > 0

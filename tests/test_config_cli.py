@@ -268,6 +268,17 @@ class TestCli:
         assert data["gamma_trap_per_s"] == pytest.approx(9e4, rel=0.05)
         assert len(data["scale_a"]) == 2
 
+    def test_fit_trap_negative_times_exit_2(self, tmp_path, capsys):
+        curve_file = tmp_path / "early.csv"
+        t = np.linspace(-10.0, 150.0, 41)
+        csvio.write_decay_curve(curve_file, hb.DecayCurve(
+            time_s=t, counts_per_s=3e3 + 2e3 * np.exp(-t / 50.0),
+            power_w=20e-6))
+        code = main(["fit", "trap", str(curve_file),
+                     "--out", str(tmp_path / "trap.json")])
+        assert code == 2
+        assert "curve 0" in capsys.readouterr().err
+
     def test_malformed_csv_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong,columns\n1,2\n")

@@ -162,6 +162,18 @@ class TestExponentialFit:
             hb.fit_exponential(t, y)
         assert err.value.diagnostics["tau_s"] < 1e-3
 
+    def test_lifetime_beyond_sampled_span_raises(self):
+        # a 2 ms decay sampled from 0.1 s on is pure noise around the
+        # floor; the flat tau -> infinity end of the objective fits a line
+        waits = np.linspace(0.1, 0.5, 25)
+        areas = hb.gen_hole_decay_series(0.002, 0.05, waits,
+                                         hb.NoiseSpec("gaussian", 1, 0.01))
+        with pytest.raises(FitError) as err:
+            hb.fit_exponential(waits, areas, with_offset=True)
+        diag = err.value.diagnostics
+        assert diag["span_s"] == pytest.approx(0.4)
+        assert diag["tau_s"] > 100 * diag["span_s"]
+
 
 class TestLinearFit:
     def test_exact_line(self):
@@ -266,6 +278,14 @@ class TestTrapFit:
         with pytest.raises(ValueError, match="increasing"):
             hb.fit_trap_model([(t, np.array([4.0, 3.0, 2.0, 1.0]), 2e-5)],
                               material, domain=fast_domain)
+
+    def test_negative_times_rejected(self, material, fast_domain,
+                                     two_curve_batch):
+        t = np.linspace(-10.0, 150.0, 41)
+        curves = [*two_curve_batch, (t, np.linspace(5, 1, 41), 13e-6)]
+        with pytest.raises(ValueError, match=r"curve 2 \(1\.3e-05 W\).*"
+                                             r"nonnegative"):
+            hb.fit_trap_model(curves, material, domain=fast_domain)
 
     def test_missing_power_rejected(self, material, fast_domain):
         t = np.linspace(0, 10, 11)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import holeburn as hb
@@ -192,6 +192,45 @@ class TestDetectedSignal:
         with pytest.raises(ValueError):
             hb.detected_signal(bad_t, material, geom, 7e4, small_domain)
 
+    @pytest.mark.parametrize("override", ["intensity_fn", "coll_fn"])
+    def test_single_model_override_reproduces_default(self, material, geom,
+                                                      small_domain, override):
+        fn = {"intensity_fn": lambda r, z: hb.beam_intensity(r, z, geom),
+              "coll_fn": lambda r, z: hb.collection_efficiency(
+                  r, z, geom, material.coll0)}[override]
+        t = np.linspace(0, 200, 9)
+        default = hb.detected_signal(t, material, geom, 7e4, small_domain)
+        overridden = hb.detected_signal(t, material, geom, 7e4, small_domain,
+                                        **{override: fn})
+        np.testing.assert_allclose(overridden.values, default.values,
+                                   rtol=1e-13)
+
+    def test_cloud_matches_model_ratio_chain(self, material, geom):
+        """Per node, amplitude and k equal the chain of model.py ratios."""
+        domain = hb.IntegrationDomain(n_r=3, n_z=4, n_delta=5)
+        amp, k = map(np.concatenate,
+                     zip(*integrator._iter_cloud(material, geom, domain)))
+        r, z, d, dr, dz, dd = integrator._grid_axes(domain)
+        rr, zz, delta = (a.reshape(-1) for a in np.meshgrid(r, z, d,
+                                                            indexing="ij"))
+        assert amp.size == k.size == domain.n_points
+        for i in range(domain.n_points):
+            i_sp = hb.beam_intensity(rr[i], zz[i], geom)
+            i_l = hb.detuned_intensity(
+                i_sp, delta[i], hb.power_broadened_linewidth(i_sp, material))
+            r1 = hb.saturation_ratio(i_l, material.sat_intensity)
+            r2 = hb.r2_from_rates(
+                hb.ionization_rate(i_sp, material.sigma_ion,
+                                   material.vac_wavelength),
+                material.gamma_rec_spon)
+            k_chain = hb.steady_state_fractions(r1, r2)
+            amp_chain = (material.fluor_rate * material.ion_density * r2
+                         * k_chain * hb.collection_efficiency(
+                             rr[i], zz[i], geom, material.coll0)
+                         * 2 * np.pi * rr[i] * dr * dz * dd)
+            assert k[i] == pytest.approx(k_chain, rel=1e-12)
+            assert amp[i] == pytest.approx(amp_chain, rel=1e-12)
+
     def test_chunks_sum_to_single_chunk(self, material, geom, small_domain,
                                         monkeypatch):
         t = np.linspace(0, 200, 9)
@@ -290,6 +329,92 @@ class TestRefinement:
                                       rel_tol=0.0, max_refinements=2)
         assert err.value.best_result is not None
         assert err.value.best_result.converged is False
+
+
+def searchsorted_bins(amp, k, n_bins):
+    """Reference histogram: linspace log-k edges and searchsorted.
+
+    Also returns whether a live node lies within a few ulps of an interior
+    edge.  There the reference rounds the edge, the direct index rounds
+    the quotient, and the two may put the node in either neighbour.
+    """
+    live = k > 0
+    k_live, amp_live = k[live], amp[live]
+    log_k = np.log(k_live)
+    edges = np.linspace(log_k.min(), np.nextafter(log_k.max(), np.inf),
+                        n_bins + 1)
+    idx = np.clip(np.searchsorted(edges, log_k, side="right") - 1,
+                  0, n_bins - 1)
+    wsum = np.bincount(idx, weights=amp_live, minlength=n_bins)
+    ksum = np.bincount(idx, weights=amp_live * k_live, minlength=n_bins)
+    used = wsum > 0
+    tie = 8 * np.spacing(np.max(np.abs(edges)))
+    near_edge = np.any(np.abs(log_k[:, None] - edges[None, 1:-1]) <= tie)
+    return wsum[used], ksum[used] / wsum[used], near_edge
+
+
+def assert_bins_match_reference(amp, k, n_bins):
+    comp = integrator.CompressedDecayModel(amp, k, n_bins)
+    ref_amp, ref_k, _ = searchsorted_bins(amp, k, n_bins)
+    np.testing.assert_array_equal(comp.bin_amp, ref_amp)
+    np.testing.assert_array_equal(comp.bin_k, ref_k)
+    t = np.array([0.0, 0.5, 3.0, 40.0])
+    ref_signal = float(np.sum(amp[k == 0])) \
+        + integrator._decay_sum(t, 1.7 * ref_k, ref_amp)
+    np.testing.assert_array_equal(comp.signal(t, 1.7), ref_signal)
+    return comp
+
+
+_k_values = st.one_of(
+    st.just(0.0), st.sampled_from([1.0, 0.5, 2.0, 4.0, 10.0, 1e-3]),
+    st.floats(1e-12, 1e3))
+
+
+class TestCompressionBins:
+    @settings(max_examples=300, deadline=None)
+    @given(nodes=st.lists(st.tuples(st.floats(1e-3, 1e3), _k_values),
+                          min_size=2, max_size=60),
+           n_bins=st.sampled_from([2, 3, 7, 64, 1024]))
+    def test_direct_index_matches_searchsorted(self, nodes, n_bins):
+        amp, k = map(np.array, zip(*nodes))
+        assume(np.count_nonzero(k > 0) >= 2)
+        assume(not searchsorted_bins(amp, k, n_bins)[2])
+        assert_bins_match_reference(amp, k, n_bins)
+
+    def test_node_on_an_edge_moves_at_most_one_bin(self):
+        # log 1 - log 1e-5 is 5/8 of log 1e3 - log 1e-5, so k = 1 sits on
+        # edge 40 of 64 up to rounding.  The reference puts it below the
+        # edge with k = 0.75; the direct index puts it above, alone.
+        amp = np.ones(4)
+        k = np.array([1.0, 1e3, 0.75, 1e-5])
+        ref_amp, _, near_edge = searchsorted_bins(amp, k, 64)
+        assert near_edge and ref_amp.tolist() == [1.0, 2.0, 1.0]
+        comp = integrator.CompressedDecayModel(amp, k, 64)
+        assert comp.bin_amp.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert comp.bin_k.tolist() == [1e-5, 0.75, 1.0, 1e3]
+
+    @pytest.mark.parametrize("k_value", [1.0, 0.3, 7e-5])
+    def test_all_live_k_equal(self, k_value):
+        # at k = 1, log k = 0 and the one-ulp span over n_bins underflows
+        amp = np.array([1.0, 2.0, 3.0, 4.0])
+        k = np.array([0.0, k_value, k_value, k_value])
+        comp = assert_bins_match_reference(amp, k, 1024)
+        assert comp.bin_amp.tolist() == [9.0]
+        assert comp.bin_k[0] == pytest.approx(k_value, rel=1e-15)
+
+    def test_single_live_node(self):
+        comp = assert_bins_match_reference(np.array([2.0, 5.0, 1.0]),
+                                           np.array([0.0, 3e-3, 0.0]), 64)
+        assert comp.bin_amp.tolist() == [5.0] and comp.frozen_amp == 3.0
+
+    def test_largest_k_lands_in_last_bin(self):
+        # log k = (-8, -1, 0) with 4 bins: (0 - lo) / width rounds to
+        # exactly 4, one past the last bin, which must still hold k = 1
+        amp = np.array([1.0, 2.0, 3.0])
+        k = np.exp([-8.0, -1.0, 0.0])
+        assert k[-1] == 1.0
+        comp = assert_bins_match_reference(amp, k, 4)
+        assert comp.bin_amp.tolist() == [1.0, 5.0]
 
 
 @pytest.fixture(scope="module")

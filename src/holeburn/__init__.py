@@ -6,7 +6,7 @@ from .fitting import (ExpDecayFit, FitError, LinearFit, LorentzianHoleFit,
                       fit_exponential, fit_hole_lorentzian, fit_linear_ci,
                       fit_trap_model, hom_linewidth_from_hole,
                       lorentzian_hole)
-from .integrator import (ConvergenceError, IntegrationDomain,
+from .integrator import (ConvergenceError, IntegrationDomain, LevelSetRule,
                          ScaledSignalParams, SignalResult, TrapDecayModel,
                          detected_signal, refine_until_converged,
                          scaled_signal)

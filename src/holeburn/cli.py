@@ -16,7 +16,7 @@ from . import csvio, pipeline, synth, zeeman
 from .config import ConfigError, load_config
 from .fitting import (FitError, fit_exponential, fit_hole_lorentzian,
                       fit_linear_ci, fit_trap_model, hom_linewidth_from_hole)
-from .integrator import (ConvergenceError, ScaledSignalParams,
+from .integrator import (ConvergenceError, LevelSetRule, ScaledSignalParams,
                          refine_until_converged, write_signal_csv)
 from .model import BeamGeometry
 
@@ -61,11 +61,11 @@ def _cmd_simulate(args):
     geom = BeamGeometry.for_material(cfg.material, power=power,
                                      focus_fwhm=cfg.focus_fwhm)
     result = refine_until_converged(t_grid, cfg.material, geom, gamma_trap,
-                                    cfg.domain, rel_tol=args.tol)
+                                    LevelSetRule(), rel_tol=args.tol)
     scaled = result.scaled(cfg.scaled_params(power))
     write_signal_csv(args.out, t_grid, result.values, scaled)
     print(f"simulate: wrote {args.out} "
-          f"({result.domain.n_r}x{result.domain.n_z}x{result.domain.n_delta} grid, "
+          f"({result.domain.n_points} nodes, "
           f"rel change {result.achieved_rel_change:.2e})")
     return EXIT_OK
 
@@ -79,7 +79,7 @@ def _cmd_fit_trap(args):
             raise ValueError(f"{path}: curve metadata lacks power_w")
         curves.append(curve)
     result = fit_trap_model(curves, cfg.material, focus_fwhm=cfg.focus_fwhm,
-                            domain=cfg.domain, options=cfg.fit)
+                            domain=LevelSetRule(), options=cfg.fit)
     if not result.converged:
         raise FitError("trap fit did not converge",
                        diagnostics=result.to_dict())
@@ -170,7 +170,7 @@ def _cmd_gen_decay(args):
         curves = synth.gen_decay_batch(cfg.material, args.gamma_trap,
                                        cfg.scale_a, cfg.background_b, powers,
                                        t_grid, noise, cfg.focus_fwhm,
-                                       cfg.domain, refine_tol=refine_tol)
+                                       LevelSetRule(), refine_tol=refine_tol)
         for p0, curve in zip(powers, curves):
             path = out_dir / f"decay_{p0 * 1e6:g}uW.csv"
             csvio.write_decay_curve(path, curve)
@@ -181,7 +181,7 @@ def _cmd_gen_decay(args):
                                    background_b=cfg.background_b, power=power)
         curve = synth.gen_decay_curve(cfg.material, args.gamma_trap, scale,
                                       t_grid, noise, cfg.focus_fwhm,
-                                      cfg.domain, refine_tol=refine_tol)
+                                      LevelSetRule(), refine_tol=refine_tol)
         csvio.write_decay_curve(args.out, curve)
         print(f"gen decay: wrote {args.out}")
     return EXIT_OK

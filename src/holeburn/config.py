@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fitting import TrapFitOptions
-from .integrator import IntegrationDomain, ScaledSignalParams
+from .integrator import ScaledSignalParams
 from .model import MaterialParams
 from .zeeman import ZeemanConfig
 
@@ -43,14 +43,6 @@ _SCHEMA = {
         "scale_a": ("scale_a", float),
         "background_b_counts_per_w": ("background_b", float),
     },
-    "domain": {
-        "r_max_m": ("r_max", float),
-        "z_halfwidth_m": ("z_halfwidth", float),
-        "delta_halfwidth_hz": ("delta_halfwidth", float),
-        "n_r": ("n_r", int),
-        "n_z": ("n_z", int),
-        "n_delta": ("n_delta", int),
-    },
     "zeeman": {
         "g_ground_hz_per_t": ("g_ground", float),
         "g_excited_hz_per_t": ("g_excited", float),
@@ -75,7 +67,6 @@ class RunConfig:
     focus_fwhm: float = 1e-6
     scale_a: float = 0.19
     background_b: float = 9.4e7
-    domain: IntegrationDomain = field(default_factory=IntegrationDomain)
     zeeman: ZeemanConfig = field(default_factory=ZeemanConfig)
     fit: TrapFitOptions = field(default_factory=TrapFitOptions)
     confidence: float = 0.80
@@ -87,7 +78,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Resolved configuration keyed exactly like the config file."""
-        m, d, z, f = self.material, self.domain, self.zeeman, self.fit
+        m, z, f = self.material, self.zeeman, self.fit
         return {
             "material": {
                 "sat_intensity_w_per_m2": m.sat_intensity,
@@ -109,14 +100,6 @@ class RunConfig:
             "scale": {
                 "scale_a": self.scale_a,
                 "background_b_counts_per_w": self.background_b,
-            },
-            "domain": {
-                "r_max_m": d.r_max,
-                "z_halfwidth_m": d.z_halfwidth,
-                "delta_halfwidth_hz": d.delta_halfwidth,
-                "n_r": d.n_r,
-                "n_z": d.n_z,
-                "n_delta": d.n_delta,
             },
             "zeeman": {
                 "g_ground_hz_per_t": z.g_ground,
@@ -181,8 +164,6 @@ def load_config(path=None) -> RunConfig:
             got = _collect(parser, "scale")
             cfg.scale_a = got.get("scale_a", cfg.scale_a)
             cfg.background_b = got.get("background_b", cfg.background_b)
-        if parser.has_section("domain"):
-            cfg.domain = IntegrationDomain(**_collect(parser, "domain"))
         if parser.has_section("zeeman"):
             cfg.zeeman = ZeemanConfig(**_collect(parser, "zeeman"))
         if parser.has_section("fit"):

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrator import IntegrationDomain, TrapDecayModel
+from .integrator import TrapDecayModel
 from .model import BeamGeometry, MaterialParams
 from .simplex import MinimizeOptions, minimize
 
@@ -437,7 +437,7 @@ def _curve_triples(curves):
 
 
 def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
-                   domain: Optional[IntegrationDomain] = None,
+                   domain=None,
                    options: Optional[TrapFitOptions] = None) -> TrapFitResult:
     """Globally fit the trapping rate to one or more decay curves.
 
@@ -455,7 +455,8 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     material : MaterialParams
     focus_fwhm : float
         Beam focus FWHM shared by all measurements [m].
-    domain : IntegrationDomain, optional
+    domain : IntegrationDomain or LevelSetRule, optional
+        Rule each curve's decay cloud is built with.
     options : TrapFitOptions, optional
     """
     opts = options or TrapFitOptions()

@@ -1,12 +1,19 @@
 """Time-dependent detected signal via quadrature over space and detuning.
 
-Each point of the (r, z, detuning) grid evolves independently: its local
+Each point of (r, z, detuning) evolves independently: its local
 steady-state populations set a fluorescence amplitude and a trap-filling
 rate, and the detected signal is the collection-weighted sum of the
 per-point exponentials, each built from the formulas in `model.py`.  The
-azimuthal integral is a plain factor 2 pi because nothing depends on it,
-and the r dr Jacobian is folded into the quadrature weights (midpoint
-rule on uniform grids in r, z and detuning).
+azimuthal integral is a plain factor 2 pi because nothing depends on it.
+
+Two rules place the nodes.  `LevelSetRule` (what the CLI uses) integrates
+over infinite limits: the collection efficiency shares the beam's
+envelope, so everything depends on (r, z) only through u = I / I0, and the
+focal volume per intensity turns the integral into a smooth one on
+[0, pi/2]^2 with Gauss-Legendre nodes in (alpha, theta).  An
+`IntegrationDomain` is a finite midpoint box in (r, z, detuning), the
+library default, and the only rule that accepts replacement (r, z)
+profiles.
 
 Every S(t) in this module goes through one kernel, `_decay_sum`.  It
 walks the nodes in blocks of about `_SUM_BLOCK_ELEMENTS` node-time pairs
@@ -15,9 +22,8 @@ exp(-rate * t) and reduces it against the amplitudes.  Each node is read
 once and the work array stays small, instead of every time streaming the
 whole cloud through memory.  The reduction is a single-threaded einsum,
 not BLAS: a threaded gemv or dot spins extra threads that cost CPU time
-without saving wall time at these sizes.  Summation order is fixed
-(z-major chunks, node blocks within a chunk), so results are bit-stable
-run to run.
+without saving wall time at these sizes.  Summation order is fixed, so
+results are bit-stable run to run.
 """
 
 from __future__ import annotations
@@ -30,12 +36,6 @@ import numpy as np
 
 from . import model
 from .model import BeamGeometry, MaterialParams
-
-# Points per z-chunk are capped so refined grids stream through bounded
-# memory instead of materializing the full cloud.  A chunk keeps a handful
-# of full-size temporaries alive while it is built; the sum over times is
-# blocked on its own, so larger chunks would only cost memory.
-_CHUNK_POINT_BUDGET = 1 << 18
 
 # Node-time pairs per block of `_decay_sum` (one 8 MB float64 work array).
 _SUM_BLOCK_ELEMENTS = 1 << 20
@@ -88,6 +88,35 @@ class IntegrationDomain:
 
 
 @dataclass(frozen=True)
+class LevelSetRule:
+    """Gauss-Legendre rule over the infinite focal volume and detuning.
+
+    Every per-node quantity depends on (r, z) only through u = I / I0, so
+    the focal volume per intensity (Augst et al., JOSA B 8, 858 (1991))
+    reduces S(t) to a smooth integral over [0, pi/2]^2 in (alpha, theta),
+    with u = cos^2 alpha and detuning = (Gamma_hom / 2) tan theta.  `n` is
+    the node count per axis.
+    """
+
+    n: int = 48
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+
+    def doubled(self) -> "LevelSetRule":
+        return replace(self, n=2 * self.n)
+
+    def widened(self, factor: float) -> "LevelSetRule":
+        """An equal rule: both limits are already infinite."""
+        return self
+
+    @property
+    def n_points(self) -> int:
+        return self.n**2
+
+
+@dataclass(frozen=True)
 class ScaledSignalParams:
     """Affine transform from model signal to detected count rate."""
 
@@ -114,7 +143,7 @@ class SignalResult:
 
     times: np.ndarray
     values: np.ndarray
-    domain: IntegrationDomain
+    domain: IntegrationDomain | LevelSetRule
     converged: Optional[bool] = None
     achieved_rel_change: Optional[float] = None
     refinements: int = 0
@@ -158,16 +187,18 @@ def _decay_sum(t: np.ndarray, rate: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _iter_cloud(material: MaterialParams, geom: BeamGeometry,
-                domain: IntegrationDomain,
-                intensity_fn: Optional[Callable] = None,
-                coll_fn: Optional[Callable] = None):
-    """Yield (amplitude, k) chunks over the integration grid.
+def _cloud(material: MaterialParams, geom: BeamGeometry, domain=None,
+           intensity_fn: Optional[Callable] = None,
+           coll_fn: Optional[Callable] = None):
+    """(rule, amplitude, k per node) for the rule the record's type names.
 
     amplitude carries everything time-independent: fluorescence rate times
-    excited-state density times collection efficiency times the 2 pi r
-    quadrature weight.  k is the conduction-band fraction so that the
-    per-point signal is amplitude * exp(-gamma_trap * k * t).
+    excited-state density times collection efficiency times the quadrature
+    weight.  k is the conduction-band fraction so that the per-node signal
+    is amplitude * exp(-gamma_trap * k * t).  An `IntegrationDomain` (the
+    default for None) is the midpoint box, whose (r, z) profiles
+    intensity_fn and coll_fn may each replace; a `LevelSetRule` is the
+    infinite-limit Gauss rule, and overrides are an error there.
 
     The steady state is evaluated in a form that stays finite for zero
     intensity: with q = Gamma_ion / (Gamma_ion + Gamma_spon),
@@ -175,45 +206,59 @@ def _iter_cloud(material: MaterialParams, geom: BeamGeometry,
     k = q I_L / (2 (I_L + I_sat) + q I_L), which reduce to the two-level
     steady state with k = 0 when the conduction-band coupling vanishes.
     (`model.py`'s ratio functions raise there, and wide domains underflow
-    the Gaussian envelope to exactly 0.)  intensity_fn and coll_fn each
-    replace one `model.py` profile.
+    the Gaussian envelope to exactly 0.)  Where both rates are 0, I_L is 0
+    too and q = 1 stands in for 0/0.
     """
-    r, z, d, dr, dz, dd = _grid_axes(domain)
-    cell = 2 * np.pi * dr * dz * dd
-    prefactor = material.fluor_rate * material.ion_density
-
-    if intensity_fn is None:
-        intensity_fn = partial(model.beam_intensity, geom=geom)
-    if coll_fn is None:
-        coll_fn = partial(model.collection_efficiency, geom=geom,
-                          coll0=material.coll0)
-
-    n_chunk = max(1, _CHUNK_POINT_BUDGET // max(1, domain.n_r * domain.n_delta))
-    for start in range(0, domain.n_z, n_chunk):
-        rr, zz = np.meshgrid(r, z[start:start + n_chunk], indexing="ij")
+    domain = IntegrationDomain() if domain is None else domain
+    if isinstance(domain, LevelSetRule):
+        if intensity_fn is not None or coll_fn is not None:
+            raise ValueError("intensity_fn and coll_fn need an "
+                             "IntegrationDomain")
+        x, w = np.polynomial.legendre.leggauss(domain.n)
+        node, w = np.pi / 4 * (x + 1), np.pi / 4 * w
+        alpha, theta = node[:, None], node
+        # u = I / I0 = cos^2 alpha; the focal volume per intensity times
+        # the collection coll0 u is pi w0^2 z_R 2 sin^2 a (1 + tan^2 a / 3).
+        i_sp = geom.peak_intensity * np.cos(alpha) ** 2
+        weight = (np.pi * geom.waist**2 * geom.rayleigh * material.coll0
+                  * 2 * np.sin(alpha) ** 2 * (1 + np.tan(alpha) ** 2 / 3)
+                  * w[:, None])
+        # detuning = (Gamma_hom / 2) tan theta on both signs of theta
+        detuning = lambda half: (half * np.tan(theta),
+                                 2 * half * w / np.cos(theta) ** 2)
+    else:
+        if intensity_fn is None:
+            intensity_fn = partial(model.beam_intensity, geom=geom)
+        if coll_fn is None:
+            coll_fn = partial(model.collection_efficiency, geom=geom,
+                              coll0=material.coll0)
+        r, z, d, dr, dz, dd = _grid_axes(domain)
+        rr, zz = np.meshgrid(r, z, indexing="ij")
         i_sp, coll = (np.broadcast_to(np.asarray(fn(rr, zz), dtype=float),
-                                      rr.shape)
+                                      rr.shape)[:, :, None]
                       for fn in (intensity_fn, coll_fn))
+        weight = 2 * np.pi * dr * dz * coll * rr[:, :, None]
+        detuning = lambda half: (d, dd)
 
-        # Ionization couples to the full local intensity (its band is far
-        # too broad for MHz-scale detuning to matter); only the optical
-        # transition sees the detuning Lorentzian, with a linewidth power
-        # broadened by the same local intensity.
-        g_ion = model.ionization_rate(i_sp, material.sigma_ion,
-                                      material.vac_wavelength)
-        q = (g_ion / (g_ion + material.gamma_rec_spon))[:, :, None]
-        g_hom = model.power_broadened_linewidth(i_sp, material)
-        i_l = model.detuned_intensity(i_sp[:, :, None], d[None, None, :],
-                                      g_hom[:, :, None])
-        denom = 2 * (i_l + material.sat_intensity) + q * i_l
-        amp = (prefactor * cell) * coll[:, :, None] * rr[:, :, None] \
-            * i_l / denom
-        k = q * i_l / denom
-        yield amp.reshape(-1), k.reshape(-1)
+    # Ionization couples to the full local intensity (its band is far too
+    # broad for MHz-scale detuning to matter); only the optical transition
+    # sees the detuning Lorentzian, with a linewidth power broadened by
+    # the same local intensity.
+    g_ion = model.ionization_rate(i_sp, material.sigma_ion,
+                                  material.vac_wavelength)
+    rates = g_ion + material.gamma_rec_spon
+    q = np.divide(g_ion, rates, out=np.ones_like(rates), where=rates > 0)
+    g_hom = model.power_broadened_linewidth(i_sp, material)
+    delta, d_delta = detuning(g_hom / 2)
+    i_l = model.detuned_intensity(i_sp, delta, g_hom)
+    denom = 2 * (i_l + material.sat_intensity) + q * i_l
+    amp = material.fluor_rate * material.ion_density * weight * d_delta \
+        * i_l / denom
+    return domain, amp.reshape(-1), (q * i_l / denom).reshape(-1)
 
 
 def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
-                    gamma_trap, domain: Optional[IntegrationDomain] = None,
+                    gamma_trap, domain=None,
                     intensity_fn: Optional[Callable] = None,
                     coll_fn: Optional[Callable] = None) -> SignalResult:
     """Integrate the local fluorescence over the grid for each time.
@@ -225,11 +270,12 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
     material, geom : model parameter records.
     gamma_trap : float
         Trapping rate from the conduction band [1/s].
-    domain : IntegrationDomain, optional
-        Grid to integrate on; defaults to the standard limits.
+    domain : IntegrationDomain or LevelSetRule, optional
+        Rule to integrate with: a finite midpoint box (the standard one
+        when omitted) or the infinite-limit level-set rule.
     intensity_fn, coll_fn : callable, optional
         Overrides mapping (r, z) arrays to intensity / collection
-        efficiency; used for oracle checks with flat profiles.
+        efficiency on a box; used for oracle checks with flat profiles.
 
     Returns
     -------
@@ -241,13 +287,9 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
         raise ValueError("t_grid must be sorted ascending")
     if gamma_trap < 0:
         raise ValueError("gamma_trap must be nonnegative")
-    if domain is None:
-        domain = IntegrationDomain()
-
-    values = np.zeros_like(t)
-    for amp, k in _iter_cloud(material, geom, domain, intensity_fn, coll_fn):
-        values += _decay_sum(t, gamma_trap * k, amp)
-    return SignalResult(times=t, values=values, domain=domain)
+    domain, amp, k = _cloud(material, geom, domain, intensity_fn, coll_fn)
+    return SignalResult(times=t, values=_decay_sum(t, gamma_trap * k, amp),
+                        domain=domain)
 
 
 def scaled_signal(s_model, params: ScaledSignalParams):
@@ -258,18 +300,15 @@ def scaled_signal(s_model, params: ScaledSignalParams):
 
 def refine_until_converged(t_grid, material: MaterialParams,
                            geom: BeamGeometry, gamma_trap,
-                           domain: Optional[IntegrationDomain] = None,
-                           rel_tol: float = 5e-3,
+                           domain=None, rel_tol: float = 5e-3,
                            max_refinements: int = 3) -> SignalResult:
-    """Double all grid counts until S(t) changes by less than rel_tol.
+    """Double the rule's node counts until S(t) changes by less than rel_tol.
 
     Raises ConvergenceError (carrying the best result so far) when the
     refinement cap is reached without meeting the tolerance.
     """
     if rel_tol < 0:
         raise ValueError("rel_tol must be nonnegative")
-    if domain is None:
-        domain = IntegrationDomain()
 
     result = detected_signal(t_grid, material, geom, gamma_trap, domain)
     for step in range(1, max_refinements + 1):
@@ -292,26 +331,17 @@ def refine_until_converged(t_grid, material: MaterialParams,
 class TrapDecayModel:
     """Precomputed point cloud for repeated S(t, gamma_trap) evaluation.
 
-    The cloud (amplitude, k per grid point) does not depend on gamma_trap,
+    The cloud (amplitude, k per node) does not depend on gamma_trap,
     so a fit can reuse one model per curve.  `compressed` bins the cloud
     into a log-spaced k histogram, shrinking evaluation cost by orders of
     magnitude at a relative error far below fit tolerances.
     """
 
     def __init__(self, material: MaterialParams, geom: BeamGeometry,
-                 domain: Optional[IntegrationDomain] = None,
-                 intensity_fn: Optional[Callable] = None,
+                 domain=None, intensity_fn: Optional[Callable] = None,
                  coll_fn: Optional[Callable] = None):
-        if domain is None:
-            domain = IntegrationDomain()
-        self.domain = domain
-        amps, ks = [], []
-        for amp, k in _iter_cloud(material, geom, domain, intensity_fn,
-                                  coll_fn):
-            amps.append(amp)
-            ks.append(k)
-        self._amp = np.concatenate(amps)
-        self._k = np.concatenate(ks)
+        self.domain, self._amp, self._k = _cloud(material, geom, domain,
+                                                 intensity_fn, coll_fn)
 
     def signal(self, t_grid, gamma_trap) -> np.ndarray:
         return _decay_sum(_check_times(t_grid), gamma_trap * self._k,

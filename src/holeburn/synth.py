@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fitting import exp_decay, lorentzian_hole
-from .integrator import (IntegrationDomain, ScaledSignalParams,
-                         detected_signal, refine_until_converged)
+from .integrator import (ScaledSignalParams, detected_signal,
+                         refine_until_converged)
 from .model import BeamGeometry, MaterialParams
 from .pipeline import RawScan
 
@@ -73,14 +73,14 @@ def gen_decay_curve(material: MaterialParams, gamma_trap: float,
                     scale: ScaledSignalParams, t_grid,
                     noise: NoiseSpec = NoiseSpec(),
                     focus_fwhm: float = 1e-6,
-                    domain: Optional[IntegrationDomain] = None,
+                    domain=None,
                     stream: int = 0,
                     refine_tol: Optional[float] = None) -> DecayCurve:
     """Simulate one fluorescence decay curve and apply counting noise.
 
     The excitation power is taken from scale.power.  Ground truth
     (gamma_trap, A, B, noise settings) is stored in the metadata.  With
-    refine_tol set, the grid is refined as in the simulate command so the
+    refine_tol set, the rule is refined as in the simulate command so the
     fixture matches its output.
     """
     geom = BeamGeometry.for_material(material, power=scale.power,
@@ -114,7 +114,7 @@ def gen_decay_batch(material: MaterialParams, gamma_trap: float,
                     powers: Sequence[float], t_grid,
                     noise: NoiseSpec = NoiseSpec(),
                     focus_fwhm: float = 1e-6,
-                    domain: Optional[IntegrationDomain] = None,
+                    domain=None,
                     refine_tol: Optional[float] = None) -> list:
     """One decay curve per power, with per-curve noise streams."""
     curves = []

@@ -4,11 +4,14 @@ Each check states its tolerance inline, computes the measured value, prints
 a PASS/FAIL line, and asserts.  Shared expensive computations (the
 reference-rate simulation, the seven-curve batch) live in module fixtures.
 
-Two clauses are red by analysis, not by accident, and stay that way on
-purpose (see the README): 1b, the 200 s scaled-signal band, and 3b, the
-integration-limit insensitivity bound.  Both trace to the heavy
+The signal checks call the library without a rule, so they run on the
+finite default midpoint box.  Two clauses are red there by analysis, not
+by accident (see the README): 1b, the 200 s scaled-signal band, and 3b,
+the integration-limit insensitivity bound.  Both trace to the heavy
 1/(1+(z/z_R)^2) axial tail of the intensity-times-collection profile,
-which the model's own equations imply.
+which the model's own equations imply.  On the infinite-limit
+`LevelSetRule` the same checks read 1a 13.25% (red), 1b 39.77% (red) and
+3b 0 (green, since widening an infinite rule changes nothing).
 """
 
 import time

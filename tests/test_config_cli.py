@@ -14,7 +14,6 @@ class TestConfig:
         cfg = load_config(None)
         assert cfg.material.sat_intensity == 1.4e7
         assert cfg.beam_power == 20e-6
-        assert cfg.domain.n_delta == 128
         assert cfg.zeeman.g_ground == 1.9e10
 
     def test_file_overrides(self, tmp_path):
@@ -26,11 +25,6 @@ sat_intensity_w_per_m2 = 2.0e7
 [beam]
 power_w = 5e-6
 
-[domain]
-n_r = 16
-n_z = 16
-n_delta = 16
-
 [zeeman]
 stray_field_t = 0
 """)
@@ -38,7 +32,6 @@ stray_field_t = 0
         assert cfg.material.sat_intensity == 2.0e7
         assert cfg.material.sigma_ion == 1e-22  # untouched default
         assert cfg.beam_power == 5e-6
-        assert cfg.domain.n_r == 16
         assert cfg.zeeman.stray_field == 0.0
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -47,16 +40,19 @@ stray_field_t = 0
         with pytest.raises(ConfigError, match="unknown key"):
             load_config(path)
 
-    def test_unknown_section_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text", ["[detector]\ngain = 3\n",
+                                      "[domain]\nn_r = 16\n"],
+                             ids=["detector", "domain"])
+    def test_unknown_section_rejected(self, tmp_path, text):
         path = tmp_path / "bad.ini"
-        path.write_text("[detector]\ngain = 3\n")
+        path.write_text(text)
         with pytest.raises(ConfigError, match="unknown section"):
             load_config(path)
 
     def test_bad_type_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[domain]\nn_r = sixteen\n")
-        with pytest.raises(ConfigError, match="n_r"):
+        path.write_text("[fit]\nmax_iter = sixteen\n")
+        with pytest.raises(ConfigError, match="max_iter"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -73,6 +69,15 @@ stray_field_t = 0
         d = load_config(None).to_dict()
         assert d["material"]["sat_intensity_w_per_m2"] == 1.4e7
         assert d["fit"]["confidence"] == 0.80
+
+    def test_echoed_config_loads_back_unchanged(self, tmp_path):
+        echoed = load_config(None).to_dict()
+        path = tmp_path / "echo.ini"
+        path.write_text("".join(
+            f"[{section}]\n" + "".join(f"{key} = {value!r}\n"
+                                       for key, value in keys.items())
+            for section, keys in echoed.items()))
+        assert load_config(path).to_dict() == echoed
 
 
 class TestCsvIO:
@@ -152,12 +157,9 @@ class TestCli:
         # identical refinement settings produce identical scaled signals
         sim_out = tmp_path / "sim.csv"
         gen_out = tmp_path / "gen.csv"
-        cfgfile = tmp_path / "cfg.ini"
-        cfgfile.write_text("[domain]\nn_r = 16\nn_z = 16\nn_delta = 32\n")
-        common = ["--config", str(cfgfile)]
-        assert main([*common, "simulate", "--t-end", "5", "--n-t", "3",
+        assert main(["simulate", "--t-end", "5", "--n-t", "3",
                      "--out", str(sim_out)]) == 0
-        assert main([*common, "gen", "decay", "--t-end", "5", "--n-t", "3",
+        assert main(["gen", "decay", "--t-end", "5", "--n-t", "3",
                      "--out", str(gen_out)]) == 0
         sim = np.loadtxt(sim_out, delimiter=",", skiprows=1)
         gen = csvio.read_decay_curve(gen_out)
@@ -175,9 +177,7 @@ class TestCli:
         assert data[0] == 0.0
 
     def test_simulate_zero_tol_exit_3(self, tmp_path):
-        cfgfile = tmp_path / "cfg.ini"
-        cfgfile.write_text("[domain]\nn_r = 8\nn_z = 8\nn_delta = 8\n")
-        code = main(["--config", str(cfgfile), "simulate", "--t-end", "2",
+        code = main(["simulate", "--t-end", "2",
                      "--n-t", "2", "--tol", "0",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
@@ -252,17 +252,15 @@ class TestCli:
         assert json.loads(report.read_text())["confidence"] == 0.5
 
     def test_fit_trap_end_to_end(self, tmp_path):
-        cfgfile = tmp_path / "cfg.ini"
-        cfgfile.write_text("[domain]\nn_r = 16\nn_z = 16\nn_delta = 32\n")
         batch = tmp_path / "batch"
-        assert main(["--config", str(cfgfile), "gen", "decay", "--powers",
+        assert main(["gen", "decay", "--powers",
                      "8e-6,29e-6", "--gamma-trap", "9e4", "--t-end", "150",
                      "--n-t", "31", "--tol", "0", "--noise", "poisson",
                      "--seed", "2", "--out", str(batch)]) == 0
         files = sorted(batch.glob("decay_*uW.csv"))
         assert [f.name for f in files] == ["decay_29uW.csv", "decay_8uW.csv"]
         report = tmp_path / "trap.json"
-        assert main(["--config", str(cfgfile), "fit", "trap",
+        assert main(["fit", "trap",
                      *[str(f) for f in files], "--out", str(report)]) == 0
         data = json.loads(report.read_text())
         assert data["gamma_trap_per_s"] == pytest.approx(9e4, rel=0.05)
@@ -289,8 +287,7 @@ class TestCli:
     def test_fit_failure_exit_4_with_report(self, tmp_path):
         # an iteration budget of 1 cannot converge the trap fit
         cfgfile = tmp_path / "cfg.ini"
-        cfgfile.write_text("[domain]\nn_r = 16\nn_z = 16\nn_delta = 32\n"
-                           "[fit]\nmax_iter = 1\n")
+        cfgfile.write_text("[fit]\nmax_iter = 1\n")
         curve_file = tmp_path / "curve.csv"
         assert main(["--config", str(cfgfile), "gen", "decay", "--t-end",
                      "100", "--n-t", "21", "--tol", "0",

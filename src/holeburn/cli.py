@@ -47,8 +47,7 @@ def _report(cfg, command, payload) -> dict:
     return {"command": command, **payload, "config": cfg.to_dict()}
 
 
-def _cmd_simulate(args):
-    cfg = load_config(args.config)
+def _cmd_simulate(args, cfg):
     power = cfg.beam_power if args.power_w is None else args.power_w
     gamma_trap = args.gamma_trap
     if args.t_end < 0:
@@ -70,8 +69,7 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
-def _cmd_fit_trap(args):
-    cfg = load_config(args.config)
+def _cmd_fit_trap(args, cfg):
     curves = []
     for path in args.curves:
         curve = csvio.read_decay_curve(path)
@@ -91,8 +89,7 @@ def _cmd_fit_trap(args):
     return EXIT_OK
 
 
-def _cmd_fit_hole(args):
-    cfg = load_config(args.config)
+def _cmd_fit_hole(args, cfg):
     if args.aom_off == "auto":
         probe = csvio.read_raw_scan(args.scan, aom_off_range=(0, 1))
         aom_off = pipeline.detect_aom_off_range(probe.power_monitor)
@@ -115,8 +112,7 @@ def _cmd_fit_hole(args):
     return EXIT_OK
 
 
-def _cmd_fit_expdecay(args):
-    cfg = load_config(args.config)
+def _cmd_fit_expdecay(args, cfg):
     t, y, _ = csvio.read_xy(args.series, "wait_time_s", "area")
     fit = fit_exponential(t, y, with_offset=not args.no_offset)
     if not fit.converged:
@@ -128,8 +124,7 @@ def _cmd_fit_expdecay(args):
     return EXIT_OK
 
 
-def _cmd_fit_linear(args):
-    cfg = load_config(args.config)
+def _cmd_fit_linear(args, cfg):
     x, y, _ = csvio.read_xy(args.points, args.x_column, args.y_column)
     confidence = cfg.confidence if args.confidence is None \
         else args.confidence
@@ -141,8 +136,7 @@ def _cmd_fit_linear(args):
     return EXIT_OK
 
 
-def _cmd_zeeman(args):
-    cfg = load_config(args.config)
+def _cmd_zeeman(args, cfg):
     deltas = _parse_floats(args.delta_f) if args.delta_f else []
     lines = ["delta_f_hz,b_ground_total_t,b_sum_total_t,b_diff_total_t,"
              "b_ground_applied_t,b_sum_applied_t,b_diff_applied_t"]
@@ -158,8 +152,7 @@ def _cmd_zeeman(args):
     return EXIT_OK
 
 
-def _cmd_gen_decay(args):
-    cfg = load_config(args.config)
+def _cmd_gen_decay(args, cfg):
     noise = _noise_from_args(args)
     t_grid = np.linspace(0.0, args.t_end, args.n_t)
     refine_tol = args.tol if args.tol > 0 else None
@@ -187,8 +180,7 @@ def _cmd_gen_decay(args):
     return EXIT_OK
 
 
-def _cmd_gen_holescan(args):
-    load_config(args.config)
+def _cmd_gen_holescan(args, cfg):
     noise = _noise_from_args(args)
     freq = np.linspace(args.f_min, args.f_max, args.n_points)
     scan = synth.gen_hole_scan(freq, args.baseline, args.depth, args.center,
@@ -202,8 +194,7 @@ def _cmd_gen_holescan(args):
     return EXIT_OK
 
 
-def _cmd_gen_holedecay(args):
-    load_config(args.config)
+def _cmd_gen_holedecay(args, cfg):
     noise = _noise_from_args(args)
     waits = np.linspace(0.0, args.wait_max, args.n_points)
     areas = synth.gen_hole_decay_series(args.tau, args.offset, waits, noise,
@@ -330,7 +321,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -8,7 +8,8 @@ outright; a missing file section falls back to the built-in defaults.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 from .fitting import TrapFitOptions
@@ -21,40 +22,42 @@ class ConfigError(ValueError):
     """Invalid or unreadable run configuration."""
 
 
+# The one map from config keys to RunConfig: section -> key -> (target,
+# type).  A target is a RunConfig attribute, or "record.field" for a field
+# of one of its records.  Loading and echoing both read only this table.
 _SCHEMA = {
     "material": {
-        "sat_intensity_w_per_m2": ("sat_intensity", float),
-        "sigma_ion_m2": ("sigma_ion", float),
-        "sigma_rec_m2": ("sigma_rec", float),
-        "photoioniz_fwhm_hz": ("photoioniz_fwhm", float),
-        "vac_wavelength_m": ("vac_wavelength", float),
-        "refr_index": ("refr_index", float),
-        "hom_linewidth0_hz": ("hom_linewidth0", float),
-        "ion_density_per_m3_per_hz": ("ion_density", float),
-        "fluor_rate_per_s": ("fluor_rate", float),
-        "g_ratio": ("g_ratio", float),
-        "coll0": ("coll0", float),
+        "sat_intensity_w_per_m2": ("material.sat_intensity", float),
+        "sigma_ion_m2": ("material.sigma_ion", float),
+        "sigma_rec_m2": ("material.sigma_rec", float),
+        "photoioniz_fwhm_hz": ("material.photoioniz_fwhm", float),
+        "vac_wavelength_m": ("material.vac_wavelength", float),
+        "refr_index": ("material.refr_index", float),
+        "hom_linewidth0_hz": ("material.hom_linewidth0", float),
+        "ion_density_per_m3_per_hz": ("material.ion_density", float),
+        "fluor_rate_per_s": ("material.fluor_rate", float),
+        "g_ratio": ("material.g_ratio", float),
+        "coll0": ("material.coll0", float),
     },
     "beam": {
-        "power_w": ("power_w", float),
-        "focus_fwhm_m": ("focus_fwhm_m", float),
+        "power_w": ("beam_power", float),
+        "focus_fwhm_m": ("focus_fwhm", float),
     },
     "scale": {
         "scale_a": ("scale_a", float),
         "background_b_counts_per_w": ("background_b", float),
     },
     "zeeman": {
-        "g_ground_hz_per_t": ("g_ground", float),
-        "g_excited_hz_per_t": ("g_excited", float),
-        "stray_field_t": ("stray_field", float),
-        "field_sign": ("field_sign", int),
+        "g_ground_hz_per_t": ("zeeman.g_ground", float),
+        "g_excited_hz_per_t": ("zeeman.g_excited", float),
+        "stray_field_t": ("zeeman.stray_field", float),
+        "field_sign": ("zeeman.field_sign", int),
     },
     "fit": {
-        "gamma_trap_seed_per_s": ("gamma_trap_seed", float),
-        "compress_bins": ("n_bins", int),
-        "max_iter": ("max_iter", int),
-        "xtol_rel": ("xtol_rel", float),
-        "ftol_rel": ("ftol_rel", float),
+        "gamma_trap_seed_per_s": ("fit.gamma_trap_seed", float),
+        "max_iter": ("fit.max_iter", int),
+        "xtol_rel": ("fit.xtol_rel", float),
+        "ftol_rel": ("fit.ftol_rel", float),
         "confidence": ("confidence", float),
     },
 }
@@ -78,56 +81,21 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Resolved configuration keyed exactly like the config file."""
-        m, z, f = self.material, self.zeeman, self.fit
-        return {
-            "material": {
-                "sat_intensity_w_per_m2": m.sat_intensity,
-                "sigma_ion_m2": m.sigma_ion,
-                "sigma_rec_m2": m.sigma_rec,
-                "photoioniz_fwhm_hz": m.photoioniz_fwhm,
-                "vac_wavelength_m": m.vac_wavelength,
-                "refr_index": m.refr_index,
-                "hom_linewidth0_hz": m.hom_linewidth0,
-                "ion_density_per_m3_per_hz": m.ion_density,
-                "fluor_rate_per_s": m.fluor_rate,
-                "g_ratio": m.g_ratio,
-                "coll0": m.coll0,
-            },
-            "beam": {
-                "power_w": self.beam_power,
-                "focus_fwhm_m": self.focus_fwhm,
-            },
-            "scale": {
-                "scale_a": self.scale_a,
-                "background_b_counts_per_w": self.background_b,
-            },
-            "zeeman": {
-                "g_ground_hz_per_t": z.g_ground,
-                "g_excited_hz_per_t": z.g_excited,
-                "stray_field_t": z.stray_field,
-                "field_sign": z.field_sign,
-            },
-            "fit": {
-                "gamma_trap_seed_per_s": f.gamma_trap_seed,
-                "compress_bins": f.n_bins,
-                "max_iter": f.max_iter,
-                "xtol_rel": f.xtol_rel,
-                "ftol_rel": f.ftol_rel,
-                "confidence": self.confidence,
-            },
-        }
+        return {section: {key: attrgetter(target)(self)
+                          for key, (target, _) in keys.items()}
+                for section, keys in _SCHEMA.items()}
 
 
 def _collect(parser, section) -> dict:
-    """Validate one section against the schema and return typed values."""
+    """Validate one section against the schema; map target to typed value."""
     schema = _SCHEMA[section]
     values = {}
     for key, raw in parser.items(section):
         if key not in schema:
             raise ConfigError(f"unknown key '{key}' in section [{section}]")
-        name, typ = schema[key]
+        target, typ = schema[key]
         try:
-            values[name] = typ(raw)
+            values[target] = typ(raw)
         except ValueError:
             raise ConfigError(
                 f"key '{key}' in section [{section}] must be {typ.__name__}, "
@@ -149,29 +117,19 @@ def load_config(path=None) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
 
+    # record name ("" for RunConfig itself) -> {field: value}
+    updates = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}] in {path}")
+        for target, value in _collect(parser, section).items():
+            record, _, name = target.rpartition(".")
+            updates.setdefault(record, {})[name] = value
 
+    # replace() reruns each record's own validation on the merged fields.
     try:
-        if parser.has_section("material"):
-            cfg.material = MaterialParams(**_collect(parser, "material"))
-        if parser.has_section("beam"):
-            got = _collect(parser, "beam")
-            cfg.beam_power = got.get("power_w", cfg.beam_power)
-            cfg.focus_fwhm = got.get("focus_fwhm_m", cfg.focus_fwhm)
-        if parser.has_section("scale"):
-            got = _collect(parser, "scale")
-            cfg.scale_a = got.get("scale_a", cfg.scale_a)
-            cfg.background_b = got.get("background_b", cfg.background_b)
-        if parser.has_section("zeeman"):
-            cfg.zeeman = ZeemanConfig(**_collect(parser, "zeeman"))
-        if parser.has_section("fit"):
-            got = _collect(parser, "fit")
-            cfg.confidence = got.pop("confidence", cfg.confidence)
-            cfg.fit = TrapFitOptions(**got)
+        records = {record: replace(getattr(cfg, record), **values)
+                   for record, values in updates.items() if record}
+        return replace(cfg, **updates.get("", {}), **records)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid configuration in {path}: {exc}") from None
-    return cfg

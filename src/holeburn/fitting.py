@@ -1,8 +1,9 @@
 """Separable least-squares estimators built on the simplex minimizer.
 
 Scale-like parameters enter every model linearly, so `minimize` searches
-only the nonlinear ones and the objective solves the rest by bounded
-linear least squares (variable projection, Golub & Pereyra 1973).  The
+only the nonlinear ones and the objective solves the rest by linear
+least squares (variable projection, Golub & Pereyra 1973): the hole depth
+is clamped at 0, and only the trap fit needs a bounded solver.  The
 search runs on normalized data (frequencies in units of the scan span,
 signals in units of their spread), so its stopping rule is invariant to
 shifts and scaling.  Reported values are in physical units, with
@@ -49,17 +50,35 @@ def exp_decay(t, amplitude, tau, offset=0.0):
     return amplitude * np.exp(-np.asarray(t, dtype=float) / tau) + offset
 
 
-def _linear_coefficients(design, target, lower):
-    """Bounded linear least squares: min |design @ c - target| with c >= lower.
+def _column_norms(design):
+    norms = np.sqrt(np.einsum("ij,ij->j", design, design))
+    norms[norms == 0] = 1.0
+    return norms
+
+
+def _least_squares(design, target):
+    """Linear least squares: min |design @ c - target|, c free.
+
+    Returns the coefficients and the residual sum of squares, which is
+    taken on the normalized columns just as `_linear_coefficients` does.
+    """
+    norms = _column_norms(design)
+    scaled = design / norms
+    coef = np.linalg.lstsq(scaled, target, rcond=None)[0]
+    residuals = scaled @ coef - target
+    return coef / norms, float(np.dot(residuals, residuals))
+
+
+def _linear_coefficients(design, target):
+    """Nonnegative linear least squares: min |design @ c - target|, c >= 0.
 
     Returns the coefficients and the residual sum of squares.  Columns are
-    normalized for the solver; the bounds (0 or -inf) are scale-free.
+    normalized for the solver; the bound is scale-free.
     """
     from scipy.optimize import lsq_linear
 
-    norms = np.sqrt(np.einsum("ij,ij->j", design, design))
-    norms[norms == 0] = 1.0
-    sol = lsq_linear(design / norms, target, bounds=(lower, np.inf),
+    norms = _column_norms(design)
+    sol = lsq_linear(design / norms, target, bounds=(0.0, np.inf),
                      method="bvls")
     return sol.x / norms, 2.0 * float(sol.cost)
 
@@ -201,7 +220,6 @@ class TrapFitResult:
 @dataclass(frozen=True)
 class TrapFitOptions:
     gamma_trap_seed: float = 1e5
-    n_bins: int = 1024
     max_iter: int = 8000
     xtol_rel: float = 1e-9
     ftol_rel: float = 1e-9
@@ -245,13 +263,18 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None,
             raise ValueError("sigma_point must be positive")
         weights = y_scale / sigma
 
-    lower = np.array([-np.inf, 0.0])  # baseline free, depth >= 0
     target = yn * weights
 
     def project(p):
         design = np.column_stack(
             [weights, weights * lorentzian_hole(x, 0.0, 1.0, *p)])
-        return _linear_coefficients(design, target, lower)
+        coef, sse = _least_squares(design, target)
+        if coef[1] >= 0:
+            return coef, sse
+        # depth >= 0 binds, so the optimum lies on depth = 0: the weighted
+        # mean baseline alone.
+        baseline, sse = _least_squares(design[:, :1], target)
+        return np.array([baseline[0], 0.0]), sse
 
     def objective(p):
         return project(p)[1] if p[1] > 0 else _REJECT
@@ -327,13 +350,11 @@ def fit_exponential(times, values, with_offset=True,
     y_scale = float(np.ptp(y)) or max(abs(float(np.max(y))), 1.0)
     yn = y / y_scale
 
-    lower = np.full(2 if with_offset else 1, -np.inf)  # amplitude, offset free
-
     def project(tau_n):
         cols = [exp_decay(xt, 1.0, tau_n)]
         if with_offset:
             cols.append(np.ones_like(xt))
-        return _linear_coefficients(np.column_stack(cols), yn, lower)
+        return _least_squares(np.column_stack(cols), yn)
 
     def objective(p):
         return project(p[0])[1] if p[0] > 0 else _REJECT
@@ -470,8 +491,7 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     for t, _, p0 in triples:
         geom = BeamGeometry.for_material(material, power=p0,
                                          focus_fwhm=focus_fwhm)
-        models.append(TrapDecayModel(material, geom, domain)
-                      .compressed(opts.n_bins))
+        models.append(TrapDecayModel(material, geom, domain).compressed())
 
     # One linear problem over all curves: a column of S_c(t) per curve (its
     # A_c) and a shared column of P_c (B).
@@ -479,14 +499,13 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     curve_of_row = np.repeat(np.arange(len(triples)), sizes)
     rows = np.arange(curve_of_row.size)
     y_all = np.concatenate([y for _, y, _ in triples])
-    lower = np.zeros(len(triples) + 1)
     design = np.zeros((rows.size, len(triples) + 1))
     design[:, -1] = np.repeat([p0 for _, _, p0 in triples], sizes)
 
     def project(gamma):
         design[rows, curve_of_row] = np.concatenate(
             [m.signal(t, gamma) for m, (t, _, _) in zip(models, triples)])
-        return _linear_coefficients(design, y_all, lower)
+        return _linear_coefficients(design, y_all)
 
     def objective(xn):
         if not xn[0] > 0:

@@ -40,6 +40,11 @@ from .model import BeamGeometry, MaterialParams
 # Node-time pairs per block of `_decay_sum` (one 8 MB float64 work array).
 _SUM_BLOCK_ELEMENTS = 1 << 20
 
+# Log-k bins of `TrapDecayModel.compressed`.  On the CLI's level-set cloud
+# the histogram is at most 2e-5 off the exact sum from 2 to 44 uW, far
+# below any fit tolerance.
+_N_BINS = 1024
+
 
 class ConvergenceError(RuntimeError):
     """Grid refinement hit its cap without meeting the tolerance."""
@@ -333,8 +338,8 @@ class TrapDecayModel:
 
     The cloud (amplitude, k per node) does not depend on gamma_trap,
     so a fit can reuse one model per curve.  `compressed` bins the cloud
-    into a log-spaced k histogram, shrinking evaluation cost by orders of
-    magnitude at a relative error far below fit tolerances.
+    into a log-spaced k histogram of `_N_BINS` bins, shrinking evaluation
+    cost at a relative error far below fit tolerances.
     """
 
     def __init__(self, material: MaterialParams, geom: BeamGeometry,
@@ -347,8 +352,8 @@ class TrapDecayModel:
         return _decay_sum(_check_times(t_grid), gamma_trap * self._k,
                           self._amp)
 
-    def compressed(self, n_bins: int = 1024) -> "CompressedDecayModel":
-        return CompressedDecayModel(self._amp, self._k, n_bins)
+    def compressed(self) -> "CompressedDecayModel":
+        return CompressedDecayModel(self._amp, self._k, _N_BINS)
 
 
 class CompressedDecayModel:

@@ -153,8 +153,7 @@ class TestCriterion4TrapFitRoundTrip:
                                       DRIVE_POWER)
         curve = hb.gen_decay_curve(reference_rate_material, REF_GAMMA_TRAP,
                                    scale, t_grid)
-        fit = hb.fit_trap_model([curve], reference_rate_material,
-                                options=hb.TrapFitOptions(n_bins=4096))
+        fit = hb.fit_trap_model([curve], reference_rate_material)
         err = abs(fit.gamma_trap - REF_GAMMA_TRAP) / REF_GAMMA_TRAP
         verdict("4a", "noiseless single-curve gamma_trap recovery within 1%",
                 err < 0.01, f"(rel err = {err:.2%})")

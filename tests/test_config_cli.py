@@ -6,7 +6,41 @@ import pytest
 import holeburn as hb
 from holeburn import csvio
 from holeburn.cli import main
-from holeburn.config import ConfigError, load_config
+from holeburn.config import _SCHEMA, ConfigError, load_config
+
+# Every config key with a valid non-default value and the attribute the
+# code reads it from, written out independently of the schema table.
+EVERY_KEY = [
+    ("material", "sat_intensity_w_per_m2", 2.5e7,
+     lambda c: c.material.sat_intensity),
+    ("material", "sigma_ion_m2", 3e-22, lambda c: c.material.sigma_ion),
+    ("material", "sigma_rec_m2", 4e-20, lambda c: c.material.sigma_rec),
+    ("material", "photoioniz_fwhm_hz", 90e12,
+     lambda c: c.material.photoioniz_fwhm),
+    ("material", "vac_wavelength_m", 380e-9,
+     lambda c: c.material.vac_wavelength),
+    ("material", "refr_index", 1.75, lambda c: c.material.refr_index),
+    ("material", "hom_linewidth0_hz", 5e6,
+     lambda c: c.material.hom_linewidth0),
+    ("material", "ion_density_per_m3_per_hz", 7e10,
+     lambda c: c.material.ion_density),
+    ("material", "fluor_rate_per_s", 2e7, lambda c: c.material.fluor_rate),
+    ("material", "g_ratio", 0.5, lambda c: c.material.g_ratio),
+    ("material", "coll0", 0.02, lambda c: c.material.coll0),
+    ("beam", "power_w", 5e-6, lambda c: c.beam_power),
+    ("beam", "focus_fwhm_m", 1.5e-6, lambda c: c.focus_fwhm),
+    ("scale", "scale_a", 0.25, lambda c: c.scale_a),
+    ("scale", "background_b_counts_per_w", 8e7, lambda c: c.background_b),
+    ("zeeman", "g_ground_hz_per_t", 2e10, lambda c: c.zeeman.g_ground),
+    ("zeeman", "g_excited_hz_per_t", 3e10, lambda c: c.zeeman.g_excited),
+    ("zeeman", "stray_field_t", 1e-4, lambda c: c.zeeman.stray_field),
+    ("zeeman", "field_sign", -1, lambda c: c.zeeman.field_sign),
+    ("fit", "gamma_trap_seed_per_s", 3e4, lambda c: c.fit.gamma_trap_seed),
+    ("fit", "max_iter", 17, lambda c: c.fit.max_iter),
+    ("fit", "xtol_rel", 1e-7, lambda c: c.fit.xtol_rel),
+    ("fit", "ftol_rel", 1e-6, lambda c: c.fit.ftol_rel),
+    ("fit", "confidence", 0.9, lambda c: c.confidence),
+]
 
 
 class TestConfig:
@@ -78,6 +112,33 @@ stray_field_t = 0
                                        for key, value in keys.items())
             for section, keys in echoed.items()))
         assert load_config(path).to_dict() == echoed
+
+    def test_every_key_applied_and_echoed(self, tmp_path):
+        assert sorted((sec, key) for sec, key, _, _ in EVERY_KEY) == \
+            sorted((sec, key) for sec, keys in _SCHEMA.items() for key in keys)
+        sections = {}
+        for section, key, value, _ in EVERY_KEY:
+            sections.setdefault(section, []).append(f"{key} = {value!r}\n")
+        path = tmp_path / "all.ini"
+        path.write_text("".join(f"[{section}]\n" + "".join(lines)
+                                for section, lines in sections.items()))
+        defaults, cfg = load_config(None), load_config(path)
+        echoed = cfg.to_dict()
+        for section, key, value, read in EVERY_KEY:
+            assert read(defaults) != value, key
+            assert read(cfg) == value, key
+            assert type(read(cfg)) is type(value), key
+            assert echoed[section][key] == value, key
+
+    def test_compress_bins_rejected(self, tmp_path, capsys):
+        path = tmp_path / "old.ini"
+        path.write_text("[fit]\ncompress_bins = 1024\n")
+        with pytest.raises(ConfigError, match="compress_bins"):
+            load_config(path)
+        code = main(["--config", str(path), "zeeman",
+                     "--out", str(tmp_path / "z.csv")])
+        assert code == 2
+        assert "compress_bins" in capsys.readouterr().err
 
 
 class TestCsvIO:

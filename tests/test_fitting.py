@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import holeburn as hb
 from holeburn import FitError
+from holeburn.cli import main
 from holeburn.simplex import MinimizeOptions
 
 
@@ -294,16 +295,36 @@ class TestTrapFit:
             hb.fit_trap_model([(t, y, None)], material, domain=fast_domain)
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported lazily by the fits that use it, so every CLI
-    # command (zeeman and simulate included) starts without its cost
+def scipy_modules_after(code):
+    """scipy modules loaded by `code` run in a fresh interpreter."""
     src = str(Path(hb.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys, holeburn; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+    code += ("; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily by the fits that use it, so every CLI
+    # command (zeeman and simulate included) starts without its cost
+    assert scipy_modules_after("import sys, holeburn") == "[]"
+
+
+def test_hole_and_lifetime_fits_load_no_scipy(tmp_path):
+    # only the trap fit's bounded solver and the linear fit's t quantile
+    # need scipy; the hole and lifetime fits are plain least squares
+    scan, series = tmp_path / "scan.csv", tmp_path / "series.csv"
+    assert main(["gen", "holescan", "--out", str(scan)]) == 0
+    assert main(["gen", "holedecay", "--offset", "0.05",
+                 "--out", str(series)]) == 0
+    jobs = [["fit", "hole", "--scan", str(scan),
+             "--out", str(tmp_path / "hole.json")],
+            ["fit", "expdecay", "--series", str(series),
+             "--out", str(tmp_path / "exp.json")]]
+    code = ("import sys; from holeburn.cli import main; "
+            f"assert [main(job) for job in {jobs!r}] == [0, 0]")
+    assert scipy_modules_after(code) == "[]"

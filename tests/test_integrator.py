@@ -509,7 +509,7 @@ class TestCompressionBins:
 @pytest.fixture(scope="module")
 def decay_models(material, geom, small_domain):
     model = hb.TrapDecayModel(material, geom, small_domain)
-    return {"direct": model, "compressed": model.compressed(64)}
+    return {"direct": model, "compressed": model.compressed()}
 
 
 class TestTrapDecayModel:
@@ -531,7 +531,7 @@ class TestTrapDecayModel:
         t = np.linspace(0, 200, 9)
         model = hb.TrapDecayModel(material, geom, small_domain)
         exact = model.signal(t, 7e4)
-        approx = model.compressed(1024).signal(t, 7e4)
+        approx = model.compressed().signal(t, 7e4)
         assert np.max(np.abs(approx - exact) / exact) < 1e-3
 
     def test_compression_keeps_frozen_term(self):

@@ -7,6 +7,7 @@ error, 3 integration non-convergence, 4 fit failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,8 +17,9 @@ from . import csvio, pipeline, synth, zeeman
 from .config import ConfigError, load_config
 from .fitting import (FitError, fit_exponential, fit_hole_lorentzian,
                       fit_linear_ci, fit_trap_model, hom_linewidth_from_hole)
-from .integrator import (ConvergenceError, LevelSetRule, ScaledSignalParams,
-                         refine_until_converged, write_signal_csv)
+from .csvio import write_signal_csv
+from .integrator import (ConvergenceError, LevelSetRule,
+                         refine_until_converged)
 from .model import BeamGeometry
 
 EXIT_OK = 0
@@ -91,13 +93,12 @@ def _cmd_fit_trap(args, cfg):
 
 def _cmd_fit_hole(args, cfg):
     if args.aom_off == "auto":
-        probe = csvio.read_raw_scan(args.scan, aom_off_range=(0, 1))
-        aom_off = pipeline.detect_aom_off_range(probe.power_monitor)
-    elif args.aom_off:
-        aom_off = _parse_range(args.aom_off)
+        scan = csvio.read_raw_scan(args.scan, aom_off_range=(0, 1))
+        detected = pipeline.detect_aom_off_range(scan.power_monitor)
+        scan = dataclasses.replace(scan, aom_off_range=detected)
     else:
-        aom_off = None
-    scan = csvio.read_raw_scan(args.scan, aom_off_range=aom_off)
+        aom_off = _parse_range(args.aom_off) if args.aom_off else None
+        scan = csvio.read_raw_scan(args.scan, aom_off_range=aom_off)
     subtracted = pipeline.subtract_background(scan)
     normalized = pipeline.normalize_by_power(subtracted)
     if args.treated_out:
@@ -138,16 +139,11 @@ def _cmd_fit_linear(args, cfg):
 
 def _cmd_zeeman(args, cfg):
     deltas = _parse_floats(args.delta_f) if args.delta_f else []
-    lines = ["delta_f_hz,b_ground_total_t,b_sum_total_t,b_diff_total_t,"
-             "b_ground_applied_t,b_sum_applied_t,b_diff_applied_t"]
-    for df in deltas:
-        res = zeeman.resonance_fields(df, cfg.zeeman)
-        diff_t = "" if res.b_diff_total is None else repr(res.b_diff_total)
-        diff_a = "" if res.b_diff_applied is None else repr(res.b_diff_applied)
-        lines.append(f"{df!r},{res.b_ground_total!r},{res.b_sum_total!r},"
-                     f"{diff_t},{res.b_ground_applied!r},"
-                     f"{res.b_sum_applied!r},{diff_a}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    results = [zeeman.resonance_fields(df, cfg.zeeman) for df in deltas]
+    names = [f.name for f in dataclasses.fields(zeeman.ResonanceFields)]
+    csvio.write_table(args.out, ["delta_f_hz", *(f"{n}_t" for n in names)],
+                      [deltas, *([getattr(r, n) for r in results]
+                                 for n in names)])
     print(f"zeeman: wrote {len(deltas)} rows -> {args.out}")
     return EXIT_OK
 
@@ -156,26 +152,22 @@ def _cmd_gen_decay(args, cfg):
     noise = _noise_from_args(args)
     t_grid = np.linspace(0.0, args.t_end, args.n_t)
     refine_tol = args.tol if args.tol > 0 else None
+    # A single curve is the batch of one: it gets noise stream 0.
+    powers = (_parse_floats(args.powers) if args.powers
+              else [cfg.beam_power if args.power_w is None else args.power_w])
+    curves = synth.gen_decay_batch(cfg.material, args.gamma_trap,
+                                   cfg.scale_a, cfg.background_b, powers,
+                                   t_grid, noise, cfg.focus_fwhm,
+                                   LevelSetRule(), refine_tol=refine_tol)
     if args.powers:
-        powers = _parse_floats(args.powers)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        curves = synth.gen_decay_batch(cfg.material, args.gamma_trap,
-                                       cfg.scale_a, cfg.background_b, powers,
-                                       t_grid, noise, cfg.focus_fwhm,
-                                       LevelSetRule(), refine_tol=refine_tol)
         for p0, curve in zip(powers, curves):
             path = out_dir / f"decay_{p0 * 1e6:g}uW.csv"
             csvio.write_decay_curve(path, curve)
         print(f"gen decay: wrote {len(powers)} curves -> {out_dir}")
     else:
-        power = cfg.beam_power if args.power_w is None else args.power_w
-        scale = ScaledSignalParams(scale_a=cfg.scale_a,
-                                   background_b=cfg.background_b, power=power)
-        curve = synth.gen_decay_curve(cfg.material, args.gamma_trap, scale,
-                                      t_grid, noise, cfg.focus_fwhm,
-                                      LevelSetRule(), refine_tol=refine_tol)
-        csvio.write_decay_curve(args.out, curve)
+        csvio.write_decay_curve(args.out, curves[0])
         print(f"gen decay: wrote {args.out}")
     return EXIT_OK
 
@@ -199,10 +191,11 @@ def _cmd_gen_holedecay(args, cfg):
     waits = np.linspace(0.0, args.wait_max, args.n_points)
     areas = synth.gen_hole_decay_series(args.tau, args.offset, waits, noise,
                                         amplitude=args.amplitude)
-    csvio.write_xy(args.out, waits, areas, "wait_time_s", "area",
-                   meta={"tau_s": args.tau, "offset": args.offset,
-                         "amplitude": args.amplitude,
-                         "noise_kind": noise.kind, "noise_seed": noise.seed})
+    csvio.write_table(args.out, ["wait_time_s", "area"], [waits, areas],
+                      meta={"tau_s": args.tau, "offset": args.offset,
+                            "amplitude": args.amplitude,
+                            "noise_kind": noise.kind,
+                            "noise_seed": noise.seed})
     print(f"gen holedecay: wrote {args.out}")
     return EXIT_OK
 

@@ -2,7 +2,9 @@
 
 All CSV files are comma separated with one header line; metadata rides in
 leading comment lines of the form '# key = value' so that ground truth and
-provenance survive a round trip through the file system.
+provenance survive a round trip through the file system.  Every table goes
+through write_table and every reader through _read_table, so the format is
+defined once.
 """
 
 from __future__ import annotations
@@ -16,71 +18,79 @@ from .pipeline import NormalizedScan, RawScan
 from .synth import DecayCurve
 
 
-def _format_meta(meta: dict) -> list:
-    lines = []
-    for key, value in meta.items():
-        lines.append(f"# {key} = {value}")
-    return lines
+def write_table(path, header, columns, meta=None):
+    """Write '# key = value' metadata lines, the header, one row per sample.
+
+    Cells are written with repr, so float64 values round-trip exactly and an
+    integer column stays integer; None becomes an empty cell.
+    """
+    lines = [f"# {key} = {value}" for key, value in (meta or {}).items()]
+    lines.append(",".join(header))
+    cells = [np.asarray(col).tolist() for col in columns]
+    for row in zip(*cells):
+        lines.append(",".join("" if v is None else repr(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_with_meta(path):
-    """Read a CSV with '#' comment metadata; return (meta, header, columns)."""
+def _read_table(path, required):
+    """Read a table; return (meta, {name: float array}) for required columns.
+
+    Raises ValueError naming the file for a missing header or column, a
+    non-numeric cell in a required column, or a row whose length differs
+    from the header.
+    """
     meta = {}
     header = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
+                key, sep, value = line.lstrip("#").partition("=")
+                if sep:
                     meta[key.strip()] = value.strip()
                 continue
+            cells = line.split(",")
             if header is None:
-                header = [c.strip() for c in line.split(",")]
+                header = [c.strip() for c in cells]
+                missing = [c for c in required if c not in header]
+                if missing:
+                    raise ValueError(f"{path}: missing columns {missing}; "
+                                     f"found {header}")
+                index = [header.index(c) for c in required]
                 continue
-            rows.append([v.strip() for v in line.split(",")])
+            if len(cells) != len(header):
+                raise ValueError(f"{path}, line {number}: {len(cells)} cells "
+                                 f"but the header has {len(header)}")
+            try:
+                rows.append([float(cells[i]) for i in index])
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {number}: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: no header line found")
-    if not rows:
-        return meta, header, {name: np.array([]) for name in header}
-    raw = np.array(rows, dtype=object)
-    columns = {}
-    for i, name in enumerate(header):
-        col = raw[:, i]
-        try:
-            columns[name] = col.astype(float)
-        except ValueError:
-            columns[name] = col
-    return meta, header, columns
+    data = np.array(rows, dtype=float).reshape(len(rows), len(required))
+    return meta, dict(zip(required, data.T))
 
 
-def _require_columns(header, required, path):
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise ValueError(f"{path}: missing columns {missing}; "
-                         f"found {header}")
+def write_signal_csv(path, times, model_values, scaled_values):
+    """Emit the S(t) table with the standard three columns and no metadata."""
+    write_table(path, ["time_s", "model_signal", "scaled_counts_per_s"],
+                [times, model_values, scaled_values])
 
 
 def write_decay_curve(path, curve: DecayCurve):
-    lines = _format_meta(curve.meta)
-    if curve.power_w is not None and "power_w" not in curve.meta:
-        lines.append(f"# power_w = {curve.power_w}")
-    lines.append("time_s,counts_per_s")
-    for t, y in zip(curve.time_s, curve.counts_per_s):
-        lines.append(f"{float(t)!r},{float(y)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    meta = dict(curve.meta)
+    if curve.power_w is not None:
+        meta.setdefault("power_w", curve.power_w)
+    write_table(path, ["time_s", "counts_per_s"],
+                [curve.time_s, curve.counts_per_s], meta)
 
 
 def read_decay_curve(path) -> DecayCurve:
-    meta, header, cols = _read_with_meta(path)
-    _require_columns(header, ["time_s", "counts_per_s"], path)
-    power = None
-    if "power_w" in meta:
-        power = float(meta["power_w"])
+    meta, cols = _read_table(path, ["time_s", "counts_per_s"])
+    power = float(meta["power_w"]) if "power_w" in meta else None
     return DecayCurve(time_s=cols["time_s"], counts_per_s=cols["counts_per_s"],
                       power_w=power, meta=meta)
 
@@ -89,16 +99,12 @@ def write_raw_scan(path, scan: RawScan):
     meta = dict(scan.meta)
     meta.setdefault("aom_off_start", scan.aom_off_range[0])
     meta.setdefault("aom_off_stop", scan.aom_off_range[1])
-    lines = _format_meta(meta)
-    lines.append("freq_hz,fluor_counts,power_counts")
-    for f, y, p in zip(scan.freq, scan.fluor_counts, scan.power_monitor):
-        lines.append(f"{float(f)!r},{float(y)!r},{float(p)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, ["freq_hz", "fluor_counts", "power_counts"],
+                [scan.freq, scan.fluor_counts, scan.power_monitor], meta)
 
 
 def read_raw_scan(path, aom_off_range=None) -> RawScan:
-    meta, header, cols = _read_with_meta(path)
-    _require_columns(header, ["freq_hz", "fluor_counts", "power_counts"], path)
+    meta, cols = _read_table(path, ["freq_hz", "fluor_counts", "power_counts"])
     if aom_off_range is None:
         try:
             aom_off_range = (int(float(meta["aom_off_start"])),
@@ -117,25 +123,13 @@ def write_treated_scan(path, scan: RawScan, normalized: NormalizedScan):
     fluor_counts holds the power-normalized signal and power_counts the
     background-subtracted power trace.
     """
-    lines = _format_meta(normalized.meta)
-    lines.append("freq_hz,fluor_counts,power_counts,excluded")
-    for f, y, p, ex in zip(normalized.freq, normalized.signal,
-                           scan.power_monitor, normalized.excluded):
-        lines.append(f"{float(f)!r},{float(y)!r},{float(p)!r},{int(ex)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_xy(path, x, y, x_name, y_name, meta=None):
-    lines = _format_meta(meta or {})
-    lines.append(f"{x_name},{y_name}")
-    for xi, yi in zip(x, y):
-        lines.append(f"{float(xi)!r},{float(yi)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, ["freq_hz", "fluor_counts", "power_counts", "excluded"],
+                [normalized.freq, normalized.signal, scan.power_monitor,
+                 normalized.excluded.astype(int)], normalized.meta)
 
 
 def read_xy(path, x_name, y_name):
-    meta, header, cols = _read_with_meta(path)
-    _require_columns(header, [x_name, y_name], path)
+    meta, cols = _read_table(path, [x_name, y_name])
     return cols[x_name], cols[y_name], meta
 
 

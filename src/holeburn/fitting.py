@@ -431,11 +431,8 @@ def _curve_triples(curves):
     """Normalize fit input to (times, counts, power) triples."""
     out = []
     for index, item in enumerate(curves):
-        if isinstance(item, tuple) and len(item) == 3:
+        if isinstance(item, tuple):
             t, y, p0 = item
-        elif isinstance(item, tuple) and len(item) == 2:
-            curve, p0 = item
-            t, y = curve.time_s, curve.counts_per_s
         else:
             t, y, p0 = item.time_s, item.counts_per_s, item.power_w
         t = np.asarray(t, dtype=float)
@@ -471,8 +468,8 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     Parameters
     ----------
     curves : sequence
-        (DecayCurve, power) pairs, DecayCurve records carrying power_w, or
-        (times, counts, power) triples.
+        DecayCurve records carrying power_w, or (times, counts, power)
+        triples.
     material : MaterialParams
     focus_fwhm : float
         Beam focus FWHM shared by all measurements [m].

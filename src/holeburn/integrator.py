@@ -387,10 +387,3 @@ class CompressedDecayModel:
     def signal(self, t_grid, gamma_trap) -> np.ndarray:
         return self.frozen_amp + _decay_sum(
             _check_times(t_grid), gamma_trap * self.bin_k, self.bin_amp)
-
-
-def write_signal_csv(path, times, model_values, scaled_values):
-    """Emit the S(t) table with the standard three columns."""
-    data = np.column_stack([times, model_values, scaled_values])
-    header = "time_s,model_signal,scaled_counts_per_s"
-    np.savetxt(path, data, delimiter=",", header=header, comments="")

@@ -180,6 +180,22 @@ class TestCsvIO:
         with pytest.raises(ValueError, match="missing columns"):
             csvio.read_xy(path, "wait_time_s", "area")
 
+    def test_write_table_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        csvio.write_table(path, ["x", "n", "maybe"],
+                          [np.array([0.1, 1e-300]), np.array([3, 4]),
+                           [None, 2.5]], meta={"k": "v"})
+        assert path.read_text() == ("# k = v\nx,n,maybe\n"
+                                    "0.1,3,\n1e-300,4,2.5\n")
+
+    def test_header_only_reads_empty(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        csvio.write_table(path, ["wait_time_s", "area"], [[], []],
+                          meta={"tau_s": 0.072})
+        t, y, meta = csvio.read_xy(path, "wait_time_s", "area")
+        assert t.shape == y.shape == (0,)
+        assert meta == {"tau_s": "0.072"}
+
 
 class TestCli:
     def test_missing_config_exit_2(self, tmp_path, capsys):
@@ -285,7 +301,7 @@ class TestCli:
     def test_fit_linear_end_to_end(self, tmp_path):
         pts = tmp_path / "pts.csv"
         x = np.linspace(0, 5, 10)
-        csvio.write_xy(pts, x, 2 * x + 1, "x", "y")
+        csvio.write_table(pts, ["x", "y"], [x, 2 * x + 1])
         report = tmp_path / "lin.json"
         assert main(["fit", "linear", "--points", str(pts),
                      "--out", str(report)]) == 0
@@ -296,7 +312,7 @@ class TestCli:
         pts = tmp_path / "pts.csv"
         x = np.linspace(0, 5, 10)
         y = 2 * x + 1 + np.random.default_rng(4).normal(0, 0.3, x.size)
-        csvio.write_xy(pts, x, y, "x", "y")
+        csvio.write_table(pts, ["x", "y"], [x, y])
         cfgfile = tmp_path / "cfg.ini"
         cfgfile.write_text("[fit]\nconfidence = 0.99\n")
         report = tmp_path / "lin.json"
@@ -344,6 +360,29 @@ class TestCli:
         code = main(["fit", "expdecay", "--series", str(bad),
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("defect", ["non-numeric", "short-row"])
+    @pytest.mark.parametrize("argv, header", [
+        (["fit", "hole", "--scan"], "freq_hz,fluor_counts,power_counts"),
+        (["fit", "linear", "--points"], "x,y"),
+        (["fit", "expdecay", "--series"], "wait_time_s,area"),
+        (["fit", "trap"], "time_s,counts_per_s"),
+    ], ids=["hole", "linear", "expdecay", "trap"])
+    def test_malformed_file_exit_2(self, tmp_path, capsys, argv, header,
+                                   defect):
+        n = header.count(",") + 1
+        rows = [",".join([f"{i}.0"] * n) for i in range(5)]
+        rows[2] = ",".join(["2.0"] * (n - 1)
+                           + (["abc"] if defect == "non-numeric" else []))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# aom_off_start = 0\n# aom_off_stop = 1\n"
+                       "# power_w = 2e-05\n" + "\n".join([header, *rows])
+                       + "\n")
+        code = main([*argv, str(bad), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{bad}, line 7" in err
 
     def test_fit_failure_exit_4_with_report(self, tmp_path):
         # an iteration budget of 1 cannot converge the trap fit

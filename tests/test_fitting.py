@@ -294,6 +294,13 @@ class TestTrapFit:
         with pytest.raises(ValueError, match="power"):
             hb.fit_trap_model([(t, y, None)], material, domain=fast_domain)
 
+    def test_curve_power_pair_rejected(self, material, fast_domain):
+        # only DecayCurve records and (times, counts, power) triples
+        t = np.linspace(0, 10, 11)
+        curve = hb.DecayCurve(time_s=t, counts_per_s=np.linspace(5, 1, 11))
+        with pytest.raises(ValueError, match="unpack"):
+            hb.fit_trap_model([(curve, 2e-5)], material, domain=fast_domain)
+
 
 def scipy_modules_after(code):
     """scipy modules loaded by `code` run in a fresh interpreter."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import holeburn as hb
 from holeburn import integrator
-from holeburn.integrator import write_signal_csv
+from holeburn.csvio import write_signal_csv
 
 
 @pytest.fixture(scope="module")
@@ -560,6 +560,6 @@ def test_signal_csv_roundtrip(tmp_path, material, geom, small_domain):
     path = tmp_path / "sig.csv"
     write_signal_csv(path, t, res.values, scaled)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.allclose(data[:, 0], t)
-    assert np.allclose(data[:, 1], res.values)
-    assert np.allclose(data[:, 2], scaled)
+    assert np.array_equal(data[:, 0], t)
+    assert np.array_equal(data[:, 1], res.values)
+    assert np.array_equal(data[:, 2], scaled)

@@ -74,6 +74,19 @@ def _read_table(path, required):
     return meta, dict(zip(required, data.T))
 
 
+def _meta_number(path, meta, key, integer=False):
+    """meta[key] as a finite float (int if `integer`); KeyError if absent."""
+    try:
+        value = float(meta[key])
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value) or (integer and not value.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"{path}: metadata {key} = {meta[key]!r} is not "
+                         f"{kind}")
+    return int(value) if integer else value
+
+
 def write_signal_csv(path, times, model_values, scaled_values):
     """Emit the S(t) table with the standard three columns and no metadata."""
     write_table(path, ["time_s", "model_signal", "scaled_counts_per_s"],
@@ -90,7 +103,7 @@ def write_decay_curve(path, curve: DecayCurve):
 
 def read_decay_curve(path) -> DecayCurve:
     meta, cols = _read_table(path, ["time_s", "counts_per_s"])
-    power = float(meta["power_w"]) if "power_w" in meta else None
+    power = _meta_number(path, meta, "power_w") if "power_w" in meta else None
     return DecayCurve(time_s=cols["time_s"], counts_per_s=cols["counts_per_s"],
                       power_w=power, meta=meta)
 
@@ -107,8 +120,9 @@ def read_raw_scan(path, aom_off_range=None) -> RawScan:
     meta, cols = _read_table(path, ["freq_hz", "fluor_counts", "power_counts"])
     if aom_off_range is None:
         try:
-            aom_off_range = (int(float(meta["aom_off_start"])),
-                             int(float(meta["aom_off_stop"])))
+            aom_off_range = tuple(
+                _meta_number(path, meta, key, integer=True)
+                for key in ("aom_off_start", "aom_off_stop"))
         except KeyError:
             raise ValueError(f"{path}: no aom_off_range in metadata; "
                              "pass one explicitly") from None

@@ -2,9 +2,10 @@
 
 Scale-like parameters enter every model linearly, so `minimize` searches
 only the nonlinear ones and the objective solves the rest by linear
-least squares (variable projection, Golub & Pereyra 1973): the hole depth
-is clamped at 0, and only the trap fit needs a bounded solver.  The
-search runs on normalized data (frequencies in units of the scan span,
+least squares (variable projection, Golub & Pereyra 1973).  One
+active-set solver, `_least_squares`, serves every fit: the trap fit bounds
+all its coefficients at 0, the hole fit its depth, the lifetime fit none.
+The search runs on normalized data (frequencies in units of the scan span,
 signals in units of their spread), so its stopping rule is invariant to
 shifts and scaling.  Reported values are in physical units, with
 uncertainties from the linearization at the optimum over all parameters:
@@ -56,31 +57,43 @@ def _column_norms(design):
     return norms
 
 
-def _least_squares(design, target):
-    """Linear least squares: min |design @ c - target|, c free.
+def _least_squares(design, target, nonneg=False):
+    """min |design @ c - target| with c[nonneg] >= 0; returns (c, SSE).
 
-    Returns the coefficients and the residual sum of squares, which is
-    taken on the normalized columns just as `_linear_coefficients` does.
+    `nonneg` masks the bounded columns (one bool bounds all or none).
+    Lawson-Hanson active set (Lawson & Hanson 1974, *Solving Least Squares
+    Problems*, ch. 23) on norm-scaled columns, started with every column
+    passive: an unconstrained optimum that is feasible costs one `lstsq`.
     """
     norms = _column_norms(design)
     scaled = design / norms
-    coef = np.linalg.lstsq(scaled, target, rcond=None)[0]
+    passive = np.ones(norms.size, dtype=bool)
+    coef = np.zeros(norms.size)
+    z = np.linalg.lstsq(scaled, target, rcond=None)[0]
+    tol = 10 * np.finfo(float).eps * max(scaled.shape) * np.linalg.norm(target)
+    for _ in range(3 * norms.size):
+        blocked = passive & (z < 0) & nonneg
+        if blocked.any():
+            # Step from the feasible coef towards z until the first bounded
+            # coefficient reaches 0; every one at 0 leaves the passive set.
+            ratios = coef[blocked] / (coef[blocked] - z[blocked])
+            coef += ratios.min() * (z - coef)
+            coef[np.flatnonzero(blocked)[np.argmin(ratios)]] = 0.0
+            passive &= ~((coef <= 0) & nonneg)
+            coef[~passive] = 0.0
+        else:
+            coef = z
+            if passive.all():
+                break
+            gradient = scaled.T @ (target - scaled @ coef)
+            gradient[passive] = -np.inf
+            if not gradient.max() > tol:
+                break
+            passive[np.argmax(gradient)] = True
+        z = np.zeros(norms.size)
+        z[passive] = np.linalg.lstsq(scaled[:, passive], target, rcond=None)[0]
     residuals = scaled @ coef - target
     return coef / norms, float(np.dot(residuals, residuals))
-
-
-def _linear_coefficients(design, target):
-    """Nonnegative linear least squares: min |design @ c - target|, c >= 0.
-
-    Returns the coefficients and the residual sum of squares.  Columns are
-    normalized for the solver; the bound is scale-free.
-    """
-    from scipy.optimize import lsq_linear
-
-    norms = _column_norms(design)
-    sol = lsq_linear(design / norms, target, bounds=(0.0, np.inf),
-                     method="bvls")
-    return sol.x / norms, 2.0 * float(sol.cost)
 
 
 def _fd_jacobian(model_fn, params, rel_step=1e-6):
@@ -268,13 +281,7 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None,
     def project(p):
         design = np.column_stack(
             [weights, weights * lorentzian_hole(x, 0.0, 1.0, *p)])
-        coef, sse = _least_squares(design, target)
-        if coef[1] >= 0:
-            return coef, sse
-        # depth >= 0 binds, so the optimum lies on depth = 0: the weighted
-        # mean baseline alone.
-        baseline, sse = _least_squares(design[:, :1], target)
-        return np.array([baseline[0], 0.0]), sse
+        return _least_squares(design, target, nonneg=[False, True])
 
     def objective(p):
         return project(p)[1] if p[1] > 0 else _REJECT
@@ -395,6 +402,27 @@ def fit_exponential(times, values, with_offset=True,
         residual=sse, converged=res.converged, iterations=res.iterations)
 
 
+def _t_quantile(dof, level):
+    """Quantile of Student's t with integer `dof` at `level` in [0.5, 1).
+
+    Bisects theta = arctan(t / sqrt(dof)) to float resolution on the exact
+    series for P(|T| <= t) (Abramowitz & Stegun 26.7.3 odd, 26.7.4 even).
+    """
+    # The series is sum_j c_j cos(theta)^p_j with p_j = 2j + dof % 2,
+    # c_0 = 1 and c_j = c_(j-1) (1 - 1/p_j).
+    powers = 2 * np.arange(dof // 2) + dof % 2
+    coefs = np.cumprod(np.r_[1.0, 1.0 - 1.0 / powers[1:]])[:powers.size]
+    target = 2.0 * level - 1.0
+    lo, hi = 0.0, np.pi / 2
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        series = np.sin(mid) * np.dot(coefs, np.cos(mid) ** powers)
+        if (2 / np.pi * (mid + series) if dof % 2 else series) < target:
+            lo = mid
+        else:
+            hi = mid
+    return float(np.sqrt(dof) * np.tan(mid))
+
+
 def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
     """Ordinary least squares with a t-distribution slope interval."""
     x = np.asarray(x, dtype=float)
@@ -419,9 +447,7 @@ def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
     s2 = sse / dof
     slope_err = float(np.sqrt(s2 / sxx))
     intercept_err = float(np.sqrt(s2 * (1.0 / x.size + x.mean() ** 2 / sxx)))
-    from scipy.special import stdtrit
-
-    tq = float(stdtrit(dof, 0.5 + confidence / 2.0))
+    tq = _t_quantile(dof, 0.5 + confidence / 2.0)
     return LinearFit(slope=slope, intercept=intercept, confidence=confidence,
                      slope_ci=tq * slope_err, slope_err=slope_err,
                      intercept_err=intercept_err, residual=sse)
@@ -502,7 +528,7 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     def project(gamma):
         design[rows, curve_of_row] = np.concatenate(
             [m.signal(t, gamma) for m, (t, _, _) in zip(models, triples)])
-        return _linear_coefficients(design, y_all)
+        return _least_squares(design, y_all, nonneg=True)
 
     def objective(xn):
         if not xn[0] > 0:

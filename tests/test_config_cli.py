@@ -361,28 +361,45 @@ class TestCli:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
 
-    @pytest.mark.parametrize("defect", ["non-numeric", "short-row"])
-    @pytest.mark.parametrize("argv, header", [
-        (["fit", "hole", "--scan"], "freq_hz,fluor_counts,power_counts"),
-        (["fit", "linear", "--points"], "x,y"),
-        (["fit", "expdecay", "--series"], "wait_time_s,area"),
-        (["fit", "trap"], "time_s,counts_per_s"),
-    ], ids=["hole", "linear", "expdecay", "trap"])
-    def test_malformed_file_exit_2(self, tmp_path, capsys, argv, header,
-                                   defect):
+    commands = {
+        "hole": (["fit", "hole", "--scan"],
+                 "freq_hz,fluor_counts,power_counts"),
+        "linear": (["fit", "linear", "--points"], "x,y"),
+        "expdecay": (["fit", "expdecay", "--series"], "wait_time_s,area"),
+        "trap": (["fit", "trap"], "time_s,counts_per_s"),
+    }
+    bad_meta = {"word-index": ("aom_off_start", "x"),
+                "fractional-index": ("aom_off_stop", "1.5"),
+                "word-power": ("power_w", "twenty")}
+
+    @pytest.mark.parametrize("command, defect", [
+        *[(c, d) for c in ("hole", "linear", "expdecay", "trap")
+          for d in ("non-numeric", "short-row")],
+        ("hole", "word-index"), ("hole", "fractional-index"),
+        ("trap", "word-power"),
+    ])
+    def test_malformed_file_exit_2(self, tmp_path, capsys, command, defect):
+        argv, header = self.commands[command]
         n = header.count(",") + 1
         rows = [",".join([f"{i}.0"] * n) for i in range(5)]
-        rows[2] = ",".join(["2.0"] * (n - 1)
-                           + (["abc"] if defect == "non-numeric" else []))
+        if defect in ("non-numeric", "short-row"):
+            rows[2] = ",".join(["2.0"] * (n - 1) + (
+                ["abc"] if defect == "non-numeric" else []))
+        meta = {"aom_off_start": "0", "aom_off_stop": "1", "power_w": "2e-05"}
+        key, value = self.bad_meta.get(defect, (None, None))
+        if key:
+            meta[key] = value
         bad = tmp_path / "bad.csv"
-        bad.write_text("# aom_off_start = 0\n# aom_off_stop = 1\n"
-                       "# power_w = 2e-05\n" + "\n".join([header, *rows])
-                       + "\n")
+        bad.write_text("".join(f"# {k} = {v}\n" for k, v in meta.items())
+                       + "\n".join([header, *rows]) + "\n")
         code = main([*argv, str(bad), "--out", str(tmp_path / "r.json")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert f"{bad}, line 7" in err
+        if key:
+            assert f"{bad}: metadata {key} = {value!r}" in err
+        else:
+            assert f"{bad}, line 7" in err
 
     def test_fit_failure_exit_4_with_report(self, tmp_path):
         # an iteration budget of 1 cannot converge the trap fit

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holeburn as hb
-from holeburn import FitError
+from holeburn import FitError, csvio
 from holeburn.cli import main
+from holeburn.fitting import _column_norms, _least_squares, _t_quantile
 from holeburn.simplex import MinimizeOptions
 
 
@@ -207,6 +208,81 @@ class TestLinearFit:
         assert hits >= 0.65 * 60
 
 
+@st.composite
+def bounded_problems(draw):
+    """(design, target, nonneg) for `_least_squares`.
+
+    Random designs have columns over six decades, maybe a zero column and a
+    random mask.  Trap-shaped designs have one positive decay column per
+    curve, nonzero only on that curve's rows, and a shared power column,
+    all bounded; the target's background may be negative so B >= 0 binds.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        design = rng.normal(size=(draw(st.integers(n + 2, 30)), n))
+        design *= 10.0 ** rng.uniform(-3, 3, n)
+        if draw(st.booleans()):
+            design[:, draw(st.integers(0, n - 1))] = 0.0
+        nonneg = np.array(draw(st.lists(st.booleans(), min_size=n,
+                                        max_size=n)))
+        truth = rng.normal(size=n)
+    else:
+        sizes = draw(st.lists(st.integers(3, 12), min_size=1, max_size=7))
+        t = [np.sort(rng.uniform(0, 5, k)) for k in sizes]
+        design = np.zeros((sum(sizes), len(sizes) + 1))
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        design[np.arange(rows.size), rows] = np.concatenate(
+            [np.exp(-rng.uniform(0.1, 3) * tc) + rng.uniform(0, 1)
+             for tc in t])
+        design[:, -1] = rng.uniform(1, 50, len(sizes))[rows]
+        nonneg = True
+        truth = np.r_[rng.uniform(0, 1e3, len(sizes)), rng.uniform(-5, 5)]
+    target = design @ truth + rng.normal(size=design.shape[0])
+    return design, target, nonneg
+
+
+class TestLeastSquares:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=bounded_problems())
+    def test_matches_bvls(self, problem):
+        from scipy.optimize import lsq_linear
+
+        design, target, nonneg = problem
+        coef, sse = _least_squares(design, target, nonneg)
+        bounded = np.broadcast_to(nonneg, coef.shape)
+        scaled = design / _column_norms(design)
+        ref = lsq_linear(scaled, target, method="bvls",
+                         bounds=(np.where(bounded, 0.0, -np.inf), np.inf))
+        assert sse == pytest.approx(2 * ref.cost, rel=1e-10)
+        assert np.all(coef[bounded] >= 0)
+        # KKT: moving a column held at 0 upwards cannot lower the SSE.
+        gradient = scaled.T @ (target - design @ coef)
+        held = bounded & (coef == 0)
+        assert np.all(gradient[held] <= 1e-9 * np.linalg.norm(target))
+
+    def test_feasible_optimum_is_one_solve(self):
+        # an unconstrained optimum that satisfies the bounds is returned
+        # exactly as the plain least-squares solve gives it
+        x = np.linspace(0, 1, 20)
+        design = np.column_stack([np.ones_like(x), np.exp(-3 * x)])
+        target = design @ [0.5, 2.0] + 0.01 * np.sin(40 * x)
+        norms = _column_norms(design)
+        plain = np.linalg.lstsq(design / norms, target, rcond=None)[0]
+        coef, _ = _least_squares(design, target, nonneg=True)
+        assert np.array_equal(coef, plain / norms)
+
+
+@pytest.mark.parametrize("dof", [*range(1, 60), 100, 250, 1000])
+def test_t_quantile_matches_scipy(dof):
+    from scipy.special import stdtrit
+
+    for level in [0.5, 0.505, 0.6, 0.75, 0.9, 0.95, 0.975, 0.99, 0.995,
+                  0.999]:
+        assert _t_quantile(dof, level) == pytest.approx(
+            float(stdtrit(dof, level)), rel=1e-11, abs=1e-11)
+
+
 class TestTrapFit:
     def test_noiseless_roundtrip(self, material, fast_domain):
         t = np.linspace(0, 150, 51)
@@ -316,22 +392,25 @@ def scipy_modules_after(code):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported lazily by the fits that use it, so every CLI
-    # command (zeeman and simulate included) starts without its cost
+    # scipy is a test-only dependency: no runtime module imports it
     assert scipy_modules_after("import sys, holeburn") == "[]"
 
 
-def test_hole_and_lifetime_fits_load_no_scipy(tmp_path):
-    # only the trap fit's bounded solver and the linear fit's t quantile
-    # need scipy; the hole and lifetime fits are plain least squares
-    scan, series = tmp_path / "scan.csv", tmp_path / "series.csv"
-    assert main(["gen", "holescan", "--out", str(scan)]) == 0
-    assert main(["gen", "holedecay", "--offset", "0.05",
-                 "--out", str(series)]) == 0
-    jobs = [["fit", "hole", "--scan", str(scan),
-             "--out", str(tmp_path / "hole.json")],
-            ["fit", "expdecay", "--series", str(series),
-             "--out", str(tmp_path / "exp.json")]]
+@pytest.mark.parametrize("command, flag, gen", [
+    ("trap", [], ["gen", "decay", "--n-t", "21", "--tol", "0"]),
+    ("hole", ["--scan"], ["gen", "holescan"]),
+    ("expdecay", ["--series"], ["gen", "holedecay", "--offset", "0.05"]),
+    ("linear", ["--points"], None),
+], ids=["trap", "hole", "expdecay", "linear"])
+def test_fit_command_loads_no_scipy(tmp_path, command, flag, gen):
+    data = tmp_path / "data.csv"
+    if gen is None:
+        x = np.linspace(0.0, 5.0, 10)
+        csvio.write_table(data, ["x", "y"], [x, 2 * x + np.sin(7 * x)])
+    else:
+        assert main([*gen, "--out", str(data)]) == 0
+    job = ["fit", command, *flag, str(data),
+           "--out", str(tmp_path / "fit.json")]
     code = ("import sys; from holeburn.cli import main; "
-            f"assert [main(job) for job in {jobs!r}] == [0, 0]")
+            f"assert main({job!r}) == 0")
     assert scipy_modules_after(code) == "[]"

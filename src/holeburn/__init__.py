@@ -21,7 +21,8 @@ from .pipeline import (HoleArea, NormalizedScan, PipelineOrderError, RawScan,
                        attach_point_rms, detect_aom_off_range,
                        hole_area_with_error, moving_average,
                        normalize_by_power, point_rms, subtract_background)
-from .simplex import MinimizeOptions, MinimizeResult, minimize
+from .simplex import (MinimizeOptions, MinimizeResult, minimize,
+                      minimize_scalar)
 from .synth import (DecayCurve, NoiseSpec, apply_noise, gen_decay_batch,
                     gen_decay_curve, gen_hole_decay_series, gen_hole_scan)
 from .zeeman import (ResonanceFields, SubgroupLines, ZeemanConfig,

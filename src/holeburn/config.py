@@ -57,7 +57,6 @@ _SCHEMA = {
         "gamma_trap_seed_per_s": ("fit.gamma_trap_seed", float),
         "max_iter": ("fit.max_iter", int),
         "xtol_rel": ("fit.xtol_rel", float),
-        "ftol_rel": ("fit.ftol_rel", float),
         "confidence": ("confidence", float),
     },
 }

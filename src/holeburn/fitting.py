@@ -1,10 +1,13 @@
-"""Separable least-squares estimators built on the simplex minimizer.
+"""Separable least-squares estimators built on derivative-free minimizers.
 
-Scale-like parameters enter every model linearly, so `minimize` searches
-only the nonlinear ones and the objective solves the rest by linear
-least squares (variable projection, Golub & Pereyra 1973).  One
-active-set solver, `_least_squares`, serves every fit: the trap fit bounds
-all its coefficients at 0, the hole fit its depth, the lifetime fit none.
+Scale-like parameters enter every model linearly, so the minimizer
+searches only the nonlinear ones and the objective solves the rest by
+linear least squares (variable projection, Golub & Pereyra 1973).  The
+hole and lifetime fits search by simplex (`minimize`); the trap fit has
+one nonlinear parameter, gamma_trap, and searches by Brent's method
+(`minimize_scalar`).  One active-set solver, `_least_squares`, serves
+every fit: the trap fit bounds all its coefficients at 0, the hole fit its
+depth, the lifetime fit none.
 The search runs on normalized data (frequencies in units of the scan span,
 signals in units of their spread), so its stopping rule is invariant to
 shifts and scaling.  Reported values are in physical units, with
@@ -21,7 +24,7 @@ import numpy as np
 
 from .integrator import TrapDecayModel
 from .model import BeamGeometry, MaterialParams
-from .simplex import MinimizeOptions, minimize
+from .simplex import MinimizeOptions, minimize, minimize_scalar
 
 # Objective value at a nonpositive trapping rate, hole width or lifetime.
 _REJECT = 1e300
@@ -147,6 +150,7 @@ class LorentzianHoleFit:
     converged: bool
     hole_detected: bool
     iterations: int
+    nfev: int
 
     def to_dict(self):
         return {
@@ -156,7 +160,7 @@ class LorentzianHoleFit:
             "center_err_hz": self.center_err, "fwhm_err_hz": self.fwhm_err,
             "residual_sse": self.residual, "converged": self.converged,
             "hole_detected": self.hole_detected,
-            "iterations": self.iterations,
+            "iterations": self.iterations, "nfev": self.nfev,
         }
 
 
@@ -173,6 +177,7 @@ class ExpDecayFit:
     residual: float
     converged: bool
     iterations: int
+    nfev: int
 
     def to_dict(self):
         return {
@@ -180,7 +185,7 @@ class ExpDecayFit:
             "offset": self.offset, "amplitude_err": self.amplitude_err,
             "tau_err_s": self.tau_err, "offset_err": self.offset_err,
             "residual_sse": self.residual, "converged": self.converged,
-            "iterations": self.iterations,
+            "iterations": self.iterations, "nfev": self.nfev,
         }
 
 
@@ -218,6 +223,7 @@ class TrapFitResult:
     residual: float
     converged: bool
     iterations: int
+    nfev: int
 
     def to_dict(self):
         return {
@@ -227,6 +233,7 @@ class TrapFitResult:
             "residual_sse": self.residual,
             "converged": self.converged,
             "iterations": self.iterations,
+            "nfev": self.nfev,
         }
 
 
@@ -235,7 +242,6 @@ class TrapFitOptions:
     gamma_trap_seed: float = 1e5
     max_iter: int = 8000
     xtol_rel: float = 1e-9
-    ftol_rel: float = 1e-9
 
 
 def fit_hole_lorentzian(freq, signal, sigma_point=None,
@@ -310,7 +316,8 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None,
         raise FitError("Lorentzian hole fit failed",
                        diagnostics={"converged": res.converged,
                                     "fwhm_hz": fwhm, "residual_sse": sse,
-                                    "iterations": res.iterations})
+                                    "iterations": res.iterations,
+                                    "nfev": res.nfev})
 
     # Holes shallower than 0.1% of the signal scale are indistinguishable
     # from fit leftovers on structureless data, so they are not reported
@@ -322,7 +329,7 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None,
         baseline_err=float(errs[0]), depth_err=float(errs[1]),
         center_err=float(errs[2]), fwhm_err=float(errs[3]),
         residual=sse, converged=res.converged, hole_detected=detected,
-        iterations=res.iterations)
+        iterations=res.iterations, nfev=res.nfev)
 
 
 def hom_linewidth_from_hole(fwhm):
@@ -382,7 +389,8 @@ def fit_exponential(times, values, with_offset=True,
     if not np.isfinite(amp) or tau > _MAX_TAU_SPANS * tspan:
         raise FitError("exponential fit found no resolvable decay",
                        diagnostics={"tau_s": float(tau), "span_s": tspan,
-                                    "iterations": res.iterations})
+                                    "iterations": res.iterations,
+                                    "nfev": res.nfev})
     offset = coef[1] * y_scale if with_offset else None
 
     params = np.array([amp, tau] + ([offset] if with_offset else []))
@@ -399,7 +407,8 @@ def fit_exponential(times, values, with_offset=True,
         offset=None if offset is None else float(offset),
         amplitude_err=float(errs[0]), tau_err=float(errs[1]),
         offset_err=None if offset is None else float(errs[2]),
-        residual=sse, converged=res.converged, iterations=res.iterations)
+        residual=sse, converged=res.converged, iterations=res.iterations,
+        nfev=res.nfev)
 
 
 def _t_quantile(dof, level):
@@ -531,18 +540,17 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
         return _least_squares(design, y_all, nonneg=True)
 
     def objective(xn):
-        if not xn[0] > 0:
+        if not xn > 0:
             return _REJECT
-        return project(xn[0] * opts.gamma_trap_seed)[1]
+        return project(xn * opts.gamma_trap_seed)[1]
 
-    res = minimize(objective, [1.0],
-                   MinimizeOptions(xtol_rel=opts.xtol_rel,
-                                   ftol_rel=opts.ftol_rel,
-                                   max_iter=opts.max_iter))
+    res = minimize_scalar(objective, 1.0,
+                          MinimizeOptions(xtol_rel=opts.xtol_rel,
+                                          max_iter=opts.max_iter))
 
-    gamma = float(res.x[0] * opts.gamma_trap_seed)
+    gamma = float(res.x * opts.gamma_trap_seed)
     coef, sse = project(gamma)
     return TrapFitResult(gamma_trap=gamma, background_b=float(coef[-1]),
                          scale_a=[float(a) for a in coef[:-1]],
                          residual=sse, converged=res.converged,
-                         iterations=res.iterations)
+                         iterations=res.iterations, nfev=res.nfev)

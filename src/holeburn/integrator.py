@@ -29,7 +29,7 @@ results are bit-stable run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -192,6 +192,14 @@ def _decay_sum(t: np.ndarray, rate: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], cached per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _cloud(material: MaterialParams, geom: BeamGeometry, domain=None,
            intensity_fn: Optional[Callable] = None,
            coll_fn: Optional[Callable] = None):
@@ -219,7 +227,7 @@ def _cloud(material: MaterialParams, geom: BeamGeometry, domain=None,
         if intensity_fn is not None or coll_fn is not None:
             raise ValueError("intensity_fn and coll_fn need an "
                              "IntegrationDomain")
-        x, w = np.polynomial.legendre.leggauss(domain.n)
+        x, w = _gauss_legendre(domain.n)
         node, w = np.pi / 4 * (x + 1), np.pi / 4 * w
         alpha, theta = node[:, None], node
         # u = I / I0 = cos^2 alpha; the focal volume per intensity times

@@ -1,12 +1,15 @@
-"""Derivative-free downhill simplex minimizer.
+"""Derivative-free minimizers: downhill simplex and, in one variable, Brent.
 
-A plain Nelder-Mead descent with the classic coefficient set (reflection 1,
-expansion 2, contraction 0.5, shrink 0.5) and relative size/value stopping
-rules, so a fit is reproducible from its starting point alone.
+`minimize` is a plain Nelder-Mead descent with the classic coefficient set
+(reflection 1, expansion 2, contraction 0.5, shrink 0.5) and relative
+size/value stopping rules.  `minimize_scalar` brackets a minimum of a
+function of one variable and closes the bracket by Brent's method.  Both
+are reproducible from their starting point alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -16,6 +19,9 @@ _REFLECT = 1.0
 _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
+# Bracket expansion ratio, and the golden-section fraction 1 - 1/ratio.
+_GOLDEN = (1 + math.sqrt(5)) / 2
+_GOLDEN_SECTION = (3 - math.sqrt(5)) / 2
 
 
 @dataclass(frozen=True)
@@ -29,7 +35,7 @@ class MinimizeOptions:
 
 @dataclass
 class MinimizeResult:
-    x: np.ndarray
+    x: np.ndarray  # a float from minimize_scalar
     fun: float
     iterations: int
     nfev: int
@@ -114,3 +120,109 @@ def minimize(objective: Callable, x0,
     order = np.argsort(fvals, kind="stable")
     return MinimizeResult(x=sim[order[0]].copy(), fun=float(fvals[order[0]]),
                           iterations=iterations, nfev=nfev, converged=False)
+
+
+def minimize_scalar(objective: Callable[[float], float], x0: float,
+                    options: Optional[MinimizeOptions] = None
+                    ) -> MinimizeResult:
+    """Minimize a function of one variable: bracket, then Brent's method.
+
+    The bracket starts with the simplex's first step from x0, relative but
+    no shorter than the absolute one, and expands downhill by the golden
+    ratio until the objective rises again (NaN counts as a rise).  Brent's
+    method (R. P. Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 5) then shrinks it by parabolic steps through the three best
+    points, falling back to golden sections, none shorter than
+    tol = xtol_rel * max(1, |x|) for the best point x.  It stops, as
+    Brent's does, when both ends of the bracket lie within 2 tol of x;
+    ftol_rel is not used.  max_iter caps the steps of both phases
+    together; at the cap the best point so far is returned with
+    converged=False.
+    """
+    opts = options or MinimizeOptions()
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return float(objective(x))
+
+    a = float(x0)
+    fa = f(a)
+    if not np.isfinite(fa):
+        raise ValueError("objective must be finite at the starting point")
+    b = a + math.copysign(max(opts.initial_step_rel * abs(a),
+                              opts.initial_step_abs), a)
+    fb = f(b)
+    if fb > fa:
+        a, b, fa, fb = b, a, fb, fa
+    c = b + _GOLDEN * (b - a)
+    fc = f(c)
+    iterations = 0
+    while fc < fb:
+        if iterations >= opts.max_iter:
+            return MinimizeResult(x=c, fun=fc, iterations=iterations,
+                                  nfev=nfev, converged=False)
+        iterations += 1
+        a, b, fa, fb = b, c, fb, fc
+        c = b + _GOLDEN * (b - a)
+        fc = f(c)
+
+    # f(x) <= f at both ends of [lo, hi]; w and v are the second and third
+    # best points, d the last step and e the one before it.
+    lo, hi = min(a, c), max(a, c)
+    x = w = v = b
+    fx = fw = fv = fb
+    d = e = 0.0
+    while True:
+        tol = opts.xtol_rel * max(1.0, abs(x))
+        converged = max(x - lo, hi - x) <= 2 * tol
+        if converged or iterations >= opts.max_iter:
+            return MinimizeResult(x=x, fun=fx, iterations=iterations,
+                                  nfev=nfev, converged=converged)
+        iterations += 1
+        mid = 0.5 * (lo + hi)
+        golden = True
+        if abs(e) > tol:
+            # Vertex of the parabola through (x, w, v) as x + p / q; taken
+            # when it falls inside the bracket and the step is less than
+            # half the step before last, so the steps keep shrinking.  An
+            # end already within 2 tol of x does not bound it: rounding in
+            # the objective can put the vertex just beyond, and the step
+            # then becomes tol towards the other end.
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0:
+                p = -p
+            q = abs(q)
+            lo_open = lo if x - lo > 2 * tol else -math.inf
+            hi_open = hi if hi - x > 2 * tol else math.inf
+            if (abs(p) < abs(0.5 * q * e)
+                    and q * (lo_open - x) < p < q * (hi_open - x)):
+                e, d = d, p / q
+                if min(x + d - lo, hi - x - d) < 2 * tol:
+                    d = math.copysign(tol, mid - x)
+                golden = False
+        if golden:
+            e = hi - x if x < mid else lo - x
+            d = _GOLDEN_SECTION * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            if u < x:
+                hi = x
+            else:
+                lo = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+        else:
+            if u < x:
+                lo = u
+            else:
+                hi = u
+            if fu <= fw or w == x:
+                v, w, fv, fw = w, u, fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu

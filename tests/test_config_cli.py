@@ -38,7 +38,6 @@ EVERY_KEY = [
     ("fit", "gamma_trap_seed_per_s", 3e4, lambda c: c.fit.gamma_trap_seed),
     ("fit", "max_iter", 17, lambda c: c.fit.max_iter),
     ("fit", "xtol_rel", 1e-7, lambda c: c.fit.xtol_rel),
-    ("fit", "ftol_rel", 1e-6, lambda c: c.fit.ftol_rel),
     ("fit", "confidence", 0.9, lambda c: c.confidence),
 ]
 
@@ -69,10 +68,14 @@ stray_field_t = 0
         assert cfg.zeeman.stray_field == 0.0
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "bad.ini"
-        path.write_text("[material]\nnot_a_key = 3\n")
-        with pytest.raises(ConfigError, match="unknown key"):
-            load_config(path)
+        # ftol_rel was the trap fit's simplex value tolerance; Brent's
+        # method has none, so the key is gone rather than ignored.
+        for text in ["[material]\nnot_a_key = 3\n",
+                     "[fit]\nftol_rel = 1e-9\n"]:
+            path = tmp_path / "bad.ini"
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="unknown key"):
+                load_config(path)
 
     @pytest.mark.parametrize("text", ["[detector]\ngain = 3\n",
                                       "[domain]\nn_r = 16\n"],
@@ -272,6 +275,7 @@ class TestCli:
         report = json.loads(report_path.read_text())
         assert report["fwhm_hz"] == pytest.approx(6e6, rel=1e-5)
         assert report["hom_linewidth_hz"] == pytest.approx(3e6, rel=1e-5)
+        assert report["nfev"] > report["iterations"] > 0
         assert report["config"]["material"]["sat_intensity_w_per_m2"] == 1.4e7
         treated = (tmp_path / "treated.csv").read_text().splitlines()
         header = [l for l in treated if l.startswith("freq_hz")][0]
@@ -297,6 +301,7 @@ class TestCli:
                      "--out", str(report)]) == 0
         data = json.loads(report.read_text())
         assert data["tau_s"] == pytest.approx(0.072, rel=1e-3)
+        assert data["nfev"] > data["iterations"] > 0
 
     def test_fit_linear_end_to_end(self, tmp_path):
         pts = tmp_path / "pts.csv"
@@ -342,6 +347,7 @@ class TestCli:
         data = json.loads(report.read_text())
         assert data["gamma_trap_per_s"] == pytest.approx(9e4, rel=0.05)
         assert len(data["scale_a"]) == 2
+        assert data["iterations"] < data["nfev"] <= 25
 
     def test_fit_trap_negative_times_exit_2(self, tmp_path, capsys):
         curve_file = tmp_path / "early.csv"

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holeburn as hb
-from holeburn import FitError, csvio
+from holeburn import FitError, csvio, fitting
 from holeburn.cli import main
 from holeburn.fitting import _column_norms, _least_squares, _t_quantile
-from holeburn.simplex import MinimizeOptions
+from holeburn.simplex import MinimizeOptions, MinimizeResult, minimize
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +284,42 @@ def test_t_quantile_matches_scipy(dof):
 
 
 class TestTrapFit:
+    def test_brent_matches_simplex_oracle(self, material, fast_domain,
+                                          two_curve_batch, monkeypatch):
+        brent = hb.fit_trap_model(two_curve_batch, material,
+                                  domain=fast_domain)
+
+        def simplex_adapter(objective, x0, options):
+            res = minimize(lambda x: objective(x[0]), [x0],
+                           MinimizeOptions(xtol_rel=options.xtol_rel,
+                                           ftol_rel=1e-9,
+                                           max_iter=options.max_iter))
+            return MinimizeResult(x=float(res.x[0]), fun=res.fun,
+                                  iterations=res.iterations, nfev=res.nfev,
+                                  converged=res.converged)
+
+        monkeypatch.setattr(fitting, "minimize_scalar", simplex_adapter)
+        oracle = hb.fit_trap_model(two_curve_batch, material,
+                                   domain=fast_domain)
+        assert brent.converged and oracle.converged
+        assert brent.gamma_trap == pytest.approx(oracle.gamma_trap, rel=1e-7)
+        assert brent.residual == pytest.approx(oracle.residual, rel=1e-12)
+        assert brent.nfev <= 25 < oracle.nfev
+
+    def test_brent_calls_per_fit(self, material, fast_domain):
+        # Near the minimum the SSE is flat to its rounding, so a parabola's
+        # vertex can land just beyond a bracket end that is already closed.
+        # Plain Brent then walks the other end in by golden sections (26
+        # calls on 3 of these 20 batches); minimize_scalar steps there.
+        t = np.linspace(0, 120, 31)
+        for seed in range(1, 21):
+            curves = hb.gen_decay_batch(
+                material, 9e4, 0.19, 9.4e7, [8e-6, 29e-6], t,
+                hb.NoiseSpec(kind="poisson", seed=seed), domain=fast_domain)
+            res = hb.fit_trap_model(curves, material, domain=fast_domain)
+            assert res.converged
+            assert res.nfev <= 22, seed
+
     def test_noiseless_roundtrip(self, material, fast_domain):
         t = np.linspace(0, 150, 51)
         scale = hb.ScaledSignalParams(0.19, 9.4e7, 20e-6)

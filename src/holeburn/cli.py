@@ -126,10 +126,10 @@ def _cmd_fit_expdecay(args, cfg):
 
 
 def _cmd_fit_linear(args, cfg):
+    if args.confidence is not None:
+        cfg = dataclasses.replace(cfg, confidence=args.confidence)
     x, y, _ = csvio.read_xy(args.points, args.x_column, args.y_column)
-    confidence = cfg.confidence if args.confidence is None \
-        else args.confidence
-    fit = fit_linear_ci(x, y, confidence=confidence)
+    fit = fit_linear_ci(x, y, confidence=cfg.confidence)
     payload = {"input": args.points, **fit.to_dict()}
     csvio.write_report(args.out, _report(cfg, "fit linear", payload))
     print(f"fit linear: slope = {fit.slope:.4g} +- {fit.slope_ci:.2g} "

@@ -211,16 +211,9 @@ def _cloud(material: MaterialParams, geom: BeamGeometry, domain=None,
     is amplitude * exp(-gamma_trap * k * t).  An `IntegrationDomain` (the
     default for None) is the midpoint box, whose (r, z) profiles
     intensity_fn and coll_fn may each replace; a `LevelSetRule` is the
-    infinite-limit Gauss rule, and overrides are an error there.
-
-    The steady state is evaluated in a form that stays finite for zero
-    intensity: with q = Gamma_ion / (Gamma_ion + Gamma_spon),
-    amplitude_density = f0 N coll I_L / (2 (I_L + I_sat) + q I_L) and
-    k = q I_L / (2 (I_L + I_sat) + q I_L), which reduce to the two-level
-    steady state with k = 0 when the conduction-band coupling vanishes.
-    (`model.py`'s ratio functions raise there, and wide domains underflow
-    the Gaussian envelope to exactly 0.)  Where both rates are 0, I_L is 0
-    too and q = 1 stands in for 0/0.
+    infinite-limit Gauss rule, and overrides are an error there.  The
+    excited fraction and k come from `model.steady_state`, which stays
+    finite where the envelope underflows to zero intensity.
     """
     domain = IntegrationDomain() if domain is None else domain
     if isinstance(domain, LevelSetRule):
@@ -259,15 +252,13 @@ def _cloud(material: MaterialParams, geom: BeamGeometry, domain=None,
     # the same local intensity.
     g_ion = model.ionization_rate(i_sp, material.sigma_ion,
                                   material.vac_wavelength)
-    rates = g_ion + material.gamma_rec_spon
-    q = np.divide(g_ion, rates, out=np.ones_like(rates), where=rates > 0)
     g_hom = model.power_broadened_linewidth(i_sp, material)
     delta, d_delta = detuning(g_hom / 2)
     i_l = model.detuned_intensity(i_sp, delta, g_hom)
-    denom = 2 * (i_l + material.sat_intensity) + q * i_l
+    excited, k = model.steady_state(i_l, g_ion, material)
     amp = material.fluor_rate * material.ion_density * weight * d_delta \
-        * i_l / denom
-    return domain, amp.reshape(-1), (q * i_l / denom).reshape(-1)
+        * excited
+    return domain, amp.reshape(-1), k.reshape(-1)
 
 
 def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,

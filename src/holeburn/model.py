@@ -131,52 +131,6 @@ class BeamGeometry:
         return 2 * self.power / (np.pi * self.waist**2)
 
 
-@dataclass(frozen=True)
-class RateSet:
-    """The four rates of the trapping model."""
-
-    gamma_ion: float
-    gamma_rec_stim: float
-    gamma_rec_spon: float
-    gamma_trap: float
-
-    def __post_init__(self):
-        for name in ("gamma_ion", "gamma_rec_stim", "gamma_rec_spon",
-                     "gamma_trap"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not np.isclose(self.gamma_ion, self.gamma_rec_stim, rtol=1e-12):
-            raise ValueError("gamma_ion and gamma_rec_stim must be equal")
-
-    @classmethod
-    def from_intensity(cls, intensity, material: MaterialParams, gamma_trap):
-        """Local rates for a point excited at the given spatial intensity."""
-        g = ionization_rate(intensity, material.sigma_ion,
-                            material.vac_wavelength)
-        return cls(gamma_ion=g, gamma_rec_stim=g,
-                   gamma_rec_spon=material.gamma_rec_spon,
-                   gamma_trap=gamma_trap)
-
-
-@dataclass(frozen=True)
-class PopulationState:
-    """Instantaneous populations of the four levels [ions/m^3/Hz]."""
-
-    n_4f: float
-    n_5d: float
-    n_cb: float
-    n_trap: float
-    total: float
-
-    def __post_init__(self):
-        for name in ("n_4f", "n_5d", "n_cb", "n_trap"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        closure = self.n_4f + self.n_5d + self.n_cb + self.n_trap
-        if abs(closure - self.total) > 1e-12 * abs(self.total):
-            raise ValueError("populations do not sum to the total density")
-
-
 def saturation_ratio(i_exc, i_sat):
     """Steady-state ground/excited population ratio, 1 + 2 I_sat / I_exc.
 
@@ -232,11 +186,25 @@ def steady_state_fractions(r1, r2):
     return 1.0 / (r1 * r2 + r2 + 1)
 
 
-def trapped_fraction(t, gamma_trap, k):
-    """Fraction of ions in the trap at time t, 1 - exp(-gamma_trap k t)."""
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("t must be nonnegative")
-    return -np.expm1(-gamma_trap * k * np.asarray(t, dtype=float))
+def steady_state(i_l, g_ion, material: MaterialParams):
+    """(excited, k): excited-state and conduction-band fractions r2 k and k.
+
+    i_l is the detuned excitation intensity and g_ion the ionization rate
+    of the full local intensity; they broadcast against each other.  This
+    is the steady state of `saturation_ratio`, `r2_from_rates` and
+    `steady_state_fractions` in a form that stays finite for zero
+    intensity: with q = Gamma_ion / (Gamma_ion + Gamma_spon),
+    excited = I_L / (2 (I_L + I_sat) + q I_L) and k = q excited, which
+    reduce to the two-level steady state with k = 0 when the
+    conduction-band coupling vanishes.  (The ratio functions raise there,
+    and wide integration domains underflow the Gaussian envelope to
+    exactly 0.)  Where both rates are 0, I_L is 0 too and q = 1 stands in
+    for 0/0.
+    """
+    rates = np.asarray(g_ion + material.gamma_rec_spon, dtype=float)
+    q = np.divide(g_ion, rates, out=np.ones_like(rates), where=rates > 0)
+    excited = i_l / (2 * (i_l + material.sat_intensity) + q * i_l)
+    return excited, q * excited
 
 
 def excited_population(t, n_total, r2, k, gamma_trap):
@@ -244,16 +212,6 @@ def excited_population(t, n_total, r2, k, gamma_trap):
     if np.any(np.asarray(t) < 0):
         raise ValueError("t must be nonnegative")
     return r2 * k * n_total * np.exp(-gamma_trap * k * np.asarray(t, dtype=float))
-
-
-def steady_state_populations(t, n_total, r1, r2, k, gamma_trap):
-    """All four level populations at time t as a PopulationState."""
-    n_trap = n_total * trapped_fraction(t, gamma_trap, k)
-    n_cb = k * (n_total - n_trap)
-    n_5d = r2 * n_cb
-    n_4f = r1 * n_5d
-    return PopulationState(n_4f=n_4f, n_5d=n_5d, n_cb=n_cb, n_trap=n_trap,
-                           total=n_total)
 
 
 def beam_radius(z, geom: BeamGeometry):

@@ -10,7 +10,6 @@ are excluded rather than divided through.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -60,7 +59,6 @@ class NormalizedScan:
     freq: np.ndarray
     signal: np.ndarray
     excluded: np.ndarray
-    sigma_point: Optional[float] = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -161,23 +159,6 @@ def normalize_by_power(scan: RawScan) -> NormalizedScan:
                           meta=dict(scan.meta))
 
 
-def moving_average(data, window: int) -> np.ndarray:
-    """Centered moving mean; edge windows are truncated, not padded.
-
-    Even windows are accepted (they sit half a sample off center, matching
-    the convolution convention).
-    """
-    y = np.asarray(data, dtype=float)
-    if window < 1:
-        raise ValueError("window must be at least 1")
-    if window > y.size:
-        raise ValueError("window larger than the trace")
-    kernel = np.ones(window)
-    sums = np.convolve(y, kernel, mode="same")
-    counts = np.convolve(np.ones(y.size), kernel, mode="same")
-    return sums / counts
-
-
 def point_rms(scan: NormalizedScan, min_points: int = 16) -> float:
     """Per-point RMS noise from a scan that contains no burned hole.
 
@@ -189,11 +170,6 @@ def point_rms(scan: NormalizedScan, min_points: int = 16) -> float:
         raise ValueError(f"need at least {min_points} usable points")
     baseline = float(np.mean(y))
     return float(np.sqrt(np.mean((y - baseline) ** 2)))
-
-
-def attach_point_rms(scan: NormalizedScan, min_points: int = 16) -> NormalizedScan:
-    """Copy of the scan with its measured per-point RMS filled in."""
-    return replace(scan, sigma_point=point_rms(scan, min_points))
 
 
 def hole_area_with_error(scan: NormalizedScan, baseline: float,

@@ -42,12 +42,22 @@ class MinimizeResult:
     converged: bool
 
 
+def _first_step(x: float, opts: MinimizeOptions) -> float:
+    """First trial step from x: relative, but no shorter than the absolute.
+
+    The floor keeps a tiny but nonzero start (say 1e-30) from a step so
+    short that the search stops at once on a false minimum.
+    """
+    return math.copysign(max(opts.initial_step_rel * abs(x),
+                             opts.initial_step_abs), x)
+
+
 def minimize(objective: Callable, x0,
              options: Optional[MinimizeOptions] = None) -> MinimizeResult:
     """Minimize a scalar function of a vector by simplex descent.
 
-    The initial simplex perturbs each coordinate of x0 by a relative step
-    (absolute for zero coordinates).  Iteration stops when both the simplex
+    The initial simplex perturbs each coordinate of x0 by a relative step,
+    no shorter than the absolute one.  Iteration stops when both the simplex
     extent and the spread of function values are below their relative
     tolerances, or at the iteration cap, in which case the best point so
     far is returned with converged=False.
@@ -65,10 +75,7 @@ def minimize(objective: Callable, x0,
     nfev = 1
     for i in range(n):
         x = x0.copy()
-        if x[i] != 0.0:
-            x[i] *= 1.0 + opts.initial_step_rel
-        else:
-            x[i] = opts.initial_step_abs
+        x[i] += _first_step(x[i], opts)
         sim[i + 1] = x
         fvals[i + 1] = objective(x)
         nfev += 1
@@ -151,8 +158,7 @@ def minimize_scalar(objective: Callable[[float], float], x0: float,
     fa = f(a)
     if not np.isfinite(fa):
         raise ValueError("objective must be finite at the starting point")
-    b = a + math.copysign(max(opts.initial_step_rel * abs(a),
-                              opts.initial_step_abs), a)
+    b = a + _first_step(a, opts)
     fb = f(b)
     if fb > fa:
         a, b, fa, fb = b, a, fb, fa

@@ -1,9 +1,10 @@
-"""Zeeman splittings, absorption subgroups, and repump resonance fields.
+"""Zeeman splittings and repump resonance fields.
 
 Both the ground and the excited doublet split linearly with the magnetic
 field along the crystal b-axis (where the two magnetic sites overlap), so
 a scalar field model is enough.  A configurable stray field offsets the
-applied field; its sign can be flipped to model a reversed coil polarity.
+applied field, total = applied + field_sign * stray_field; the sign can be
+flipped to model a reversed coil polarity.
 """
 
 from __future__ import annotations
@@ -31,27 +32,6 @@ class ZeemanConfig:
 
 
 @dataclass(frozen=True)
-class SubgroupLines:
-    """Pairs of repump-partner transition frequencies for subgroups A-D.
-
-    Each pair holds the driven transition (always at f_laser) and the
-    partner transition from the other ground Zeeman level of the same
-    ions.  A/D partners sit a ground-plus-excited splitting away, B/C a
-    ground-minus-excited splitting away.
-    """
-
-    a: tuple
-    b: tuple
-    c: tuple
-    d: tuple
-
-    def separations(self) -> dict:
-        return {name: abs(pair[1] - pair[0])
-                for name, pair in (("a", self.a), ("b", self.b),
-                                   ("c", self.c), ("d", self.d))}
-
-
-@dataclass(frozen=True)
 class ResonanceFields:
     """Fields at which two-frequency repumping becomes resonant [T].
 
@@ -68,11 +48,6 @@ class ResonanceFields:
     b_diff_applied: Optional[float]
 
 
-def total_field(applied, cfg: ZeemanConfig):
-    """Actual field seen by the ions: applied plus the signed stray field."""
-    return np.asarray(applied, dtype=float) + cfg.field_sign * cfg.stray_field
-
-
 def applied_field(total, cfg: ZeemanConfig):
     """Coil setting that produces the given total field."""
     return np.asarray(total, dtype=float) - cfg.field_sign * cfg.stray_field
@@ -82,23 +57,6 @@ def splittings(b_total, cfg: ZeemanConfig):
     """Ground and excited Zeeman splittings (Hz) at the given total field."""
     mag = np.abs(np.asarray(b_total, dtype=float))
     return cfg.g_ground * mag, cfg.g_excited * mag
-
-
-def subgroup_lines(f_laser, b_total, cfg: ZeemanConfig) -> SubgroupLines:
-    """Transition-frequency pairs of the four absorbing subgroups.
-
-    With an inhomogeneously broadened line, four distinct ion groups
-    absorb at f_laser, one per transition between the two ground and two
-    excited Zeeman levels.  For each group the returned pair is (driven
-    transition, partner transition from the other ground level).
-    """
-    df_g, df_e = splittings(b_total, cfg)
-    return SubgroupLines(
-        a=(f_laser, f_laser - (df_g + df_e)),
-        b=(f_laser, f_laser + (df_e - df_g)),
-        c=(f_laser, f_laser - (df_e - df_g)),
-        d=(f_laser, f_laser + (df_g + df_e)),
-    )
 
 
 def resonance_fields(delta_f_laser, cfg: ZeemanConfig) -> ResonanceFields:

@@ -329,9 +329,12 @@ class TestCli:
         assert data["config"]["fit"]["confidence"] == 0.99
         assert data["slope_ci"] == pytest.approx(
             hb.fit_linear_ci(x, y, 0.99).slope_ci, rel=1e-12)
-        # an explicit flag still wins over the config
+        # an explicit flag still wins over the config, and the echoed
+        # config carries the level the fit used
         assert main(argv + ["--confidence", "0.5"]) == 0
-        assert json.loads(report.read_text())["confidence"] == 0.5
+        data = json.loads(report.read_text())
+        assert data["confidence"] == data["config"]["fit"]["confidence"] \
+            == 0.5
 
     def test_fit_trap_end_to_end(self, tmp_path):
         batch = tmp_path / "batch"

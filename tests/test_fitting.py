@@ -74,6 +74,15 @@ class TestHoleFit:
         assert b.center - a.center == pytest.approx(
             shift, rel=1e-9, abs=1e-9 * np.ptp(self.freq))
 
+    def test_center_seed_near_zero(self):
+        # the middle sample normalizes to ~2.6e-17, the centre's seed
+        freq = np.linspace(-1e8, 1e8, 2001) + 1e7 / 3
+        center = freq[1000] + 0.3 * (freq[1] - freq[0])
+        y = hb.lorentzian_hole(freq, 1.0, 0.3, center, 6e6)
+        fit = hb.fit_hole_lorentzian(freq, y)
+        assert fit.center == pytest.approx(center, abs=1e-9 * np.ptp(freq))
+        assert fit.fwhm == pytest.approx(6e6, rel=1e-8)
+
     def test_flat_trace_not_detected(self):
         fit = hb.fit_hole_lorentzian(self.freq, np.full_like(self.freq, 2.0))
         assert fit.depth == pytest.approx(0.0, abs=1e-3)

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holeburn import (BeamGeometry, MaterialParams, PopulationState, RateSet,
-                      beam_intensity, beam_radius, collection_efficiency,
-                      detuned_intensity, excited_population, ionization_rate,
+from holeburn import (BeamGeometry, MaterialParams, beam_intensity,
+                      beam_radius, collection_efficiency, detuned_intensity,
+                      excited_population, ionization_rate,
                       power_broadened_linewidth, r2_from_rates,
                       saturation_ratio, spont_recombination_rate,
-                      steady_state_fractions, steady_state_populations,
-                      trapped_fraction)
+                      steady_state, steady_state_fractions)
 
 
 @pytest.fixture
@@ -45,21 +44,6 @@ class TestParameterRecords:
         with pytest.raises(ValueError):
             BeamGeometry(power=1e-6, focus_fwhm=1e-6, waist=1e-6,
                          rayleigh=1e-5)
-
-    def test_rateset_equality_invariant(self):
-        with pytest.raises(ValueError):
-            RateSet(gamma_ion=1.0, gamma_rec_stim=2.0, gamma_rec_spon=1.0,
-                    gamma_trap=0.0)
-
-    def test_rateset_from_intensity(self, material):
-        rates = RateSet.from_intensity(1.765e8, material, gamma_trap=7e4)
-        assert rates.gamma_ion == pytest.approx(3.3e4, rel=0.01)
-        assert rates.gamma_ion == rates.gamma_rec_stim
-
-    def test_population_closure_enforced(self):
-        with pytest.raises(ValueError):
-            PopulationState(n_4f=1.0, n_5d=1.0, n_cb=1.0, n_trap=1.0,
-                            total=5.0)
 
 
 class TestSaturationRatio:
@@ -115,12 +99,6 @@ class TestSteadyState:
         with pytest.raises(ValueError):
             steady_state_fractions(0.5, 2.0)
 
-    def test_trapped_fraction(self):
-        assert trapped_fraction(0.0, 7e4, 1e-5) == 0.0
-        assert trapped_fraction(1e9, 7e4, 1e-5) == pytest.approx(1.0)
-        k, g = 2e-5, 5e4
-        assert trapped_fraction(1 / (g * k), g, k) == pytest.approx(1 - 1 / np.e)
-
     def test_excited_population(self):
         n0 = excited_population(0.0, 6e10, 2.0, 1e-4, 7e4)
         assert n0 == pytest.approx(2.0 * 1e-4 * 6e10)
@@ -131,20 +109,40 @@ class TestSteadyState:
         assert ratio == pytest.approx(1 / np.e)
 
     @settings(max_examples=200, deadline=None)
-    @given(r1=st.floats(1.0, 1e8), r2=st.floats(1.0, 1e8),
-           t=st.floats(0.0, 1e4), gamma=st.floats(0.0, 1e6))
-    def test_population_closure(self, r1, r2, t, gamma):
+    @given(r1=st.floats(1.0, 1e8), r2=st.floats(1.0, 1e8))
+    def test_population_closure(self, r1, r2):
+        # ground r1 r2 k, excited r2 k and conduction band k of the
+        # untrapped ions add up to all of them
         k = steady_state_fractions(r1, r2)
-        state = steady_state_populations(t, 6e10, r1, r2, k, gamma)
-        total = state.n_4f + state.n_5d + state.n_cb + state.n_trap
-        assert total == pytest.approx(6e10, rel=1e-12)
+        assert r1 * r2 * k + r2 * k + k == pytest.approx(1.0, rel=1e-12)
 
     def test_monotonicity(self):
         t = np.linspace(0, 100, 50)
-        trapped = trapped_fraction(t, 7e4, 1e-4)
-        assert np.all(np.diff(trapped) >= 0)
         excited = excited_population(t, 6e10, 2.0, 1e-4, 7e4)
         assert np.all(np.diff(excited) <= 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(i_l=st.floats(1e-3, 1e12), g_ion=st.floats(1e-6, 1e12),
+           g_ratio=st.floats(0.0, 10.0))
+    def test_steady_state_matches_ratio_form(self, i_l, g_ion, g_ratio):
+        material = MaterialParams(g_ratio=g_ratio)
+        r2 = r2_from_rates(g_ion, material.gamma_rec_spon)
+        k = steady_state_fractions(
+            saturation_ratio(i_l, material.sat_intensity), r2)
+        excited, k_q = steady_state(i_l, g_ion, material)
+        assert excited == pytest.approx(r2 * k, rel=1e-12)
+        assert k_q == pytest.approx(k, rel=1e-12)
+
+    @pytest.mark.parametrize("g_ion,g_ratio", [(0.0, 1.0), (5e3, 1.0),
+                                               (0.0, 0.0)])
+    def test_steady_state_dark_point(self, g_ion, g_ratio):
+        # zero intensity, also with both rates zero (q = 0/0)
+        material = MaterialParams(g_ratio=g_ratio)
+        excited, k = steady_state(np.array([0.0, 1e7]),
+                                  np.array([g_ion, g_ion]), material)
+        assert np.all(np.isfinite([excited, k]))
+        assert (excited[0], k[0]) == (0.0, 0.0)
+        assert excited[1] > 0 and k[1] >= 0
 
 
 class TestBeamOptics:

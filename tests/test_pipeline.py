@@ -118,42 +118,6 @@ class TestNormalize:
         assert np.allclose(vals, 1.5, rtol=1e-9)
 
 
-class TestMovingAverage:
-    def test_identity_window(self):
-        y = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        assert np.array_equal(hb.moving_average(y, 1), y)
-
-    def test_constant_unchanged(self):
-        y = np.full(100, 7.0)
-        assert np.allclose(hb.moving_average(y, 9), y, atol=1e-12)
-
-    def test_centered_and_truncated_edges(self):
-        y = np.array([0.0, 0.0, 3.0, 0.0, 0.0])
-        out = hb.moving_average(y, 3)
-        assert np.allclose(out, [0.0, 1.0, 1.0, 1.0, 0.0])
-        y2 = np.array([3.0, 0.0, 0.0, 0.0, 0.0])
-        assert hb.moving_average(y2, 3)[0] == pytest.approx(1.5)
-
-    def test_window_validation(self):
-        y = np.arange(10.0)
-        with pytest.raises(ValueError):
-            hb.moving_average(y, 0)
-        with pytest.raises(ValueError):
-            hb.moving_average(y, 11)
-
-    def test_smoothing_width_arithmetic(self):
-        # 100 points of a 5000-point scan covering 200 MHz span ~ 4 MHz
-        span, points = 200e6, 5000
-        assert 100 * span / points == pytest.approx(4e6)
-
-    def test_interior_mean_preserved_for_whole_periods(self):
-        n, period = 1200, 100
-        y = np.sin(2 * np.pi * np.arange(n) / period)
-        out = hb.moving_average(y, period)
-        h = period // 2
-        assert abs(np.mean(out[h:-h])) < 1e-12
-
-
 class TestPointRms:
     def make_norm(self, signal):
         n = len(signal)
@@ -186,14 +150,6 @@ class TestPointRms:
         scan = hb.NormalizedScan(freq=np.arange(100.0), signal=sig,
                                  excluded=np.arange(100) < 10)
         assert hb.point_rms(scan) == 0.0
-
-    def test_attach_point_rms(self):
-        rng = np.random.default_rng(1)
-        scan = self.make_norm(1.0 + rng.normal(0, 0.1, 1000))
-        assert scan.sigma_point is None
-        tagged = hb.attach_point_rms(scan)
-        assert tagged.sigma_point == pytest.approx(0.1, rel=0.1)
-        assert np.array_equal(tagged.signal, scan.signal)
 
 
 class TestHoleArea:

@@ -45,6 +45,16 @@ def test_iteration_cap_flags_nonconvergence():
     assert res.iterations == 2
 
 
+def test_tiny_start_steps_by_the_absolute_floor():
+    # a relative first step from 1e-30 would be ~1e-32 and stop at once
+    res = minimize(lambda p: (p[0] - 1.0) ** 2, [1e-30])
+    assert res.converged
+    assert res.x[0] == pytest.approx(1.0, abs=1e-6)
+    res = minimize_scalar(lambda x: (x - 1.0) ** 2, 1e-30)
+    assert res.converged
+    assert res.x == pytest.approx(1.0, abs=1e-6)
+
+
 def test_nonfinite_start_rejected():
     with pytest.raises(ValueError):
         minimize(lambda p: np.inf, [0.0])

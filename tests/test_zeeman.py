@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,21 +12,29 @@ def cfg():
 
 
 class TestTotalField:
+    # total = applied + field_sign * stray_field; the coil setting for a
+    # wanted total field is its inverse, applied_field
     def test_stray_cancellation(self, cfg):
         # applying -0.2 mT cancels the +0.2 mT stray field
-        assert hb.total_field(-0.2e-3, cfg) == pytest.approx(0.0, abs=1e-18)
+        assert hb.applied_field(0.0, cfg) == pytest.approx(-0.2e-3,
+                                                           rel=1e-15)
 
     def test_no_stray_identity(self):
         cfg = ZeemanConfig(stray_field=0.0)
-        assert hb.total_field(1.7e-3, cfg) == 1.7e-3
+        assert hb.applied_field(1.7e-3, cfg) == 1.7e-3
 
     def test_sign_flip_moves_zero(self):
         cfg = ZeemanConfig(field_sign=-1)
-        assert hb.total_field(0.2e-3, cfg) == pytest.approx(0.0, abs=1e-18)
+        assert hb.applied_field(0.0, cfg) == pytest.approx(0.2e-3,
+                                                           rel=1e-15)
+        res = hb.resonance_fields(44.5e6, cfg)
+        assert res.b_sum_applied == pytest.approx(1.0e-3 + 0.2e-3)
 
     def test_applied_inverts_total(self, cfg):
-        assert hb.applied_field(hb.total_field(1e-3, cfg), cfg) == \
-            pytest.approx(1e-3)
+        total = 1e-3
+        applied = hb.applied_field(total, cfg)
+        assert applied + cfg.field_sign * cfg.stray_field == \
+            pytest.approx(total)
 
 
 class TestSplittings:
@@ -48,27 +55,8 @@ class TestSplittings:
         dg2, de2 = hb.splittings(2 * b, cfg)
         assert dg2 == pytest.approx(2 * dg1, rel=1e-12, abs=1e-9)
         assert de2 == pytest.approx(2 * de1, rel=1e-12, abs=1e-9)
-
-
-class TestSubgroupLines:
-    def test_zero_field_degenerate(self, cfg):
-        lines = hb.subgroup_lines(8.08e14, 0.0, cfg)
-        for pair in (lines.a, lines.b, lines.c, lines.d):
-            assert pair[0] == pair[1] == 8.08e14
-
-    def test_pair_separations(self, cfg):
-        lines = hb.subgroup_lines(8.08e14, 1e-3, cfg)
-        seps = lines.separations()
-        assert seps["a"] == pytest.approx(44.5e6)
-        assert seps["d"] == pytest.approx(44.5e6)
-        assert seps["b"] == pytest.approx(6.5e6)
-        assert seps["c"] == pytest.approx(6.5e6)
-        assert set(np.round(list(seps.values()), 3)) == {44.5e6, 6.5e6}
-
-    def test_field_reversal_symmetry(self, cfg):
-        fwd = hb.subgroup_lines(8.08e14, 2e-3, cfg).separations()
-        rev = hb.subgroup_lines(8.08e14, -2e-3, cfg).separations()
-        assert fwd == rev
+        # reversing the field leaves the splittings unchanged
+        assert hb.splittings(-b, cfg) == (dg1, de1)
 
 
 class TestResonanceFields:

@@ -151,6 +151,8 @@ def _cmd_zeeman(args, cfg):
 def _cmd_gen_decay(args, cfg):
     noise = _noise_from_args(args)
     t_grid = np.linspace(0.0, args.t_end, args.n_t)
+    if not args.tol >= 0:
+        raise ValueError("tol must be nonnegative (0 skips refinement)")
     refine_tol = args.tol if args.tol > 0 else None
     # A single curve is the batch of one: it gets noise stream 0.
     powers = (_parse_floats(args.powers) if args.powers

@@ -8,6 +8,7 @@ outright; a missing file section falls back to the built-in defaults.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
@@ -99,6 +100,9 @@ def _collect(parser, section) -> dict:
             raise ConfigError(
                 f"key '{key}' in section [{section}] must be {typ.__name__}, "
                 f"got '{raw}'") from None
+        if typ is float and not math.isfinite(values[target]):
+            raise ConfigError(f"key '{key}' in section [{section}] must be "
+                              f"finite, got '{raw}'")
     return values
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .integrator import TrapDecayModel
 from .model import BeamGeometry, MaterialParams
+from .pipeline import median
 from .simplex import MinimizeOptions, minimize, minimize_scalar
 
 # Objective value at a nonpositive trapping rate, hole width or lifetime.
@@ -272,7 +273,7 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None,
 
     f_mid = 0.5 * (np.min(f) + np.max(f))
     x = (f - f_mid) / span
-    y_off = float(np.median(y))
+    y_off = median(y)
     y_scale = float(np.ptp(y)) or 1.0
     yn = (y - y_off) / y_scale
     weights = np.ones_like(y)  # 1/sigma on the normalized signal, or 1

@@ -98,7 +98,7 @@ class BeamGeometry:
     rayleigh: float
 
     def __post_init__(self):
-        if self.power < 0:
+        if not self.power >= 0:
             raise ValueError("power must be nonnegative")
         if self.focus_fwhm <= 0:
             raise ValueError("focus_fwhm must be positive")

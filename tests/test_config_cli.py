@@ -262,6 +262,34 @@ class TestCli:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in _SCHEMA.items()
+        for key, (_, typ) in keys.items() if typ is float])
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_config_float_exit_2(self, tmp_path, capsys, section,
+                                            key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n")
+        code = main(["--config", str(path), "zeeman",
+                     "--out", str(tmp_path / "z.csv")])
+        assert code == 2
+        assert f"'{key}' in section [{section}] must be finite" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("job", [
+        ["simulate", "--gamma-trap", "nan"],
+        ["simulate", "--tol", "nan"],
+        ["simulate", "--power-w", "nan"],
+        ["gen", "decay", "--tol", "nan"],
+        ["gen", "decay", "--tol", "-1"],
+    ], ids=["simulate-gamma-trap-nan", "simulate-tol-nan",
+            "simulate-power-nan", "gen-tol-nan", "gen-tol-negative"])
+    def test_invalid_number_flag_exit_2(self, tmp_path, capsys, job):
+        code = main([*job, "--t-end", "2", "--n-t", "2",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "must be nonnegative" in capsys.readouterr().err
+
     def test_fit_hole_end_to_end(self, tmp_path):
         scan_path = tmp_path / "scan.csv"
         report_path = tmp_path / "hole.json"

@@ -423,30 +423,49 @@ class TestTrapFit:
             hb.fit_trap_model([(curve, 2e-5)], material, domain=fast_domain)
 
 
-def scipy_modules_after(code):
-    """scipy modules loaded by `code` run in a fresh interpreter."""
+# scipy is a test-only dependency; numpy.polynomial (leggauss) and numpy.ma
+# (np.median) are numpy subpackages that load lazily, on first use, and
+# cost a CLI job their import time.
+UNUSED_MODULES = ("scipy", "numpy.polynomial", "numpy.ma")
+
+
+def modules_after(code, prefixes=UNUSED_MODULES):
+    """Modules in the `prefixes` packages loaded by `code` in a fresh
+    interpreter, as the printed sorted list."""
     src = str(Path(hb.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code += ("; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
+    code += (f"; print(sorted(m for m in sys.modules for p in {prefixes!r} "
+             "if m == p or m.startswith(p + '.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     return out.strip().splitlines()[-1]
 
 
+def cli_modules_after(job):
+    code = ("import sys; from holeburn.cli import main; "
+            f"assert main({job!r}) == 0")
+    return modules_after(code)
+
+
 def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: no runtime module imports it
-    assert scipy_modules_after("import sys, holeburn") == "[]"
+    assert modules_after("import sys, holeburn") == "[]"
+
+
+def test_modules_after_matches_whole_package_names():
+    code = "import sys, numpy.polynomial"
+    assert modules_after(code, ("numpy.ma",)) == "[]"
+    assert "'numpy.polynomial.legendre'" in modules_after(code)
 
 
 @pytest.mark.parametrize("command, flag, gen", [
     ("trap", [], ["gen", "decay", "--n-t", "21", "--tol", "0"]),
     ("hole", ["--scan"], ["gen", "holescan"]),
+    ("hole", ["--aom-off", "auto", "--scan"], ["gen", "holescan"]),
     ("expdecay", ["--series"], ["gen", "holedecay", "--offset", "0.05"]),
     ("linear", ["--points"], None),
-], ids=["trap", "hole", "expdecay", "linear"])
+], ids=["trap", "hole", "hole-auto", "expdecay", "linear"])
 def test_fit_command_loads_no_scipy(tmp_path, command, flag, gen):
     data = tmp_path / "data.csv"
     if gen is None:
@@ -454,8 +473,15 @@ def test_fit_command_loads_no_scipy(tmp_path, command, flag, gen):
         csvio.write_table(data, ["x", "y"], [x, 2 * x + np.sin(7 * x)])
     else:
         assert main([*gen, "--out", str(data)]) == 0
-    job = ["fit", command, *flag, str(data),
-           "--out", str(tmp_path / "fit.json")]
-    code = ("import sys; from holeburn.cli import main; "
-            f"assert main({job!r}) == 0")
-    assert scipy_modules_after(code) == "[]"
+    assert cli_modules_after(["fit", command, *flag, str(data),
+                              "--out", str(tmp_path / "fit.json")]) == "[]"
+
+
+@pytest.mark.parametrize("job", [
+    ["simulate", "--t-end", "5", "--n-t", "3"],
+    ["gen", "decay", "--t-end", "5", "--n-t", "3"],
+], ids=["simulate", "gen-decay"])
+def test_integrating_command_loads_no_lazy_module(tmp_path, job):
+    # both refine once, so the Gauss-Legendre rule is built for n = 48, 96
+    out = str(tmp_path / "out.csv")
+    assert cli_modules_after([*job, "--out", out]) == "[]"

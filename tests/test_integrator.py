@@ -151,6 +151,67 @@ class TestLevelSetRule:
         assert res.achieved_rel_change < 1e-9
 
 
+class TestGaussLegendre:
+    """The rule `LevelSetRule` places its nodes with."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200))
+    def test_nodes_and_weights(self, n):
+        x, w = integrator._gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and -1 < x[0] and x[-1] < 1
+        assert np.array_equal(x, -x[::-1])
+        assert np.all(w > 0)
+        assert np.array_equal(w, w[::-1])
+        assert abs(np.sum(w) - 2) <= 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200))
+    def test_exact_for_degree_below_2n(self, n):
+        x, w = integrator._gauss_legendre(n)
+        for k in range(2 * n):
+            integral = np.sum(w * x**k)
+            if k % 2:
+                assert abs(integral) <= 1e-14
+            else:
+                assert integral == pytest.approx(2 / (k + 1), rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200))
+    def test_matches_leggauss(self, n):
+        # leggauss is only an oracle here.  Its weights, rescaled to sum
+        # to 2, drift from 40-digit values by up to 4e-11 for n near 200,
+        # against 3e-13 for this rule, hence the weight tolerance.
+        x, w = integrator._gauss_legendre(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("n", [48, 96, 192])
+    def test_weights_match_40_digit_values(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        x, w = integrator._gauss_legendre(n)
+        with mpmath.workdps(40):
+            for xi, wi in zip(x, w):
+                # Newton on P_n in 40 digits from the float node
+                r = mpmath.mpf(float(xi))
+                for _ in range(3):
+                    p_prev, p = mpmath.mpf(1), r
+                    for j in range(1, n):
+                        p_prev, p = p, ((2 * j + 1) * r * p
+                                        - j * p_prev) / (j + 1)
+                    dp = n * (p_prev - r * p) / (1 - r * r)
+                    r -= p / dp
+                assert abs(float(xi) - r) <= 1e-15
+                assert abs(wi / (2 / ((1 - r * r) * dp**2)) - 1) <= 1e-12
+
+    def test_read_only_and_cached(self):
+        x, w = integrator._gauss_legendre(7)
+        assert not x.flags.writeable and not w.flags.writeable
+        again = integrator._gauss_legendre(7)
+        assert again[0] is x and again[1] is w
+
+
 class TestDetectedSignal:
     @pytest.mark.parametrize("domain", [
         hb.IntegrationDomain(r_max=40e-6, n_r=8, n_z=4, n_delta=4),

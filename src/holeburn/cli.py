@@ -8,24 +8,44 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import csvio, pipeline, synth, zeeman
+from . import csvio, zeeman
 from .config import ConfigError, load_config
-from .fitting import (FitError, fit_exponential, fit_hole_lorentzian,
-                      fit_linear_ci, fit_trap_model, hom_linewidth_from_hole)
 from .csvio import write_signal_csv
-from .integrator import (ConvergenceError, LevelSetRule,
-                         refine_until_converged)
+from .errors import ConvergenceError, FitError
 from .model import BeamGeometry
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_FITFAIL = 4
+
+def _deferred(module, name):
+    """Stand-in for `module.name` that imports the module on its first call.
+
+    The handlers call these names through this module's globals, so a job
+    imports only the modules its subcommand runs, and the names stay
+    replaceable here (bench/tracing.py wraps them).
+    """
+    def call(*args, **kwargs):
+        real = getattr(importlib.import_module(f".{module}", __package__), name)
+        return real(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+refine_until_converged = _deferred("integrator", "refine_until_converged")
+fit_trap_model = _deferred("fitting", "fit_trap_model")
+fit_hole_lorentzian = _deferred("fitting", "fit_hole_lorentzian")
+fit_exponential = _deferred("fitting", "fit_exponential")
+fit_linear_ci = _deferred("fitting", "fit_linear_ci")
 
 
 def _parse_range(text):
@@ -41,8 +61,9 @@ def _parse_floats(text):
 
 
 def _noise_from_args(args):
-    return synth.NoiseSpec(kind=args.noise, seed=args.seed,
-                           gaussian_sigma=getattr(args, "gaussian_sigma", 0.0))
+    from .synth import NoiseSpec
+    return NoiseSpec(kind=args.noise, seed=args.seed,
+                     gaussian_sigma=getattr(args, "gaussian_sigma", 0.0))
 
 
 def _report(cfg, command, payload) -> dict:
@@ -50,6 +71,7 @@ def _report(cfg, command, payload) -> dict:
 
 
 def _cmd_simulate(args, cfg):
+    from .integrator import LevelSetRule
     power = cfg.beam_power if args.power_w is None else args.power_w
     gamma_trap = args.gamma_trap
     if args.t_end < 0:
@@ -72,6 +94,7 @@ def _cmd_simulate(args, cfg):
 
 
 def _cmd_fit_trap(args, cfg):
+    from .integrator import LevelSetRule
     curves = []
     for path in args.curves:
         curve = csvio.read_decay_curve(path)
@@ -92,6 +115,8 @@ def _cmd_fit_trap(args, cfg):
 
 
 def _cmd_fit_hole(args, cfg):
+    from . import pipeline
+    from .fitting import hom_linewidth_from_hole
     if args.aom_off == "auto":
         scan = csvio.read_raw_scan(args.scan, aom_off_range=(0, 1))
         detected = pipeline.detect_aom_off_range(scan.power_monitor)
@@ -149,6 +174,8 @@ def _cmd_zeeman(args, cfg):
 
 
 def _cmd_gen_decay(args, cfg):
+    from . import synth
+    from .integrator import LevelSetRule
     noise = _noise_from_args(args)
     t_grid = np.linspace(0.0, args.t_end, args.n_t)
     if not args.tol >= 0:
@@ -175,6 +202,7 @@ def _cmd_gen_decay(args, cfg):
 
 
 def _cmd_gen_holescan(args, cfg):
+    from . import synth
     noise = _noise_from_args(args)
     freq = np.linspace(args.f_min, args.f_max, args.n_points)
     scan = synth.gen_hole_scan(freq, args.baseline, args.depth, args.center,
@@ -189,6 +217,7 @@ def _cmd_gen_holescan(args, cfg):
 
 
 def _cmd_gen_holedecay(args, cfg):
+    from . import synth
     noise = _noise_from_args(args)
     waits = np.linspace(0.0, args.wait_max, args.n_points)
     areas = synth.gen_hole_decay_series(args.tau, args.offset, waits, noise,
@@ -312,9 +341,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a token that starts with '-' as an option unless it looks
+# like a plain negative number, and that test misses exponents ('-6e7').
+_NEGATIVE_EXPONENT = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
+def _join_negative_values(argv):
+    """Pass '--flag -6e7' as '--flag=-6e7', the form argparse accepts."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and out[-1] != "--"
+                and "=" not in out[-1] and _NEGATIVE_EXPONENT.fullmatch(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args, load_config(args.config))
     except ConvergenceError as exc:

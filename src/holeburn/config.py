@@ -12,15 +12,26 @@ import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .fitting import TrapFitOptions
-from .integrator import ScaledSignalParams
 from .model import MaterialParams
 from .zeeman import ZeemanConfig
+
+if TYPE_CHECKING:
+    from .integrator import ScaledSignalParams
 
 
 class ConfigError(ValueError):
     """Invalid or unreadable run configuration."""
+
+
+@dataclass(frozen=True)
+class TrapFitOptions:
+    """Settings of the trap fit, the [fit] section of the config."""
+
+    gamma_trap_seed: float = 1e5
+    max_iter: int = 8000
+    xtol_rel: float = 1e-9
 
 
 # The one map from config keys to RunConfig: section -> key -> (target,
@@ -75,6 +86,7 @@ class RunConfig:
     confidence: float = 0.80
 
     def scaled_params(self, power=None) -> ScaledSignalParams:
+        from .integrator import ScaledSignalParams
         return ScaledSignalParams(scale_a=self.scale_a,
                                   background_b=self.background_b,
                                   power=self.beam_power if power is None else power)

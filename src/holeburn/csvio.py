@@ -10,12 +10,24 @@ defined once.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .pipeline import NormalizedScan, RawScan
-from .synth import DecayCurve
+if TYPE_CHECKING:
+    from .pipeline import NormalizedScan, RawScan
+
+
+@dataclass
+class DecayCurve:
+    """Fluorescence decay record: count rate versus time under constant drive."""
+
+    time_s: np.ndarray
+    counts_per_s: np.ndarray
+    power_w: Optional[float] = None
+    meta: dict = field(default_factory=dict)
 
 
 def write_table(path, header, columns, meta=None):
@@ -117,6 +129,7 @@ def write_raw_scan(path, scan: RawScan):
 
 
 def read_raw_scan(path, aom_off_range=None) -> RawScan:
+    from .pipeline import RawScan
     meta, cols = _read_table(path, ["freq_hz", "fluor_counts", "power_counts"])
     if aom_off_range is None:
         try:

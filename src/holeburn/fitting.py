@@ -22,6 +22,8 @@ from typing import Optional
 
 import numpy as np
 
+from .config import TrapFitOptions
+from .errors import FitError
 from .integrator import TrapDecayModel
 from .model import BeamGeometry, MaterialParams
 from .pipeline import median
@@ -33,14 +35,6 @@ _REJECT = 1e300
 # A fitted lifetime longer than this many sampled spans cannot be told from
 # a straight line by the data, so the lifetime fit rejects it.
 _MAX_TAU_SPANS = 100
-
-
-class FitError(RuntimeError):
-    """A fit could not produce a usable parameter estimate."""
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 def lorentzian_hole(freq, baseline, depth, center, fwhm):
@@ -236,13 +230,6 @@ class TrapFitResult:
             "iterations": self.iterations,
             "nfev": self.nfev,
         }
-
-
-@dataclass(frozen=True)
-class TrapFitOptions:
-    gamma_trap_seed: float = 1e5
-    max_iter: int = 8000
-    xtol_rel: float = 1e-9
 
 
 def fit_hole_lorentzian(freq, signal, sigma_point=None,

@@ -37,6 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import model
+from .errors import ConvergenceError
 from .model import BeamGeometry, MaterialParams
 
 # Node-time pairs per block of `_decay_sum` (one 8 MB float64 work array).
@@ -46,14 +47,6 @@ _SUM_BLOCK_ELEMENTS = 1 << 20
 # the histogram is at most 2e-5 off the exact sum from 2 to 44 uW, far
 # below any fit tolerance.
 _N_BINS = 1024
-
-
-class ConvergenceError(RuntimeError):
-    """Grid refinement hit its cap without meeting the tolerance."""
-
-    def __init__(self, message, best_result=None):
-        super().__init__(message)
-        self.best_result = best_result
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,8 @@ class IntegrationDomain:
     n_delta: int = 128
 
     def __post_init__(self):
-        if self.r_max <= 0 or self.z_halfwidth <= 0 or self.delta_halfwidth <= 0:
+        if not (self.r_max > 0 and self.z_halfwidth > 0
+                and self.delta_halfwidth > 0):
             raise ValueError("integration limits must be positive")
         if min(self.n_r, self.n_z, self.n_delta) < 1:
             raise ValueError("grid counts must be at least 1")
@@ -132,11 +126,11 @@ class ScaledSignalParams:
     power: float
 
     def __post_init__(self):
-        if self.scale_a <= 0:
+        if not self.scale_a > 0:
             raise ValueError("scale_a must be positive")
-        if self.background_b < 0:
+        if not self.background_b >= 0:
             raise ValueError("background_b must be nonnegative")
-        if self.power < 0:
+        if not self.power >= 0:
             raise ValueError("power must be nonnegative")
 
 

@@ -70,9 +70,9 @@ class MaterialParams:
         for name in ("sat_intensity", "sigma_ion", "sigma_rec",
                      "photoioniz_fwhm", "vac_wavelength", "refr_index",
                      "hom_linewidth0", "ion_density", "fluor_rate"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.g_ratio < 0:
+        if not self.g_ratio >= 0:
             raise ValueError("g_ratio must be nonnegative")
         if not 0 < self.coll0 <= 1:
             raise ValueError("coll0 must lie in (0, 1]")
@@ -100,12 +100,12 @@ class BeamGeometry:
     def __post_init__(self):
         if not self.power >= 0:
             raise ValueError("power must be nonnegative")
-        if self.focus_fwhm <= 0:
+        if not self.focus_fwhm > 0:
             raise ValueError("focus_fwhm must be positive")
         if not np.isclose(self.waist, self.focus_fwhm / np.sqrt(2 * np.log(2)),
                           rtol=1e-9):
             raise ValueError("waist inconsistent with focus_fwhm")
-        if self.rayleigh <= 0:
+        if not self.rayleigh > 0:
             raise ValueError("rayleigh must be positive")
 
     @classmethod

@@ -9,11 +9,12 @@ one batch; an identical noise spec therefore reproduces identical data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .csvio import DecayCurve
 from .fitting import exp_decay, lorentzian_hole
 from .integrator import (ScaledSignalParams, detected_signal,
                          refine_until_converged)
@@ -34,18 +35,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"kind must be one of {_NOISE_KINDS}")
-        if self.kind == "gaussian" and self.gaussian_sigma < 0:
+        if self.kind == "gaussian" and not self.gaussian_sigma >= 0:
             raise ValueError("gaussian_sigma must be nonnegative")
-
-
-@dataclass
-class DecayCurve:
-    """Fluorescence decay record: count rate versus time under constant drive."""
-
-    time_s: np.ndarray
-    counts_per_s: np.ndarray
-    power_w: Optional[float] = None
-    meta: dict = field(default_factory=dict)
 
 
 def _rng(noise: NoiseSpec, stream: int = 0) -> np.random.Generator:
@@ -143,12 +134,16 @@ def gen_hole_scan(freq, baseline: float, depth: float, center: float,
     f = np.asarray(freq, dtype=float)
     if f.ndim != 1 or f.size < 2:
         raise ValueError("freq must be a 1-D axis with at least 2 points")
-    if fwhm <= 0:
+    if not fwhm > 0:
         raise ValueError("fwhm must be positive")
-    if depth < 0:
+    if not depth >= 0:
         raise ValueError("depth must be nonnegative")
-    if power_level <= 0:
+    if not power_level > 0:
         raise ValueError("power_level must be positive")
+    if not np.all(np.isfinite([baseline, center, power_slope, fluor_offset,
+                               power_offset])):
+        raise ValueError("baseline, center, power_slope and the offsets "
+                         "must be finite")
     a, b = aom_off_range
     if not (0 <= a < b <= f.size):
         raise ValueError("aom_off_range must be a nonempty interval inside "
@@ -188,7 +183,9 @@ def gen_hole_decay_series(tau: float, offset: float, wait_times,
     t = np.asarray(wait_times, dtype=float)
     if np.any(np.diff(t) < 0):
         raise ValueError("wait_times must be ascending")
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
+    if not np.isfinite(offset) or not np.isfinite(amplitude):
+        raise ValueError("offset and amplitude must be finite")
     clean = exp_decay(t, amplitude, tau, offset)
     return apply_noise(clean, noise, stream)

@@ -9,6 +9,7 @@ flipped to model a reversed coil polarity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,8 +26,10 @@ class ZeemanConfig:
     field_sign: int = 1
 
     def __post_init__(self):
-        if self.g_ground <= 0 or self.g_excited <= 0:
+        if not (self.g_ground > 0 and self.g_excited > 0):
             raise ValueError("splitting coefficients must be positive")
+        if not math.isfinite(self.stray_field):
+            raise ValueError("stray_field must be finite")
         if self.field_sign not in (-1, 1):
             raise ValueError("field_sign must be +1 or -1")
 
@@ -66,8 +69,8 @@ def resonance_fields(delta_f_laser, cfg: ZeemanConfig) -> ResonanceFields:
     ground and excited splittings, or their difference.  The sum condition
     always sits at the lowest field.
     """
-    if delta_f_laser <= 0:
-        raise ValueError("delta_f_laser must be positive")
+    if not 0 < delta_f_laser < math.inf:
+        raise ValueError("delta_f_laser must be positive and finite")
     b_ground = delta_f_laser / cfg.g_ground
     b_sum = delta_f_laser / (cfg.g_ground + cfg.g_excited)
     diff = abs(cfg.g_ground - cfg.g_excited)

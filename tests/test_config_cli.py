@@ -290,6 +290,33 @@ class TestCli:
         assert code == 2
         assert "must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("job", [
+        ["zeeman", "--delta-f", "nan,1e6"],
+        ["zeeman", "--delta-f", "inf"],
+        ["gen", "holedecay", "--tau", "nan"],
+        ["gen", "holedecay", "--offset", "nan"],
+        ["gen", "holescan", "--center", "nan"],
+    ], ids=["zeeman-delta-f-nan", "zeeman-delta-f-inf", "holedecay-tau-nan",
+            "holedecay-offset-nan", "holescan-center-nan"])
+    def test_non_finite_flag_exit_2(self, tmp_path, capsys, job):
+        out = tmp_path / "x.csv"
+        assert main([*job, "--out", str(out)]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("center", [
+        ["--center", "-6e7"], ["--center=-6e7"], ["--center", "-6.0E+07"],
+        ["--center", "-60000000"]], ids=["exponent", "equals", "upper",
+                                         "plain"])
+    def test_negative_exponent_value_parses(self, tmp_path, center):
+        out = tmp_path / "scan.csv"
+        assert main(["gen", "holescan", "--f-min", "-1e8", *center,
+                     "--n-points", "200", "--aom-off", "0:20",
+                     "--out", str(out)]) == 0
+        meta, cols = csvio._read_table(out, ["freq_hz"])
+        assert float(meta["center_hz"]) == -6e7
+        assert cols["freq_hz"][0] == -1e8
+
     def test_fit_hole_end_to_end(self, tmp_path):
         scan_path = tmp_path / "scan.csv"
         report_path = tmp_path / "hole.json"

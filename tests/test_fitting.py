@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -443,10 +444,10 @@ def modules_after(code, prefixes=UNUSED_MODULES):
     return out.strip().splitlines()[-1]
 
 
-def cli_modules_after(job):
+def cli_modules_after(job, prefixes=UNUSED_MODULES):
     code = ("import sys; from holeburn.cli import main; "
             f"assert main({job!r}) == 0")
-    return modules_after(code)
+    return modules_after(code, prefixes)
 
 
 def test_import_loads_no_scipy():
@@ -459,22 +460,63 @@ def test_modules_after_matches_whole_package_names():
     assert "'numpy.polynomial.legendre'" in modules_after(code)
 
 
-@pytest.mark.parametrize("command, flag, gen", [
+def holeburn_modules_after(job):
+    """The holeburn modules a CLI job loads in a fresh interpreter."""
+    return set(ast.literal_eval(cli_modules_after(job, ("holeburn",))))
+
+
+FIT_JOBS = pytest.mark.parametrize("command, flag, gen", [
     ("trap", [], ["gen", "decay", "--n-t", "21", "--tol", "0"]),
     ("hole", ["--scan"], ["gen", "holescan"]),
     ("hole", ["--aom-off", "auto", "--scan"], ["gen", "holescan"]),
     ("expdecay", ["--series"], ["gen", "holedecay", "--offset", "0.05"]),
     ("linear", ["--points"], None),
 ], ids=["trap", "hole", "hole-auto", "expdecay", "linear"])
-def test_fit_command_loads_no_scipy(tmp_path, command, flag, gen):
+
+
+def fit_job(tmp_path, command, flag, gen):
+    """Write the input of a `fit` job; return the job's arguments."""
     data = tmp_path / "data.csv"
     if gen is None:
         x = np.linspace(0.0, 5.0, 10)
         csvio.write_table(data, ["x", "y"], [x, 2 * x + np.sin(7 * x)])
     else:
         assert main([*gen, "--out", str(data)]) == 0
-    assert cli_modules_after(["fit", command, *flag, str(data),
-                              "--out", str(tmp_path / "fit.json")]) == "[]"
+    return ["fit", command, *flag, str(data),
+            "--out", str(tmp_path / "fit.json")]
+
+
+@FIT_JOBS
+def test_fit_command_loads_no_scipy(tmp_path, command, flag, gen):
+    assert cli_modules_after(fit_job(tmp_path, command, flag, gen)) == "[]"
+
+
+@FIT_JOBS
+def test_fit_command_loads_no_synth(tmp_path, command, flag, gen):
+    job = fit_job(tmp_path, command, flag, gen)
+    assert "holeburn.synth" not in holeburn_modules_after(job)
+
+
+def test_import_holeburn_loads_no_module():
+    assert modules_after("import sys, holeburn",
+                         ("numpy", "holeburn")) == "['holeburn']"
+
+
+# Loaded by every CLI job: the front end, the config and what it holds.
+CLI_CORE = {"holeburn", "holeburn.cli", "holeburn.config",
+            "holeburn.constants", "holeburn.csvio", "holeburn.errors",
+            "holeburn.model", "holeburn.zeeman"}
+
+
+def test_simulate_loads_only_the_integrator(tmp_path):
+    job = ["simulate", "--t-end", "5", "--n-t", "3",
+           "--out", str(tmp_path / "s.csv")]
+    assert holeburn_modules_after(job) == CLI_CORE | {"holeburn.integrator"}
+
+
+def test_zeeman_loads_only_the_cli_core(tmp_path):
+    job = ["zeeman", "--delta-f", "1e6", "--out", str(tmp_path / "z.csv")]
+    assert holeburn_modules_after(job) == CLI_CORE
 
 
 @pytest.mark.parametrize("job", [

@@ -1,0 +1,169 @@
+"""Package-wide contracts: the lazy namespace, the names the bench tracer
+wraps, and the records' rejection of NaN."""
+
+import dataclasses
+import importlib
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import holeburn as hb
+from holeburn.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# The public names of the package, as listed before its namespace was lazy.
+PUBLIC_NAMES = {
+    "BeamGeometry", "ConvergenceError", "DecayCurve", "ExpDecayFit",
+    "FitError", "HoleArea", "IntegrationDomain", "LevelSetRule", "LinearFit",
+    "LorentzianHoleFit", "MaterialParams", "MinimizeOptions",
+    "MinimizeResult", "NoiseSpec", "NormalizedScan", "PLANCK_CONSTANT",
+    "PipelineOrderError", "RawScan", "ResonanceFields", "SPEED_OF_LIGHT",
+    "ScaledSignalParams", "SignalResult", "TrapDecayModel", "TrapFitOptions",
+    "TrapFitResult", "ZeemanConfig", "applied_field", "apply_noise",
+    "beam_intensity", "beam_radius", "collection_efficiency",
+    "detect_aom_off_range", "detected_signal", "detuned_intensity",
+    "excited_population", "exp_decay", "fit_exponential",
+    "fit_hole_lorentzian", "fit_linear_ci", "fit_trap_model",
+    "gen_decay_batch", "gen_decay_curve", "gen_hole_decay_series",
+    "gen_hole_scan", "hole_area_with_error", "hom_linewidth_from_hole",
+    "ionization_rate", "lorentzian_hole", "minimize", "minimize_scalar",
+    "normalize_by_power", "photon_energy", "point_rms",
+    "power_broadened_linewidth", "r2_from_rates", "refine_until_converged",
+    "resonance_fields", "saturation_ratio", "scaled_signal", "splittings",
+    "spont_recombination_rate", "steady_state", "steady_state_fractions",
+    "subtract_background",
+}
+
+
+def run_fresh(code):
+    """Run `code` in a fresh interpreter on this source tree; its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, cwd=ROOT).stdout
+
+
+class TestLazyNamespace:
+    def test_all_is_unchanged(self):
+        assert set(hb.__all__) == PUBLIC_NAMES
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_NAMES))
+    def test_name_is_its_module_attribute(self, name):
+        module = importlib.import_module(f"holeburn.{hb._MODULE_OF[name]}")
+        assert getattr(hb, name) is getattr(module, name)
+
+    @pytest.mark.parametrize("name", hb._SUBMODULES)
+    def test_submodule_resolves(self, name):
+        assert getattr(hb, name) is importlib.import_module(f"holeburn.{name}")
+
+    def test_dir_lists_public_names(self):
+        listing = dir(hb)
+        assert "__all__" in listing
+        assert PUBLIC_NAMES <= set(listing)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hb.no_such_name
+        assert not hasattr(hb, "median")
+
+    def test_star_import_in_fresh_interpreter(self):
+        out = run_fresh("from holeburn import *; print(len(dir()))")
+        assert int(out) >= len(PUBLIC_NAMES)
+
+
+def test_bench_tracer_instruments_fresh_package(tmp_path):
+    """bench/tracing.py wraps names that the CLI looks up when a job runs;
+    every one must exist and each wrapped layer must still be reached."""
+    curve, scan, points = (tmp_path / n for n in ("c.csv", "s.csv", "p.csv"))
+    assert main(["gen", "decay", "--n-t", "21", "--tol", "0",
+                 "--out", str(curve)]) == 0
+    assert main(["gen", "holescan", "--n-points", "400", "--aom-off", "0:40",
+                 "--out", str(scan)]) == 0
+    x = np.linspace(0.0, 5.0, 10)
+    hb.csvio.write_table(points, ["x", "y"], [x, 2 * x + np.sin(7 * x)])
+    out = str(tmp_path / "out")
+    jobs = [["simulate", "--t-end", "5", "--n-t", "3", "--out", out + ".csv"],
+            ["fit", "trap", str(curve), "--out", out + ".json"],
+            ["fit", "hole", "--scan", str(scan), "--out", out + ".json"],
+            ["fit", "linear", "--points", str(points), "--out", out + ".json"]]
+    code = f"""
+import importlib.util, json
+spec = importlib.util.spec_from_file_location(
+    "tracing", {str(ROOT / "bench" / "tracing.py")!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import holeburn
+rec = tracing.Recorder()
+restore = tracing.instrument(rec, holeburn)
+codes = [holeburn.cli.main(job) for job in {jobs!r}]
+restore()
+print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in rec.spans}}),
+                  "counts": rec.counts}}))
+"""
+    report = json.loads(run_fresh(code).strip().splitlines()[-1])
+    assert report["codes"] == [0] * len(jobs)
+    assert {"integrator.refine", "csvio.write_signal_csv", "fitting.trap",
+            "integrator.cloud", "integrator.compress", "fitting.hole",
+            "simplex.minimize", "csvio.read_raw_scan",
+            "pipeline.normalize_by_power", "fitting.linear",
+            "csvio.write_report"} <= set(report["spans"])
+    assert report["counts"]["integrator.refinements"] > 0
+
+
+def _records():
+    """(record class, valid keyword arguments) for every validated record."""
+    geom = hb.BeamGeometry.from_focus(2e-5, 1e-6, 371e-9, 1.8)
+    return [
+        (hb.MaterialParams, {}),
+        (hb.BeamGeometry, dataclasses.asdict(geom)),
+        (hb.ScaledSignalParams, {"scale_a": 0.19, "background_b": 9.4e7,
+                                 "power": 2e-5}),
+        (hb.IntegrationDomain, {}),
+        (hb.ZeemanConfig, {}),
+        (hb.NoiseSpec, {"kind": "gaussian", "gaussian_sigma": 0.1}),
+    ]
+
+
+@pytest.mark.parametrize("record, kwargs, name", [
+    (record, kwargs, f.name) for record, kwargs in _records()
+    for f in dataclasses.fields(record)
+    if isinstance(kwargs.get(f.name, f.default), float)
+], ids=lambda v: v if isinstance(v, str) else getattr(v, "__name__", ""))
+def test_record_rejects_nan(record, kwargs, name):
+    record(**kwargs)
+    with pytest.raises(ValueError):
+        record(**{**kwargs, name: math.nan})
+
+
+NAN = math.nan
+FREQ = np.linspace(-1e8, 1e8, 200)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hb.gen_hole_scan(FREQ, 1.0, 0.3, 0.0, NAN, 1e3, (0, 20)),
+    lambda: hb.gen_hole_scan(FREQ, 1.0, NAN, 0.0, 6e6, 1e3, (0, 20)),
+    lambda: hb.gen_hole_scan(FREQ, 1.0, 0.3, 0.0, 6e6, NAN, (0, 20)),
+    lambda: hb.gen_hole_scan(FREQ, NAN, 0.3, 0.0, 6e6, 1e3, (0, 20)),
+    lambda: hb.gen_hole_scan(FREQ, 1.0, 0.3, NAN, 6e6, 1e3, (0, 20)),
+    lambda: hb.gen_hole_scan(FREQ, 1.0, 0.3, 0.0, 6e6, 1e3, (0, 20),
+                             fluor_offset=math.inf),
+    lambda: hb.gen_hole_decay_series(NAN, 0.0, [0.0, 0.1]),
+    lambda: hb.gen_hole_decay_series(0.1, NAN, [0.0, 0.1]),
+    lambda: hb.gen_hole_decay_series(0.1, 0.0, [0.0, 0.1], amplitude=NAN),
+    lambda: hb.resonance_fields(NAN, hb.ZeemanConfig()),
+    lambda: hb.resonance_fields(math.inf, hb.ZeemanConfig()),
+], ids=["holescan-fwhm", "holescan-depth", "holescan-power-level",
+        "holescan-baseline", "holescan-center", "holescan-fluor-offset-inf",
+        "holedecay-tau", "holedecay-offset", "holedecay-amplitude",
+        "delta-f-nan", "delta-f-inf"])
+def test_generator_rejects_non_finite(call):
+    with pytest.raises(ValueError):
+        call()

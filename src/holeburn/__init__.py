@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "config": ("TrapFitOptions",),
     "constants": ("PLANCK_CONSTANT", "SPEED_OF_LIGHT", "photon_energy"),
     "csvio": ("DecayCurve",),
     "errors": ("ConvergenceError", "FitError"),
@@ -40,7 +39,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}
-_SUBMODULES = ("cli", *_EXPORTS)
+_SUBMODULES = ("cli", "config", *_EXPORTS)
 
 __all__ = sorted(_MODULE_OF)
 

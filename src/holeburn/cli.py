@@ -102,7 +102,7 @@ def _cmd_fit_trap(args, cfg):
             raise ValueError(f"{path}: curve metadata lacks power_w")
         curves.append(curve)
     result = fit_trap_model(curves, cfg.material, focus_fwhm=cfg.focus_fwhm,
-                            domain=LevelSetRule(), options=cfg.fit)
+                            domain=LevelSetRule())
     if not result.converged:
         raise FitError("trap fit did not converge",
                        diagnostics=result.to_dict())

@@ -25,15 +25,6 @@ class ConfigError(ValueError):
     """Invalid or unreadable run configuration."""
 
 
-@dataclass(frozen=True)
-class TrapFitOptions:
-    """Settings of the trap fit, the [fit] section of the config."""
-
-    gamma_trap_seed: float = 1e5
-    max_iter: int = 8000
-    xtol_rel: float = 1e-9
-
-
 # The one map from config keys to RunConfig: section -> key -> (target,
 # type).  A target is a RunConfig attribute, or "record.field" for a field
 # of one of its records.  Loading and echoing both read only this table.
@@ -66,9 +57,6 @@ _SCHEMA = {
         "field_sign": ("zeeman.field_sign", int),
     },
     "fit": {
-        "gamma_trap_seed_per_s": ("fit.gamma_trap_seed", float),
-        "max_iter": ("fit.max_iter", int),
-        "xtol_rel": ("fit.xtol_rel", float),
         "confidence": ("confidence", float),
     },
 }
@@ -82,7 +70,6 @@ class RunConfig:
     scale_a: float = 0.19
     background_b: float = 9.4e7
     zeeman: ZeemanConfig = field(default_factory=ZeemanConfig)
-    fit: TrapFitOptions = field(default_factory=TrapFitOptions)
     confidence: float = 0.80
 
     def scaled_params(self, power=None) -> ScaledSignalParams:

@@ -3,11 +3,12 @@
 Scale-like parameters enter every model linearly, so the minimizer
 searches only the nonlinear ones and the objective solves the rest by
 linear least squares (variable projection, Golub & Pereyra 1973).  The
-hole and lifetime fits search by simplex (`minimize`); the trap fit has
-one nonlinear parameter, gamma_trap, and searches by Brent's method
-(`minimize_scalar`).  One active-set solver, `_least_squares`, serves
-every fit: the trap fit bounds all its coefficients at 0, the hole fit its
-depth, the lifetime fit none.
+hole fit searches its center and width by simplex (`minimize`); the trap
+and lifetime fits have one nonlinear parameter each, gamma_trap and the
+log of tau, and search it by Brent's method (`minimize_scalar`).  The
+search settings are the constants below, not options.  One active-set
+solver, `_least_squares`, serves every fit: the trap fit bounds all its
+coefficients at 0, the hole fit its depth, the lifetime fit none.
 The search runs on normalized data (frequencies in units of the scan span,
 signals in units of their spread), so its stopping rule is invariant to
 shifts and scaling.  Reported values are in physical units, with
@@ -22,15 +23,20 @@ from typing import Optional
 
 import numpy as np
 
-from .config import TrapFitOptions
 from .errors import FitError
 from .integrator import TrapDecayModel
 from .model import BeamGeometry, MaterialParams
 from .pipeline import median
 from .simplex import MinimizeOptions, minimize, minimize_scalar
 
-# Objective value at a nonpositive trapping rate, hole width or lifetime.
+# Objective value at a nonpositive trapping rate or hole width.
 _REJECT = 1e300
+
+# Search settings of the hole and lifetime fits, and of the trap fit, which
+# searches gamma_trap in units of _GAMMA_SEED [1/s] from 1.
+_SEARCH = MinimizeOptions(xtol_rel=1e-10, ftol_rel=1e-10, max_iter=4000)
+_TRAP_SEARCH = MinimizeOptions(xtol_rel=1e-9, max_iter=8000)
+_GAMMA_SEED = 1e5
 
 # A fitted lifetime longer than this many sampled spans cannot be told from
 # a straight line by the data, so the lifetime fit rejects it.
@@ -232,9 +238,7 @@ class TrapFitResult:
         }
 
 
-def fit_hole_lorentzian(freq, signal, sigma_point=None,
-                        options: Optional[MinimizeOptions] = None
-                        ) -> LorentzianHoleFit:
+def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     """Fit a constant minus a Lorentzian to an (unsmoothed) hole scan.
 
     Parameters
@@ -281,9 +285,7 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None,
         return project(p)[1] if p[1] > 0 else _REJECT
 
     # Seeds: center at the minimum, width at 10% of the span.
-    opts = options or MinimizeOptions(xtol_rel=1e-10, ftol_rel=1e-10,
-                                      max_iter=4000)
-    res = minimize(objective, [float(x[np.argmin(yn)]), 0.1], opts)
+    res = minimize(objective, [float(x[np.argmin(yn)]), 0.1], _SEARCH)
 
     (cn, dn), _ = project(res.x)
     xn0, wn = res.x
@@ -327,14 +329,16 @@ def hom_linewidth_from_hole(fwhm):
     return fwhm / 2.0
 
 
-def fit_exponential(times, values, with_offset=True,
-                    options: Optional[MinimizeOptions] = None) -> ExpDecayFit:
+def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     """Fit a exp(-t/tau) plus an optional constant floor.
 
     The offset mode captures a persistent residual level that the decay
-    relaxes onto instead of zero.  Raises FitError when the data resolve
-    no lifetime: tau far below the sample spacing, or beyond
-    `_MAX_TAU_SPANS` sampled spans.
+    relaxes onto instead of zero.  Brent's method searches u = log(tau /
+    span) from log(1/3), so tau stays positive.  Raises FitError when the
+    data resolve no lifetime (the decay is complete within the shortest
+    sampling step, or tau exceeds `_MAX_TAU_SPANS` sampled spans), or when
+    the amplitude at t = 0 overflows because the samples start many
+    lifetimes later.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -358,27 +362,29 @@ def fit_exponential(times, values, with_offset=True,
             cols.append(np.ones_like(xt))
         return _least_squares(np.column_stack(cols), yn)
 
-    def objective(p):
-        return project(p[0])[1] if p[0] > 0 else _REJECT
+    res = minimize_scalar(lambda u: project(np.exp(u))[1], np.log(1 / 3),
+                          _SEARCH)
 
-    opts = options or MinimizeOptions(xtol_rel=1e-10, ftol_rel=1e-10,
-                                      max_iter=4000)
-    res = minimize(objective, [1.0 / 3.0], opts)
-
-    tau_n = res.x[0]
+    tau_n = np.exp(res.x)
     coef, _ = project(tau_n)
     tau = tau_n * tspan
+    diagnostics = {"tau_s": float(tau), "span_s": tspan,
+                   "iterations": res.iterations, "nfev": res.nfev}
+    # Below machine epsilon the decay over the shortest step leaves no trace
+    # in the next sample; past _MAX_TAU_SPANS spans it is a straight line.
+    if (np.exp(-np.min(np.diff(t)) / tau) < np.finfo(float).eps
+            or tau > _MAX_TAU_SPANS * tspan):
+        raise FitError("exponential fit found no resolvable decay",
+                       diagnostics=diagnostics)
     # Amplitude refers to t = 0 of the model a exp(-t/tau); the internal
     # fit is anchored at t[0].
     with np.errstate(over="ignore"):
         amp = coef[0] * y_scale * np.exp(t[0] / tau)
-    # tau collapsed far below the sample spacing, or grew so far past the
-    # sampled span that the decay is indistinguishable from a line.
-    if not np.isfinite(amp) or tau > _MAX_TAU_SPANS * tspan:
-        raise FitError("exponential fit found no resolvable decay",
-                       diagnostics={"tau_s": float(tau), "span_s": tspan,
-                                    "iterations": res.iterations,
-                                    "nfev": res.nfev})
+    if not np.isfinite(amp):
+        raise FitError(f"exponential fit: the amplitude at t = 0 overflows; "
+                       f"the first sample is {t[0] / tau:.4g} lifetimes "
+                       f"later (shift the time axis)",
+                       diagnostics=diagnostics)
     offset = coef[1] * y_scale if with_offset else None
 
     params = np.array([amp, tau] + ([offset] if with_offset else []))
@@ -478,8 +484,7 @@ def _curve_triples(curves):
 
 
 def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
-                   domain=None,
-                   options: Optional[TrapFitOptions] = None) -> TrapFitResult:
+                   domain=None) -> TrapFitResult:
     """Globally fit the trapping rate to one or more decay curves.
 
     gamma_trap and the background coefficient B are shared across curves;
@@ -498,11 +503,7 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
         Beam focus FWHM shared by all measurements [m].
     domain : IntegrationDomain or LevelSetRule, optional
         Rule each curve's decay cloud is built with.
-    options : TrapFitOptions, optional
     """
-    opts = options or TrapFitOptions()
-    if not opts.gamma_trap_seed > 0:
-        raise ValueError("gamma_trap_seed must be positive")
     triples = _curve_triples(curves)
     if not triples:
         raise ValueError("need at least one curve")
@@ -530,13 +531,11 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     def objective(xn):
         if not xn > 0:
             return _REJECT
-        return project(xn * opts.gamma_trap_seed)[1]
+        return project(xn * _GAMMA_SEED)[1]
 
-    res = minimize_scalar(objective, 1.0,
-                          MinimizeOptions(xtol_rel=opts.xtol_rel,
-                                          max_iter=opts.max_iter))
+    res = minimize_scalar(objective, 1.0, _TRAP_SEARCH)
 
-    gamma = float(res.x * opts.gamma_trap_seed)
+    gamma = float(res.x * _GAMMA_SEED)
     coef, sse = project(gamma)
     return TrapFitResult(gamma_trap=gamma, background_b=float(coef[-1]),
                          scale_a=[float(a) for a in coef[:-1]],

@@ -2,9 +2,10 @@
 
 `minimize` is a plain Nelder-Mead descent with the classic coefficient set
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) and relative
-size/value stopping rules.  `minimize_scalar` brackets a minimum of a
-function of one variable and closes the bracket by Brent's method.  Both
-are reproducible from their starting point alone.
+size/value stopping rules; the hole fit, with two nonlinear parameters,
+uses it.  `minimize_scalar` brackets a minimum of a function of one
+variable and closes the bracket by Brent's method; the trap and lifetime
+fits use it.  Both are reproducible from their starting point alone.
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ class MinimizeOptions:
     max_iter: int = 2000
     initial_step_rel: float = 0.05
     initial_step_abs: float = 0.00025
+
+    def __post_init__(self):
+        for name in ("xtol_rel", "ftol_rel", "initial_step_rel"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not self.max_iter >= 0:
+            raise ValueError("max_iter must be nonnegative")
+        if not 0 < self.initial_step_abs < math.inf:
+            raise ValueError("initial_step_abs must be finite and positive")
 
 
 @dataclass

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import holeburn as hb
-from holeburn import csvio
+from holeburn import csvio, fitting
 from holeburn.cli import main
 from holeburn.config import _SCHEMA, ConfigError, load_config
 
@@ -35,9 +36,6 @@ EVERY_KEY = [
     ("zeeman", "g_excited_hz_per_t", 3e10, lambda c: c.zeeman.g_excited),
     ("zeeman", "stray_field_t", 1e-4, lambda c: c.zeeman.stray_field),
     ("zeeman", "field_sign", -1, lambda c: c.zeeman.field_sign),
-    ("fit", "gamma_trap_seed_per_s", 3e4, lambda c: c.fit.gamma_trap_seed),
-    ("fit", "max_iter", 17, lambda c: c.fit.max_iter),
-    ("fit", "xtol_rel", 1e-7, lambda c: c.fit.xtol_rel),
     ("fit", "confidence", 0.9, lambda c: c.confidence),
 ]
 
@@ -68,10 +66,13 @@ stray_field_t = 0
         assert cfg.zeeman.stray_field == 0.0
 
     def test_unknown_key_rejected(self, tmp_path):
-        # ftol_rel was the trap fit's simplex value tolerance; Brent's
-        # method has none, so the key is gone rather than ignored.
+        # the [fit] keys of the searches' settings, which are constants of
+        # `fitting`, are rejected rather than ignored
         for text in ["[material]\nnot_a_key = 3\n",
-                     "[fit]\nftol_rel = 1e-9\n"]:
+                     "[fit]\nftol_rel = 1e-9\n",
+                     "[fit]\ngamma_trap_seed_per_s = 1e5\n",
+                     "[fit]\nmax_iter = 8000\n",
+                     "[fit]\nxtol_rel = 1e-9\n"]:
             path = tmp_path / "bad.ini"
             path.write_text(text)
             with pytest.raises(ConfigError, match="unknown key"):
@@ -88,8 +89,8 @@ stray_field_t = 0
 
     def test_bad_type_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[fit]\nmax_iter = sixteen\n")
-        with pytest.raises(ConfigError, match="max_iter"):
+        path.write_text("[zeeman]\nfield_sign = minus\n")
+        with pytest.raises(ConfigError, match="field_sign"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -465,17 +466,15 @@ class TestCli:
         else:
             assert f"{bad}, line 7" in err
 
-    def test_fit_failure_exit_4_with_report(self, tmp_path):
+    def test_fit_failure_exit_4_with_report(self, tmp_path, monkeypatch):
         # an iteration budget of 1 cannot converge the trap fit
-        cfgfile = tmp_path / "cfg.ini"
-        cfgfile.write_text("[fit]\nmax_iter = 1\n")
+        monkeypatch.setattr(fitting, "_TRAP_SEARCH",
+                            replace(fitting._TRAP_SEARCH, max_iter=1))
         curve_file = tmp_path / "curve.csv"
-        assert main(["--config", str(cfgfile), "gen", "decay", "--t-end",
-                     "100", "--n-t", "21", "--tol", "0",
-                     "--out", str(curve_file)]) == 0
+        assert main(["gen", "decay", "--t-end", "100", "--n-t", "21",
+                     "--tol", "0", "--out", str(curve_file)]) == 0
         report = tmp_path / "trap.json"
-        code = main(["--config", str(cfgfile), "fit", "trap",
-                     str(curve_file), "--out", str(report)])
+        code = main(["fit", "trap", str(curve_file), "--out", str(report)])
         assert code == 4
         data = json.loads(report.read_text())
         assert "diagnostics" in data and "error" in data

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,16 @@ import holeburn as hb
 from holeburn import FitError, csvio, fitting
 from holeburn.cli import main
 from holeburn.fitting import _column_norms, _least_squares, _t_quantile
-from holeburn.simplex import MinimizeOptions, MinimizeResult, minimize
+from holeburn.simplex import MinimizeResult, minimize
+
+
+def simplex_in_place_of_brent(objective, x0, options):
+    """`minimize_scalar` run by Nelder-Mead: the oracle for Brent's method."""
+    res = minimize(lambda x: objective(x[0]), [x0],
+                   replace(options, ftol_rel=min(options.ftol_rel, 1e-9)))
+    return MinimizeResult(x=float(res.x[0]), fun=res.fun,
+                          iterations=res.iterations, nfev=res.nfev,
+                          converged=res.converged)
 
 
 @pytest.fixture(scope="module")
@@ -107,11 +117,12 @@ class TestHoleFit:
         with pytest.raises(ValueError, match="finite"):
             hb.fit_hole_lorentzian(self.freq, y)
 
-    def test_failure_raises_with_diagnostics(self):
+    def test_failure_raises_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(fitting, "_SEARCH",
+                            replace(fitting._SEARCH, max_iter=3))
         y = hb.lorentzian_hole(self.freq, 1.0, 0.4, -50e6, 6e6)
         with pytest.raises(FitError) as err:
-            hb.fit_hole_lorentzian(self.freq, y,
-                                   options=MinimizeOptions(max_iter=3))
+            hb.fit_hole_lorentzian(self.freq, y)
         assert "converged" in err.value.diagnostics
 
 
@@ -173,6 +184,58 @@ class TestExponentialFit:
         with pytest.raises(FitError) as err:
             hb.fit_exponential(t, y)
         assert err.value.diagnostics["tau_s"] < 1e-3
+
+    def test_decay_before_second_sample_raises(self):
+        # from t = 0 the amplitude stays finite as tau -> 0; the decay over
+        # the shortest step is what no sample resolves
+        t = np.arange(0.0, 8.0)
+        y = np.zeros_like(t)
+        y[0] = 1.0
+        with pytest.raises(FitError, match="no resolvable decay") as err:
+            hb.fit_exponential(t, y)
+        assert np.exp(-1.0 / err.value.diagnostics["tau_s"]) \
+            < np.finfo(float).eps
+
+    def test_late_time_axis_names_amplitude_overflow(self):
+        # a 68 ms decay sampled on [50, 50.5] s is resolved, but its
+        # amplitude at t = 0 is exp(50 / 0.068) times the first sample's
+        rng = np.random.default_rng(1)
+        t = np.linspace(50.0, 50.5, 25)
+        y = hb.exp_decay(t - 50.0, 1.0, 0.068, 0.1) \
+            + rng.normal(0, 0.01, t.size)
+        with pytest.raises(FitError, match="amplitude at t = 0 overflows") \
+                as err:
+            hb.fit_exponential(t, y)
+        resolved = hb.fit_exponential(t - 50.0, y)
+        assert err.value.diagnostics["tau_s"] == pytest.approx(resolved.tau,
+                                                                rel=1e-7)
+        assert resolved.tau == pytest.approx(0.068, rel=0.05)
+
+    @settings(max_examples=25, deadline=None)
+    @given(c=st.floats(0.0, 5.0))
+    def test_time_shift_scales_amplitude(self, c):
+        y = hb.exp_decay(self.times, 1.0, 0.072, 0.1)
+        a = hb.fit_exponential(self.times, y)
+        b = hb.fit_exponential(self.times + c, y)
+        assert b.tau == pytest.approx(a.tau, rel=1e-9)
+        assert b.offset == pytest.approx(a.offset, rel=1e-9)
+        assert b.amplitude == pytest.approx(
+            a.amplitude * np.exp(c / b.tau), rel=1e-9)
+
+    def test_brent_matches_simplex_oracle(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        waits = np.linspace(0.0, 0.5, 25)
+        y = hb.exp_decay(waits, 1.0, 0.072, 0.05) \
+            + rng.normal(0, 0.02, waits.size)
+        brent = hb.fit_exponential(waits, y)
+        monkeypatch.setattr(fitting, "minimize_scalar",
+                            simplex_in_place_of_brent)
+        oracle = hb.fit_exponential(waits, y)
+        assert brent.converged and oracle.converged
+        assert brent.tau == pytest.approx(oracle.tau, rel=1e-7)
+        assert brent.tau_err == pytest.approx(oracle.tau_err, rel=1e-7)
+        assert brent.residual == pytest.approx(oracle.residual, rel=1e-12)
+        assert brent.nfev < oracle.nfev
 
     def test_lifetime_beyond_sampled_span_raises(self):
         # a 2 ms decay sampled from 0.1 s on is pure noise around the
@@ -298,17 +361,8 @@ class TestTrapFit:
                                           two_curve_batch, monkeypatch):
         brent = hb.fit_trap_model(two_curve_batch, material,
                                   domain=fast_domain)
-
-        def simplex_adapter(objective, x0, options):
-            res = minimize(lambda x: objective(x[0]), [x0],
-                           MinimizeOptions(xtol_rel=options.xtol_rel,
-                                           ftol_rel=1e-9,
-                                           max_iter=options.max_iter))
-            return MinimizeResult(x=float(res.x[0]), fun=res.fun,
-                                  iterations=res.iterations, nfev=res.nfev,
-                                  converged=res.converged)
-
-        monkeypatch.setattr(fitting, "minimize_scalar", simplex_adapter)
+        monkeypatch.setattr(fitting, "minimize_scalar",
+                            simplex_in_place_of_brent)
         oracle = hb.fit_trap_model(two_curve_batch, material,
                                    domain=fast_domain)
         assert brent.converged and oracle.converged
@@ -383,12 +437,6 @@ class TestTrapFit:
         assert res.background_b == 0.0
         assert all(a >= 0 for a in res.scale_a)
         hb.ScaledSignalParams(res.scale_a[0], res.background_b, powers[0])
-
-    def test_nonpositive_seed_rejected(self, material, fast_domain,
-                                       two_curve_batch):
-        with pytest.raises(ValueError, match="seed"):
-            hb.fit_trap_model(two_curve_batch, material, domain=fast_domain,
-                              options=hb.TrapFitOptions(gamma_trap_seed=-1e5))
 
     def test_degenerate_curve_rejected(self, material, fast_domain):
         t = np.linspace(0, 10, 11)

@@ -18,16 +18,15 @@ from holeburn.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# The public names of the package, as listed before its namespace was lazy.
+# The public names of the package.
 PUBLIC_NAMES = {
     "BeamGeometry", "ConvergenceError", "DecayCurve", "ExpDecayFit",
     "FitError", "HoleArea", "IntegrationDomain", "LevelSetRule", "LinearFit",
     "LorentzianHoleFit", "MaterialParams", "MinimizeOptions",
     "MinimizeResult", "NoiseSpec", "NormalizedScan", "PLANCK_CONSTANT",
     "PipelineOrderError", "RawScan", "ResonanceFields", "SPEED_OF_LIGHT",
-    "ScaledSignalParams", "SignalResult", "TrapDecayModel", "TrapFitOptions",
-    "TrapFitResult", "ZeemanConfig", "applied_field", "apply_noise",
-    "beam_intensity", "beam_radius", "collection_efficiency",
+    "ScaledSignalParams", "SignalResult", "TrapDecayModel", "TrapFitResult",
+    "ZeemanConfig", "applied_field", "apply_noise", "beam_intensity", "beam_radius", "collection_efficiency",
     "detect_aom_off_range", "detected_signal", "detuned_intensity",
     "excited_population", "exp_decay", "fit_exponential",
     "fit_hole_lorentzian", "fit_linear_ci", "fit_trap_model",

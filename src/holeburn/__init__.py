@@ -11,7 +11,8 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "constants": ("PLANCK_CONSTANT", "SPEED_OF_LIGHT", "photon_energy"),
+    "constants": ("MaterialParams", "PLANCK_CONSTANT", "SPEED_OF_LIGHT",
+                  "photon_energy"),
     "csvio": ("DecayCurve",),
     "errors": ("ConvergenceError", "FitError"),
     "fitting": ("ExpDecayFit", "LinearFit", "LorentzianHoleFit",
@@ -21,8 +22,8 @@ _EXPORTS = {
     "integrator": ("IntegrationDomain", "LevelSetRule", "ScaledSignalParams",
                    "SignalResult", "TrapDecayModel", "detected_signal",
                    "refine_until_converged", "scaled_signal"),
-    "model": ("BeamGeometry", "MaterialParams", "beam_intensity",
-              "beam_radius", "collection_efficiency", "detuned_intensity",
+    "model": ("BeamGeometry", "beam_intensity", "beam_radius",
+              "collection_efficiency", "detuned_intensity",
               "excited_population", "ionization_rate",
               "power_broadened_linewidth", "r2_from_rates",
               "saturation_ratio", "spont_recombination_rate", "steady_state",

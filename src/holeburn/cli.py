@@ -13,13 +13,10 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import csvio, zeeman
 from .config import ConfigError, load_config
 from .csvio import write_signal_csv
 from .errors import ConvergenceError, FitError
-from .model import BeamGeometry
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -71,7 +68,10 @@ def _report(cfg, command, payload) -> dict:
 
 
 def _cmd_simulate(args, cfg):
+    import numpy as np
+
     from .integrator import LevelSetRule
+    from .model import BeamGeometry
     power = cfg.beam_power if args.power_w is None else args.power_w
     gamma_trap = args.gamma_trap
     if args.t_end < 0:
@@ -174,6 +174,8 @@ def _cmd_zeeman(args, cfg):
 
 
 def _cmd_gen_decay(args, cfg):
+    import numpy as np
+
     from . import synth
     from .integrator import LevelSetRule
     noise = _noise_from_args(args)
@@ -202,6 +204,8 @@ def _cmd_gen_decay(args, cfg):
 
 
 def _cmd_gen_holescan(args, cfg):
+    import numpy as np
+
     from . import synth
     noise = _noise_from_args(args)
     freq = np.linspace(args.f_min, args.f_max, args.n_points)
@@ -217,6 +221,8 @@ def _cmd_gen_holescan(args, cfg):
 
 
 def _cmd_gen_holedecay(args, cfg):
+    import numpy as np
+
     from . import synth
     noise = _noise_from_args(args)
     waits = np.linspace(0.0, args.wait_max, args.n_points)

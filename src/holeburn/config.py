@@ -14,7 +14,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .model import MaterialParams
+from .constants import MaterialParams
 from .zeeman import ZeemanConfig
 
 if TYPE_CHECKING:

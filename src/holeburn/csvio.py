@@ -4,19 +4,21 @@ All CSV files are comma separated with one header line; metadata rides in
 leading comment lines of the form '# key = value' so that ground truth and
 provenance survive a round trip through the file system.  Every table goes
 through write_table and every reader through _read_table, so the format is
-defined once.
+defined once.  numpy loads only where a reader builds its arrays, so a job
+that writes lists of floats (zeeman) never imports it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .pipeline import NormalizedScan, RawScan
 
 
@@ -30,15 +32,37 @@ class DecayCurve:
     meta: dict = field(default_factory=dict)
 
 
+def _column(path, name, col):
+    """One 1-D column as a list of Python scalars (numpy ones via tolist)."""
+    if hasattr(col, "tolist"):
+        if col.ndim != 1:
+            raise ValueError(f"{path}: column {name!r} is not 1-D")
+        return col.tolist()
+    cells = [v.tolist() if hasattr(v, "tolist") else v for v in col]
+    if any(isinstance(v, (list, tuple)) for v in cells):
+        raise ValueError(f"{path}: column {name!r} is not 1-D")
+    return cells
+
+
 def write_table(path, header, columns, meta=None):
     """Write '# key = value' metadata lines, the header, one row per sample.
 
-    Cells are written with repr, so float64 values round-trip exactly and an
-    integer column stays integer; None becomes an empty cell.
+    Each column is a 1-D numpy array or a sequence of numbers; cells are
+    written with repr, so float64 values round-trip exactly and an integer
+    column stays integer; None becomes an empty cell.  Raises ValueError
+    when the column count differs from the header, when column lengths
+    differ, or when a column is not 1-D.
     """
+    if len(columns) != len(header):
+        raise ValueError(f"{path}: {len(columns)} columns for the "
+                         f"{len(header)} names of the header")
+    cells = [_column(path, name, col) for name, col in zip(header, columns)]
+    lengths = {len(col) for col in cells}
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: columns differ in length: "
+                         f"{[len(col) for col in cells]}")
     lines = [f"# {key} = {value}" for key, value in (meta or {}).items()]
     lines.append(",".join(header))
-    cells = [np.asarray(col).tolist() for col in columns]
     for row in zip(*cells):
         lines.append(",".join("" if v is None else repr(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -82,6 +106,7 @@ def _read_table(path, required):
                 raise ValueError(f"{path}, line {number}: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: no header line found")
+    import numpy as np
     data = np.array(rows, dtype=float).reshape(len(rows), len(required))
     return meta, dict(zip(required, data.T))
 
@@ -92,7 +117,7 @@ def _meta_number(path, meta, key, integer=False):
         value = float(meta[key])
     except ValueError:
         value = float("nan")
-    if not np.isfinite(value) or (integer and not value.is_integer()):
+    if not math.isfinite(value) or (integer and not value.is_integer()):
         kind = "an integer" if integer else "a finite number"
         raise ValueError(f"{path}: metadata {key} = {meta[key]!r} is not "
                          f"{kind}")

@@ -6,7 +6,8 @@ in a steady state set by the local excitation intensity, so everything here
 reduces to algebraic population ratios plus one exponential for the trap
 filling.  Beam optics (Gaussian focus) and the confocal collection
 efficiency live here as well, since every spatial point of the simulation
-is evaluated through these functions.
+is evaluated through these functions.  The crystal's constants,
+MaterialParams, are a scalar record in constants.py.
 
 All quantities are SI: W/m^2, Hz, m, s.
 """
@@ -17,75 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import photon_energy
-
-
-@dataclass(frozen=True)
-class MaterialParams:
-    """Fixed physical constants of the crystal and its UV transition.
-
-    Attributes
-    ----------
-    sat_intensity : float
-        Saturation intensity of the ground-excited transition [W/m^2].
-    sigma_ion : float
-        Cross section for photoionization of the excited state into the
-        conduction band [m^2].
-    sigma_rec : float
-        Cross section for stimulated recombination from the conduction
-        band [m^2].
-    photoioniz_fwhm : float
-        FWHM of the excited-state photoionization band [Hz].
-    vac_wavelength : float
-        Vacuum excitation wavelength, also used as the deexcitation
-        wavelength for the spontaneous recombination estimate [m].
-    refr_index : float
-        Refractive index of the crystal.
-    hom_linewidth0 : float
-        Unbroadened homogeneous linewidth of the optical transition [Hz].
-    ion_density : float
-        Spectral density of ions [ions/m^3/Hz].
-    fluor_rate : float
-        Fluorescence emission rate of the excited state, 1/lifetime [1/s].
-    g_ratio : float
-        Degeneracy ratio between the excited state and the conduction
-        band states (assumed 1 when unknown).
-    coll0 : float
-        Peak photon collection efficiency of the detection setup.
-    """
-
-    sat_intensity: float = 1.4e7
-    sigma_ion: float = 1e-22
-    sigma_rec: float = 1e-20
-    photoioniz_fwhm: float = 82e12
-    vac_wavelength: float = 371e-9
-    refr_index: float = 1.8
-    hom_linewidth0: float = 4e6
-    ion_density: float = 6e10
-    fluor_rate: float = 2.5e7
-    g_ratio: float = 1.0
-    coll0: float = 0.016
-
-    def __post_init__(self):
-        for name in ("sat_intensity", "sigma_ion", "sigma_rec",
-                     "photoioniz_fwhm", "vac_wavelength", "refr_index",
-                     "hom_linewidth0", "ion_density", "fluor_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not self.g_ratio >= 0:
-            raise ValueError("g_ratio must be nonnegative")
-        if not 0 < self.coll0 <= 1:
-            raise ValueError("coll0 must lie in (0, 1]")
-
-    @property
-    def photon_energy(self) -> float:
-        return photon_energy(self.vac_wavelength)
-
-    @property
-    def gamma_rec_spon(self) -> float:
-        """Spontaneous conduction-band decay rate derived from sigma_rec."""
-        return spont_recombination_rate(self.sigma_rec, self.photoioniz_fwhm,
-                                        self.vac_wavelength, self.g_ratio)
+from .constants import MaterialParams, photon_energy
 
 
 @dataclass(frozen=True)

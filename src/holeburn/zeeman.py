@@ -5,6 +5,9 @@ field along the crystal b-axis (where the two magnetic sites overlap), so
 a scalar field model is enough.  A configurable stray field offsets the
 applied field, total = applied + field_sign * stray_field; the sign can be
 flipped to model a reversed coil polarity.
+
+The field functions take a float or a numpy array of fields and return
+the same kind; the module itself needs no numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -26,12 +27,14 @@ class ZeemanConfig:
     field_sign: int = 1
 
     def __post_init__(self):
-        if not (self.g_ground > 0 and self.g_excited > 0):
-            raise ValueError("splitting coefficients must be positive")
+        if not (0 < self.g_ground < math.inf and 0 < self.g_excited < math.inf):
+            raise ValueError("splitting coefficients must be positive and "
+                             "finite")
         if not math.isfinite(self.stray_field):
             raise ValueError("stray_field must be finite")
-        if self.field_sign not in (-1, 1):
-            raise ValueError("field_sign must be +1 or -1")
+        # type() rather than isinstance(): True is an int equal to 1
+        if type(self.field_sign) is not int or self.field_sign not in (-1, 1):
+            raise ValueError("field_sign must be the integer +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -52,13 +55,16 @@ class ResonanceFields:
 
 
 def applied_field(total, cfg: ZeemanConfig):
-    """Coil setting that produces the given total field."""
-    return np.asarray(total, dtype=float) - cfg.field_sign * cfg.stray_field
+    """Coil setting [T] that produces the given total field (float or array)."""
+    return total - cfg.field_sign * cfg.stray_field
 
 
 def splittings(b_total, cfg: ZeemanConfig):
-    """Ground and excited Zeeman splittings (Hz) at the given total field."""
-    mag = np.abs(np.asarray(b_total, dtype=float))
+    """Ground and excited Zeeman splittings [Hz] at the given total field.
+
+    b_total is a float or a numpy array [T]; each splitting has its kind.
+    """
+    mag = abs(b_total)
     return cfg.g_ground * mag, cfg.g_excited * mag
 
 

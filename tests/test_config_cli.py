@@ -192,6 +192,36 @@ class TestCsvIO:
         assert path.read_text() == ("# k = v\nx,n,maybe\n"
                                     "0.1,3,\n1e-300,4,2.5\n")
 
+    @pytest.mark.parametrize("columns, text", [
+        ([np.array([0.1, -2.5e-7, 1e16])], "0.1\n-2.5e-07\n1e+16\n"),
+        ([np.array([3, -4, 0])], "3\n-4\n0\n"),
+        ([[None, 2.5, None]], "\n2.5\n\n"),
+        ([[np.float64(0.1), np.float64(1e-300)]], "0.1\n1e-300\n"),
+        ([[]], ""),
+        ([np.array([])], ""),
+    ], ids=["float-array", "int-array", "list-none", "list-float64",
+            "empty-list", "empty-array"])
+    def test_write_table_bytes(self, tmp_path, columns, text):
+        path = tmp_path / "t.csv"
+        csvio.write_table(path, ["c"], columns)
+        assert path.read_text() == "c\n" + text
+
+    @pytest.mark.parametrize("header, columns, match", [
+        (["a", "b"], [[1.0, 2.0, 3.0], [1.0]], "differ in length"),
+        (["a", "b", "c"], [[1.0, 2.0]], "1 columns for the 3 names"),
+        (["a"], [[1.0], [2.0]], "2 columns for the 1 names"),
+        (["a"], [np.ones((2, 2))], "'a' is not 1-D"),
+        (["a"], [[[1.0, 2.0]]], "'a' is not 1-D"),
+        (["a"], [np.float64(1.0)], "'a' is not 1-D"),
+    ], ids=["ragged", "short", "long", "2-d-array", "nested-list",
+            "scalar"])
+    def test_write_table_rejects_malformed(self, tmp_path, header, columns,
+                                           match):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=match):
+            csvio.write_table(path, header, columns)
+        assert not path.exists()
+
     def test_header_only_reads_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         csvio.write_table(path, ["wait_time_s", "area"], [[], []],

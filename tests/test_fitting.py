@@ -553,18 +553,32 @@ def test_import_holeburn_loads_no_module():
 # Loaded by every CLI job: the front end, the config and what it holds.
 CLI_CORE = {"holeburn", "holeburn.cli", "holeburn.config",
             "holeburn.constants", "holeburn.csvio", "holeburn.errors",
-            "holeburn.model", "holeburn.zeeman"}
+            "holeburn.zeeman"}
 
 
 def test_simulate_loads_only_the_integrator(tmp_path):
     job = ["simulate", "--t-end", "5", "--n-t", "3",
            "--out", str(tmp_path / "s.csv")]
-    assert holeburn_modules_after(job) == CLI_CORE | {"holeburn.integrator"}
+    assert holeburn_modules_after(job) == CLI_CORE | {"holeburn.integrator",
+                                                      "holeburn.model"}
 
 
 def test_zeeman_loads_only_the_cli_core(tmp_path):
     job = ["zeeman", "--delta-f", "1e6", "--out", str(tmp_path / "z.csv")]
     assert holeburn_modules_after(job) == CLI_CORE
+
+
+@pytest.mark.parametrize("code", [
+    "import sys, holeburn.config",
+    "import sys, holeburn.csvio",
+], ids=["config", "csvio"])
+def test_cli_core_module_loads_no_numpy(code):
+    assert modules_after(code, ("numpy",)) == "[]"
+
+
+def test_zeeman_loads_no_numpy(tmp_path):
+    job = ["zeeman", "--delta-f", "1e6", "--out", str(tmp_path / "z.csv")]
+    assert cli_modules_after(job, ("numpy",)) == "[]"
 
 
 @pytest.mark.parametrize("job", [

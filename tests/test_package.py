@@ -63,6 +63,12 @@ class TestLazyNamespace:
     def test_submodule_resolves(self, name):
         assert getattr(hb, name) is importlib.import_module(f"holeburn.{name}")
 
+    def test_material_params_is_one_record(self):
+        # defined in constants, re-exported by model for the formulas
+        assert hb.MaterialParams is hb.model.MaterialParams
+        assert hb.MaterialParams is hb.constants.MaterialParams
+        assert hb.fitting.MaterialParams is hb.constants.MaterialParams
+
     def test_dir_lists_public_names(self):
         listing = dir(hb)
         assert "__all__" in listing

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,3 +117,18 @@ def test_config_validation():
         ZeemanConfig(g_ground=0.0)
     with pytest.raises(ValueError):
         ZeemanConfig(field_sign=2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"g_ground": math.inf},
+    {"g_excited": math.inf},
+    {"stray_field": math.inf},
+    {"field_sign": True},
+    {"field_sign": 1.0},
+    {"field_sign": -1.0},
+], ids=["g-ground-inf", "g-excited-inf", "stray-inf", "sign-bool",
+        "sign-float", "sign-neg-float"])
+def test_config_rejects_what_the_file_cannot_set(kwargs):
+    # the config file gives finite floats and an int sign; so must callers
+    with pytest.raises(ValueError):
+        ZeemanConfig(**kwargs)

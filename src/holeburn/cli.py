@@ -42,7 +42,7 @@ refine_until_converged = _deferred("integrator", "refine_until_converged")
 fit_trap_model = _deferred("fitting", "fit_trap_model")
 fit_hole_lorentzian = _deferred("fitting", "fit_hole_lorentzian")
 fit_exponential = _deferred("fitting", "fit_exponential")
-fit_linear_ci = _deferred("fitting", "fit_linear_ci")
+fit_linear_ci = _deferred("linefit", "fit_linear_ci")
 
 
 def _parse_range(text):

@@ -72,6 +72,11 @@ class RunConfig:
     zeeman: ZeemanConfig = field(default_factory=ZeemanConfig)
     confidence: float = 0.80
 
+    def __post_init__(self):
+        if not 0 < self.confidence < 1:
+            raise ValueError(f"confidence must lie in (0, 1), got "
+                             f"{self.confidence!r}")
+
     def scaled_params(self, power=None) -> ScaledSignalParams:
         from .integrator import ScaledSignalParams
         return ScaledSignalParams(scale_a=self.scale_a,

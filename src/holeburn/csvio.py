@@ -5,7 +5,7 @@ leading comment lines of the form '# key = value' so that ground truth and
 provenance survive a round trip through the file system.  Every table goes
 through write_table and every reader through _read_table, so the format is
 defined once.  numpy loads only where a reader builds its arrays, so a job
-that writes lists of floats (zeeman) never imports it.
+that writes or reads lists of floats (zeeman, fit linear) never imports it.
 """
 
 from __future__ import annotations
@@ -69,16 +69,17 @@ def write_table(path, header, columns, meta=None):
 
 
 def _read_table(path, required):
-    """Read a table; return (meta, {name: float array}) for required columns.
+    """Read a table; return (meta, {name: float list}) for required columns.
 
-    Raises ValueError naming the file for a missing header or column, a
-    non-numeric cell in a required column, or a row whose length differs
+    A UTF-8 byte-order mark is skipped.  Raises ValueError naming the file
+    for a missing header, a required column that is missing or named twice,
+    a non-numeric cell in a required column, or a row whose length differs
     from the header.
     """
     meta = {}
     header = None
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -95,6 +96,10 @@ def _read_table(path, required):
                 if missing:
                     raise ValueError(f"{path}: missing columns {missing}; "
                                      f"found {header}")
+                repeated = [c for c in required if header.count(c) > 1]
+                if repeated:
+                    raise ValueError(f"{path}: the header names column "
+                                     f"{repeated[0]!r} more than once")
                 index = [header.index(c) for c in required]
                 continue
             if len(cells) != len(header):
@@ -106,9 +111,8 @@ def _read_table(path, required):
                 raise ValueError(f"{path}, line {number}: {exc}") from None
     if header is None:
         raise ValueError(f"{path}: no header line found")
-    import numpy as np
-    data = np.array(rows, dtype=float).reshape(len(rows), len(required))
-    return meta, dict(zip(required, data.T))
+    return meta, {name: [row[k] for row in rows]
+                  for k, name in enumerate(required)}
 
 
 def _meta_number(path, meta, key, integer=False):
@@ -139,9 +143,11 @@ def write_decay_curve(path, curve: DecayCurve):
 
 
 def read_decay_curve(path) -> DecayCurve:
+    import numpy as np
     meta, cols = _read_table(path, ["time_s", "counts_per_s"])
     power = _meta_number(path, meta, "power_w") if "power_w" in meta else None
-    return DecayCurve(time_s=cols["time_s"], counts_per_s=cols["counts_per_s"],
+    return DecayCurve(time_s=np.array(cols["time_s"]),
+                      counts_per_s=np.array(cols["counts_per_s"]),
                       power_w=power, meta=meta)
 
 
@@ -154,6 +160,8 @@ def write_raw_scan(path, scan: RawScan):
 
 
 def read_raw_scan(path, aom_off_range=None) -> RawScan:
+    import numpy as np
+
     from .pipeline import RawScan
     meta, cols = _read_table(path, ["freq_hz", "fluor_counts", "power_counts"])
     if aom_off_range is None:
@@ -164,8 +172,9 @@ def read_raw_scan(path, aom_off_range=None) -> RawScan:
         except KeyError:
             raise ValueError(f"{path}: no aom_off_range in metadata; "
                              "pass one explicitly") from None
-    return RawScan(freq=cols["freq_hz"], fluor_counts=cols["fluor_counts"],
-                   power_monitor=cols["power_counts"],
+    return RawScan(freq=np.array(cols["freq_hz"]),
+                   fluor_counts=np.array(cols["fluor_counts"]),
+                   power_monitor=np.array(cols["power_counts"]),
                    aom_off_range=tuple(aom_off_range), meta=meta)
 
 
@@ -181,6 +190,7 @@ def write_treated_scan(path, scan: RawScan, normalized: NormalizedScan):
 
 
 def read_xy(path, x_name, y_name):
+    """(x, y, meta) of a two-column table; x and y are lists of floats."""
     meta, cols = _read_table(path, [x_name, y_name])
     return cols[x_name], cols[y_name], meta
 

@@ -191,30 +191,6 @@ class ExpDecayFit:
 
 
 @dataclass
-class LinearFit:
-    """Ordinary least squares line with a t-distribution slope interval."""
-
-    slope: float
-    intercept: float
-    confidence: float
-    slope_ci: float
-    slope_err: float
-    intercept_err: float
-    residual: float
-
-    def to_dict(self):
-        return {
-            "slope": self.slope, "intercept": self.intercept,
-            "confidence": self.confidence, "slope_ci": self.slope_ci,
-            "slope_err": self.slope_err, "intercept_err": self.intercept_err,
-            "residual_sse": self.residual,
-        }
-
-    def covers(self, true_slope) -> bool:
-        return abs(true_slope - self.slope) <= self.slope_ci
-
-
-@dataclass
 class TrapFitResult:
     """Multi-curve trap-model fit: shared gamma_trap and background, A per curve."""
 
@@ -403,57 +379,6 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
         offset_err=None if offset is None else float(errs[2]),
         residual=sse, converged=res.converged, iterations=res.iterations,
         nfev=res.nfev)
-
-
-def _t_quantile(dof, level):
-    """Quantile of Student's t with integer `dof` at `level` in [0.5, 1).
-
-    Bisects theta = arctan(t / sqrt(dof)) to float resolution on the exact
-    series for P(|T| <= t) (Abramowitz & Stegun 26.7.3 odd, 26.7.4 even).
-    """
-    # The series is sum_j c_j cos(theta)^p_j with p_j = 2j + dof % 2,
-    # c_0 = 1 and c_j = c_(j-1) (1 - 1/p_j).
-    powers = 2 * np.arange(dof // 2) + dof % 2
-    coefs = np.cumprod(np.r_[1.0, 1.0 - 1.0 / powers[1:]])[:powers.size]
-    target = 2.0 * level - 1.0
-    lo, hi = 0.0, np.pi / 2
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        series = np.sin(mid) * np.dot(coefs, np.cos(mid) ** powers)
-        if (2 / np.pi * (mid + series) if dof % 2 else series) < target:
-            lo = mid
-        else:
-            hi = mid
-    return float(np.sqrt(dof) * np.tan(mid))
-
-
-def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
-    """Ordinary least squares with a t-distribution slope interval."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-D arrays of equal length")
-    if x.size < 3:
-        raise ValueError("need at least 3 points")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("x and y must be finite")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must lie in (0, 1)")
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    if sxx == 0:
-        raise ValueError("x values must not all coincide")
-
-    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * x.mean())
-    residuals = y - (slope * x + intercept)
-    sse = float(np.dot(residuals, residuals))
-    dof = x.size - 2
-    s2 = sse / dof
-    slope_err = float(np.sqrt(s2 / sxx))
-    intercept_err = float(np.sqrt(s2 * (1.0 / x.size + x.mean() ** 2 / sxx)))
-    tq = _t_quantile(dof, 0.5 + confidence / 2.0)
-    return LinearFit(slope=slope, intercept=intercept, confidence=confidence,
-                     slope_ci=tq * slope_err, slope_err=slope_err,
-                     intercept_err=intercept_err, residual=sse)
 
 
 def _curve_triples(curves):

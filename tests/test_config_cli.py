@@ -103,6 +103,27 @@ stray_field_t = 0
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.2"])
+    def test_confidence_outside_unit_interval_rejected(self, tmp_path,
+                                                       capsys, level):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[fit]\nconfidence = {level}\n")
+        with pytest.raises(ConfigError, match="confidence must lie in"):
+            load_config(path)
+        out = tmp_path / "z.csv"
+        assert main(["--config", str(path), "zeeman", "--delta-f", "1e6",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        # the flag goes through the same check
+        points = tmp_path / "p.csv"
+        csvio.write_table(points, ["x", "y"], [[0.0, 1.0, 2.0],
+                                               [1.0, 2.0, 4.0]])
+        report = tmp_path / "r.json"
+        assert main(["fit", "linear", "--points", str(points),
+                     "--confidence", level, "--out", str(report)]) == 2
+        assert not report.exists()
+        assert "confidence must lie in (0, 1)" in capsys.readouterr().err
+
     def test_to_dict_echoes_schema(self):
         d = load_config(None).to_dict()
         assert d["material"]["sat_intensity_w_per_m2"] == 1.4e7
@@ -222,12 +243,32 @@ class TestCsvIO:
             csvio.write_table(path, header, columns)
         assert not path.exists()
 
+    @pytest.mark.parametrize("text, meta", [
+        ("x,y\n", {}),
+        ("# k = v\nx,y\n", {"k": "v"}),
+    ], ids=["before-header", "before-meta"])
+    def test_byte_order_mark_skipped(self, tmp_path, text, meta):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (text + "1,2\n3,5\n").encode())
+        assert csvio.read_xy(path, "x", "y") == ([1.0, 3.0], [2.0, 5.0], meta)
+
+    def test_repeated_required_column_rejected(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("x,y,y\n0,1,9\n1,2,9\n2,4,9\n")
+        code = main(["fit", "linear", "--points", str(path),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"{path}: the header names column 'y' more than once" \
+            in capsys.readouterr().err
+        # a repeated column the reader does not need is no ambiguity
+        assert csvio.read_xy(path, "x", "x")[0] == [0.0, 1.0, 2.0]
+
     def test_header_only_reads_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         csvio.write_table(path, ["wait_time_s", "area"], [[], []],
                           meta={"tau_s": 0.072})
         t, y, meta = csvio.read_xy(path, "wait_time_s", "area")
-        assert t.shape == y.shape == (0,)
+        assert len(t) == len(y) == 0
         assert meta == {"tau_s": "0.072"}
 
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import holeburn as hb
 from holeburn import FitError, csvio, fitting
 from holeburn.cli import main
-from holeburn.fitting import _column_norms, _least_squares, _t_quantile
+from holeburn.fitting import _column_norms, _least_squares
+from holeburn.linefit import _t_quantile
 from holeburn.simplex import MinimizeResult, minimize
 
 
@@ -250,6 +251,21 @@ class TestExponentialFit:
         assert diag["tau_s"] > 100 * diag["span_s"]
 
 
+@st.composite
+def noisy_lines(draw):
+    """(x, y) lists of 3 to 40 points on a line with unit Gaussian noise.
+
+    x spans at least [-0.5, 0.5] inside [-5, 5], and the slope is 1 to 20
+    in magnitude, so the noise and not rounding sets the fitted interval.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 40))
+    x = np.r_[-0.5, 0.5, rng.uniform(-5, 5, n - 2)]
+    slope = rng.choice([-1, 1]) * rng.uniform(1, 20)
+    y = slope * x + rng.normal(0, 10) + rng.normal(0, 1, n)
+    return x.tolist(), y.tolist()
+
+
 class TestLinearFit:
     def test_exact_line(self):
         x = np.arange(10.0)
@@ -279,6 +295,61 @@ class TestLinearFit:
             if hb.fit_linear_ci(x, y, 0.8).covers(3.0):
                 hits += 1
         assert hits >= 0.65 * 60
+
+    @pytest.mark.parametrize("x, y, confidence, match", [
+        (np.ones((3, 2)), np.ones((3, 2)), 0.8, "1-D"),
+        ([[0.0, 1.0], [2.0, 3.0]], [1.0, 2.0], 0.8, "1-D"),
+        (np.float64(1.0), [1.0], 0.8, "1-D"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0], 0.8, "1-D"),
+        ([0.0, 1.0], [1.0, 2.0], 0.8, "at least 3"),
+        ([0.0, 1.0, np.nan], [1.0, 2.0, 3.0], 0.8, "finite"),
+        ([0.0, 1.0, 2.0], [1.0, np.inf, 3.0], 0.8, "finite"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 4.0], 1.0, "confidence"),
+        ([0.0, 1.0, 2.0], [1.0, 2.0, 4.0], 0.0, "confidence"),
+    ], ids=["2-d-array", "nested-list", "scalar", "ragged", "two-points",
+            "nan-x", "inf-y", "confidence-1", "confidence-0"])
+    def test_rejects_malformed_input(self, x, y, confidence, match):
+        with pytest.raises(ValueError, match=match):
+            hb.fit_linear_ci(x, y, confidence)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=noisy_lines(), seed=st.integers(0, 2**32 - 1))
+    def test_permutation_is_bit_identical(self, line, seed):
+        # every sum is an fsum, which is correctly rounded
+        x, y = line
+        order = np.random.default_rng(seed).permutation(len(x))
+        assert hb.fit_linear_ci([x[i] for i in order],
+                                [y[i] for i in order]) == \
+            hb.fit_linear_ci(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=noisy_lines(), shift=st.floats(-1e3, 1e3))
+    def test_x_shift_leaves_slope(self, line, shift):
+        x, y = line
+        fit = hb.fit_linear_ci(x, y)
+        moved = hb.fit_linear_ci([v + shift for v in x], y)
+        assert moved.slope == pytest.approx(fit.slope, rel=1e-9)
+        assert moved.slope_ci == pytest.approx(fit.slope_ci, rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=noisy_lines(), a=st.floats(1e-3, 1e3),
+           negative=st.booleans(), b=st.floats(-100, 100))
+    def test_affine_y_scales_slope(self, line, a, negative, b):
+        x, y = line
+        a = -a if negative else a
+        fit = hb.fit_linear_ci(x, y)
+        scaled = hb.fit_linear_ci(x, [a * v + b for v in y])
+        assert scaled.slope == pytest.approx(a * fit.slope, rel=1e-9)
+        assert scaled.slope_ci == pytest.approx(abs(a) * fit.slope_ci,
+                                                rel=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(line=noisy_lines())
+    def test_slope_matches_lstsq(self, line):
+        x, y = line
+        design = np.column_stack([x, np.ones(len(x))])
+        ref = np.linalg.lstsq(design, y, rcond=None)[0][0]
+        assert hb.fit_linear_ci(x, y).slope == pytest.approx(ref, rel=1e-10)
 
 
 @st.composite
@@ -346,7 +417,7 @@ class TestLeastSquares:
         assert np.array_equal(coef, plain / norms)
 
 
-@pytest.mark.parametrize("dof", [*range(1, 60), 100, 250, 1000])
+@pytest.mark.parametrize("dof", [*range(1, 60), 100, 250, 1000, 10**4])
 def test_t_quantile_matches_scipy(dof):
     from scipy.special import stdtrit
 
@@ -579,6 +650,17 @@ def test_cli_core_module_loads_no_numpy(code):
 def test_zeeman_loads_no_numpy(tmp_path):
     job = ["zeeman", "--delta-f", "1e6", "--out", str(tmp_path / "z.csv")]
     assert cli_modules_after(job, ("numpy",)) == "[]"
+
+
+def test_fit_linear_loads_only_linefit(tmp_path):
+    job = fit_job(tmp_path, "linear", ["--points"], None)
+    assert holeburn_modules_after(job) == CLI_CORE | {"holeburn.linefit"}
+
+
+def test_fit_linear_loads_no_numpy(tmp_path):
+    job = fit_job(tmp_path, "linear", ["--points"], None)
+    assert cli_modules_after(job, ("numpy",)) == "[]"
+    assert modules_after("import sys, holeburn.linefit", ("numpy",)) == "[]"
 
 
 @pytest.mark.parametrize("job", [

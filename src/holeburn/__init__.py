@@ -15,13 +15,13 @@ _EXPORTS = {
                   "photon_energy"),
     "csvio": ("DecayCurve",),
     "errors": ("ConvergenceError", "FitError"),
-    "fitting": ("ExpDecayFit", "LorentzianHoleFit", "TrapFitResult",
-                "exp_decay", "fit_exponential", "fit_hole_lorentzian",
-                "fit_trap_model", "hom_linewidth_from_hole",
-                "lorentzian_hole"),
+    "fitting": ("LorentzianHoleFit", "TrapFitResult", "exp_decay",
+                "fit_hole_lorentzian", "fit_trap_model",
+                "hom_linewidth_from_hole", "lorentzian_hole"),
     "integrator": ("IntegrationDomain", "LevelSetRule", "ScaledSignalParams",
                    "SignalResult", "TrapDecayModel", "detected_signal",
                    "refine_until_converged", "scaled_signal"),
+    "lifetime": ("ExpDecayFit", "fit_exponential"),
     "linefit": ("LinearFit", "fit_linear_ci"),
     "model": ("BeamGeometry", "beam_intensity", "beam_radius",
               "collection_efficiency", "detuned_intensity",

@@ -41,7 +41,7 @@ def _deferred(module, name):
 refine_until_converged = _deferred("integrator", "refine_until_converged")
 fit_trap_model = _deferred("fitting", "fit_trap_model")
 fit_hole_lorentzian = _deferred("fitting", "fit_hole_lorentzian")
-fit_exponential = _deferred("fitting", "fit_exponential")
+fit_exponential = _deferred("lifetime", "fit_exponential")
 fit_linear_ci = _deferred("linefit", "fit_linear_ci")
 
 
@@ -146,6 +146,10 @@ def _cmd_fit_expdecay(args, cfg):
                        diagnostics=fit.to_dict())
     payload = {"input": args.series, **fit.to_dict()}
     csvio.write_report(args.out, _report(cfg, "fit expdecay", payload))
+    if fit.unresolved:
+        print(f"error: exponential fit: no decay above 3 sigma; unresolved "
+              f"{', '.join(fit.unresolved)} -> {args.out}", file=sys.stderr)
+        return EXIT_FITFAIL
     print(f"fit expdecay: tau = {fit.tau:.4g} s -> {args.out}")
     return EXIT_OK
 

@@ -1,25 +1,25 @@
-"""Separable least-squares estimators built on derivative-free minimizers.
+"""Separable least-squares fits of the hole and trap models.
 
 Scale-like parameters enter every model linearly, so the minimizer
 searches only the nonlinear ones and the objective solves the rest by
 linear least squares (variable projection, Golub & Pereyra 1973).  The
 hole fit searches its center and width by simplex (`minimize`); the trap
-and lifetime fits have one nonlinear parameter each, gamma_trap and the
-log of tau, and search it by Brent's method (`minimize_scalar`).  The
-search settings are the constants below, not options.  One active-set
-solver, `_least_squares`, serves every fit: the trap fit bounds all its
-coefficients at 0, the hole fit its depth, the lifetime fit none.
+fit has one nonlinear parameter, gamma_trap, and searches it by Brent's
+method (`minimize_scalar`).  The search settings are the constants below,
+not options.  One active-set solver, `_least_squares`, serves both fits:
+the trap fit bounds all its coefficients at 0, the hole fit its depth.
 The search runs on normalized data (frequencies in units of the scan span,
 signals in units of their spread), so its stopping rule is invariant to
 shifts and scaling.  Reported values are in physical units, with
 uncertainties from the linearization at the optimum over all parameters:
 cov = s^2 (J^T J)^-1, finite-difference J, s^2 the residual variance.
+`exp_decay` is the lifetime model on arrays, for the fixture generators;
+the lifetime fit itself is plain Python, in `lifetime`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,15 +32,11 @@ from .simplex import MinimizeOptions, minimize, minimize_scalar
 # Objective value at a nonpositive trapping rate or hole width.
 _REJECT = 1e300
 
-# Search settings of the hole and lifetime fits, and of the trap fit, which
-# searches gamma_trap in units of _GAMMA_SEED [1/s] from 1.
+# Search settings of the hole fit, and of the trap fit, which searches
+# gamma_trap in units of _GAMMA_SEED [1/s] from 1.
 _SEARCH = MinimizeOptions(xtol_rel=1e-10, ftol_rel=1e-10, max_iter=4000)
 _TRAP_SEARCH = MinimizeOptions(xtol_rel=1e-9, max_iter=8000)
 _GAMMA_SEED = 1e5
-
-# A fitted lifetime longer than this many sampled spans cannot be told from
-# a straight line by the data, so the lifetime fit rejects it.
-_MAX_TAU_SPANS = 100
 
 
 def lorentzian_hole(freq, baseline, depth, center, fwhm):
@@ -166,31 +162,6 @@ class LorentzianHoleFit:
 
 
 @dataclass
-class ExpDecayFit:
-    """Result of an exponential decay fit a exp(-t/tau) (+ offset)."""
-
-    amplitude: float
-    tau: float
-    offset: Optional[float]
-    amplitude_err: float
-    tau_err: float
-    offset_err: Optional[float]
-    residual: float
-    converged: bool
-    iterations: int
-    nfev: int
-
-    def to_dict(self):
-        return {
-            "amplitude": self.amplitude, "tau_s": self.tau,
-            "offset": self.offset, "amplitude_err": self.amplitude_err,
-            "tau_err_s": self.tau_err, "offset_err": self.offset_err,
-            "residual_sse": self.residual, "converged": self.converged,
-            "iterations": self.iterations, "nfev": self.nfev,
-        }
-
-
-@dataclass
 class TrapFitResult:
     """Multi-curve trap-model fit: shared gamma_trap and background, A per curve."""
 
@@ -303,82 +274,6 @@ def hom_linewidth_from_hole(fwhm):
     if fwhm <= 0:
         raise ValueError("fwhm must be positive")
     return fwhm / 2.0
-
-
-def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
-    """Fit a exp(-t/tau) plus an optional constant floor.
-
-    The offset mode captures a persistent residual level that the decay
-    relaxes onto instead of zero.  Brent's method searches u = log(tau /
-    span) from log(1/3), so tau stays positive.  Raises FitError when the
-    data resolve no lifetime (the decay is complete within the shortest
-    sampling step, or tau exceeds `_MAX_TAU_SPANS` sampled spans), or when
-    the amplitude at t = 0 overflows because the samples start many
-    lifetimes later.
-    """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise ValueError("times and values must be 1-D arrays of equal length")
-    if t.size < 4:
-        raise ValueError("need at least 4 points")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-        raise ValueError("times and values must be finite")
-    tspan = float(t[-1] - t[0])
-    if tspan <= 0:
-        raise ValueError("times must increase")
-
-    xt = (t - t[0]) / tspan
-    y_scale = float(np.ptp(y)) or max(abs(float(np.max(y))), 1.0)
-    yn = y / y_scale
-
-    def project(tau_n):
-        cols = [exp_decay(xt, 1.0, tau_n)]
-        if with_offset:
-            cols.append(np.ones_like(xt))
-        return _least_squares(np.column_stack(cols), yn)
-
-    res = minimize_scalar(lambda u: project(np.exp(u))[1], np.log(1 / 3),
-                          _SEARCH)
-
-    tau_n = np.exp(res.x)
-    coef, _ = project(tau_n)
-    tau = tau_n * tspan
-    diagnostics = {"tau_s": float(tau), "span_s": tspan,
-                   "iterations": res.iterations, "nfev": res.nfev}
-    # Below machine epsilon the decay over the shortest step leaves no trace
-    # in the next sample; past _MAX_TAU_SPANS spans it is a straight line.
-    if (np.exp(-np.min(np.diff(t)) / tau) < np.finfo(float).eps
-            or tau > _MAX_TAU_SPANS * tspan):
-        raise FitError("exponential fit found no resolvable decay",
-                       diagnostics=diagnostics)
-    # Amplitude refers to t = 0 of the model a exp(-t/tau); the internal
-    # fit is anchored at t[0].
-    with np.errstate(over="ignore"):
-        amp = coef[0] * y_scale * np.exp(t[0] / tau)
-    if not np.isfinite(amp):
-        raise FitError(f"exponential fit: the amplitude at t = 0 overflows; "
-                       f"the first sample is {t[0] / tau:.4g} lifetimes "
-                       f"later (shift the time axis)",
-                       diagnostics=diagnostics)
-    offset = coef[1] * y_scale if with_offset else None
-
-    params = np.array([amp, tau] + ([offset] if with_offset else []))
-
-    def model(p):
-        return exp_decay(t, *p)
-
-    residuals = model(params) - y
-    errs = _param_errors(model, params, residuals)
-    sse = float(np.dot(residuals, residuals))
-
-    return ExpDecayFit(
-        amplitude=float(amp), tau=float(tau),
-        offset=None if offset is None else float(offset),
-        amplitude_err=float(errs[0]), tau_err=float(errs[1]),
-        offset_err=None if offset is None else float(errs[2]),
-        residual=sse, converged=res.converged, iterations=res.iterations,
-        nfev=res.nfev)
 
 
 def _curve_triples(curves):

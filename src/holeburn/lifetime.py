@@ -1,0 +1,240 @@
+"""Exponential lifetime fit a exp(-t/tau) (+ offset) in plain Python.
+
+A lifetime series has a few dozen points, so this module runs on `math`
+and a `fit expdecay` job loads no numpy.  The fit is separable: Brent's
+method (`minimize_scalar`) searches u = log(tau / span), and for each tau
+the amplitude and offset come from the closed-form one- or two-column
+least squares over moments about the means.  The points are sorted first
+and every sum is a `math.fsum`, so the fit does not depend on their order.
+Uncertainties come from the analytic Jacobian J at the optimum,
+cov = s^2 (J^T J)^-1 with s^2 the residual variance, inverted exactly on
+norm-scaled columns.  A decay whose amplitude is within 3 sigma of 0
+leaves the lifetime unresolved: it gets no error bar.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from operator import mul
+from typing import Optional
+
+from .errors import FitError
+from .simplex import MinimizeOptions, minimize_scalar
+
+# Brent's method stops when u = log(tau / span) is known to xtol_rel; it
+# does not read ftol_rel, which the Nelder-Mead oracle of the tests uses.
+_SEARCH = MinimizeOptions(xtol_rel=1e-10, ftol_rel=1e-10, max_iter=4000)
+
+# A fitted lifetime longer than this many sampled spans cannot be told from
+# a straight line by the data, so the fit rejects it.
+_MAX_TAU_SPANS = 100
+
+# The decay is detected when its amplitude exceeds this many sigma.
+_DETECTION_SIGMAS = 3
+
+
+@dataclass
+class ExpDecayFit:
+    """Result of an exponential decay fit a exp(-t/tau) (+ offset).
+
+    An error is None for a parameter the data do not resolve; `unresolved`
+    names those parameters by their report keys.
+    """
+
+    amplitude: float
+    tau: float
+    offset: Optional[float]
+    amplitude_err: Optional[float]
+    tau_err: Optional[float]
+    offset_err: Optional[float]
+    unresolved: list
+    residual: float
+    converged: bool
+    iterations: int
+    nfev: int
+
+    def to_dict(self):
+        return {
+            "amplitude": self.amplitude, "tau_s": self.tau,
+            "offset": self.offset, "amplitude_err": self.amplitude_err,
+            "tau_err_s": self.tau_err, "offset_err": self.offset_err,
+            "unresolved": list(self.unresolved),
+            "residual_sse": self.residual, "converged": self.converged,
+            "iterations": self.iterations, "nfev": self.nfev,
+        }
+
+
+def _exp_u(u):
+    """tau / span = exp(u) as a positive float: u is clamped to the range
+    where exp(u) neither overflows nor underflows to 0, and beyond it the
+    search column no longer changes."""
+    return math.exp(min(max(u, -745.0), 709.0))
+
+
+def _exp_decay(t, amplitude, tau, offset=0.0):
+    """amplitude * exp(-t/tau) + offset at each time in t, as a list."""
+    return [amplitude * math.exp(-v / tau) + offset for v in t]
+
+
+def _jacobian(t, params, t0=0.0):
+    """Columns d model / d (amplitude, tau[, offset]) of the model
+    amplitude * exp(-t/tau) + offset at the times t.
+
+    `params` holds the amplitude at t0, tau and, if fitted, the offset.
+    The amplitude's column comes out multiplied by exp(t0/tau), so for
+    t >= t0 no exponential overflows; its error is then exp(t0/tau) times
+    too small.  With t0 = 0 these are the plain derivatives.
+    """
+    a0, tau = params[:2]
+    decay = [math.exp(-(v - t0) / tau) for v in t]
+    columns = [decay, [a0 * w * (v / tau) / tau for v, w in zip(t, decay)]]
+    return columns + [[1.0] * len(t)] * (len(params) - 2)
+
+
+def _det(matrix):
+    """Determinant by expansion along the first row (for 3x3 at most)."""
+    if not matrix:
+        return 1.0
+    return math.fsum((-1) ** j * a * _det([row[:j] + row[j + 1:]
+                                            for row in matrix[1:]])
+                     for j, a in enumerate(matrix[0]))
+
+
+def _jacobian_errors(columns, sse):
+    """One-sigma errors sqrt(diag(s^2 (J^T J)^-1)), s^2 = sse / (n - p).
+
+    J^T J is inverted exactly (adjugate over determinant) on columns
+    scaled to unit norm, so magnitudes do not set its condition.  A
+    parameter whose column vanishes gets None, and so does every parameter
+    when the scaled J^T J is singular to working precision.
+    """
+    n, p = len(columns[0]), len(columns)
+    norms = [math.hypot(*column) for column in columns]
+    kept = [i for i in range(p) if norms[i] > 0]
+    unit = [[v / norms[i] for v in columns[i]] for i in kept]
+    gram = [[math.fsum(map(mul, a, b)) for b in unit] for a in unit]
+    errors = [None] * p
+    det = _det(gram)
+    if det > 0:
+        s2 = sse / (n - p)
+        for k, i in enumerate(kept):
+            minor = [row[:k] + row[k + 1:] for j, row in enumerate(gram)
+                     if j != k]
+            errors[i] = math.sqrt(s2 * _det(minor) / det) / norms[i]
+    return errors
+
+
+def _floats(values):
+    """A 1-D sequence of numbers (or 1-D numpy array) as a list of floats."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    try:
+        return [float(v) for v in values]
+    except TypeError:
+        raise ValueError("times and values must be 1-D arrays of equal "
+                         "length") from None
+
+
+def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
+    """Fit a exp(-t/tau) plus an optional constant floor.
+
+    times and values are equal-length 1-D sequences of numbers or 1-D
+    arrays, in any order.  The offset mode captures a persistent residual
+    level that the decay relaxes onto instead of zero.  Brent's method
+    searches u = log(tau / span) from log(1/3), so tau stays positive.
+    Raises FitError when the data resolve no lifetime (the decay is
+    complete within the shortest step between sampled times, or tau
+    exceeds `_MAX_TAU_SPANS` sampled spans), or when the amplitude at
+    t = 0 overflows because the samples start many lifetimes later.  When
+    the amplitude is within `_DETECTION_SIGMAS` sigma of 0 the fit returns
+    with tau_err None and "tau_s" in `unresolved`.
+    """
+    t, y = _floats(times), _floats(values)
+    if len(t) != len(y):
+        raise ValueError("times and values must be 1-D arrays of equal "
+                         "length")
+    n = len(t)
+    if n < 4:
+        raise ValueError("need at least 4 points")
+    if not all(map(math.isfinite, t + y)):
+        raise ValueError("times and values must be finite")
+    t, y = map(list, zip(*sorted(zip(t, y))))
+    t0 = t[0]
+    tspan = t[-1] - t0
+    if not tspan > 0:
+        raise ValueError("times must not all coincide")
+
+    xt = [(v - t0) / tspan for v in t]
+    y_scale = (max(y) - min(y)) or max(abs(max(y)), 1.0)
+    yn = [v / y_scale for v in y]
+    y_mean = math.fsum(yn) / n
+    dy = [v - y_mean for v in yn]
+
+    def project(u):
+        """Coefficients of exp(-xt / exp(u)) (and 1) on yn, and the SSE."""
+        tau_n = _exp_u(u)
+        decay = [math.exp(-v / tau_n) for v in xt]
+        if not with_offset:
+            scale = math.fsum(map(mul, decay, decay))
+            a = math.fsum(map(mul, decay, yn)) / scale
+            return (a,), math.fsum((a * w - v) ** 2
+                                   for w, v in zip(decay, yn))
+        mean = math.fsum(decay) / n
+        dd = [w - mean for w in decay]
+        sdd = math.fsum(map(mul, dd, dd))
+        # An infinite tau makes the column constant: the floor fits alone.
+        a = math.fsum(map(mul, dd, dy)) / sdd if sdd > 0 else 0.0
+        return (a, y_mean - a * mean), math.fsum((a * w - v) ** 2
+                                                 for w, v in zip(dd, dy))
+
+    res = minimize_scalar(lambda u: project(u)[1], math.log(1 / 3), _SEARCH)
+
+    coef, _ = project(res.x)
+    tau = _exp_u(res.x) * tspan
+    diagnostics = {"tau_s": tau, "span_s": tspan,
+                   "iterations": res.iterations, "nfev": res.nfev}
+    # exp(-gap / tau) below machine epsilon: the decay over the shortest
+    # step leaves no trace in the next sample.  Past _MAX_TAU_SPANS spans
+    # the decay is a straight line.
+    gap = min(b - a for a, b in zip(t, t[1:]) if b > a)
+    if (gap > -math.log(math.ulp(1.0)) * tau
+            or tau > _MAX_TAU_SPANS * tspan):
+        raise FitError("exponential fit found no resolvable decay",
+                       diagnostics=diagnostics)
+    # Amplitude refers to t = 0 of the model a exp(-t/tau); the internal
+    # fit is anchored at t[0].
+    a0 = coef[0] * y_scale
+    try:
+        amp = a0 * math.exp(t0 / tau)
+    except OverflowError:
+        amp = math.inf
+    if not math.isfinite(amp):
+        raise FitError(f"exponential fit: the amplitude at t = 0 overflows; "
+                       f"the first sample is {t0 / tau:.4g} lifetimes "
+                       f"later (shift the time axis)",
+                       diagnostics=diagnostics)
+    params = [a0, tau] + ([coef[1] * y_scale] if with_offset else [])
+
+    # The model and its Jacobian are evaluated from t0, where no
+    # exponential overflows; on that axis the amplitude is a0.
+    dt = [v - t0 for v in t]
+    residuals = [m - v for m, v in zip(_exp_decay(dt, *params), y)]
+    sse = math.fsum(r * r for r in residuals)
+    a0_err, tau_err, *rest = _jacobian_errors(_jacobian(dt, params), sse)
+    offset_err = rest[0] if with_offset else None
+    amp_err = _jacobian_errors(_jacobian(t, params, t0), sse)[0]
+    if amp_err is not None:
+        amp_err *= math.exp(t0 / tau)
+    # Detection tests the amplitude at the first sample, so a shift of the
+    # time axis leaves the verdict alone.
+    if a0_err is None or abs(a0) <= _DETECTION_SIGMAS * a0_err:
+        tau_err = None
+    names = ("amplitude", "tau_s", "offset")[:len(params)]
+    return ExpDecayFit(
+        amplitude=amp, tau=tau, offset=params[2] if with_offset else None,
+        amplitude_err=amp_err, tau_err=tau_err, offset_err=offset_err,
+        unresolved=[name for name, err in zip(
+            names, (amp_err, tau_err, offset_err)) if err is None],
+        residual=sse, converged=res.converged, iterations=res.iterations,
+        nfev=res.nfev)

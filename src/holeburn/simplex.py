@@ -6,6 +6,8 @@ size/value stopping rules; the hole fit, with two nonlinear parameters,
 uses it.  `minimize_scalar` brackets a minimum of a function of one
 variable and closes the bracket by Brent's method; the trap and lifetime
 fits use it.  Both are reproducible from their starting point alone.
+`minimize` works on numpy arrays and imports numpy when called;
+`minimize_scalar` is plain Python, so the lifetime fit loads no numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 _REFLECT = 1.0
 _EXPAND = 2.0
@@ -45,7 +45,7 @@ class MinimizeOptions:
 
 @dataclass
 class MinimizeResult:
-    x: np.ndarray  # a float from minimize_scalar
+    x: object  # an array from minimize, a float from minimize_scalar
     fun: float
     iterations: int
     nfev: int
@@ -72,6 +72,8 @@ def minimize(objective: Callable, x0,
     tolerances, or at the iteration cap, in which case the best point so
     far is returned with converged=False.
     """
+    import numpy as np
+
     opts = options or MinimizeOptions()
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n = x0.size
@@ -166,7 +168,7 @@ def minimize_scalar(objective: Callable[[float], float], x0: float,
 
     a = float(x0)
     fa = f(a)
-    if not np.isfinite(fa):
+    if not math.isfinite(fa):
         raise ValueError("objective must be finite at the starting point")
     b = a + _first_step(a, opts)
     fb = f(b)

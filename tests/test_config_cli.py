@@ -429,6 +429,21 @@ class TestCli:
         data = json.loads(report.read_text())
         assert data["tau_s"] == pytest.approx(0.072, rel=1e-3)
         assert data["nfev"] > data["iterations"] > 0
+        assert data["unresolved"] == []
+
+    def test_fit_expdecay_unresolved_exit_4(self, tmp_path, capsys):
+        # constant areas: the fit returns, but with no error bar on tau
+        series = tmp_path / "series.csv"
+        report = tmp_path / "exp.json"
+        csvio.write_table(series, ["wait_time_s", "area"],
+                          [np.linspace(0.0, 0.5, 30), np.full(30, 3.0)])
+        assert main(["fit", "expdecay", "--series", str(series),
+                     "--out", str(report)]) == 4
+        data = json.loads(report.read_text())
+        assert data["command"] == "fit expdecay"
+        assert data["tau_err_s"] is None and data["unresolved"] == ["tau_s"]
+        assert data["tau_s"] > 0 and "config" in data
+        assert "tau_s" in capsys.readouterr().err
 
     def test_fit_linear_end_to_end(self, tmp_path):
         pts = tmp_path / "pts.csv"

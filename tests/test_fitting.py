@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holeburn as hb
-from holeburn import FitError, csvio, fitting
+from holeburn import FitError, csvio, fitting, lifetime
 from holeburn.cli import main
 from holeburn.fitting import _column_norms, _least_squares
 from holeburn.linefit import _t_quantile
@@ -141,6 +141,30 @@ class TestHomLinewidth:
             hb.hom_linewidth_from_hole(0.0)
 
 
+@st.composite
+def decay_series(draw):
+    """(t, y) lists of 4 to 40 noisy samples of a exp(-t/tau) + offset.
+
+    The times span [0, 1] with tau from 0.05 to 0.5, and the noise is 1%
+    of the amplitude, so most series resolve the decay.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 40))
+    t = np.r_[0.0, 1.0, rng.uniform(0, 1, n - 2)]
+    amplitude = rng.choice([-1, 1]) * rng.uniform(1, 10)
+    y = hb.exp_decay(t, amplitude, rng.uniform(0.05, 0.5), rng.normal(0, 1)) \
+        + rng.normal(0, 0.01 * abs(amplitude), n)
+    return t.tolist(), y.tolist()
+
+
+def fit_or_error(t, y):
+    """The lifetime fit, or the message and diagnostics of its FitError."""
+    try:
+        return hb.fit_exponential(t, y)
+    except FitError as exc:
+        return str(exc), exc.diagnostics
+
+
 class TestExponentialFit:
     times = np.linspace(0.0, 0.5, 30)
 
@@ -229,7 +253,7 @@ class TestExponentialFit:
         y = hb.exp_decay(waits, 1.0, 0.072, 0.05) \
             + rng.normal(0, 0.02, waits.size)
         brent = hb.fit_exponential(waits, y)
-        monkeypatch.setattr(fitting, "minimize_scalar",
+        monkeypatch.setattr(lifetime, "minimize_scalar",
                             simplex_in_place_of_brent)
         oracle = hb.fit_exponential(waits, y)
         assert brent.converged and oracle.converged
@@ -249,6 +273,109 @@ class TestExponentialFit:
         diag = err.value.diagnostics
         assert diag["span_s"] == pytest.approx(0.4)
         assert diag["tau_s"] > 100 * diag["span_s"]
+
+    def test_constant_data_leaves_tau_unresolved(self):
+        fit = hb.fit_exponential(self.times, np.full_like(self.times, 3.0))
+        assert fit.tau_err is None and fit.unresolved == ["tau_s"]
+        assert fit.to_dict()["tau_err_s"] is None
+        assert fit.amplitude_err is not None and fit.offset_err is not None
+
+    def test_pure_noise_rarely_resolves_tau(self):
+        # a flat series with noise either fails or reports no tau error,
+        # bar the rare noise that passes the 3-sigma test
+        resolved = 0
+        for seed in range(100):
+            y = 3.0 + np.random.default_rng(seed).normal(0, 0.01, 30)
+            try:
+                fit = hb.fit_exponential(self.times, y)
+            except FitError:
+                continue
+            resolved += fit.tau_err is not None
+        assert resolved <= 3
+
+    def test_point_order_does_not_matter(self):
+        # a decay complete before the second sample, fed out of order
+        t = np.arange(8.0)[[0, 5, 2, 7, 1, 3, 4, 6]]
+        with pytest.raises(FitError, match="no resolvable decay"):
+            hb.fit_exponential(t, (t == 0).astype(float))
+        y = hb.exp_decay(self.times, 1.0, 0.072, 0.1)
+        assert hb.fit_exponential(self.times[::-1], y[::-1]) == \
+            hb.fit_exponential(self.times, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(series=decay_series(), seed=st.integers(0, 2**32 - 1))
+    def test_permutation_is_bit_identical(self, series, seed):
+        # the points are sorted first, and every sum is an fsum
+        t, y = series
+        order = np.random.default_rng(seed).permutation(len(t))
+        assert fit_or_error([t[i] for i in order], [y[i] for i in order]) \
+            == fit_or_error(t, y)
+
+    @pytest.mark.parametrize("times, values, match", [
+        (np.ones((4, 2)), np.ones((4, 2)), "1-D"),
+        (np.float64(1.0), [1.0], "1-D"),
+        ([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0], "1-D"),
+        ([0.0, 1.0, 2.0, np.nan], [4.0, 3.0, 2.0, 1.0], "finite"),
+        ([0.0, 1.0, 2.0, 3.0], [4.0, np.inf, 2.0, 1.0], "finite"),
+        ([1.0, 1.0, 1.0, 1.0], [4.0, 3.0, 2.0, 1.0], "coincide"),
+    ], ids=["2-d-array", "scalar", "ragged", "nan-time", "inf-value",
+            "one-time"])
+    def test_rejects_malformed_input(self, times, values, match):
+        with pytest.raises(ValueError, match=match):
+            hb.fit_exponential(times, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=30),
+           amplitude=st.floats(-10.0, 10.0), tau=st.floats(1e-3, 10.0),
+           offset=st.floats(-10.0, 10.0))
+    def test_model_matches_exp_decay(self, t, amplitude, tau, offset):
+        # math.exp and numpy's exp may differ in the last bit
+        ref = hb.exp_decay(t, amplitude, tau, offset)
+        got = np.array(lifetime._exp_decay(t, amplitude, tau, offset))
+        bound = 4 * np.finfo(float).eps * (np.abs(ref - offset)
+                                           + abs(offset))
+        assert np.all(np.abs(got - ref) <= bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), start=st.floats(0.0, 1.0),
+           with_offset=st.booleans())
+    def test_jacobian_matches_finite_differences(self, seed, start,
+                                                 with_offset):
+        rng = np.random.default_rng(seed)
+        t = start + np.r_[0.0, rng.uniform(0, 2, 19)]
+        tau = 10 ** rng.uniform(-1.5, 0.5)
+        params = [rng.choice([-1, 1]) * rng.uniform(0.1, 10), tau,
+                  rng.normal(0, 1)][:3 if with_offset else 2]
+        fd = fitting._fd_jacobian(lambda p: hb.exp_decay(t, *p), params)
+        # anchored at the first time, the amplitude's column is scaled
+        scale = np.exp(-start / tau)
+        jac = np.array(lifetime._jacobian(
+            t.tolist(), [params[0] * scale, *params[1:]], start)).T
+        jac[:, 0] *= scale
+        # central differences with step 1e-6 |p|: rounding of the model
+        # over the step, and the step squared times the column
+        model_size = np.abs(hb.exp_decay(t, *params)).max()
+        tol = 1e-9 * (model_size / np.abs(params) + np.abs(fd).max(axis=0))
+        assert np.all(np.abs(jac - fd) <= tol)
+
+    @pytest.mark.parametrize("with_offset", [True, False])
+    @pytest.mark.parametrize("start", [0.0, 0.3])
+    def test_errors_match_finite_difference_errors(self, with_offset, start):
+        # 25-point series like the benchmark's hole-decay sessions; from
+        # start > 0 the amplitude at t = 0 is extrapolated
+        waits = start + np.linspace(0.0, 0.5, 25)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            y = np.exp(-(waits - start) / rng.uniform(0.05, 0.1)) \
+                + rng.uniform(0.02, 0.08) + rng.normal(0.0, 0.01, waits.size)
+            fit = hb.fit_exponential(waits, y, with_offset)
+            params = [fit.amplitude, fit.tau,
+                      fit.offset][:3 if with_offset else 2]
+            residuals = hb.exp_decay(waits, *params) - y
+            ref = fitting._param_errors(
+                lambda p: hb.exp_decay(waits, *p), params, residuals)
+            errors = [fit.amplitude_err, fit.tau_err, fit.offset_err]
+            assert errors[:len(params)] == pytest.approx(ref, rel=1e-8)
 
 
 @st.composite
@@ -584,11 +711,13 @@ def holeburn_modules_after(job):
     return set(ast.literal_eval(cli_modules_after(job, ("holeburn",))))
 
 
+EXPDECAY_JOB = ("expdecay", ["--series"],
+                ["gen", "holedecay", "--offset", "0.05"])
 FIT_JOBS = pytest.mark.parametrize("command, flag, gen", [
     ("trap", [], ["gen", "decay", "--n-t", "21", "--tol", "0"]),
     ("hole", ["--scan"], ["gen", "holescan"]),
     ("hole", ["--aom-off", "auto", "--scan"], ["gen", "holescan"]),
-    ("expdecay", ["--series"], ["gen", "holedecay", "--offset", "0.05"]),
+    EXPDECAY_JOB,
     ("linear", ["--points"], None),
 ], ids=["trap", "hole", "hole-auto", "expdecay", "linear"])
 
@@ -661,6 +790,21 @@ def test_fit_linear_loads_no_numpy(tmp_path):
     job = fit_job(tmp_path, "linear", ["--points"], None)
     assert cli_modules_after(job, ("numpy",)) == "[]"
     assert modules_after("import sys, holeburn.linefit", ("numpy",)) == "[]"
+
+
+
+def test_fit_expdecay_loads_only_lifetime(tmp_path):
+    job = fit_job(tmp_path, *EXPDECAY_JOB)
+    assert holeburn_modules_after(job) == CLI_CORE | {"holeburn.lifetime",
+                                                      "holeburn.simplex"}
+
+
+def test_fit_expdecay_loads_no_numpy(tmp_path):
+    job = fit_job(tmp_path, *EXPDECAY_JOB)
+    assert cli_modules_after(job, ("numpy",)) == "[]"
+    for module in ("simplex", "lifetime"):
+        assert modules_after(f"import sys, holeburn.{module}",
+                             ("numpy",)) == "[]"
 
 
 @pytest.mark.parametrize("job", [

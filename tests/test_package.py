@@ -69,6 +69,12 @@ class TestLazyNamespace:
         assert hb.MaterialParams is hb.constants.MaterialParams
         assert hb.fitting.MaterialParams is hb.constants.MaterialParams
 
+    def test_lifetime_fit_is_plain_python(self):
+        # the lifetime fit moved out of fitting, which loads numpy
+        assert hb.fit_exponential is hb.lifetime.fit_exponential
+        assert hb.ExpDecayFit is hb.lifetime.ExpDecayFit
+        assert not hasattr(hb.fitting, "fit_exponential")
+
     def test_dir_lists_public_names(self):
         listing = dir(hb)
         assert "__all__" in listing

@@ -130,9 +130,13 @@ def _cmd_fit_hole(args, cfg):
         csvio.write_treated_scan(args.treated_out, subtracted, normalized)
     keep = normalized.included
     fit = fit_hole_lorentzian(normalized.freq[keep], normalized.signal[keep])
-    payload = {"input": args.scan, **fit.to_dict(),
-               "hom_linewidth_hz": hom_linewidth_from_hole(fit.fwhm)}
+    hom = None if fit.unresolved else hom_linewidth_from_hole(fit.fwhm)
+    payload = {"input": args.scan, **fit.to_dict(), "hom_linewidth_hz": hom}
     csvio.write_report(args.out, _report(cfg, "fit hole", payload))
+    if fit.unresolved:
+        print(f"error: hole fit: the scan resolves no hole; unresolved "
+              f"{', '.join(fit.unresolved)} -> {args.out}", file=sys.stderr)
+        return EXIT_FITFAIL
     print(f"fit hole: fwhm = {fit.fwhm / 1e6:.3g} MHz, "
           f"hom linewidth = {fit.fwhm / 2e6:.3g} MHz -> {args.out}")
     return EXIT_OK

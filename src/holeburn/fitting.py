@@ -3,16 +3,15 @@
 Scale-like parameters enter every model linearly, so the minimizer
 searches only the nonlinear ones and the objective solves the rest by
 linear least squares (variable projection, Golub & Pereyra 1973).  The
-hole fit searches its center and width by simplex (`minimize`); the trap
-fit has one nonlinear parameter, gamma_trap, and searches it by Brent's
-method (`minimize_scalar`).  The search settings are the constants below,
-not options.  One active-set solver, `_least_squares`, serves both fits:
-the trap fit bounds all its coefficients at 0, the hole fit its depth.
-The search runs on normalized data (frequencies in units of the scan span,
-signals in units of their spread), so its stopping rule is invariant to
-shifts and scaling.  Reported values are in physical units, with
-uncertainties from the linearization at the optimum over all parameters:
-cov = s^2 (J^T J)^-1, finite-difference J, s^2 the residual variance.
+hole fit searches its center and width by simplex (`minimize`) on
+normalized data (frequencies in units of the scan span, signals in units
+of their spread), so its stopping rule is invariant to shifts and scaling;
+its baseline and depth come in closed form from moments about the weighted
+means, with the depth clamped at 0.  Its errors come from its analytic
+Jacobian through `simplex._jacobian_errors`, as the lifetime fit's do.  The
+trap fit searches gamma_trap by Brent's method (`minimize_scalar`) and
+solves its coefficients, all bounded at 0, by the active-set
+`_least_squares`.  The search settings are the constants below.
 `exp_decay` is the lifetime model on arrays, for the fixture generators;
 the lifetime fit itself is plain Python, in `lifetime`.
 """
@@ -26,8 +25,8 @@ import numpy as np
 from .errors import FitError
 from .integrator import TrapDecayModel
 from .model import BeamGeometry, MaterialParams
-from .pipeline import median
-from .simplex import MinimizeOptions, minimize, minimize_scalar
+from .simplex import (MinimizeOptions, _jacobian_errors, minimize,
+                      minimize_scalar)
 
 # Objective value at a nonpositive trapping rate or hole width.
 _REJECT = 1e300
@@ -46,6 +45,19 @@ def lorentzian_hole(freq, baseline, depth, center, fwhm):
     return baseline - depth * half**2 / ((f - center) ** 2 + half**2)
 
 
+def _hole_jacobian(freq, params):
+    """Columns d model / d (baseline, depth, center, fwhm) of the model
+    baseline - depth h^2 / D, with u = freq - center, h = fwhm / 2 and
+    D = u^2 + h^2."""
+    _, depth, center, fwhm = params
+    u = freq - center
+    half = fwhm / 2.0
+    dist = u**2 + half**2
+    return [np.ones_like(u), -half**2 / dist,
+            -depth * 2 * u * half**2 / dist**2,
+            -depth * half * u**2 / dist**2]
+
+
 def exp_decay(t, amplitude, tau, offset=0.0):
     """Exponential decay amplitude * exp(-t/tau) + offset."""
     return amplitude * np.exp(-np.asarray(t, dtype=float) / tau) + offset
@@ -57,10 +69,9 @@ def _column_norms(design):
     return norms
 
 
-def _least_squares(design, target, nonneg=False):
-    """min |design @ c - target| with c[nonneg] >= 0; returns (c, SSE).
+def _least_squares(design, target):
+    """min |design @ c - target| with every c >= 0; returns (c, SSE).
 
-    `nonneg` masks the bounded columns (one bool bounds all or none).
     Lawson-Hanson active set (Lawson & Hanson 1974, *Solving Least Squares
     Problems*, ch. 23) on norm-scaled columns, started with every column
     passive: an unconstrained optimum that is feasible costs one `lstsq`.
@@ -72,14 +83,14 @@ def _least_squares(design, target, nonneg=False):
     z = np.linalg.lstsq(scaled, target, rcond=None)[0]
     tol = 10 * np.finfo(float).eps * max(scaled.shape) * np.linalg.norm(target)
     for _ in range(3 * norms.size):
-        blocked = passive & (z < 0) & nonneg
+        blocked = passive & (z < 0)
         if blocked.any():
-            # Step from the feasible coef towards z until the first bounded
+            # Step from the feasible coef towards z until the first
             # coefficient reaches 0; every one at 0 leaves the passive set.
             ratios = coef[blocked] / (coef[blocked] - z[blocked])
             coef += ratios.min() * (z - coef)
             coef[np.flatnonzero(blocked)[np.argmin(ratios)]] = 0.0
-            passive &= ~((coef <= 0) & nonneg)
+            passive &= coef > 0
             coef[~passive] = 0.0
         else:
             coef = z
@@ -96,53 +107,20 @@ def _least_squares(design, target, nonneg=False):
     return coef / norms, float(np.dot(residuals, residuals))
 
 
-def _fd_jacobian(model_fn, params, rel_step=1e-6):
-    """Central-difference Jacobian of model_fn w.r.t. its parameter vector."""
-    params = np.asarray(params, dtype=float)
-    cols = []
-    for i in range(params.size):
-        h = rel_step * max(abs(params[i]), 1e-30)
-        hi, lo = params.copy(), params.copy()
-        hi[i] += h
-        lo[i] -= h
-        cols.append((model_fn(hi) - model_fn(lo)) / (2 * h))
-    return np.column_stack(cols)
-
-
-def _param_errors(model_fn, params, residuals, weights=None):
-    """One-sigma parameter uncertainties from the linearized fit.
-
-    The normal matrix is built on per-parameter-scaled columns so that
-    wildly different magnitudes (baselines near 1 next to frequencies
-    near 1e8) do not get truncated as numerically rank deficient.
-    """
-    n, p = residuals.size, len(params)
-    if n <= p:
-        return np.full(p, np.nan)
-    jac = _fd_jacobian(model_fn, params)
-    if weights is not None:
-        residuals = residuals * weights
-        jac = jac * weights[:, None]
-    sse = float(np.dot(residuals, residuals))
-    scale = np.maximum(np.abs(np.asarray(params, dtype=float)), 1e-30)
-    jac_s = jac * scale[None, :]
-    cov_s = np.linalg.pinv(jac_s.T @ jac_s) * (sse / (n - p))
-    var = np.diag(cov_s) * scale**2
-    return np.sqrt(np.clip(var, 0.0, None))
-
-
 @dataclass
 class LorentzianHoleFit:
-    """Result of a constant-minus-Lorentzian spectral-hole fit."""
+    """Result of a constant-minus-Lorentzian spectral-hole fit; an error is
+    None for a parameter the data do not resolve, named in `unresolved`."""
 
     baseline: float
     depth: float
     center: float
     fwhm: float
-    baseline_err: float
-    depth_err: float
-    center_err: float
-    fwhm_err: float
+    baseline_err: float | None
+    depth_err: float | None
+    center_err: float | None
+    fwhm_err: float | None
+    unresolved: list
     residual: float
     converged: bool
     hole_detected: bool
@@ -155,6 +133,7 @@ class LorentzianHoleFit:
             "center_hz": self.center, "fwhm_hz": self.fwhm,
             "baseline_err": self.baseline_err, "depth_err": self.depth_err,
             "center_err_hz": self.center_err, "fwhm_err_hz": self.fwhm_err,
+            "unresolved": list(self.unresolved),
             "residual_sse": self.residual, "converged": self.converged,
             "hole_detected": self.hole_detected,
             "iterations": self.iterations, "nfev": self.nfev,
@@ -193,8 +172,11 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     freq, signal : array_like
         Scan axis [Hz] and power-normalized signal, at least 8 points.
     sigma_point : float or array_like, optional
-        Per-point noise level used to weight residuals; unweighted when
-        omitted.
+        Per-point noise level, positive and finite, used to weight
+        residuals; unweighted when omitted.
+
+    A depth clamped at 0 leaves the center and FWHM unresolved: their
+    errors are None and `unresolved` lists them.
     """
     f = np.asarray(freq, dtype=float)
     y = np.asarray(signal, dtype=float)
@@ -209,44 +191,44 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     if span <= 0:
         raise ValueError("freq values must not all coincide")
 
-    f_mid = 0.5 * (np.min(f) + np.max(f))
+    f_mid = 0.5 * float(np.min(f) + np.max(f))
     x = (f - f_mid) / span
-    y_off = median(y)
     y_scale = float(np.ptp(y)) or 1.0
-    yn = (y - y_off) / y_scale
-    weights = np.ones_like(y)  # 1/sigma on the normalized signal, or 1
+    point_weights = np.ones_like(y)  # 1/sigma, or 1
     if sigma_point is not None:
         sigma = np.broadcast_to(np.asarray(sigma_point, dtype=float), y.shape)
-        if np.any(sigma <= 0):
-            raise ValueError("sigma_point must be positive")
-        weights = y_scale / sigma
-
-    target = yn * weights
+        if not np.all((sigma > 0) & (sigma < np.inf)):
+            raise ValueError("sigma_point must be positive and finite")
+        point_weights = 1.0 / sigma
+    w2 = (point_weights * y_scale) ** 2  # weights of the normalized signal
+    w_sum = float(np.sum(w2))
+    y_mean = float(np.dot(w2, y)) / w_sum
+    dy = (y - y_mean) / y_scale
 
     def project(p):
-        design = np.column_stack(
-            [weights, weights * lorentzian_hole(x, 0.0, 1.0, *p)])
-        return _least_squares(design, target, nonneg=[False, True])
+        """Depth of the normalized hole at (center, fwhm), and the SSE."""
+        shape = lorentzian_hole(x, 0.0, 1.0, *p)
+        ds = shape - float(np.dot(w2, shape)) / w_sum
+        wds = w2 * ds
+        s_ss = float(np.dot(wds, ds))
+        depth = max(0.0, float(np.dot(wds, dy)) / s_ss) if s_ss > 0 else 0.0
+        r = dy - depth * ds
+        return depth, float(np.dot(w2 * r, r))
 
     def objective(p):
         return project(p)[1] if p[1] > 0 else _REJECT
 
     # Seeds: center at the minimum, width at 10% of the span.
-    res = minimize(objective, [float(x[np.argmin(yn)]), 0.1], _SEARCH)
+    res = minimize(objective, [float(x[np.argmin(y)]), 0.1], _SEARCH)
 
-    (cn, dn), _ = project(res.x)
-    xn0, wn = res.x
-    baseline = cn * y_scale + y_off
-    depth = dn * y_scale
+    xn0, wn = map(float, res.x)
+    depth = project(res.x)[0] * y_scale
     center = xn0 * span + f_mid
     fwhm = wn * span
-
-    params = np.array([baseline, depth, center, fwhm])
-    residuals = lorentzian_hole(f, *params) - y
-    point_weights = None if sigma_point is None else weights / y_scale
-    errs = _param_errors(lambda p: lorentzian_hole(f, *p), params, residuals,
-                         point_weights)
-    weighted = residuals if point_weights is None else residuals * point_weights
+    # The baseline lifts the weighted mean of the fitted hole onto y_mean.
+    hole = lorentzian_hole(f, 0.0, depth, center, fwhm)
+    baseline = y_mean - float(np.dot(w2, hole)) / w_sum
+    weighted = (baseline + hole - y) * point_weights
     sse = float(np.dot(weighted, weighted))
 
     if not res.converged:
@@ -256,23 +238,30 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
                                     "iterations": res.iterations,
                                     "nfev": res.nfev})
 
+    jacobian = _hole_jacobian(f, (baseline, depth, center, fwhm))
+    errs = _jacobian_errors([(c * point_weights).tolist() for c in jacobian],
+                            sse)
+
     # Holes shallower than 0.1% of the signal scale are indistinguishable
     # from fit leftovers on structureless data, so they are not reported
     # as detections even when the formal 3-sigma test would pass.
     scale_ref = max(abs(baseline), float(np.ptp(y)))
-    detected = bool(depth > max(3 * errs[1], 1e-3 * scale_ref))
+    detected = errs[1] is not None and depth > max(3 * errs[1],
+                                                   1e-3 * scale_ref)
+    names = ("baseline", "depth", "center_hz", "fwhm_hz")
     return LorentzianHoleFit(
         baseline=baseline, depth=depth, center=center, fwhm=fwhm,
-        baseline_err=float(errs[0]), depth_err=float(errs[1]),
-        center_err=float(errs[2]), fwhm_err=float(errs[3]),
+        baseline_err=errs[0], depth_err=errs[1], center_err=errs[2],
+        fwhm_err=errs[3],
+        unresolved=[name for name, err in zip(names, errs) if err is None],
         residual=sse, converged=res.converged, hole_detected=detected,
         iterations=res.iterations, nfev=res.nfev)
 
 
 def hom_linewidth_from_hole(fwhm):
     """Upper bound on the homogeneous linewidth: half the hole FWHM."""
-    if fwhm <= 0:
-        raise ValueError("fwhm must be positive")
+    if not 0 < fwhm < np.inf:
+        raise ValueError("fwhm must be positive and finite")
     return fwhm / 2.0
 
 
@@ -346,7 +335,7 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     def project(gamma):
         design[rows, curve_of_row] = np.concatenate(
             [m.signal(t, gamma) for m, (t, _, _) in zip(models, triples)])
-        return _least_squares(design, y_all, nonneg=True)
+        return _least_squares(design, y_all)
 
     def objective(xn):
         if not xn > 0:

@@ -7,9 +7,9 @@ the amplitude and offset come from the closed-form one- or two-column
 least squares over moments about the means.  The points are sorted first
 and every sum is a `math.fsum`, so the fit does not depend on their order.
 Uncertainties come from the analytic Jacobian J at the optimum,
-cov = s^2 (J^T J)^-1 with s^2 the residual variance, inverted exactly on
-norm-scaled columns.  A decay whose amplitude is within 3 sigma of 0
-leaves the lifetime unresolved: it gets no error bar.
+cov = s^2 (J^T J)^-1 with s^2 the residual variance, by the hole fit's
+routine too, `simplex._jacobian_errors`.  A decay whose amplitude is
+within 3 sigma of 0 leaves the lifetime unresolved: it gets no error bar.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import FitError
-from .simplex import MinimizeOptions, minimize_scalar
+from .simplex import MinimizeOptions, _jacobian_errors, minimize_scalar
 
 # Brent's method stops when u = log(tau / span) is known to xtol_rel; it
 # does not read ftol_rel, which the Nelder-Mead oracle of the tests uses.
@@ -90,39 +90,6 @@ def _jacobian(t, params, t0=0.0):
     decay = [math.exp(-(v - t0) / tau) for v in t]
     columns = [decay, [a0 * w * (v / tau) / tau for v, w in zip(t, decay)]]
     return columns + [[1.0] * len(t)] * (len(params) - 2)
-
-
-def _det(matrix):
-    """Determinant by expansion along the first row (for 3x3 at most)."""
-    if not matrix:
-        return 1.0
-    return math.fsum((-1) ** j * a * _det([row[:j] + row[j + 1:]
-                                            for row in matrix[1:]])
-                     for j, a in enumerate(matrix[0]))
-
-
-def _jacobian_errors(columns, sse):
-    """One-sigma errors sqrt(diag(s^2 (J^T J)^-1)), s^2 = sse / (n - p).
-
-    J^T J is inverted exactly (adjugate over determinant) on columns
-    scaled to unit norm, so magnitudes do not set its condition.  A
-    parameter whose column vanishes gets None, and so does every parameter
-    when the scaled J^T J is singular to working precision.
-    """
-    n, p = len(columns[0]), len(columns)
-    norms = [math.hypot(*column) for column in columns]
-    kept = [i for i in range(p) if norms[i] > 0]
-    unit = [[v / norms[i] for v in columns[i]] for i in kept]
-    gram = [[math.fsum(map(mul, a, b)) for b in unit] for a in unit]
-    errors = [None] * p
-    det = _det(gram)
-    if det > 0:
-        s2 = sse / (n - p)
-        for k, i in enumerate(kept):
-            minor = [row[:k] + row[k + 1:] for j, row in enumerate(gram)
-                     if j != k]
-            errors[i] = math.sqrt(s2 * _det(minor) / det) / norms[i]
-    return errors
 
 
 def _floats(values):

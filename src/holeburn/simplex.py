@@ -1,4 +1,4 @@
-"""Derivative-free minimizers: downhill simplex and, in one variable, Brent.
+"""Derivative-free minimizers, and the error bars of the fits they serve.
 
 `minimize` is a plain Nelder-Mead descent with the classic coefficient set
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) and relative
@@ -6,14 +6,16 @@ size/value stopping rules; the hole fit, with two nonlinear parameters,
 uses it.  `minimize_scalar` brackets a minimum of a function of one
 variable and closes the bracket by Brent's method; the trap and lifetime
 fits use it.  Both are reproducible from their starting point alone.
-`minimize` works on numpy arrays and imports numpy when called;
-`minimize_scalar` is plain Python, so the lifetime fit loads no numpy.
+`_jacobian_errors` turns the analytic Jacobian of the hole or lifetime fit
+into one-sigma errors.  `minimize` imports numpy when called; the rest is
+plain Python, so the lifetime fit loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional
 
 _REFLECT = 1.0
@@ -244,3 +246,36 @@ def minimize_scalar(objective: Callable[[float], float], x0: float,
                 v, w, fv, fw = w, u, fw, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+
+
+def _det(matrix):
+    """Determinant by expansion along the first row (for 4x4 at most)."""
+    if not matrix:
+        return 1.0
+    return math.fsum((-1) ** j * a * _det([row[:j] + row[j + 1:]
+                                            for row in matrix[1:]])
+                     for j, a in enumerate(matrix[0]))
+
+
+def _jacobian_errors(columns, sse):
+    """One-sigma errors sqrt(diag(s^2 (J^T J)^-1)), s^2 = sse / (n - p).
+
+    J^T J is inverted exactly (adjugate over determinant) on columns
+    scaled to unit norm, so magnitudes do not set its condition.  A
+    parameter whose column vanishes gets None, and so does every parameter
+    when the scaled J^T J is singular to working precision.
+    """
+    n, p = len(columns[0]), len(columns)
+    norms = [math.hypot(*column) for column in columns]
+    kept = [i for i in range(p) if norms[i] > 0]
+    unit = [[v / norms[i] for v in columns[i]] for i in kept]
+    gram = [[math.fsum(map(mul, a, b)) for b in unit] for a in unit]
+    errors = [None] * p
+    det = _det(gram)
+    if det > 0:
+        s2 = sse / (n - p)
+        for k, i in enumerate(kept):
+            minor = [row[:k] + row[k + 1:] for j, row in enumerate(gram)
+                     if j != k]
+            errors[i] = math.sqrt(s2 * _det(minor) / det) / norms[i]
+    return errors

@@ -403,6 +403,7 @@ class TestCli:
         assert report["fwhm_hz"] == pytest.approx(6e6, rel=1e-5)
         assert report["hom_linewidth_hz"] == pytest.approx(3e6, rel=1e-5)
         assert report["nfev"] > report["iterations"] > 0
+        assert report["unresolved"] == []
         assert report["config"]["material"]["sat_intensity_w_per_m2"] == 1.4e7
         treated = (tmp_path / "treated.csv").read_text().splitlines()
         header = [l for l in treated if l.startswith("freq_hz")][0]
@@ -418,6 +419,25 @@ class TestCli:
                      "--aom-off", "auto", "--out", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert report["fwhm_hz"] == pytest.approx(6e6, rel=1e-5)
+
+    def test_fit_hole_unresolved_exit_4(self, tmp_path, capsys):
+        # no hole: the depth clamps at 0, and the fit returns with no
+        # error bar on the center and the width
+        scan_path = tmp_path / "scan.csv"
+        report_path = tmp_path / "hole.json"
+        assert main(["gen", "holescan", "--depth", "0",
+                     "--out", str(scan_path)]) == 0
+        assert main(["fit", "hole", "--scan", str(scan_path),
+                     "--out", str(report_path)]) == 4
+        report = json.loads(report_path.read_text())
+        assert report["command"] == "fit hole" and "config" in report
+        assert report["depth"] == 0.0 and report["hole_detected"] is False
+        assert report["unresolved"] == ["center_hz", "fwhm_hz"]
+        assert report["center_err_hz"] is None
+        assert report["fwhm_err_hz"] is None
+        assert report["hom_linewidth_hz"] is None
+        assert report["depth_err"] is not None and report["fwhm_hz"] > 0
+        assert "fwhm_hz" in capsys.readouterr().err
 
     def test_fit_expdecay_end_to_end(self, tmp_path):
         series = tmp_path / "series.csv"

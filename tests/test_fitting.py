@@ -18,6 +18,36 @@ from holeburn.linefit import _t_quantile
 from holeburn.simplex import MinimizeResult, minimize
 
 
+def fd_jacobian(model_fn, params, rel_step=1e-6):
+    """Central-difference Jacobian of model_fn w.r.t. its parameter vector,
+    with step rel_step * |p|: the oracle for the analytic Jacobians."""
+    params = np.asarray(params, dtype=float)
+    cols = []
+    for i in range(params.size):
+        h = rel_step * max(abs(params[i]), 1e-30)
+        hi, lo = params.copy(), params.copy()
+        hi[i] += h
+        lo[i] -= h
+        cols.append((model_fn(hi) - model_fn(lo)) / (2 * h))
+    return np.column_stack(cols)
+
+
+def fd_errors(model_fn, params, residuals, weights=None):
+    """One-sigma errors sqrt(diag(s^2 (J^T J)^-1)) from `fd_jacobian`, the
+    normal matrix taken on |p|-scaled columns by `pinv`: the oracle for
+    `simplex._jacobian_errors`."""
+    n, p = residuals.size, len(params)
+    jac = fd_jacobian(model_fn, params)
+    if weights is not None:
+        residuals = residuals * weights
+        jac = jac * weights[:, None]
+    sse = float(np.dot(residuals, residuals))
+    scale = np.maximum(np.abs(np.asarray(params, dtype=float)), 1e-30)
+    jac_s = jac * scale[None, :]
+    cov_s = np.linalg.pinv(jac_s.T @ jac_s) * (sse / (n - p))
+    return np.sqrt(np.clip(np.diag(cov_s), 0.0, None)) * scale
+
+
 def simplex_in_place_of_brent(objective, x0, options):
     """`minimize_scalar` run by Nelder-Mead: the oracle for Brent's method."""
     res = minimize(lambda x: objective(x[0]), [x0],
@@ -73,6 +103,15 @@ class TestHoleFit:
         assert b.depth == pytest.approx(c * a.depth, rel=1e-9)
         assert b.fwhm == pytest.approx(a.fwhm, rel=1e-9)
         assert b.center == pytest.approx(a.center, rel=1e-9)
+        # on noisy data the errors of baseline and depth scale by c, and
+        # those of center and FWHM stay
+        y = y + np.random.default_rng(2).normal(0, 0.02, self.freq.size)
+        a = hb.fit_hole_lorentzian(self.freq, y)
+        b = hb.fit_hole_lorentzian(self.freq, c * y + d)
+        assert [b.baseline_err, b.depth_err] == pytest.approx(
+            [c * a.baseline_err, c * a.depth_err], rel=1e-7)
+        assert [b.center_err, b.fwhm_err] == pytest.approx(
+            [a.center_err, a.fwhm_err], rel=1e-7)
 
     @settings(max_examples=25, deadline=None)
     @given(shift=st.floats(-1e9, 1e9))
@@ -100,6 +139,19 @@ class TestHoleFit:
         assert fit.depth == pytest.approx(0.0, abs=1e-3)
         assert not fit.hole_detected
 
+    def test_noise_only_leaves_center_and_width_unresolved(self):
+        # the depth clamps at 0, so center and FWHM leave the model
+        rng = np.random.default_rng(3)
+        fit = hb.fit_hole_lorentzian(self.freq,
+                                     2.0 + rng.normal(0, 0.01, self.freq.size))
+        assert fit.depth == 0.0 and not fit.hole_detected
+        assert 0 < fit.depth_err < np.inf and 0 < fit.baseline_err < np.inf
+        assert fit.center_err is None and fit.fwhm_err is None
+        assert fit.unresolved == ["center_hz", "fwhm_hz"]
+        report = fit.to_dict()
+        assert report["fwhm_err_hz"] is None
+        assert report["unresolved"] == ["center_hz", "fwhm_hz"]
+
     def test_sigma_weighting_accepted(self):
         rng = np.random.default_rng(5)
         y = hb.lorentzian_hole(self.freq, 1.0, 0.4, -50e6, 6e6) \
@@ -107,6 +159,18 @@ class TestHoleFit:
         fit = hb.fit_hole_lorentzian(self.freq, y, sigma_point=0.02)
         assert fit.fwhm == pytest.approx(6e6, rel=0.1)
         assert fit.fwhm_err > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("per_point", [False, True],
+                             ids=["scalar", "array"])
+    def test_nonfinite_sigma_rejected(self, bad, per_point):
+        y = hb.lorentzian_hole(self.freq, 1.0, 0.4, -50e6, 6e6)
+        sigma = bad
+        if per_point:
+            sigma = np.full_like(y, 0.02)
+            sigma[7] = bad
+        with pytest.raises(ValueError, match="sigma_point"):
+            hb.fit_hole_lorentzian(self.freq, y, sigma_point=sigma)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -126,6 +190,52 @@ class TestHoleFit:
             hb.fit_hole_lorentzian(self.freq, y)
         assert "converged" in err.value.diagnostics
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_jacobian_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        fwhm = 10 ** rng.uniform(5, 8)
+        center = rng.choice([-1, 1]) * fwhm * rng.uniform(0.5, 5)
+        freq = np.sort(center + fwhm * rng.uniform(-10, 10, 50))
+        params = [rng.choice([-1, 1]) * rng.uniform(0.1, 10),
+                  rng.uniform(0.01, 10), center, fwhm]
+        fd = fd_jacobian(lambda p: hb.lorentzian_hole(freq, *p), params)
+        jac = np.column_stack(fitting._hole_jacobian(freq, params))
+        # central differences with step 1e-6 |p|: rounding of the model
+        # over the step, and the step squared times the column
+        model_size = np.abs(hb.lorentzian_hole(freq, *params)).max()
+        tol = 1e-9 * (model_size / np.abs(params) + np.abs(fd).max(axis=0))
+        assert np.all(np.abs(jac - fd) <= tol)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_errors_match_finite_difference_errors(self, weighted):
+        # 2001-point scans of acceptance 6b, then a Poisson scan treated
+        # like the benchmark's, with sloped power and detector offsets
+        freq = np.linspace(-100e6, 100e6, 2001)
+        scans = []
+        for seed in range(10):
+            noise = hb.NoiseSpec(kind="gaussian", seed=seed,
+                                 gaussian_sigma=0.02)
+            scans.append((freq, hb.apply_noise(
+                hb.lorentzian_hole(freq, 1.0, 0.4, -50e6, 6e6), noise)))
+        raw = hb.gen_hole_scan(freq, 1.0, 0.4, 20e6, 6e6, 1e3, (0, 100),
+                               power_slope=0.05, fluor_offset=120.0,
+                               power_offset=30.0,
+                               noise=hb.NoiseSpec(kind="poisson", seed=7))
+        scan = hb.normalize_by_power(hb.subtract_background(raw))
+        scans.append((scan.freq[scan.included], scan.signal[scan.included]))
+        for f, y in scans:
+            sigma = 0.02 * (1 + 0.5 * np.sin(f / 3e7)) if weighted else None
+            fit = hb.fit_hole_lorentzian(f, y, sigma_point=sigma)
+            params = [fit.baseline, fit.depth, fit.center, fit.fwhm]
+            ref = fd_errors(lambda p: hb.lorentzian_hole(f, *p), params,
+                            hb.lorentzian_hole(f, *params) - y,
+                            None if sigma is None else 1 / sigma)
+            errors = [fit.baseline_err, fit.depth_err, fit.center_err,
+                      fit.fwhm_err]
+            assert fit.hole_detected
+            assert errors == pytest.approx(ref, rel=1e-7)
+
 
 class TestHomLinewidth:
     def test_six_to_three_mhz(self):
@@ -137,8 +247,9 @@ class TestHomLinewidth:
         assert hb.hom_linewidth_from_hole(2 * x) == x
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            hb.hom_linewidth_from_hole(0.0)
+        for fwhm in (0.0, -1e6, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                hb.hom_linewidth_from_hole(fwhm)
 
 
 @st.composite
@@ -346,7 +457,7 @@ class TestExponentialFit:
         tau = 10 ** rng.uniform(-1.5, 0.5)
         params = [rng.choice([-1, 1]) * rng.uniform(0.1, 10), tau,
                   rng.normal(0, 1)][:3 if with_offset else 2]
-        fd = fitting._fd_jacobian(lambda p: hb.exp_decay(t, *p), params)
+        fd = fd_jacobian(lambda p: hb.exp_decay(t, *p), params)
         # anchored at the first time, the amplitude's column is scaled
         scale = np.exp(-start / tau)
         jac = np.array(lifetime._jacobian(
@@ -372,8 +483,8 @@ class TestExponentialFit:
             params = [fit.amplitude, fit.tau,
                       fit.offset][:3 if with_offset else 2]
             residuals = hb.exp_decay(waits, *params) - y
-            ref = fitting._param_errors(
-                lambda p: hb.exp_decay(waits, *p), params, residuals)
+            ref = fd_errors(lambda p: hb.exp_decay(waits, *p), params,
+                            residuals)
             errors = [fit.amplitude_err, fit.tau_err, fit.offset_err]
             assert errors[:len(params)] == pytest.approx(ref, rel=1e-8)
 
@@ -481,12 +592,12 @@ class TestLinearFit:
 
 @st.composite
 def bounded_problems(draw):
-    """(design, target, nonneg) for `_least_squares`.
+    """(design, target) for `_least_squares`, which bounds every column.
 
-    Random designs have columns over six decades, maybe a zero column and a
-    random mask.  Trap-shaped designs have one positive decay column per
-    curve, nonzero only on that curve's rows, and a shared power column,
-    all bounded; the target's background may be negative so B >= 0 binds.
+    Random designs have columns over six decades and maybe a zero column.
+    Trap-shaped designs have one positive decay column per curve, nonzero
+    only on that curve's rows, and a shared power column; the target's
+    background may be negative so B >= 0 binds.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -495,8 +606,6 @@ def bounded_problems(draw):
         design *= 10.0 ** rng.uniform(-3, 3, n)
         if draw(st.booleans()):
             design[:, draw(st.integers(0, n - 1))] = 0.0
-        nonneg = np.array(draw(st.lists(st.booleans(), min_size=n,
-                                        max_size=n)))
         truth = rng.normal(size=n)
     else:
         sizes = draw(st.lists(st.integers(3, 12), min_size=1, max_size=7))
@@ -507,10 +616,9 @@ def bounded_problems(draw):
             [np.exp(-rng.uniform(0.1, 3) * tc) + rng.uniform(0, 1)
              for tc in t])
         design[:, -1] = rng.uniform(1, 50, len(sizes))[rows]
-        nonneg = True
         truth = np.r_[rng.uniform(0, 1e3, len(sizes)), rng.uniform(-5, 5)]
     target = design @ truth + rng.normal(size=design.shape[0])
-    return design, target, nonneg
+    return design, target
 
 
 class TestLeastSquares:
@@ -519,17 +627,15 @@ class TestLeastSquares:
     def test_matches_bvls(self, problem):
         from scipy.optimize import lsq_linear
 
-        design, target, nonneg = problem
-        coef, sse = _least_squares(design, target, nonneg)
-        bounded = np.broadcast_to(nonneg, coef.shape)
+        design, target = problem
+        coef, sse = _least_squares(design, target)
         scaled = design / _column_norms(design)
-        ref = lsq_linear(scaled, target, method="bvls",
-                         bounds=(np.where(bounded, 0.0, -np.inf), np.inf))
+        ref = lsq_linear(scaled, target, method="bvls", bounds=(0.0, np.inf))
         assert sse == pytest.approx(2 * ref.cost, rel=1e-10)
-        assert np.all(coef[bounded] >= 0)
+        assert np.all(coef >= 0)
         # KKT: moving a column held at 0 upwards cannot lower the SSE.
         gradient = scaled.T @ (target - design @ coef)
-        held = bounded & (coef == 0)
+        held = coef == 0
         assert np.all(gradient[held] <= 1e-9 * np.linalg.norm(target))
 
     def test_feasible_optimum_is_one_solve(self):
@@ -540,7 +646,7 @@ class TestLeastSquares:
         target = design @ [0.5, 2.0] + 0.01 * np.sin(40 * x)
         norms = _column_norms(design)
         plain = np.linalg.lstsq(design / norms, target, rcond=None)[0]
-        coef, _ = _least_squares(design, target, nonneg=True)
+        coef, _ = _least_squares(design, target)
         assert np.array_equal(coef, plain / norms)
 
 
@@ -711,11 +817,13 @@ def holeburn_modules_after(job):
     return set(ast.literal_eval(cli_modules_after(job, ("holeburn",))))
 
 
+TRAP_JOB = ("trap", [], ["gen", "decay", "--n-t", "21", "--tol", "0"])
+HOLE_JOB = ("hole", ["--scan"], ["gen", "holescan"])
 EXPDECAY_JOB = ("expdecay", ["--series"],
                 ["gen", "holedecay", "--offset", "0.05"])
 FIT_JOBS = pytest.mark.parametrize("command, flag, gen", [
-    ("trap", [], ["gen", "decay", "--n-t", "21", "--tol", "0"]),
-    ("hole", ["--scan"], ["gen", "holescan"]),
+    TRAP_JOB,
+    HOLE_JOB,
     ("hole", ["--aom-off", "auto", "--scan"], ["gen", "holescan"]),
     EXPDECAY_JOB,
     ("linear", ["--points"], None),
@@ -791,6 +899,22 @@ def test_fit_linear_loads_no_numpy(tmp_path):
     assert cli_modules_after(job, ("numpy",)) == "[]"
     assert modules_after("import sys, holeburn.linefit", ("numpy",)) == "[]"
 
+
+
+# Loaded by the trap and hole fits on top of the CLI core.
+FITTING = {"holeburn.fitting", "holeburn.integrator", "holeburn.model",
+           "holeburn.simplex"}
+
+
+def test_fit_trap_loads_no_pipeline(tmp_path):
+    job = fit_job(tmp_path, *TRAP_JOB)
+    assert holeburn_modules_after(job) == CLI_CORE | FITTING
+
+
+def test_fit_hole_loads_fitting_and_pipeline(tmp_path):
+    job = fit_job(tmp_path, *HOLE_JOB)
+    assert holeburn_modules_after(job) == CLI_CORE | FITTING | {
+        "holeburn.pipeline"}
 
 
 def test_fit_expdecay_loads_only_lifetime(tmp_path):

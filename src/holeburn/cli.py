@@ -130,10 +130,10 @@ def _cmd_fit_hole(args, cfg):
         csvio.write_treated_scan(args.treated_out, subtracted, normalized)
     keep = normalized.included
     fit = fit_hole_lorentzian(normalized.freq[keep], normalized.signal[keep])
-    hom = None if fit.unresolved else hom_linewidth_from_hole(fit.fwhm)
+    hom = hom_linewidth_from_hole(fit.fwhm) if fit.hole_detected else None
     payload = {"input": args.scan, **fit.to_dict(), "hom_linewidth_hz": hom}
     csvio.write_report(args.out, _report(cfg, "fit hole", payload))
-    if fit.unresolved:
+    if not fit.hole_detected:
         print(f"error: hole fit: the scan resolves no hole; unresolved "
               f"{', '.join(fit.unresolved)} -> {args.out}", file=sys.stderr)
         return EXIT_FITFAIL

@@ -9,15 +9,18 @@ of their spread), so its stopping rule is invariant to shifts and scaling;
 its baseline and depth come in closed form from moments about the weighted
 means, with the depth clamped at 0.  Its errors come from its analytic
 Jacobian through `simplex._jacobian_errors`, as the lifetime fit's do.  The
-trap fit searches gamma_trap by Brent's method (`minimize_scalar`) and
-solves its coefficients, all bounded at 0, by the active-set
-`_least_squares`.  The search settings are the constants below.
+trap fit searches gamma_trap by Brent's method (`minimize_scalar`); its
+coefficients, all bounded at 0, come in closed form from
+`_arrow_least_squares`, since each scale A_c sits only in its own curve's
+rows and the background B in all of them.  No fit calls LAPACK.  The
+search settings are the constants below.
 `exp_decay` is the lifetime model on arrays, for the fixture generators;
 the lifetime fit itself is plain Python, in `lifetime`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,48 +66,44 @@ def exp_decay(t, amplitude, tau, offset=0.0):
     return amplitude * np.exp(-np.asarray(t, dtype=float) / tau) + offset
 
 
-def _column_norms(design):
-    norms = np.sqrt(np.einsum("ij,ij->j", design, design))
-    norms[norms == 0] = 1.0
-    return norms
+def _arrow_least_squares(blocks):
+    """min sum_c |y_c - A_c S_c - B P_c|^2 over every A_c >= 0 and B >= 0.
 
-
-def _least_squares(design, target):
-    """min |design @ c - target| with every c >= 0; returns (c, SSE).
-
-    Lawson-Hanson active set (Lawson & Hanson 1974, *Solving Least Squares
-    Problems*, ch. 23) on norm-scaled columns, started with every column
-    passive: an unconstrained optimum that is feasible costs one `lstsq`.
+    `blocks` holds (S_c, y_c, P_c) per curve, with S_c nonnegative and
+    P_c > 0; returns ([A_c], B, SSE).  For a fixed B the best
+    A_c(B) = max(0, S_c.(y_c - B P_c) / S_c.S_c), or 0 when S_c.S_c = 0, is
+    positive below its knot S_c.y_c / (P_c sum S_c) and 0 above it, so
+    SSE(B) is a convex quadratic between knots; its minimum is found exactly
+    by walking the segments up from B = 0.  Sums across curves are
+    `math.fsum`s of per-curve dot products, and the SSE is the fsum of each
+    curve's r_c.r_c, so the result does not depend on the curves' order.
     """
-    norms = _column_norms(design)
-    scaled = design / norms
-    passive = np.ones(norms.size, dtype=bool)
-    coef = np.zeros(norms.size)
-    z = np.linalg.lstsq(scaled, target, rcond=None)[0]
-    tol = 10 * np.finfo(float).eps * max(scaled.shape) * np.linalg.norm(target)
-    for _ in range(3 * norms.size):
-        blocked = passive & (z < 0)
-        if blocked.any():
-            # Step from the feasible coef towards z until the first
-            # coefficient reaches 0; every one at 0 leaves the passive set.
-            ratios = coef[blocked] / (coef[blocked] - z[blocked])
-            coef += ratios.min() * (z - coef)
-            coef[np.flatnonzero(blocked)[np.argmin(ratios)]] = 0.0
-            passive &= coef > 0
-            coef[~passive] = 0.0
-        else:
-            coef = z
-            if passive.all():
-                break
-            gradient = scaled.T @ (target - scaled @ coef)
-            gradient[passive] = -np.inf
-            if not gradient.max() > tol:
-                break
-            passive[np.argmax(gradient)] = True
-        z = np.zeros(norms.size)
-        z[passive] = np.linalg.lstsq(scaled[:, passive], target, rcond=None)[0]
-    residuals = scaled @ coef - target
-    return coef / norms, float(np.dot(residuals, residuals))
+    curves = []
+    for s, y, p0 in blocks:
+        ss, sy = float(np.dot(s, s)), float(np.dot(s, y))
+        ps = p0 * float(s.sum())
+        # The curve adds quad B^2 / 2 - lin B to SSE(B) / 2, up to a
+        # constant: (quad, lin) with A_c held at 0, and with A_c = A_c(B).
+        held = (p0 * p0 * y.size, p0 * float(y.sum()))
+        solved = ((held[0] - ps * ps / ss, held[1] - ps * sy / ss)
+                  if ss > 0 else held)
+        curves.append((sy / ps if ss > 0 else 0.0, held, solved, ss, sy, ps))
+    bounds = sorted({0.0, *(c[0] for c in curves if c[0] > 0)})
+    for lo, hi in zip(bounds, bounds[1:] + [math.inf]):
+        # A_c is positive on (lo, hi) when its knot is hi or above.
+        terms = [solved if knot >= hi else held
+                 for knot, held, solved, *_ in curves]
+        quad, lin = (math.fsum(t) for t in zip(*terms))
+        # A segment of non-positive curvature is flat: B takes its low end.
+        background = lo if quad <= 0 else min(max(lo, lin / quad), hi)
+        if background < hi:
+            break
+    scales = [max(0.0, (sy - background * ps) / ss) if ss > 0 else 0.0
+              for *_, ss, sy, ps in curves]
+    residuals = [y - a * s - background * p0
+                 for a, (s, y, p0) in zip(scales, blocks)]
+    return scales, background, math.fsum(float(np.dot(r, r))
+                                         for r in residuals)
 
 
 @dataclass
@@ -175,7 +174,8 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
         Per-point noise level, positive and finite, used to weight
         residuals; unweighted when omitted.
 
-    A depth clamped at 0 leaves the center and FWHM unresolved: their
+    A hole that is not detected (depth within 3 sigma of 0, or below 0.1%
+    of the signal's spread) leaves the center and FWHM unresolved: their
     errors are None and `unresolved` lists them.
     """
     f = np.asarray(freq, dtype=float)
@@ -242,12 +242,15 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     errs = _jacobian_errors([(c * point_weights).tolist() for c in jacobian],
                             sse)
 
-    # Holes shallower than 0.1% of the signal scale are indistinguishable
-    # from fit leftovers on structureless data, so they are not reported
-    # as detections even when the formal 3-sigma test would pass.
-    scale_ref = max(abs(baseline), float(np.ptp(y)))
+    # A hole is detected when its depth exceeds 3 sigma, as a lifetime's
+    # amplitude must, and 0.1% of the signal's spread: shallower holes are
+    # indistinguishable from fit leftovers on structureless data.  The
+    # floor scales with the signal and ignores its offset, as the fit
+    # does.  An undetected hole has no center or width to report.
     detected = errs[1] is not None and depth > max(3 * errs[1],
-                                                   1e-3 * scale_ref)
+                                                   1e-3 * float(np.ptp(y)))
+    if not detected:
+        errs[2:] = [None, None]
     names = ("baseline", "depth", "center_hz", "fwhm_hz")
     return LorentzianHoleFit(
         baseline=baseline, depth=depth, center=center, fwhm=fwhm,
@@ -323,30 +326,19 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
                                          focus_fwhm=focus_fwhm)
         models.append(TrapDecayModel(material, geom, domain).compressed())
 
-    # One linear problem over all curves: a column of S_c(t) per curve (its
-    # A_c) and a shared column of P_c (B).
-    sizes = [t.size for t, _, _ in triples]
-    curve_of_row = np.repeat(np.arange(len(triples)), sizes)
-    rows = np.arange(curve_of_row.size)
-    y_all = np.concatenate([y for _, y, _ in triples])
-    design = np.zeros((rows.size, len(triples) + 1))
-    design[:, -1] = np.repeat([p0 for _, _, p0 in triples], sizes)
-
     def project(gamma):
-        design[rows, curve_of_row] = np.concatenate(
-            [m.signal(t, gamma) for m, (t, _, _) in zip(models, triples)])
-        return _least_squares(design, y_all)
+        return _arrow_least_squares([(m.signal(t, gamma), y, p0)
+                                     for m, (t, y, p0) in zip(models, triples)])
 
     def objective(xn):
         if not xn > 0:
             return _REJECT
-        return project(xn * _GAMMA_SEED)[1]
+        return project(xn * _GAMMA_SEED)[2]
 
     res = minimize_scalar(objective, 1.0, _TRAP_SEARCH)
 
     gamma = float(res.x * _GAMMA_SEED)
-    coef, sse = project(gamma)
-    return TrapFitResult(gamma_trap=gamma, background_b=float(coef[-1]),
-                         scale_a=[float(a) for a in coef[:-1]],
-                         residual=sse, converged=res.converged,
+    scales, background, sse = project(gamma)
+    return TrapFitResult(gamma_trap=gamma, background_b=background,
+                         scale_a=scales, residual=sse, converged=res.converged,
                          iterations=res.iterations, nfev=res.nfev)

@@ -25,6 +25,9 @@ _SHRINK = 0.5
 # Bracket expansion ratio, and the golden-section fraction 1 - 1/ratio.
 _GOLDEN = (1 + math.sqrt(5)) / 2
 _GOLDEN_SECTION = (3 - math.sqrt(5)) / 2
+# First trial step from x: _STEP_REL * |x|, no shorter than _STEP_ABS.
+_STEP_REL = 0.05
+_STEP_ABS = 0.00025
 
 
 @dataclass(frozen=True)
@@ -32,17 +35,13 @@ class MinimizeOptions:
     xtol_rel: float = 1e-8
     ftol_rel: float = 1e-8
     max_iter: int = 2000
-    initial_step_rel: float = 0.05
-    initial_step_abs: float = 0.00025
 
     def __post_init__(self):
-        for name in ("xtol_rel", "ftol_rel", "initial_step_rel"):
+        for name in ("xtol_rel", "ftol_rel"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
         if not self.max_iter >= 0:
             raise ValueError("max_iter must be nonnegative")
-        if not 0 < self.initial_step_abs < math.inf:
-            raise ValueError("initial_step_abs must be finite and positive")
 
 
 @dataclass
@@ -54,14 +53,13 @@ class MinimizeResult:
     converged: bool
 
 
-def _first_step(x: float, opts: MinimizeOptions) -> float:
+def _first_step(x: float) -> float:
     """First trial step from x: relative, but no shorter than the absolute.
 
     The floor keeps a tiny but nonzero start (say 1e-30) from a step so
     short that the search stops at once on a false minimum.
     """
-    return math.copysign(max(opts.initial_step_rel * abs(x),
-                             opts.initial_step_abs), x)
+    return math.copysign(max(_STEP_REL * abs(x), _STEP_ABS), x)
 
 
 def minimize(objective: Callable, x0,
@@ -89,7 +87,7 @@ def minimize(objective: Callable, x0,
     nfev = 1
     for i in range(n):
         x = x0.copy()
-        x[i] += _first_step(x[i], opts)
+        x[i] += _first_step(x[i])
         sim[i + 1] = x
         fvals[i + 1] = objective(x)
         nfev += 1
@@ -172,7 +170,7 @@ def minimize_scalar(objective: Callable[[float], float], x0: float,
     fa = f(a)
     if not math.isfinite(fa):
         raise ValueError("objective must be finite at the starting point")
-    b = a + _first_step(a, opts)
+    b = a + _first_step(a)
     fb = f(b)
     if fb > fa:
         a, b, fa, fb = b, a, fb, fa

@@ -439,6 +439,23 @@ class TestCli:
         assert report["depth_err"] is not None and report["fwhm_hz"] > 0
         assert "fwhm_hz" in capsys.readouterr().err
 
+    def test_fit_hole_noise_bump_exit_4(self, tmp_path):
+        # Poisson noise with no hole: a bump of depth within 3 sigma of 0
+        # is fitted, but it is no detection, so it has no center or width
+        scan_path = tmp_path / "scan.csv"
+        report_path = tmp_path / "hole.json"
+        assert main(["gen", "holescan", "--depth", "0", "--noise", "poisson",
+                     "--out", str(scan_path)]) == 0
+        assert main(["fit", "hole", "--scan", str(scan_path),
+                     "--out", str(report_path)]) == 4
+        report = json.loads(report_path.read_text())
+        assert 0 < report["depth"] <= 3 * report["depth_err"]
+        assert report["hole_detected"] is False
+        assert report["unresolved"] == ["center_hz", "fwhm_hz"]
+        assert report["center_err_hz"] is None
+        assert report["fwhm_err_hz"] is None
+        assert report["hom_linewidth_hz"] is None
+
     def test_fit_expdecay_end_to_end(self, tmp_path):
         series = tmp_path / "series.csv"
         report = tmp_path / "exp.json"

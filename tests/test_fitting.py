@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import holeburn as hb
 from holeburn import FitError, csvio, fitting, lifetime
 from holeburn.cli import main
-from holeburn.fitting import _column_norms, _least_squares
+from holeburn.fitting import _arrow_least_squares
 from holeburn.linefit import _t_quantile
 from holeburn.simplex import MinimizeResult, minimize
 
@@ -592,62 +592,54 @@ class TestLinearFit:
 
 @st.composite
 def bounded_problems(draw):
-    """(design, target) for `_least_squares`, which bounds every column.
+    """Blocks (S_c, y_c, P_c) of the trap fit's linear problem.
 
-    Random designs have columns over six decades and maybe a zero column.
-    Trap-shaped designs have one positive decay column per curve, nonzero
-    only on that curve's rows, and a shared power column; the target's
-    background may be negative so B >= 0 binds.
+    Each curve has a positive decay signal, or one that is all zero; B's
+    column is the curve's power on every row.  A scale drawn negative
+    makes A_c >= 0 bind, and a negative background makes B >= 0 bind
+    unless the curves' constant parts absorb it.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        n = draw(st.integers(1, 6))
-        design = rng.normal(size=(draw(st.integers(n + 2, 30)), n))
-        design *= 10.0 ** rng.uniform(-3, 3, n)
-        if draw(st.booleans()):
-            design[:, draw(st.integers(0, n - 1))] = 0.0
-        truth = rng.normal(size=n)
-    else:
-        sizes = draw(st.lists(st.integers(3, 12), min_size=1, max_size=7))
-        t = [np.sort(rng.uniform(0, 5, k)) for k in sizes]
-        design = np.zeros((sum(sizes), len(sizes) + 1))
-        rows = np.repeat(np.arange(len(sizes)), sizes)
-        design[np.arange(rows.size), rows] = np.concatenate(
-            [np.exp(-rng.uniform(0.1, 3) * tc) + rng.uniform(0, 1)
-             for tc in t])
-        design[:, -1] = rng.uniform(1, 50, len(sizes))[rows]
-        truth = np.r_[rng.uniform(0, 1e3, len(sizes)), rng.uniform(-5, 5)]
-    target = design @ truth + rng.normal(size=design.shape[0])
-    return design, target
+    background = rng.uniform(-5, 5)
+    blocks = []
+    for k in draw(st.lists(st.integers(3, 12), min_size=1, max_size=7)):
+        t = np.sort(rng.uniform(0, 5, k))
+        s = np.exp(-rng.uniform(0.1, 3) * t) + rng.uniform(0, 1)
+        if rng.uniform() < 0.1:
+            s = np.zeros(k)
+        scale = rng.uniform(-300, 1e3)
+        power = rng.uniform(1, 50)
+        y = scale * s + background * power + rng.normal(size=k)
+        blocks.append((s, y, power))
+    return blocks
 
 
 class TestLeastSquares:
     @settings(max_examples=300, deadline=None)
-    @given(problem=bounded_problems())
-    def test_matches_bvls(self, problem):
+    @given(blocks=bounded_problems())
+    def test_matches_bvls(self, blocks):
         from scipy.optimize import lsq_linear
 
-        design, target = problem
-        coef, sse = _least_squares(design, target)
-        scaled = design / _column_norms(design)
-        ref = lsq_linear(scaled, target, method="bvls", bounds=(0.0, np.inf))
+        scales, background, sse = _arrow_least_squares(blocks)
+        # the dense design: S_c on curve c's rows, and P_c on all of them
+        sizes = [s.size for s, _, _ in blocks]
+        rows = np.repeat(np.arange(len(blocks)), sizes)
+        design = np.zeros((rows.size, len(blocks) + 1))
+        design[np.arange(rows.size), rows] = np.concatenate(
+            [s for s, _, _ in blocks])
+        design[:, -1] = np.repeat([p0 for _, _, p0 in blocks], sizes)
+        target = np.concatenate([y for _, y, _ in blocks])
+        norms = np.linalg.norm(design, axis=0)
+        norms[norms == 0] = 1.0
+        ref = lsq_linear(design / norms, target, method="bvls",
+                         bounds=(0.0, np.inf))
         assert sse == pytest.approx(2 * ref.cost, rel=1e-10)
+        coef = np.array([*scales, background])
         assert np.all(coef >= 0)
-        # KKT: moving a column held at 0 upwards cannot lower the SSE.
-        gradient = scaled.T @ (target - design @ coef)
+        # KKT: moving a coefficient held at 0 upwards cannot lower the SSE.
+        gradient = (design / norms).T @ (target - design @ coef)
         held = coef == 0
         assert np.all(gradient[held] <= 1e-9 * np.linalg.norm(target))
-
-    def test_feasible_optimum_is_one_solve(self):
-        # an unconstrained optimum that satisfies the bounds is returned
-        # exactly as the plain least-squares solve gives it
-        x = np.linspace(0, 1, 20)
-        design = np.column_stack([np.ones_like(x), np.exp(-3 * x)])
-        target = design @ [0.5, 2.0] + 0.01 * np.sin(40 * x)
-        norms = _column_norms(design)
-        plain = np.linalg.lstsq(design / norms, target, rcond=None)[0]
-        coef, _ = _least_squares(design, target)
-        assert np.array_equal(coef, plain / norms)
 
 
 @pytest.mark.parametrize("dof", [*range(1, 60), 100, 250, 1000, 10**4])
@@ -658,6 +650,26 @@ def test_t_quantile_matches_scipy(dof):
                   0.999]:
         assert _t_quantile(dof, level) == pytest.approx(
             float(stdtrit(dof, level)), rel=1e-11, abs=1e-11)
+
+
+@pytest.fixture(scope="module")
+def seven_curve_batch(material, fast_domain):
+    """Poisson batch at the benchmark's seven trap-fit powers."""
+    t = np.linspace(0, 120, 31)
+    powers = [2e-6, 4e-6, 8e-6, 13e-6, 21e-6, 29e-6, 44e-6]
+    return hb.gen_decay_batch(material, 9e4, 0.19, 9.4e7, powers, t,
+                              hb.NoiseSpec(kind="poisson", seed=11),
+                              domain=fast_domain)
+
+
+def assert_same_fit_permuted(permuted, fit, order):
+    """The fit of the curves taken in `order` is `fit`, bit for bit, with
+    its scales permuted along."""
+    assert permuted.gamma_trap == fit.gamma_trap
+    assert permuted.background_b == fit.background_b
+    assert permuted.residual == fit.residual
+    assert permuted.nfev == fit.nfev
+    assert permuted.scale_a == [fit.scale_a[i] for i in order]
 
 
 class TestTrapFit:
@@ -706,9 +718,18 @@ class TestTrapFit:
                                     domain=fast_domain)
         fwd = hb.fit_trap_model(curves, material, domain=fast_domain)
         rev = hb.fit_trap_model(curves[::-1], material, domain=fast_domain)
-        assert rev.residual == pytest.approx(fwd.residual, rel=1e-6)
-        assert rev.scale_a[0] == pytest.approx(fwd.scale_a[1], rel=1e-4)
-        assert rev.scale_a[1] == pytest.approx(fwd.scale_a[0], rel=1e-4)
+        assert_same_fit_permuted(rev, fwd, [1, 0])
+
+    @settings(max_examples=20, deadline=None)
+    @given(order=st.integers(3, 7).flatmap(
+        lambda n: st.permutations(range(n))))
+    def test_random_curve_permutations(self, material, fast_domain,
+                                       seven_curve_batch, order):
+        curves = seven_curve_batch[:len(order)]
+        fit = hb.fit_trap_model(curves, material, domain=fast_domain)
+        permuted = hb.fit_trap_model([curves[i] for i in order], material,
+                                     domain=fast_domain)
+        assert_same_fit_permuted(permuted, fit, order)
 
     @settings(max_examples=8, deadline=None)
     @given(c=st.floats(1e-3, 1e3))
@@ -782,18 +803,24 @@ class TestTrapFit:
 UNUSED_MODULES = ("scipy", "numpy.polynomial", "numpy.ma")
 
 
-def modules_after(code, prefixes=UNUSED_MODULES):
-    """Modules in the `prefixes` packages loaded by `code` in a fresh
-    interpreter, as the printed sorted list."""
+def run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this package."""
     src = str(Path(hb.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def modules_after(code, prefixes=UNUSED_MODULES):
+    """Modules in the `prefixes` packages loaded by `code` in a fresh
+    interpreter, as the printed sorted list."""
     code += (f"; print(sorted(m for m in sys.modules for p in {prefixes!r} "
              "if m == p or m.startswith(p + '.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return out.strip().splitlines()[-1]
+    run = run_fresh(code)
+    run.check_returncode()
+    return run.stdout.strip().splitlines()[-1]
 
 
 def cli_modules_after(job, prefixes=UNUSED_MODULES):
@@ -939,3 +966,31 @@ def test_integrating_command_loads_no_lazy_module(tmp_path, job):
     # both refine once, so the Gauss-Legendre rule is built for n = 48, 96
     out = str(tmp_path / "out.csv")
     assert cli_modules_after([*job, "--out", out]) == "[]"
+
+
+def test_no_cli_job_calls_numpy_linalg(tmp_path):
+    # every public numpy.linalg function raises, so a LAPACK call anywhere
+    # on these jobs' paths ends the interpreter with a traceback
+    curve, scan = str(tmp_path / "curve.csv"), str(tmp_path / "scan.csv")
+    jobs = [["simulate", "--t-end", "5", "--n-t", "3"],
+            ["gen", "decay", "--n-t", "21", "--tol", "0", "--out", curve],
+            ["fit", "trap", curve],
+            ["gen", "holescan", "--out", scan],
+            ["fit", "hole", "--scan", scan],
+            ["fit", "hole", "--aom-off", "auto", "--scan", scan]]
+    for i, job in enumerate(jobs):
+        if "--out" not in job:
+            job += ["--out", str(tmp_path / f"out{i}")]
+    code = ("import inspect, numpy.linalg as la\n"
+            "def lapack(*args, **kwargs):\n"
+            "    raise SystemError('numpy.linalg called')\n"
+            "for name in la.__all__:\n"
+            "    if inspect.isroutine(getattr(la, name)):\n"
+            "        setattr(la, name, lapack)\n"
+            "from holeburn.cli import main\n"
+            f"for job in {jobs!r}:\n"
+            "    print(job[:2], main(job))")
+    run = run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    assert [line.split()[-1] for line in run.stdout.splitlines()
+            if line.startswith("[")] == ["0"] * len(jobs)

@@ -32,8 +32,7 @@ _EXPORTS = {
     "pipeline": ("HoleArea", "NormalizedScan", "PipelineOrderError",
                  "RawScan", "detect_aom_off_range", "hole_area_with_error",
                  "normalize_by_power", "point_rms", "subtract_background"),
-    "simplex": ("MinimizeOptions", "MinimizeResult", "minimize",
-                "minimize_scalar"),
+    "simplex": ("MinimizeOptions", "MinimizeResult", "minimize"),
     "synth": ("NoiseSpec", "apply_noise", "gen_decay_batch",
               "gen_decay_curve", "gen_hole_decay_series", "gen_hole_scan"),
     "zeeman": ("ResonanceFields", "ZeemanConfig", "applied_field",

@@ -9,11 +9,10 @@ of their spread), so its stopping rule is invariant to shifts and scaling;
 its baseline and depth come in closed form from moments about the weighted
 means, with the depth clamped at 0.  Its errors come from its analytic
 Jacobian through `simplex._jacobian_errors`, as the lifetime fit's do.  The
-trap fit searches gamma_trap by Brent's method (`minimize_scalar`); its
-coefficients, all bounded at 0, come in closed form from
-`_arrow_least_squares`, since each scale A_c sits only in its own curve's
-rows and the background B in all of them.  No fit calls LAPACK.  The
-search settings are the constants below.
+trap fit searches log gamma_trap by Gauss-Newton (`gauss_newton`) with
+Kaufman's column; its coefficients, all bounded at 0, come in closed form
+from `_arrow_least_squares`, since each scale A_c sits only in its own
+curve's rows and the background B in all of them.  No fit calls LAPACK.
 `exp_decay` is the lifetime model on arrays, for the fixture generators;
 the lifetime fit itself is plain Python, in `lifetime`.
 """
@@ -28,16 +27,14 @@ import numpy as np
 from .errors import FitError
 from .integrator import TrapDecayModel
 from .model import BeamGeometry, MaterialParams
-from .simplex import (MinimizeOptions, _jacobian_errors, minimize,
-                      minimize_scalar)
+from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
 
-# Objective value at a nonpositive trapping rate or hole width.
+# Objective value of the hole fit at a nonpositive width.
 _REJECT = 1e300
 
-# Search settings of the hole fit, and of the trap fit, which searches
-# gamma_trap in units of _GAMMA_SEED [1/s] from 1.
+# Search settings of the hole fit.  The trap fit searches
+# log(gamma_trap / _GAMMA_SEED) [gamma in 1/s] from 0.
 _SEARCH = MinimizeOptions(xtol_rel=1e-10, ftol_rel=1e-10, max_iter=4000)
-_TRAP_SEARCH = MinimizeOptions(xtol_rel=1e-9, max_iter=8000)
 _GAMMA_SEED = 1e5
 
 
@@ -70,13 +67,14 @@ def _arrow_least_squares(blocks):
     """min sum_c |y_c - A_c S_c - B P_c|^2 over every A_c >= 0 and B >= 0.
 
     `blocks` holds (S_c, y_c, P_c) per curve, with S_c nonnegative and
-    P_c > 0; returns ([A_c], B, SSE).  For a fixed B the best
-    A_c(B) = max(0, S_c.(y_c - B P_c) / S_c.S_c), or 0 when S_c.S_c = 0, is
-    positive below its knot S_c.y_c / (P_c sum S_c) and 0 above it, so
-    SSE(B) is a convex quadratic between knots; its minimum is found exactly
-    by walking the segments up from B = 0.  Sums across curves are
-    `math.fsum`s of per-curve dot products, and the SSE is the fsum of each
-    curve's r_c.r_c, so the result does not depend on the curves' order.
+    P_c > 0; returns ([A_c], B, SSE, [r_c]), r_c = y_c - A_c S_c - B P_c.
+    For a fixed B the best A_c(B) = max(0, S_c.(y_c - B P_c) / S_c.S_c), or
+    0 when S_c.S_c = 0, is positive below its knot S_c.y_c / (P_c sum S_c)
+    and 0 above it, so SSE(B) is a convex quadratic between knots; its
+    minimum is found exactly by walking the segments up from B = 0.  Sums
+    across curves are `math.fsum`s of per-curve dot products, and the SSE
+    is the fsum of each curve's r_c.r_c, so the result does not depend on
+    the curves' order.
     """
     curves = []
     for s, y, p0 in blocks:
@@ -103,7 +101,28 @@ def _arrow_least_squares(blocks):
     residuals = [y - a * s - background * p0
                  for a, (s, y, p0) in zip(scales, blocks)]
     return scales, background, math.fsum(float(np.dot(r, r))
-                                         for r in residuals)
+                                         for r in residuals), residuals
+
+
+def _free_complement(blocks, scales, background, vectors):
+    """(I - Pi) v per curve, Pi the projection onto the free columns of
+    `_arrow_least_squares`: S_c where A_c > 0, and P_c on every row when
+    B > 0.  For a fixed B each S_c is projected off its own rows; B then
+    takes what is left of P's column, summed across curves by fsum."""
+    rest, power = [], []
+    for (s, _, p0), a, v in zip(blocks, scales, vectors):
+        p = np.full(s.size, p0)
+        if a > 0:
+            ss = float(np.dot(s, s))
+            v = v - float(np.dot(s, v)) / ss * s
+            p = p - float(np.dot(s, p)) / ss * s
+        rest.append(v)
+        power.append(p)
+    pp = math.fsum(float(np.dot(p, p)) for p in power)
+    if background > 0 and pp > 0:
+        b = math.fsum(float(np.dot(p, v)) for p, v in zip(power, rest)) / pp
+        rest = [v - b * p for v, p in zip(rest, power)]
+    return rest
 
 
 @dataclass
@@ -326,19 +345,25 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
                                          focus_fwhm=focus_fwhm)
         models.append(TrapDecayModel(material, geom, domain).compressed())
 
-    def project(gamma):
-        return _arrow_least_squares([(m.signal(t, gamma), y, p0)
-                                     for m, (t, y, p0) in zip(models, triples)])
+    def solve(xn):
+        gamma = _GAMMA_SEED * math.exp(xn)
+        blocks = [(m.signal(t, gamma), y, p0)
+                  for m, (t, y, p0) in zip(models, triples)]
+        return gamma, blocks, _arrow_least_squares(blocks)
 
-    def objective(xn):
-        if not xn > 0:
-            return _REJECT
-        return project(xn * _GAMMA_SEED)[2]
+    def project(xn):
+        gamma, blocks, (scales, background, sse, residuals) = solve(xn)
+        # Kaufman's column: minus d model / d xn, projected off the free
+        # columns.
+        slopes = [a * gamma * m.signal_slope(t, gamma)
+                  for a, m, (t, _, _) in zip(scales, models, triples)]
+        col = _free_complement(blocks, scales, background, slopes)
+        return (sse, np.concatenate(residuals).tolist(),
+                (-np.concatenate(col)).tolist())
 
-    res = minimize_scalar(objective, 1.0, _TRAP_SEARCH)
+    res = gauss_newton(project, 0.0)
 
-    gamma = float(res.x * _GAMMA_SEED)
-    scales, background, sse = project(gamma)
+    gamma, _, (scales, background, sse, _) = solve(res.x)
     return TrapFitResult(gamma_trap=gamma, background_b=background,
                          scale_a=scales, residual=sse, converged=res.converged,
                          iterations=res.iterations, nfev=res.nfev)

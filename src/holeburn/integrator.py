@@ -407,3 +407,9 @@ class CompressedDecayModel:
     def signal(self, t_grid, gamma_trap) -> np.ndarray:
         return self.frozen_amp + _decay_sum(
             _check_times(t_grid), gamma_trap * self.bin_k, self.bin_amp)
+
+    def signal_slope(self, t_grid, gamma_trap) -> np.ndarray:
+        """dS/dgamma_trap = -t sum amp k exp(-gamma_trap k t)."""
+        t = _check_times(t_grid)
+        return -t * _decay_sum(t, gamma_trap * self.bin_k,
+                               self.bin_amp * self.bin_k)

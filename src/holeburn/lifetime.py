@@ -1,10 +1,10 @@
 """Exponential lifetime fit a exp(-t/tau) (+ offset) in plain Python.
 
 A lifetime series has a few dozen points, so this module runs on `math`
-and a `fit expdecay` job loads no numpy.  The fit is separable: Brent's
-method (`minimize_scalar`) searches u = log(tau / span), and for each tau
-the amplitude and offset come from the closed-form one- or two-column
-least squares over moments about the means.  The points are sorted first
+and a `fit expdecay` job loads no numpy.  The fit is separable:
+`gauss_newton` searches u = log(tau / span), and for each tau the
+amplitude and offset come from the closed-form one- or two-column least
+squares over moments about the means.  The points are sorted first
 and every sum is a `math.fsum`, so the fit does not depend on their order.
 Uncertainties come from the analytic Jacobian J at the optimum,
 cov = s^2 (J^T J)^-1 with s^2 the residual variance, by the hole fit's
@@ -20,11 +20,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import FitError
-from .simplex import MinimizeOptions, _jacobian_errors, minimize_scalar
-
-# Brent's method stops when u = log(tau / span) is known to xtol_rel; it
-# does not read ftol_rel, which the Nelder-Mead oracle of the tests uses.
-_SEARCH = MinimizeOptions(xtol_rel=1e-10, ftol_rel=1e-10, max_iter=4000)
+from .simplex import _jacobian_errors, gauss_newton
 
 # A fitted lifetime longer than this many sampled spans cannot be told from
 # a straight line by the data, so the fit rejects it.
@@ -108,7 +104,7 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
 
     times and values are equal-length 1-D sequences of numbers or 1-D
     arrays, in any order.  The offset mode captures a persistent residual
-    level that the decay relaxes onto instead of zero.  Brent's method
+    level that the decay relaxes onto instead of zero.  Gauss-Newton
     searches u = log(tau / span) from log(1/3), so tau stays positive.
     Raises FitError when the data resolve no lifetime (the decay is
     complete within the shortest step between sampled times, or tau
@@ -138,26 +134,32 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     y_mean = math.fsum(yn) / n
     dy = [v - y_mean for v in yn]
 
-    def project(u):
-        """Coefficients of exp(-xt / exp(u)) (and 1) on yn, and the SSE."""
+    def solve(u):
+        """SSE, residuals, Kaufman's column -a (I - P) d decay / du and
+        coefficients of the fit of exp(-xt / exp(u)) (and 1) to yn."""
         tau_n = _exp_u(u)
-        decay = [math.exp(-v / tau_n) for v in xt]
-        if not with_offset:
-            scale = math.fsum(map(mul, decay, decay))
-            a = math.fsum(map(mul, decay, yn)) / scale
-            return (a,), math.fsum((a * w - v) ** 2
-                                   for w, v in zip(decay, yn))
-        mean = math.fsum(decay) / n
-        dd = [w - mean for w in decay]
-        sdd = math.fsum(map(mul, dd, dd))
-        # An infinite tau makes the column constant: the floor fits alone.
-        a = math.fsum(map(mul, dd, dy)) / sdd if sdd > 0 else 0.0
-        return (a, y_mean - a * mean), math.fsum((a * w - v) ** 2
-                                                 for w, v in zip(dd, dy))
+        basis = [math.exp(-v / tau_n) for v in xt]
+        slope = [w * v / tau_n for w, v in zip(basis, xt)]
+        target = yn
+        if with_offset:
+            # Moments about the means take the constant column out.
+            mean, slope_mean = math.fsum(basis) / n, math.fsum(slope) / n
+            basis = [w - mean for w in basis]
+            slope = [w - slope_mean for w in slope]
+            target = dy
+        norm = math.fsum(map(mul, basis, basis))
+        # An infinite tau makes the centred column vanish: the floor fits
+        # alone.
+        a = math.fsum(map(mul, basis, target)) / norm if norm > 0 else 0.0
+        c = math.fsum(map(mul, basis, slope)) / norm if norm > 0 else 0.0
+        r = [v - a * w for w, v in zip(basis, target)]
+        col = [a * (c * w - s) for w, s in zip(basis, slope)]
+        coef = (a, y_mean - a * mean) if with_offset else (a,)
+        return math.fsum(v * v for v in r), r, col, coef
 
-    res = minimize_scalar(lambda u: project(u)[1], math.log(1 / 3), _SEARCH)
+    res = gauss_newton(lambda u: solve(u)[:3], math.log(1 / 3))
 
-    coef, _ = project(res.x)
+    coef = solve(res.x)[3]
     tau = _exp_u(res.x) * tspan
     diagnostics = {"tau_s": tau, "span_s": tspan,
                    "iterations": res.iterations, "nfev": res.nfev}

@@ -1,14 +1,14 @@
-"""Derivative-free minimizers, and the error bars of the fits they serve.
+"""The fits' minimizers, and the error bars of the fits they serve.
 
 `minimize` is a plain Nelder-Mead descent with the classic coefficient set
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) and relative
 size/value stopping rules; the hole fit, with two nonlinear parameters,
-uses it.  `minimize_scalar` brackets a minimum of a function of one
-variable and closes the bracket by Brent's method; the trap and lifetime
-fits use it.  Both are reproducible from their starting point alone.
-`_jacobian_errors` turns the analytic Jacobian of the hole or lifetime fit
-into one-sigma errors.  `minimize` imports numpy when called; the rest is
-plain Python, so the lifetime fit loads no numpy.
+uses it.  `gauss_newton` searches the one nonlinear parameter of the trap
+and lifetime fits by Gauss-Newton steps on the projected residual.  Both
+are reproducible from their starting point alone.  `_jacobian_errors`
+turns the analytic Jacobian of the hole or lifetime fit into one-sigma
+errors.  `minimize` imports numpy when called; the rest is plain Python,
+so the lifetime fit loads no numpy.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ _REFLECT = 1.0
 _EXPAND = 2.0
 _CONTRACT = 0.5
 _SHRINK = 0.5
-# Bracket expansion ratio, and the golden-section fraction 1 - 1/ratio.
-_GOLDEN = (1 + math.sqrt(5)) / 2
-_GOLDEN_SECTION = (3 - math.sqrt(5)) / 2
 # First trial step from x: _STEP_REL * |x|, no shorter than _STEP_ABS.
 _STEP_REL = 0.05
 _STEP_ABS = 0.00025
+# Gauss-Newton: the relative step that ends the search, and the cap on
+# trial steps.
+_GN_XTOL_REL = 1e-10
+_GN_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ class MinimizeOptions:
 
 @dataclass
 class MinimizeResult:
-    x: object  # an array from minimize, a float from minimize_scalar
+    x: object  # an array from minimize, a float from gauss_newton
     fun: float
     iterations: int
     nfev: int
@@ -141,109 +142,44 @@ def minimize(objective: Callable, x0,
                           iterations=iterations, nfev=nfev, converged=False)
 
 
-def minimize_scalar(objective: Callable[[float], float], x0: float,
-                    options: Optional[MinimizeOptions] = None
-                    ) -> MinimizeResult:
-    """Minimize a function of one variable: bracket, then Brent's method.
+def gauss_newton(project: Callable, x0: float) -> MinimizeResult:
+    """Minimize a separable least-squares SSE over its one nonlinear x.
 
-    The bracket starts with the simplex's first step from x0, relative but
-    no shorter than the absolute one, and expands downhill by the golden
-    ratio until the objective rises again (NaN counts as a rise).  Brent's
-    method (R. P. Brent, *Algorithms for Minimization without Derivatives*,
-    1973, ch. 5) then shrinks it by parabolic steps through the three best
-    points, falling back to golden sections, none shorter than
-    tol = xtol_rel * max(1, |x|) for the best point x.  It stops, as
-    Brent's does, when both ends of the bracket lie within 2 tol of x;
-    ftol_rel is not used.  max_iter caps the steps of both phases
-    together; at the cap the best point so far is returned with
-    converged=False.
+    `project(x)` returns the SSE, the projected residual r (data minus
+    model) and Kaufman's column d r / d x (Kaufman, BIT 15, 49 (1975));
+    g = r.col is half the SSE's slope.  Each step is -g / h, h = col.col,
+    shortened by Marquardt damping while it raises the SSE.  The search
+    converges on a step below `_GN_XTOL_REL` * max(1, |x|) (0 when h = 0)
+    or a predicted saving g^2 / h below 8 ulp of the SSE.  Its last step,
+    which the SSE cannot judge but the slope resolves, is taken without a
+    call (`fun` is the SSE before it), with the slope's secant curvature
+    in place of h when positive: h misjudges large-residual curvature.
+    `_GN_MAX_ITER` trial steps end it with converged=False.
     """
-    opts = options or MinimizeOptions()
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        nfev += 1
-        return float(objective(x))
-
-    a = float(x0)
-    fa = f(a)
-    if not math.isfinite(fa):
+    x = float(x0)
+    sse, r, col = project(x)
+    if not math.isfinite(sse):
         raise ValueError("objective must be finite at the starting point")
-    b = a + _first_step(a)
-    fb = f(b)
-    if fb > fa:
-        a, b, fa, fb = b, a, fb, fa
-    c = b + _GOLDEN * (b - a)
-    fc = f(c)
-    iterations = 0
-    while fc < fb:
-        if iterations >= opts.max_iter:
-            return MinimizeResult(x=c, fun=fc, iterations=iterations,
-                                  nfev=nfev, converged=False)
-        iterations += 1
-        a, b, fa, fb = b, c, fb, fc
-        c = b + _GOLDEN * (b - a)
-        fc = f(c)
-
-    # f(x) <= f at both ends of [lo, hi]; w and v are the second and third
-    # best points, d the last step and e the one before it.
-    lo, hi = min(a, c), max(a, c)
-    x = w = v = b
-    fx = fw = fv = fb
-    d = e = 0.0
+    nfev, damping, last = 1, 0.0, None
     while True:
-        tol = opts.xtol_rel * max(1.0, abs(x))
-        converged = max(x - lo, hi - x) <= 2 * tol
-        if converged or iterations >= opts.max_iter:
-            return MinimizeResult(x=x, fun=fx, iterations=iterations,
-                                  nfev=nfev, converged=converged)
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        golden = True
-        if abs(e) > tol:
-            # Vertex of the parabola through (x, w, v) as x + p / q; taken
-            # when it falls inside the bracket and the step is less than
-            # half the step before last, so the steps keep shrinking.  An
-            # end already within 2 tol of x does not bound it: rounding in
-            # the objective can put the vertex just beyond, and the step
-            # then becomes tol towards the other end.
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0:
-                p = -p
-            q = abs(q)
-            lo_open = lo if x - lo > 2 * tol else -math.inf
-            hi_open = hi if hi - x > 2 * tol else math.inf
-            if (abs(p) < abs(0.5 * q * e)
-                    and q * (lo_open - x) < p < q * (hi_open - x)):
-                e, d = d, p / q
-                if min(x + d - lo, hi - x - d) < 2 * tol:
-                    d = math.copysign(tol, mid - x)
-                golden = False
-        if golden:
-            e = hi - x if x < mid else lo - x
-            d = _GOLDEN_SECTION * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = f(u)
-        if fu <= fx:
-            if u < x:
-                hi = x
-            else:
-                lo = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
+        g, h = math.fsum(map(mul, r, col)), math.fsum(map(mul, col, col))
+        step = -g / (h * (1 + damping)) if h else 0.0
+        if (abs(step) < _GN_XTOL_REL * max(1.0, abs(x))
+                or g * g / h < 8 * math.ulp(sse)):
+            if last and (g - last[1]) / (x - last[0]) > 0:
+                step = -g * (x - last[0]) / (g - last[1])
+            return MinimizeResult(x + step, sse, nfev - 1, nfev, True)
+        if nfev > _GN_MAX_ITER:
+            return MinimizeResult(x, sse, nfev - 1, nfev, False)
+        trial = project(x + step)
+        nfev += 1
+        # NaN is a rise too.
+        if trial[0] <= sse:
+            last, x = (x, g), x + step
+            sse, r, col = trial
+            damping /= 10
         else:
-            if u < x:
-                lo = u
-            else:
-                hi = u
-            if fu <= fw or w == x:
-                v, w, fv, fw = w, u, fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+            damping = max(1.0, 10 * damping)
 
 
 def _det(matrix):

@@ -1,11 +1,10 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import holeburn as hb
-from holeburn import csvio, fitting
+from holeburn import csvio, simplex
 from holeburn.cli import main
 from holeburn.config import _SCHEMA, ConfigError, load_config
 
@@ -590,9 +589,8 @@ class TestCli:
             assert f"{bad}, line 7" in err
 
     def test_fit_failure_exit_4_with_report(self, tmp_path, monkeypatch):
-        # an iteration budget of 1 cannot converge the trap fit
-        monkeypatch.setattr(fitting, "_TRAP_SEARCH",
-                            replace(fitting._TRAP_SEARCH, max_iter=1))
+        # a budget of 1 trial step cannot converge the trap fit
+        monkeypatch.setattr(simplex, "_GN_MAX_ITER", 1)
         curve_file = tmp_path / "curve.csv"
         assert main(["gen", "decay", "--t-end", "100", "--n-t", "21",
                      "--tol", "0", "--out", str(curve_file)]) == 0

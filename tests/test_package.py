@@ -32,7 +32,7 @@ PUBLIC_NAMES = {
     "fit_hole_lorentzian", "fit_linear_ci", "fit_trap_model",
     "gen_decay_batch", "gen_decay_curve", "gen_hole_decay_series",
     "gen_hole_scan", "hole_area_with_error", "hom_linewidth_from_hole",
-    "ionization_rate", "lorentzian_hole", "minimize", "minimize_scalar",
+    "ionization_rate", "lorentzian_hole", "minimize",
     "normalize_by_power", "photon_energy", "point_rms",
     "power_broadened_linewidth", "r2_from_rates", "refine_until_converged",
     "resonance_fields", "saturation_ratio", "scaled_signal", "splittings",

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holeburn import MinimizeOptions, minimize, minimize_scalar
+from holeburn import MinimizeOptions, minimize, simplex
+from holeburn.simplex import gauss_newton
 
 
 def test_quadratic_1d():
@@ -50,9 +53,6 @@ def test_tiny_start_steps_by_the_absolute_floor():
     res = minimize(lambda p: (p[0] - 1.0) ** 2, [1e-30])
     assert res.converged
     assert res.x[0] == pytest.approx(1.0, abs=1e-6)
-    res = minimize_scalar(lambda x: (x - 1.0) ** 2, 1e-30)
-    assert res.converged
-    assert res.x == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -71,60 +71,114 @@ def test_nonfinite_start_rejected():
         minimize(lambda p: np.inf, [0.0])
 
 
+def counted(residual, slope):
+    """A `gauss_newton` projection from a residual r(x) and its slope, as
+    lists; `calls` records each x it is asked for."""
+    def project(x):
+        project.calls.append(x)
+        r, col = residual(x), slope(x)
+        return math.fsum(v * v for v in r), r, col
+
+    project.calls = []
+    return project
+
+
 def test_scalar_quadratic_to_xtol():
-    opts = MinimizeOptions(xtol_rel=1e-10)
-    res = minimize_scalar(lambda x: (x - 3.0) ** 2, 0.5, opts)
+    # a linear residual: the first step lands on the minimum, where the
+    # predicted saving is below the SSE's rounding
+    c, b = [1.0, -2.0, 0.5], [3.0, 1.0, -2.0]
+    best = math.fsum(map(lambda u, v: u * v, b, c)) / math.fsum(
+        v * v for v in c)
+    project = counted(lambda x: [v - x * u for u, v in zip(c, b)],
+                      lambda x: [-u for u in c])
+    res = gauss_newton(project, 10.0)
     assert res.converged
-    assert abs(res.x - 3.0) <= 2 * opts.xtol_rel * 3.0
-    # the first step, the bracket and every Brent step cost one call each
-    assert res.nfev == res.iterations + 3
+    assert res.x == pytest.approx(best, rel=1e-15)
+    assert res.nfev == len(project.calls) == 2
+    assert res.iterations == 1
 
 
-def test_scalar_far_minimum_expands_bracket():
-    res = minimize_scalar(lambda x: np.log1p((x - 5e3) ** 2), 1.0)
-    assert res.converged
-    assert res.x == pytest.approx(5e3, rel=1e-7)
-    # reaching 5e3 from a 5 % step takes ~15 golden-ratio expansions
-    assert 15 <= res.iterations < 60
-
-
-def test_scalar_rejected_region_is_uphill():
-    # the trap fit's objective: a huge constant at a nonpositive rate
-    res = minimize_scalar(lambda x: 1e300 if x <= 0 else x - np.log(x), 0.02)
-    assert res.converged
-    assert res.x == pytest.approx(1.0, rel=1e-6)
-
-
-def test_scalar_iteration_cap_flags_nonconvergence():
-    f = lambda x: (x - 3.0) ** 2
-    for cap in (0, 2, 8):
-        res = minimize_scalar(f, 0.0, MinimizeOptions(max_iter=cap))
+def test_scalar_iteration_cap_flags_nonconvergence(monkeypatch):
+    # r = exp(x) - 3 from x = 5 needs several steps
+    project = counted(lambda x: [math.exp(x) - 3.0],
+                      lambda x: [math.exp(x)])
+    for cap in (0, 1, 2):
+        monkeypatch.setattr(simplex, "_GN_MAX_ITER", cap)
+        res = gauss_newton(project, 5.0)
         assert not res.converged
-        assert res.iterations == cap
-        assert res.fun == f(res.x) <= f(0.0)
+        assert res.iterations == res.nfev - 1 == cap
+        assert res.fun == project(res.x)[0] <= project(5.0)[0]
 
 
 def test_scalar_nonfinite_start_rejected():
-    for start in (np.inf, np.nan):
+    for start in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
-            minimize_scalar(lambda x: start, 1.0)
+            gauss_newton(lambda x: (start, [start], [1.0]), 1.0)
+
+
+def test_scalar_vanished_column_stops_at_once():
+    # the residual no longer moves with x: there is no step to take
+    project = counted(lambda x: [1.0, 2.0], lambda x: [0.0, 0.0])
+    res = gauss_newton(project, 0.7)
+    assert res.converged
+    assert (res.x, res.fun, res.nfev, res.iterations) == (0.7, 5.0, 1, 0)
+
+
+def test_scalar_rejected_region_is_uphill():
+    # log(x) is undefined at x <= 0, where the projection's SSE is NaN:
+    # the first step from 10 lands at -13, and damping brings it back
+    def project(x):
+        project.calls.append(x)
+        if x <= 0:
+            return math.nan, None, None
+        return math.log(x) ** 2, [math.log(x)], [1 / x]
+
+    project.calls = []
+    res = gauss_newton(project, 10.0)
+    assert res.converged
+    assert res.x == pytest.approx(1.0, abs=1e-12)
+    assert min(project.calls) < 0
+
+
+def test_scalar_rise_is_damped():
+    # the Gauss-Newton step on atan(x) from 3 overshoots to atan(-9.5);
+    # Marquardt damping shortens it until the SSE falls
+    project = counted(lambda x: [math.atan(x)],
+                      lambda x: [1 / (1 + x * x)])
+    res = gauss_newton(project, 3.0)
+    assert res.converged
+    assert abs(res.x) <= 1e-10
+    sse = [project(x)[0] for x in project.calls[:res.nfev]]
+    assert any(b > a for a, b in zip(sse, sse[1:]))
+    assert res.fun <= sse[0]
+
+
+def test_scalar_large_residual_lands_on_the_root_of_the_slope():
+    # r = (3 - z, 1 - z^2), z = exp(x), leaves a large residual at its
+    # minimum, the root of 2 z^3 - z - 3: there h overstates the
+    # curvature, Gauss-Newton closes in slowly, and the last step takes
+    # the secant curvature of the slope instead
+    project = counted(lambda x: [3 - math.exp(x), 1 - math.exp(2 * x)],
+                      lambda x: [-math.exp(x), -2 * math.exp(2 * x)])
+    z = 1.3
+    for _ in range(8):
+        z -= (2 * z**3 - z - 3) / (6 * z * z - 1)
+    res = gauss_newton(project, 0.0)
+    assert res.converged
+    assert res.x == pytest.approx(math.log(z), abs=1e-14)
 
 
 @settings(max_examples=200, deadline=None)
 @given(center=st.floats(-1e3, 1e3), x0=st.floats(-1e3, 1e3),
-       slope=st.floats(1e-2, 1e2), mix=st.floats(0.0, 1.0),
-       xtol=st.sampled_from([1e-4, 1e-6, 1e-8]))
-def test_scalar_finds_unimodal_minimum(center, x0, slope, mix, xtol):
-    # smooth, unimodal and zero at the center: log1p grows slowly, the cosh
-    # term exponentially, up to values that overflow to an uphill inf
-    def f(x):
-        s = slope * (x - center)
-        with np.errstate(over="ignore"):
-            bowl = mix * (np.cosh(s) - 1.0) if mix else 0.0
-        return bowl + np.log1p(s * s)
-
-    assume(np.isfinite(f(x0)))
-    res = minimize_scalar(f, x0, MinimizeOptions(xtol_rel=xtol))
+       slope=st.floats(1e-2, 1e2), mix=st.floats(0.0, 1.0))
+def test_scalar_finds_unimodal_minimum(center, x0, slope, mix):
+    # zero at the center, and as far as 2e5 slopes from it at the start:
+    # the cubic makes the Gauss-Newton steps shrink far from the center
+    project = counted(
+        lambda x: [slope * (x - center),
+                   mix * (slope * (x - center)) ** 3],
+        lambda x: [slope, 3 * mix * slope * (slope * (x - center)) ** 2])
+    res = gauss_newton(project, x0)
     assert res.converged
-    assert abs(res.x - center) <= 2 * xtol * max(1.0, abs(res.x))
-    assert res.fun == f(res.x) <= f(x0)
+    assert abs(res.x - center) <= 1e-9 * max(1.0, abs(center))
+    assert res.fun <= project(x0)[0]

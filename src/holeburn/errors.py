@@ -1,8 +1,13 @@
-"""The two failures the CLI maps to their own exit codes.
+"""The two failures the CLI maps to their own exit codes, and the rule by
+which both decay fits raise one.
 
 They live apart from the integrator and the fits that raise them, so that
 `cli.main` can catch them without importing either.
 """
+
+# A fitted decay slower than this many sampled spans cannot be told from a
+# straight line by the data, so the lifetime and trap fits reject it.
+_MAX_DECAY_SPANS = 100
 
 
 class ConvergenceError(RuntimeError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .errors import _MAX_DECAY_SPANS, FitError
 from .integrator import TrapDecayModel
 from .model import BeamGeometry, MaterialParams
 from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
@@ -334,6 +334,11 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
         Beam focus FWHM shared by all measurements [m].
     domain : IntegrationDomain or LevelSetRule, optional
         Rule each curve's decay cloud is built with.
+
+    Raises FitError, converged or not, when the fitted model is a straight
+    line over the data: gamma_trap max_c(max k_c * max t_c) is below
+    1 / `_MAX_DECAY_SPANS`, with k_c the decay rates of curve c's cloud
+    per unit gamma_trap, the lifetime fit's rule on tau.
     """
     triples = _curve_triples(curves)
     if not triples:
@@ -364,6 +369,13 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     res = gauss_newton(project, 0.0)
 
     gamma, _, (scales, background, sse, _) = solve(res.x)
-    return TrapFitResult(gamma_trap=gamma, background_b=background,
-                         scale_a=scales, residual=sse, converged=res.converged,
-                         iterations=res.iterations, nfev=res.nfev)
+    result = TrapFitResult(gamma_trap=gamma, background_b=background,
+                           scale_a=scales, residual=sse,
+                           converged=res.converged,
+                           iterations=res.iterations, nfev=res.nfev)
+    fastest = max(float(m.bin_k.max(initial=0.0)) * t[-1]
+                  for m, (t, _, _) in zip(models, triples))
+    if gamma * fastest * _MAX_DECAY_SPANS < 1:
+        raise FitError("trap fit found no resolvable decay",
+                       diagnostics=result.to_dict())
+    return result

@@ -48,6 +48,9 @@ _SUM_BLOCK_ELEMENTS = 1 << 20
 # below any fit tolerance.
 _N_BINS = 1024
 
+# Doublings of the rule `refine_until_converged` tries before it gives up.
+_MAX_REFINEMENTS = 3
+
 
 @dataclass(frozen=True)
 class IntegrationDomain:
@@ -325,18 +328,17 @@ def scaled_signal(s_model, params: ScaledSignalParams):
 
 def refine_until_converged(t_grid, material: MaterialParams,
                            geom: BeamGeometry, gamma_trap,
-                           domain=None, rel_tol: float = 5e-3,
-                           max_refinements: int = 3) -> SignalResult:
+                           domain=None, rel_tol: float = 5e-3) -> SignalResult:
     """Double the rule's node counts until S(t) changes by less than rel_tol.
 
-    Raises ConvergenceError (carrying the best result so far) when the
-    refinement cap is reached without meeting the tolerance.
+    Raises ConvergenceError (carrying the best result so far) when
+    `_MAX_REFINEMENTS` doublings do not meet the tolerance.
     """
     if not rel_tol >= 0:
         raise ValueError("rel_tol must be nonnegative")
 
     result = detected_signal(t_grid, material, geom, gamma_trap, domain)
-    for step in range(1, max_refinements + 1):
+    for step in range(1, _MAX_REFINEMENTS + 1):
         finer = result.domain.doubled()
         refined = detected_signal(t_grid, material, geom, gamma_trap, finer)
         scale = np.maximum(np.abs(result.values), np.finfo(float).tiny)
@@ -349,8 +351,9 @@ def refine_until_converged(t_grid, material: MaterialParams,
             return result
     result.converged = False
     raise ConvergenceError(
-        f"no convergence to {rel_tol:g} after {max_refinements} refinements "
-        f"(last change {result.achieved_rel_change:g})", best_result=result)
+        f"no convergence to {rel_tol:g} after {_MAX_REFINEMENTS} "
+        f"refinements (last change {result.achieved_rel_change:g})",
+        best_result=result)
 
 
 class TrapDecayModel:

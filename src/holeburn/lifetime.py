@@ -19,12 +19,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .errors import FitError
+from .errors import _MAX_DECAY_SPANS, FitError
 from .simplex import _jacobian_errors, gauss_newton
-
-# A fitted lifetime longer than this many sampled spans cannot be told from
-# a straight line by the data, so the fit rejects it.
-_MAX_TAU_SPANS = 100
 
 # The decay is detected when its amplitude exceeds this many sigma.
 _DETECTION_SIGMAS = 3
@@ -108,7 +104,7 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     searches u = log(tau / span) from log(1/3), so tau stays positive.
     Raises FitError when the data resolve no lifetime (the decay is
     complete within the shortest step between sampled times, or tau
-    exceeds `_MAX_TAU_SPANS` sampled spans), or when the amplitude at
+    exceeds `_MAX_DECAY_SPANS` sampled spans), or when the amplitude at
     t = 0 overflows because the samples start many lifetimes later.  When
     the amplitude is within `_DETECTION_SIGMAS` sigma of 0 the fit returns
     with tau_err None and "tau_s" in `unresolved`.
@@ -164,11 +160,11 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     diagnostics = {"tau_s": tau, "span_s": tspan,
                    "iterations": res.iterations, "nfev": res.nfev}
     # exp(-gap / tau) below machine epsilon: the decay over the shortest
-    # step leaves no trace in the next sample.  Past _MAX_TAU_SPANS spans
+    # step leaves no trace in the next sample.  Past _MAX_DECAY_SPANS spans
     # the decay is a straight line.
     gap = min(b - a for a, b in zip(t, t[1:]) if b > a)
     if (gap > -math.log(math.ulp(1.0)) * tau
-            or tau > _MAX_TAU_SPANS * tspan):
+            or tau > _MAX_DECAY_SPANS * tspan):
         raise FitError("exponential fit found no resolvable decay",
                        diagnostics=diagnostics)
     # Amplitude refers to t = 0 of the model a exp(-t/tau); the internal

@@ -22,6 +22,12 @@ ZERO_POWER_REL_THRESHOLD = 1e-3
 # threshold so detector noise does not trigger false refusals.
 _UNSUBTRACTED_REL_THRESHOLD = 1e-2
 
+# Fewest readings in a modulator-off segment `detect_aom_off_range` accepts.
+_MIN_OFF_LENGTH = 8
+
+# Fewest usable points `point_rms` estimates the noise from.
+_MIN_RMS_POINTS = 16
+
 
 class PipelineOrderError(RuntimeError):
     """A treatment step was applied out of order."""
@@ -99,7 +105,7 @@ def median(values) -> float:
     return float(np.mean(s[(s.size - 1) // 2:s.size // 2 + 1]))
 
 
-def detect_aom_off_range(power_monitor, min_length: int = 8) -> tuple:
+def detect_aom_off_range(power_monitor) -> tuple:
     """Heuristic: locate the modulator-off segment from the power trace.
 
     Picks the longest contiguous run of readings within 5% (of the trace
@@ -109,7 +115,7 @@ def detect_aom_off_range(power_monitor, min_length: int = 8) -> tuple:
     power monitor but unusual power profiles can fool this guess.
     """
     power = np.asarray(power_monitor, dtype=float)
-    if power.ndim != 1 or power.size < min_length:
+    if power.ndim != 1 or power.size < _MIN_OFF_LENGTH:
         raise ValueError("power trace too short for detection")
     spread = float(np.ptp(power))
     if spread == 0:
@@ -124,7 +130,7 @@ def detect_aom_off_range(power_monitor, min_length: int = 8) -> tuple:
             if best is None or i - run_start > best[1] - best[0]:
                 best = (run_start, i)
             run_start = None
-    if best is None or best[1] - best[0] < min_length:
+    if best is None or best[1] - best[0] < _MIN_OFF_LENGTH:
         raise ValueError("no off segment of sufficient length found")
     return best
 
@@ -170,15 +176,15 @@ def normalize_by_power(scan: RawScan) -> NormalizedScan:
                           meta=dict(scan.meta))
 
 
-def point_rms(scan: NormalizedScan, min_points: int = 16) -> float:
+def point_rms(scan: NormalizedScan) -> float:
     """Per-point RMS noise from a scan that contains no burned hole.
 
     The RMS is taken relative to the mean signal level over all included
     points, which is the baseline when no hole is present.
     """
     y = scan.signal[scan.included]
-    if y.size < min_points:
-        raise ValueError(f"need at least {min_points} usable points")
+    if y.size < _MIN_RMS_POINTS:
+        raise ValueError(f"need at least {_MIN_RMS_POINTS} usable points")
     baseline = float(np.mean(y))
     return float(np.sqrt(np.mean((y - baseline) ** 2)))
 

@@ -147,14 +147,14 @@ def gauss_newton(project: Callable, x0: float) -> MinimizeResult:
 
     `project(x)` returns the SSE, the projected residual r (data minus
     model) and Kaufman's column d r / d x (Kaufman, BIT 15, 49 (1975));
-    g = r.col is half the SSE's slope.  Each step is -g / h, h = col.col,
-    shortened by Marquardt damping while it raises the SSE.  The search
-    converges on a step below `_GN_XTOL_REL` * max(1, |x|) (0 when h = 0)
-    or a predicted saving g^2 / h below 8 ulp of the SSE.  Its last step,
-    which the SSE cannot judge but the slope resolves, is taken without a
-    call (`fun` is the SSE before it), with the slope's secant curvature
-    in place of h when positive: h misjudges large-residual curvature.
-    `_GN_MAX_ITER` trial steps end it with converged=False.
+    g = r.col is half the SSE's slope.  Each step is -g / h, shortened by
+    Marquardt damping while it raises the SSE, where h is g's secant from
+    the last accepted point when positive, else col.col (which leaves out
+    the curvature a large residual adds).  The search converges on a step
+    below `_GN_XTOL_REL` * max(1, |x|) (0 when h = 0) or a predicted
+    saving g^2 / h below 8 ulp of the SSE, and takes that step without a
+    call (`fun` is the SSE before it).  `_GN_MAX_ITER` trial steps end it
+    with converged=False.
     """
     x = float(x0)
     sse, r, col = project(x)
@@ -163,11 +163,11 @@ def gauss_newton(project: Callable, x0: float) -> MinimizeResult:
     nfev, damping, last = 1, 0.0, None
     while True:
         g, h = math.fsum(map(mul, r, col)), math.fsum(map(mul, col, col))
+        if last and (secant := (g - last[1]) / (x - last[0])) > 0:
+            h = secant
         step = -g / (h * (1 + damping)) if h else 0.0
         if (abs(step) < _GN_XTOL_REL * max(1.0, abs(x))
                 or g * g / h < 8 * math.ulp(sse)):
-            if last and (g - last[1]) / (x - last[0]) > 0:
-                step = -g * (x - last[0]) / (g - last[1])
             return MinimizeResult(x + step, sse, nfev - 1, nfev, True)
         if nfev > _GN_MAX_ITER:
             return MinimizeResult(x, sse, nfev - 1, nfev, False)

@@ -530,6 +530,23 @@ class TestCli:
         assert len(data["scale_a"]) == 2
         assert data["iterations"] < data["nfev"] <= 25
 
+    def test_fit_trap_no_decay_exit_4(self, tmp_path, capsys):
+        # two curves rising 1% over 200 s carry no decay to fit
+        t = np.linspace(0.0, 200.0, 81)
+        rng = np.random.default_rng(0)
+        files = []
+        for p0 in (2e-6, 2e-5):
+            files.append(str(tmp_path / f"ramp_{p0:g}.csv"))
+            csvio.write_decay_curve(files[-1], hb.DecayCurve(
+                time_s=t, counts_per_s=1e5 * (1 + 0.01 * t / 200)
+                + rng.normal(0, 30, t.size), power_w=p0))
+        report = tmp_path / "trap.json"
+        assert main(["fit", "trap", *files, "--out", str(report)]) == 4
+        data = json.loads(report.read_text())
+        assert "no resolvable decay" in data["error"]
+        assert data["diagnostics"]["gamma_trap_per_s"] < 1e-4
+        assert "no resolvable decay" in capsys.readouterr().err
+
     def test_fit_trap_negative_times_exit_2(self, tmp_path, capsys):
         curve_file = tmp_path / "early.csv"
         t = np.linspace(-10.0, 150.0, 41)

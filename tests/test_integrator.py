@@ -476,7 +476,7 @@ class TestRefinement:
         t = np.array([0.0, 5.0])
         with pytest.raises(hb.ConvergenceError) as err:
             hb.refine_until_converged(t, material, geom, 7e4, domain,
-                                      rel_tol=0.0, max_refinements=2)
+                                      rel_tol=0.0)
         assert err.value.best_result is not None
         assert err.value.best_result.converged is False
 

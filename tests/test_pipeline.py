@@ -47,7 +47,7 @@ class TestDetectAomOff:
 
     def test_short_runs_rejected(self):
         power = np.full(100, 10.0)
-        power[40:43] = 0.0  # below min_length
+        power[40:43] = 0.0  # shorter than _MIN_OFF_LENGTH
         with pytest.raises(ValueError, match="sufficient length"):
             hb.detect_aom_off_range(power)
 

@@ -155,9 +155,9 @@ def test_scalar_rise_is_damped():
 
 def test_scalar_large_residual_lands_on_the_root_of_the_slope():
     # r = (3 - z, 1 - z^2), z = exp(x), leaves a large residual at its
-    # minimum, the root of 2 z^3 - z - 3: there h overstates the
-    # curvature, Gauss-Newton closes in slowly, and the last step takes
-    # the secant curvature of the slope instead
+    # minimum, the root of 2 z^3 - z - 3: there col.col overstates the
+    # curvature, and every step after the first takes the secant
+    # curvature of the slope instead
     project = counted(lambda x: [3 - math.exp(x), 1 - math.exp(2 * x)],
                       lambda x: [-math.exp(x), -2 * math.exp(2 * x)])
     z = 1.3

@@ -18,8 +18,8 @@ _EXPORTS = {
     "fitting": ("LorentzianHoleFit", "TrapFitResult", "exp_decay",
                 "fit_hole_lorentzian", "fit_trap_model",
                 "hom_linewidth_from_hole", "lorentzian_hole"),
-    "integrator": ("IntegrationDomain", "LevelSetRule", "ScaledSignalParams",
-                   "SignalResult", "TrapDecayModel", "detected_signal",
+    "integrator": ("IntegrationDomain", "LevelSetRule", "SignalResult",
+                   "TrapDecayModel", "detected_signal",
                    "refine_until_converged", "scaled_signal"),
     "lifetime": ("ExpDecayFit", "fit_exponential"),
     "linefit": ("LinearFit", "fit_linear_ci"),
@@ -34,7 +34,7 @@ _EXPORTS = {
                  "normalize_by_power", "point_rms", "subtract_background"),
     "simplex": ("MinimizeOptions", "MinimizeResult", "minimize"),
     "synth": ("NoiseSpec", "apply_noise", "gen_decay_batch",
-              "gen_decay_curve", "gen_hole_decay_series", "gen_hole_scan"),
+              "gen_hole_decay_series", "gen_hole_scan"),
     "zeeman": ("ResonanceFields", "ZeemanConfig", "applied_field",
                "resonance_fields", "splittings"),
 }

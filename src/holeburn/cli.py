@@ -63,14 +63,20 @@ def _noise_from_args(args):
                      gaussian_sigma=getattr(args, "gaussian_sigma", 0.0))
 
 
-def _report(cfg, command, payload) -> dict:
-    return {"command": command, **payload, "config": cfg.to_dict()}
+def _command(args) -> str:
+    """The subcommand as typed: "simulate", "fit trap", "gen decay", ..."""
+    sub = getattr(args, f"{args.command}_command", None)
+    return f"{args.command} {sub}" if sub else args.command
+
+
+def _report(args, cfg, payload) -> dict:
+    return {"command": _command(args), **payload, "config": cfg.to_dict()}
 
 
 def _cmd_simulate(args, cfg):
     import numpy as np
 
-    from .integrator import LevelSetRule
+    from .integrator import LevelSetRule, scaled_signal
     from .model import BeamGeometry
     power = cfg.beam_power if args.power_w is None else args.power_w
     gamma_trap = args.gamma_trap
@@ -85,7 +91,8 @@ def _cmd_simulate(args, cfg):
                                      focus_fwhm=cfg.focus_fwhm)
     result = refine_until_converged(t_grid, cfg.material, geom, gamma_trap,
                                     LevelSetRule(), rel_tol=args.tol)
-    scaled = result.scaled(cfg.scaled_params(power))
+    scaled = scaled_signal(result.values, cfg.scale_a, cfg.background_b,
+                           power)
     write_signal_csv(args.out, t_grid, result.values, scaled)
     print(f"simulate: wrote {args.out} "
           f"({result.domain.n_points} nodes, "
@@ -106,7 +113,7 @@ def _cmd_fit_trap(args, cfg):
     if not result.converged:
         raise FitError("trap fit did not converge",
                        diagnostics=result.to_dict())
-    report = _report(cfg, "fit trap", {
+    report = _report(args, cfg, {
         "inputs": list(args.curves), **result.to_dict()})
     csvio.write_report(args.out, report)
     print(f"fit trap: gamma_trap = {result.gamma_trap:.4g} /s, "
@@ -132,13 +139,13 @@ def _cmd_fit_hole(args, cfg):
     fit = fit_hole_lorentzian(normalized.freq[keep], normalized.signal[keep])
     hom = hom_linewidth_from_hole(fit.fwhm) if fit.hole_detected else None
     payload = {"input": args.scan, **fit.to_dict(), "hom_linewidth_hz": hom}
-    csvio.write_report(args.out, _report(cfg, "fit hole", payload))
+    csvio.write_report(args.out, _report(args, cfg, payload))
     if not fit.hole_detected:
         print(f"error: hole fit: the scan resolves no hole; unresolved "
               f"{', '.join(fit.unresolved)} -> {args.out}", file=sys.stderr)
         return EXIT_FITFAIL
     print(f"fit hole: fwhm = {fit.fwhm / 1e6:.3g} MHz, "
-          f"hom linewidth = {fit.fwhm / 2e6:.3g} MHz -> {args.out}")
+          f"hom linewidth = {hom / 1e6:.3g} MHz -> {args.out}")
     return EXIT_OK
 
 
@@ -149,7 +156,7 @@ def _cmd_fit_expdecay(args, cfg):
         raise FitError("exponential fit did not converge",
                        diagnostics=fit.to_dict())
     payload = {"input": args.series, **fit.to_dict()}
-    csvio.write_report(args.out, _report(cfg, "fit expdecay", payload))
+    csvio.write_report(args.out, _report(args, cfg, payload))
     if fit.unresolved:
         print(f"error: exponential fit: no decay above 3 sigma; unresolved "
               f"{', '.join(fit.unresolved)} -> {args.out}", file=sys.stderr)
@@ -164,7 +171,7 @@ def _cmd_fit_linear(args, cfg):
     x, y, _ = csvio.read_xy(args.points, args.x_column, args.y_column)
     fit = fit_linear_ci(x, y, confidence=cfg.confidence)
     payload = {"input": args.points, **fit.to_dict()}
-    csvio.write_report(args.out, _report(cfg, "fit linear", payload))
+    csvio.write_report(args.out, _report(args, cfg, payload))
     print(f"fit linear: slope = {fit.slope:.4g} +- {fit.slope_ci:.2g} "
           f"({fit.confidence:.0%} CI) -> {args.out}")
     return EXIT_OK
@@ -387,7 +394,7 @@ def main(argv=None) -> int:
             print(f"diagnostics: {exc.diagnostics}", file=sys.stderr)
         out = getattr(args, "out", None)
         if out:
-            csvio.write_report(out, {"command": args.command,
+            csvio.write_report(out, {"command": _command(args),
                                      "error": str(exc),
                                      "diagnostics": exc.diagnostics})
         return EXIT_FITFAIL

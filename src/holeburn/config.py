@@ -12,13 +12,9 @@ import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .constants import MaterialParams
 from .zeeman import ZeemanConfig
-
-if TYPE_CHECKING:
-    from .integrator import ScaledSignalParams
 
 
 class ConfigError(ValueError):
@@ -76,12 +72,6 @@ class RunConfig:
         if not 0 < self.confidence < 1:
             raise ValueError(f"confidence must lie in (0, 1), got "
                              f"{self.confidence!r}")
-
-    def scaled_params(self, power=None) -> ScaledSignalParams:
-        from .integrator import ScaledSignalParams
-        return ScaledSignalParams(scale_a=self.scale_a,
-                                  background_b=self.background_b,
-                                  power=self.beam_power if power is None else power)
 
     def to_dict(self) -> dict:
         """Resolved configuration keyed exactly like the config file."""

@@ -120,23 +120,6 @@ class LevelSetRule:
         return self.n**2
 
 
-@dataclass(frozen=True)
-class ScaledSignalParams:
-    """Affine transform from model signal to detected count rate."""
-
-    scale_a: float
-    background_b: float
-    power: float
-
-    def __post_init__(self):
-        if not self.scale_a > 0:
-            raise ValueError("scale_a must be positive")
-        if not self.background_b >= 0:
-            raise ValueError("background_b must be nonnegative")
-        if not self.power >= 0:
-            raise ValueError("power must be nonnegative")
-
-
 @dataclass
 class SignalResult:
     """Model signal S(t) plus the grid it was computed on.
@@ -151,9 +134,6 @@ class SignalResult:
     converged: Optional[bool] = None
     achieved_rel_change: Optional[float] = None
     refinements: int = 0
-
-    def scaled(self, params: ScaledSignalParams) -> np.ndarray:
-        return scaled_signal(self.values, params)
 
 
 def _grid_axes(domain: IntegrationDomain):
@@ -320,10 +300,15 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
                         domain=domain)
 
 
-def scaled_signal(s_model, params: ScaledSignalParams):
+def scaled_signal(s_model, scale_a, background_b, power):
     """Detected count rate A * S + B * P0 for each model-signal sample."""
-    return params.scale_a * np.asarray(s_model, dtype=float) \
-        + params.background_b * params.power
+    if not scale_a > 0:
+        raise ValueError("scale_a must be positive")
+    if not background_b >= 0:
+        raise ValueError("background_b must be nonnegative")
+    if not power >= 0:
+        raise ValueError("power must be nonnegative")
+    return scale_a * np.asarray(s_model, dtype=float) + background_b * power
 
 
 def refine_until_converged(t_grid, material: MaterialParams,

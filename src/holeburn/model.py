@@ -26,18 +26,14 @@ class BeamGeometry:
     """Gaussian beam focus: power plus derived waist and Rayleigh length."""
 
     power: float
-    focus_fwhm: float
     waist: float
     rayleigh: float
 
     def __post_init__(self):
         if not self.power >= 0:
             raise ValueError("power must be nonnegative")
-        if not self.focus_fwhm > 0:
-            raise ValueError("focus_fwhm must be positive")
-        if not np.isclose(self.waist, self.focus_fwhm / np.sqrt(2 * np.log(2)),
-                          rtol=1e-9):
-            raise ValueError("waist inconsistent with focus_fwhm")
+        if not self.waist > 0:
+            raise ValueError("waist must be positive")
         if not self.rayleigh > 0:
             raise ValueError("rayleigh must be positive")
 
@@ -48,10 +44,11 @@ class BeamGeometry:
         waist = FWHM/sqrt(2 ln 2) and the Rayleigh length uses the
         wavelength inside the medium, vac_wavelength/refr_index.
         """
+        if not 0 < focus_fwhm < np.inf:
+            raise ValueError("focus_fwhm must be positive and finite")
         waist = focus_fwhm / np.sqrt(2 * np.log(2))
         rayleigh = np.pi * waist**2 / (vac_wavelength / refr_index)
-        return cls(power=power, focus_fwhm=focus_fwhm, waist=waist,
-                   rayleigh=rayleigh)
+        return cls(power=power, waist=waist, rayleigh=rayleigh)
 
     @classmethod
     def for_material(cls, material: MaterialParams, power, focus_fwhm=1e-6):

@@ -16,8 +16,8 @@ import numpy as np
 
 from .csvio import DecayCurve
 from .fitting import exp_decay, lorentzian_hole
-from .integrator import (ScaledSignalParams, detected_signal,
-                         refine_until_converged)
+from .integrator import (detected_signal, refine_until_converged,
+                         scaled_signal)
 from .model import BeamGeometry, MaterialParams
 from .pipeline import RawScan
 
@@ -60,46 +60,6 @@ def apply_noise(values, noise: NoiseSpec, stream: int = 0) -> np.ndarray:
     return values + rng.normal(0.0, noise.gaussian_sigma, size=values.shape)
 
 
-def gen_decay_curve(material: MaterialParams, gamma_trap: float,
-                    scale: ScaledSignalParams, t_grid,
-                    noise: NoiseSpec = NoiseSpec(),
-                    focus_fwhm: float = 1e-6,
-                    domain=None,
-                    stream: int = 0,
-                    refine_tol: Optional[float] = None) -> DecayCurve:
-    """Simulate one fluorescence decay curve and apply counting noise.
-
-    The excitation power is taken from scale.power.  Ground truth
-    (gamma_trap, A, B, noise settings) is stored in the metadata.  With
-    refine_tol set, the rule is refined as in the simulate command so the
-    fixture matches its output.
-    """
-    geom = BeamGeometry.for_material(material, power=scale.power,
-                                     focus_fwhm=focus_fwhm)
-    if refine_tol is None:
-        result = detected_signal(t_grid, material, geom, gamma_trap, domain)
-    else:
-        result = refine_until_converged(t_grid, material, geom, gamma_trap,
-                                        domain, rel_tol=refine_tol)
-    clean = result.scaled(scale)
-    noisy = apply_noise(clean, noise, stream)
-    meta = {
-        "gamma_trap_per_s": gamma_trap,
-        "scale_a": scale.scale_a,
-        "background_b_counts_per_w": scale.background_b,
-        "power_w": scale.power,
-        "focus_fwhm_m": focus_fwhm,
-        "noise_kind": noise.kind,
-        "noise_seed": noise.seed,
-        "noise_stream": stream,
-        "rng": "numpy PCG64, default_rng([seed, stream])",
-    }
-    if noise.kind == "gaussian":
-        meta["gaussian_sigma"] = noise.gaussian_sigma
-    return DecayCurve(time_s=np.asarray(t_grid, dtype=float),
-                      counts_per_s=noisy, power_w=scale.power, meta=meta)
-
-
 def gen_decay_batch(material: MaterialParams, gamma_trap: float,
                     scale_a: float, background_b: float,
                     powers: Sequence[float], t_grid,
@@ -107,14 +67,42 @@ def gen_decay_batch(material: MaterialParams, gamma_trap: float,
                     focus_fwhm: float = 1e-6,
                     domain=None,
                     refine_tol: Optional[float] = None) -> list:
-    """One decay curve per power, with per-curve noise streams."""
+    """Simulate one decay curve per power, each on its own noise stream.
+
+    Curve i is A * S(t) + B * P_i with counting noise from stream i, so a
+    single curve is the batch of one on stream 0.  Ground truth
+    (gamma_trap, A, B, noise settings) is stored in each curve's metadata.
+    With refine_tol set, the rule is refined as in the simulate command so
+    the fixture matches its output.
+    """
     curves = []
-    for i, p0 in enumerate(powers):
-        scale = ScaledSignalParams(scale_a=scale_a, background_b=background_b,
-                                   power=p0)
-        curves.append(gen_decay_curve(material, gamma_trap, scale, t_grid,
-                                      noise, focus_fwhm, domain, stream=i,
-                                      refine_tol=refine_tol))
+    for stream, p0 in enumerate(powers):
+        geom = BeamGeometry.for_material(material, power=p0,
+                                         focus_fwhm=focus_fwhm)
+        if refine_tol is None:
+            result = detected_signal(t_grid, material, geom, gamma_trap,
+                                     domain)
+        else:
+            result = refine_until_converged(t_grid, material, geom,
+                                            gamma_trap, domain,
+                                            rel_tol=refine_tol)
+        counts = apply_noise(scaled_signal(result.values, scale_a,
+                                           background_b, p0), noise, stream)
+        meta = {
+            "gamma_trap_per_s": gamma_trap,
+            "scale_a": scale_a,
+            "background_b_counts_per_w": background_b,
+            "power_w": p0,
+            "focus_fwhm_m": focus_fwhm,
+            "noise_kind": noise.kind,
+            "noise_seed": noise.seed,
+            "noise_stream": stream,
+            "rng": "numpy PCG64, default_rng([seed, stream])",
+        }
+        if noise.kind == "gaussian":
+            meta["gaussian_sigma"] = noise.gaussian_sigma
+        curves.append(DecayCurve(time_s=np.asarray(t_grid, dtype=float),
+                                 counts_per_s=counts, power_w=p0, meta=meta))
     return curves
 
 

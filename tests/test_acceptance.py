@@ -58,9 +58,8 @@ def decay_run(reference_rate_material):
     result = hb.detected_signal(t_grid, reference_rate_material, geom,
                                 REF_GAMMA_TRAP)
     runtime = time.perf_counter() - start
-    scaled = result.scaled(hb.ScaledSignalParams(REF_SCALE_A,
-                                                 REF_BACKGROUND_B,
-                                                 DRIVE_POWER))
+    scaled = hb.scaled_signal(result.values, REF_SCALE_A, REF_BACKGROUND_B,
+                              DRIVE_POWER)
     return t_grid, scaled, runtime
 
 
@@ -149,11 +148,10 @@ def seven_curve_batch(reference_rate_material):
 class TestCriterion4TrapFitRoundTrip:
     def test_noiseless_single_curve_within_1pct(self, reference_rate_material):
         t_grid = np.linspace(0.0, 200.0, 81)
-        scale = hb.ScaledSignalParams(REF_SCALE_A, REF_BACKGROUND_B,
-                                      DRIVE_POWER)
-        curve = hb.gen_decay_curve(reference_rate_material, REF_GAMMA_TRAP,
-                                   scale, t_grid)
-        fit = hb.fit_trap_model([curve], reference_rate_material)
+        curves = hb.gen_decay_batch(reference_rate_material, REF_GAMMA_TRAP,
+                                    REF_SCALE_A, REF_BACKGROUND_B,
+                                    [DRIVE_POWER], t_grid)
+        fit = hb.fit_trap_model(curves, reference_rate_material)
         err = abs(fit.gamma_trap - REF_GAMMA_TRAP) / REF_GAMMA_TRAP
         verdict("4a", "noiseless single-curve gamma_trap recovery within 1%",
                 err < 0.01, f"(rel err = {err:.2%})")

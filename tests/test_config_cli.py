@@ -543,8 +543,22 @@ class TestCli:
         report = tmp_path / "trap.json"
         assert main(["fit", "trap", *files, "--out", str(report)]) == 4
         data = json.loads(report.read_text())
+        assert data["command"] == "fit trap"
         assert "no resolvable decay" in data["error"]
         assert data["diagnostics"]["gamma_trap_per_s"] < 1e-4
+        assert "no resolvable decay" in capsys.readouterr().err
+
+    def test_fit_expdecay_no_decay_exit_4(self, tmp_path, capsys):
+        # areas on a straight line: tau runs past 100 sampled spans
+        series = tmp_path / "series.csv"
+        report = tmp_path / "exp.json"
+        t = np.linspace(0.0, 0.5, 30)
+        csvio.write_table(series, ["wait_time_s", "area"], [t, 3 - 0.5 * t])
+        assert main(["fit", "expdecay", "--series", str(series),
+                     "--out", str(report)]) == 4
+        data = json.loads(report.read_text())
+        assert data["command"] == "fit expdecay"
+        assert "no resolvable decay" in data["error"]
         assert "no resolvable decay" in capsys.readouterr().err
 
     def test_fit_trap_negative_times_exit_2(self, tmp_path, capsys):

@@ -865,10 +865,9 @@ class TestTrapFit:
 
     def test_noiseless_roundtrip(self, material, fast_domain):
         t = np.linspace(0, 150, 51)
-        scale = hb.ScaledSignalParams(0.19, 9.4e7, 20e-6)
-        curve = hb.gen_decay_curve(material, 7e4, scale, t,
-                                   domain=fast_domain)
-        res = hb.fit_trap_model([curve], material, domain=fast_domain)
+        curves = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t,
+                                    domain=fast_domain)
+        res = hb.fit_trap_model(curves, material, domain=fast_domain)
         assert res.converged
         assert res.gamma_trap == pytest.approx(7e4, rel=0.01)
         assert res.scale_a[0] == pytest.approx(0.19, rel=0.02)
@@ -924,7 +923,8 @@ class TestTrapFit:
         assert res.converged
         assert res.background_b == 0.0
         assert all(a >= 0 for a in res.scale_a)
-        hb.ScaledSignalParams(res.scale_a[0], res.background_b, powers[0])
+        hb.scaled_signal(np.ones(1), res.scale_a[0], res.background_b,
+                         powers[0])
 
     def test_rising_ramp_has_no_resolvable_decay(self, material):
         # 1e5 counts/s rising 1% over 200 s, with noise and no decay: the

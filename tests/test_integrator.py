@@ -434,20 +434,21 @@ class TestDecaySum:
 
 class TestScaledSignal:
     def test_zero_scale_is_background(self):
-        p = hb.ScaledSignalParams(scale_a=1e-300, background_b=9.4e7,
-                                  power=20e-6)
-        out = hb.scaled_signal(np.array([1.0, 2.0, 5.0]), p)
+        out = hb.scaled_signal(np.array([1.0, 2.0, 5.0]), 1e-300, 9.4e7,
+                               20e-6)
         assert np.allclose(out, 9.4e7 * 20e-6)
 
     def test_no_background_scales_linearly(self):
-        p = hb.ScaledSignalParams(scale_a=0.19, background_b=0.0, power=20e-6)
-        s = np.array([4.0, 2.0])
-        out = hb.scaled_signal(s, p)
+        out = hb.scaled_signal(np.array([4.0, 2.0]), 0.19, 0.0, 20e-6)
         assert out[1] == pytest.approx(out[0] / 2)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            hb.ScaledSignalParams(scale_a=0.0, background_b=0.0, power=1e-6)
+        for args, message in [
+                ((0.0, 0.0, 1e-6), "scale_a must be positive"),
+                ((0.19, -1.0, 1e-6), "background_b must be nonnegative"),
+                ((0.19, 0.0, -1e-6), "power must be nonnegative")]:
+            with pytest.raises(ValueError, match=message):
+                hb.scaled_signal(np.array([1.0]), *args)
 
 
 class TestRefinement:
@@ -617,7 +618,7 @@ class TestTrapDecayModel:
 def test_signal_csv_roundtrip(tmp_path, material, geom, small_domain):
     t = np.linspace(0, 10, 5)
     res = hb.detected_signal(t, material, geom, 7e4, small_domain)
-    scaled = res.scaled(hb.ScaledSignalParams(0.19, 9.4e7, 20e-6))
+    scaled = hb.scaled_signal(res.values, 0.19, 9.4e7, 20e-6)
     path = tmp_path / "sig.csv"
     write_signal_csv(path, t, res.values, scaled)
     data = np.loadtxt(path, delimiter=",", skiprows=1)

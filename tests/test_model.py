@@ -40,10 +40,10 @@ class TestParameterRecords:
         assert geom.rayleigh == pytest.approx(1.09949e-5, rel=1e-5)
         assert geom.peak_intensity == pytest.approx(1.7651e7, rel=1e-4)
 
-    def test_beam_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            BeamGeometry(power=1e-6, focus_fwhm=1e-6, waist=1e-6,
-                         rayleigh=1e-5)
+    @pytest.mark.parametrize("fwhm", [0.0, -1e-6, np.nan, np.inf])
+    def test_from_focus_rejects_bad_fwhm(self, material, fwhm):
+        with pytest.raises(ValueError, match="focus_fwhm"):
+            BeamGeometry.for_material(material, power=20e-6, focus_fwhm=fwhm)
 
 
 class TestSaturationRatio:

@@ -1,11 +1,13 @@
 """Package-wide contracts: the lazy namespace, the names the bench tracer
-wraps, and the records' rejection of NaN."""
+wraps, the records' rejection of NaN, and the declared dependencies."""
 
+import ast
 import dataclasses
 import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,13 +27,13 @@ PUBLIC_NAMES = {
     "LorentzianHoleFit", "MaterialParams", "MinimizeOptions",
     "MinimizeResult", "NoiseSpec", "NormalizedScan", "PLANCK_CONSTANT",
     "PipelineOrderError", "RawScan", "ResonanceFields", "SPEED_OF_LIGHT",
-    "ScaledSignalParams", "SignalResult", "TrapDecayModel", "TrapFitResult",
-    "ZeemanConfig", "applied_field", "apply_noise", "beam_intensity", "beam_radius", "collection_efficiency",
-    "detect_aom_off_range", "detected_signal", "detuned_intensity",
-    "excited_population", "exp_decay", "fit_exponential",
+    "SignalResult", "TrapDecayModel", "TrapFitResult", "ZeemanConfig",
+    "applied_field", "apply_noise", "beam_intensity", "beam_radius",
+    "collection_efficiency", "detect_aom_off_range", "detected_signal",
+    "detuned_intensity", "excited_population", "exp_decay", "fit_exponential",
     "fit_hole_lorentzian", "fit_linear_ci", "fit_trap_model",
-    "gen_decay_batch", "gen_decay_curve", "gen_hole_decay_series",
-    "gen_hole_scan", "hole_area_with_error", "hom_linewidth_from_hole",
+    "gen_decay_batch", "gen_hole_decay_series", "gen_hole_scan",
+    "hole_area_with_error", "hom_linewidth_from_hole",
     "ionization_rate", "lorentzian_hole", "minimize",
     "normalize_by_power", "photon_energy", "point_rms",
     "power_broadened_linewidth", "r2_from_rates", "refine_until_converged",
@@ -135,8 +137,6 @@ def _records():
     return [
         (hb.MaterialParams, {}),
         (hb.BeamGeometry, dataclasses.asdict(geom)),
-        (hb.ScaledSignalParams, {"scale_a": 0.19, "background_b": 9.4e7,
-                                 "power": 2e-5}),
         (hb.IntegrationDomain, {}),
         (hb.ZeemanConfig, {}),
         (hb.NoiseSpec, {"kind": "gaussian", "gaussian_sigma": 0.1}),
@@ -171,10 +171,39 @@ FREQ = np.linspace(-1e8, 1e8, 200)
     lambda: hb.gen_hole_decay_series(0.1, 0.0, [0.0, 0.1], amplitude=NAN),
     lambda: hb.resonance_fields(NAN, hb.ZeemanConfig()),
     lambda: hb.resonance_fields(math.inf, hb.ZeemanConfig()),
+    lambda: hb.scaled_signal([1.0], NAN, 9.4e7, 2e-5),
+    lambda: hb.scaled_signal([1.0], 0.19, NAN, 2e-5),
+    lambda: hb.scaled_signal([1.0], 0.19, 9.4e7, NAN),
 ], ids=["holescan-fwhm", "holescan-depth", "holescan-power-level",
         "holescan-baseline", "holescan-center", "holescan-fluor-offset-inf",
         "holedecay-tau", "holedecay-offset", "holedecay-amplitude",
-        "delta-f-nan", "delta-f-inf"])
+        "delta-f-nan", "delta-f-inf", "scaled-signal-scale-a",
+        "scaled-signal-background-b", "scaled-signal-power"])
 def test_generator_rejects_non_finite(call):
     with pytest.raises(ValueError):
         call()
+
+
+def _imported_modules(path):
+    """Top-level modules a test file imports or passes to importorskip."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) == "importorskip"):
+            found.add(node.args[0].value)
+    return {name.partition(".")[0] for name in found}
+
+
+def test_declared_dependencies_cover_the_tests():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", req).group().lower()
+                for req in [*project["dependencies"],
+                            *project["optional-dependencies"]["test"]]}
+    imported = set().union(*map(_imported_modules,
+                                (ROOT / "tests").glob("*.py")))
+    assert imported - sys.stdlib_module_names - {"holeburn"} <= declared

@@ -64,40 +64,39 @@ class TestNoiseSpec:
 
 
 class TestGenDecayCurve:
+    """A single curve is the batch of one, on noise stream 0."""
+
     def test_noiseless_matches_integrator(self, material, fast_domain):
         t = np.linspace(0, 100, 21)
-        scale = hb.ScaledSignalParams(0.19, 9.4e7, 20e-6)
-        curve = hb.gen_decay_curve(material, 7e4, scale, t,
-                                   domain=fast_domain)
+        [curve] = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t,
+                                     domain=fast_domain)
         geom = hb.BeamGeometry.for_material(material, power=20e-6)
         direct = hb.detected_signal(t, material, geom, 7e4, fast_domain)
-        expected = direct.scaled(scale)
+        expected = 0.19 * direct.values + 9.4e7 * 20e-6
         assert np.allclose(curve.counts_per_s, expected, rtol=1e-12)
 
     def test_metadata_truth(self, material, fast_domain):
         t = np.linspace(0, 10, 5)
-        scale = hb.ScaledSignalParams(0.19, 9.4e7, 20e-6)
-        curve = hb.gen_decay_curve(material, 7e4, scale, t,
-                                   noise=NoiseSpec(kind="poisson", seed=4),
-                                   domain=fast_domain)
+        [curve] = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t,
+                                     NoiseSpec(kind="poisson", seed=4),
+                                     domain=fast_domain)
         assert curve.meta["gamma_trap_per_s"] == 7e4
         assert curve.meta["noise_seed"] == 4
+        assert curve.meta["noise_stream"] == 0
         assert curve.power_w == 20e-6
 
     def test_seed_reproducibility(self, material, fast_domain):
         t = np.linspace(0, 10, 5)
-        scale = hb.ScaledSignalParams(0.19, 9.4e7, 20e-6)
         kw = dict(noise=NoiseSpec(kind="poisson", seed=9), domain=fast_domain)
-        a = hb.gen_decay_curve(material, 7e4, scale, t, **kw)
-        b = hb.gen_decay_curve(material, 7e4, scale, t, **kw)
+        [a] = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t, **kw)
+        [b] = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t, **kw)
         assert np.array_equal(a.counts_per_s, b.counts_per_s)
 
     def test_reference_decay_shape(self, material):
         # 20 uW with the reference fit parameters: fast early drop and a
         # count level in the 1e5/s class
         t = np.array([0.0, 5.0])
-        scale = hb.ScaledSignalParams(0.19, 9.4e7, 20e-6)
-        curve = hb.gen_decay_curve(material, 7e4, scale, t)
+        [curve] = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t)
         assert curve.counts_per_s[0] > 1e5
         assert curve.counts_per_s[1] < 0.90 * curve.counts_per_s[0]
 

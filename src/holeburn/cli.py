@@ -107,6 +107,8 @@ def _cmd_fit_trap(args, cfg):
         curve = csvio.read_decay_curve(path)
         if curve.power_w is None:
             raise ValueError(f"{path}: curve metadata lacks power_w")
+        if not curve.time_s.size:
+            raise ValueError(f"{path}: the curve has no data rows")
         curves.append(curve)
     result = fit_trap_model(curves, cfg.material, focus_fwhm=cfg.focus_fwhm,
                             domain=LevelSetRule())

@@ -69,6 +69,12 @@ class RunConfig:
     confidence: float = 0.80
 
     def __post_init__(self):
+        if not self.scale_a > 0:
+            raise ValueError(f"scale_a must be positive, got "
+                             f"{self.scale_a!r}")
+        if not self.background_b >= 0:
+            raise ValueError(f"background_b must be nonnegative, got "
+                             f"{self.background_b!r}")
         if not 0 < self.confidence < 1:
             raise ValueError(f"confidence must lie in (0, 1), got "
                              f"{self.confidence!r}")

@@ -322,7 +322,7 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     the scale factor A is individual, absorbing detection-efficiency drift
     between measurements.  Minimizes the summed squared difference between
     A_c * S_c(t; gamma_trap) + B * P_c and the measured count rates, with
-    A_c >= 0 and B >= 0.
+    A_c >= 0 and B >= 0, over more points than parameters.
 
     Parameters
     ----------
@@ -335,14 +335,17 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     domain : IntegrationDomain or LevelSetRule, optional
         Rule each curve's decay cloud is built with.
 
-    Raises FitError, converged or not, when the fitted model is a straight
-    line over the data: gamma_trap max_c(max k_c * max t_c) is below
-    1 / `_MAX_DECAY_SPANS`, with k_c the decay rates of curve c's cloud
-    per unit gamma_trap, the lifetime fit's rule on tau.
+    gamma_trap is searched no lower than 1 / (max_c(max k_c * max t_c) *
+    `_MAX_DECAY_SPANS`), k_c the rates of curve c's cloud per unit gamma,
+    where the model turns into a straight line; a fit there raises FitError.
     """
     triples = _curve_triples(curves)
     if not triples:
         raise ValueError("need at least one curve")
+    points, params = sum(t.size for t, _, _ in triples), len(triples) + 2
+    if points <= params:
+        raise ValueError(f"{points} points cannot fit {params} parameters "
+                         f"(gamma_trap, B and one A per curve)")
 
     models = []
     for t, _, p0 in triples:
@@ -366,16 +369,19 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
         return (sse, np.concatenate(residuals).tolist(),
                 (-np.concatenate(col)).tolist())
 
-    res = gauss_newton(project, 0.0)
+    # Below this bound on log(gamma / _GAMMA_SEED) the model is a straight
+    # line over the data, the lifetime fit's rule on tau.
+    fastest = max(float(m.bin_k.max(initial=0.0)) * t[-1]
+                  for m, (t, _, _) in zip(models, triples))
+    lo = -math.log(_GAMMA_SEED * fastest * _MAX_DECAY_SPANS)
+    res = gauss_newton(project, 0.0, lo)
 
     gamma, _, (scales, background, sse, _) = solve(res.x)
     result = TrapFitResult(gamma_trap=gamma, background_b=background,
                            scale_a=scales, residual=sse,
                            converged=res.converged,
                            iterations=res.iterations, nfev=res.nfev)
-    fastest = max(float(m.bin_k.max(initial=0.0)) * t[-1]
-                  for m, (t, _, _) in zip(models, triples))
-    if gamma * fastest * _MAX_DECAY_SPANS < 1:
+    if res.x == lo:
         raise FitError("trap fit found no resolvable decay",
                        diagnostics=result.to_dict())
     return result

@@ -57,13 +57,6 @@ class ExpDecayFit:
         }
 
 
-def _exp_u(u):
-    """tau / span = exp(u) as a positive float: u is clamped to the range
-    where exp(u) neither overflows nor underflows to 0, and beyond it the
-    search column no longer changes."""
-    return math.exp(min(max(u, -745.0), 709.0))
-
-
 def _exp_decay(t, amplitude, tau, offset=0.0):
     """amplitude * exp(-t/tau) + offset at each time in t, as a list."""
     return [amplitude * math.exp(-v / tau) + offset for v in t]
@@ -101,13 +94,12 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     times and values are equal-length 1-D sequences of numbers or 1-D
     arrays, in any order.  The offset mode captures a persistent residual
     level that the decay relaxes onto instead of zero.  Gauss-Newton
-    searches u = log(tau / span) from log(1/3), so tau stays positive.
-    Raises FitError when the data resolve no lifetime (the decay is
-    complete within the shortest step between sampled times, or tau
-    exceeds `_MAX_DECAY_SPANS` sampled spans), or when the amplitude at
-    t = 0 overflows because the samples start many lifetimes later.  When
-    the amplitude is within `_DETECTION_SIGMAS` sigma of 0 the fit returns
-    with tau_err None and "tau_s" in `unresolved`.
+    searches u = log(tau / span) from log(1/3) between the bounds the
+    samples resolve, and FitError is raised when it ends on one (a decay
+    complete within the shortest step between samples, or slower than
+    `_MAX_DECAY_SPANS` spans) or when the amplitude at t = 0 overflows as
+    the samples start many lifetimes later.  An amplitude within
+    `_DETECTION_SIGMAS` sigma of 0 leaves tau_err None, "tau_s" unresolved.
     """
     t, y = _floats(times), _floats(values)
     if len(t) != len(y):
@@ -133,7 +125,7 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     def solve(u):
         """SSE, residuals, Kaufman's column -a (I - P) d decay / du and
         coefficients of the fit of exp(-xt / exp(u)) (and 1) to yn."""
-        tau_n = _exp_u(u)
+        tau_n = math.exp(u)
         basis = [math.exp(-v / tau_n) for v in xt]
         slope = [w * v / tau_n for w, v in zip(basis, xt)]
         target = yn
@@ -153,18 +145,23 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
         coef = (a, y_mean - a * mean) if with_offset else (a,)
         return math.fsum(v * v for v in r), r, col, coef
 
-    res = gauss_newton(lambda u: solve(u)[:3], math.log(1 / 3))
+    # The data resolve tau from where exp(-gap / tau), the trace the decay
+    # over the shortest step leaves in the next sample, falls to machine
+    # epsilon, up to _MAX_DECAY_SPANS spans, past which the decay is a
+    # straight line.  lo is taken in log space, so that it cannot
+    # underflow, and no lower than the least positive float, so that
+    # exp(u) cannot.
+    gap = min(b - a for a, b in zip(t, t[1:]) if b > a)
+    lo = max(math.log(gap) - math.log(-math.log(math.ulp(1.0)) * tspan),
+             math.log(math.ulp(0.0)))
+    hi = math.log(_MAX_DECAY_SPANS)
+    res = gauss_newton(lambda u: solve(u)[:3], math.log(1 / 3), lo, hi)
 
     coef = solve(res.x)[3]
-    tau = _exp_u(res.x) * tspan
+    tau = math.exp(res.x) * tspan
     diagnostics = {"tau_s": tau, "span_s": tspan,
                    "iterations": res.iterations, "nfev": res.nfev}
-    # exp(-gap / tau) below machine epsilon: the decay over the shortest
-    # step leaves no trace in the next sample.  Past _MAX_DECAY_SPANS spans
-    # the decay is a straight line.
-    gap = min(b - a for a, b in zip(t, t[1:]) if b > a)
-    if (gap > -math.log(math.ulp(1.0)) * tau
-            or tau > _MAX_DECAY_SPANS * tspan):
+    if res.x in (lo, hi):
         raise FitError("exponential fit found no resolvable decay",
                        diagnostics=diagnostics)
     # Amplitude refers to t = 0 of the model a exp(-t/tau); the internal

@@ -4,11 +4,11 @@
 (reflection 1, expansion 2, contraction 0.5, shrink 0.5) and relative
 size/value stopping rules; the hole fit, with two nonlinear parameters,
 uses it.  `gauss_newton` searches the one nonlinear parameter of the trap
-and lifetime fits by Gauss-Newton steps on the projected residual.  Both
-are reproducible from their starting point alone.  `_jacobian_errors`
-turns the analytic Jacobian of the hole or lifetime fit into one-sigma
-errors.  `minimize` imports numpy when called; the rest is plain Python,
-so the lifetime fit loads no numpy.
+and lifetime fits by Gauss-Newton steps on the projected residual, within
+the bounds each fit's data can resolve.  Both are reproducible from their
+starting point alone.  `_jacobian_errors` turns the analytic Jacobian of
+the hole or lifetime fit into one-sigma errors.  `minimize` imports numpy
+when called; the rest is plain Python, so the lifetime fit loads no numpy.
 """
 
 from __future__ import annotations
@@ -142,40 +142,46 @@ def minimize(objective: Callable, x0,
                           iterations=iterations, nfev=nfev, converged=False)
 
 
-def gauss_newton(project: Callable, x0: float) -> MinimizeResult:
-    """Minimize a separable least-squares SSE over its one nonlinear x.
+def gauss_newton(project: Callable, x0: float, lo: float = -math.inf,
+                 hi: float = math.inf) -> MinimizeResult:
+    """Minimize a separable least-squares SSE over one nonlinear x in
+    [lo, hi], from x0 clipped into that range.
 
     `project(x)` returns the SSE, the projected residual r (data minus
     model) and Kaufman's column d r / d x (Kaufman, BIT 15, 49 (1975));
-    g = r.col is half the SSE's slope.  Each step is -g / h, shortened by
-    Marquardt damping while it raises the SSE, where h is g's secant from
-    the last accepted point when positive, else col.col (which leaves out
-    the curvature a large residual adds).  The search converges on a step
-    below `_GN_XTOL_REL` * max(1, |x|) (0 when h = 0) or a predicted
-    saving g^2 / h below 8 ulp of the SSE, and takes that step without a
-    call (`fun` is the SSE before it).  `_GN_MAX_ITER` trial steps end it
-    with converged=False.
+    g = r.col is half the SSE's slope.  Each step, -g / h, is shortened by
+    Marquardt damping while it raises the SSE and cut at a bound it would
+    cross; h is g's secant from the last accepted point when positive,
+    else col.col.  A step below `_GN_XTOL_REL` * max(1, |x|) or a predicted
+    saving g^2 / h below 8 ulp of the SSE converges and is taken without a
+    call (`fun` is the SSE before it), but not off a bound.  `_GN_MAX_ITER`
+    trial steps end the search with converged=False.
     """
-    x = float(x0)
+    x = min(max(float(x0), lo), hi)
     sse, r, col = project(x)
     if not math.isfinite(sse):
         raise ValueError("objective must be finite at the starting point")
     nfev, damping, last = 1, 0.0, None
     while True:
         g, h = math.fsum(map(mul, r, col)), math.fsum(map(mul, col, col))
+        # col.col leaves out the curvature a large residual adds.
         if last and (secant := (g - last[1]) / (x - last[0])) > 0:
             h = secant
         step = -g / (h * (1 + damping)) if h else 0.0
-        if (abs(step) < _GN_XTOL_REL * max(1.0, abs(x))
+        # Inside [lo, hi] min and max return x + step itself, so a search
+        # that never reaches a bound runs as an unbounded one, bit for bit.
+        trial_x = min(max(x + step, lo), hi)
+        if (abs(step) < _GN_XTOL_REL * max(1.0, abs(x)) or trial_x == x
                 or g * g / h < 8 * math.ulp(sse)):
-            return MinimizeResult(x + step, sse, nfev - 1, nfev, True)
+            return MinimizeResult(x if x in (lo, hi) else trial_x, sse,
+                                  nfev - 1, nfev, True)
         if nfev > _GN_MAX_ITER:
             return MinimizeResult(x, sse, nfev - 1, nfev, False)
-        trial = project(x + step)
+        trial = project(trial_x)
         nfev += 1
         # NaN is a rise too.
         if trial[0] <= sse:
-            last, x = (x, g), x + step
+            last, x = (x, g), trial_x
             sse, r, col = trial
             damping /= 10
         else:

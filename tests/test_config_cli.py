@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import holeburn as hb
-from holeburn import csvio, simplex
+from holeburn import cli, csvio, simplex
 from holeburn.cli import main
 from holeburn.config import _SCHEMA, ConfigError, load_config
 
@@ -122,6 +122,31 @@ stray_field_t = 0
                      "--confidence", level, "--out", str(report)]) == 2
         assert not report.exists()
         assert "confidence must lie in (0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, match", [
+        ("scale_a = 0", "scale_a must be positive"),
+        ("scale_a = -0.19", "scale_a must be positive"),
+        ("background_b_counts_per_w = -1", "background_b must be "
+                                           "nonnegative"),
+    ])
+    def test_scale_values_rejected_at_load(self, tmp_path, capsys,
+                                           monkeypatch, text, match):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[scale]\n{text}\n")
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        out = tmp_path / "z.csv"
+        assert main(["--config", str(path), "zeeman", "--delta-f", "1e6",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        # simulate stops before it integrates anything
+        calls = []
+        monkeypatch.setattr(cli, "refine_until_converged",
+                            lambda *args, **kwargs: calls.append(args))
+        assert main(["--config", str(path), "simulate",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert calls == []
+        assert match in capsys.readouterr().err
 
     def test_to_dict_echoes_schema(self):
         d = load_config(None).to_dict()
@@ -545,8 +570,38 @@ class TestCli:
         data = json.loads(report.read_text())
         assert data["command"] == "fit trap"
         assert "no resolvable decay" in data["error"]
-        assert data["diagnostics"]["gamma_trap_per_s"] < 1e-4
+        # the search stops on its lower bound, 1 / (100 max k max t)
+        material = hb.MaterialParams()
+        fastest = max(hb.TrapDecayModel(
+            material, hb.BeamGeometry.for_material(material, power=p0,
+                                                   focus_fwhm=1e-6),
+            hb.LevelSetRule()).compressed().bin_k.max() * t[-1]
+            for p0 in (2e-6, 2e-5))
+        assert data["diagnostics"]["gamma_trap_per_s"] == pytest.approx(
+            1 / (100 * fastest), rel=1e-12)
+        assert data["diagnostics"]["nfev"] <= 20
         assert "no resolvable decay" in capsys.readouterr().err
+
+    def test_fit_trap_more_points_than_parameters(self, tmp_path, capsys):
+        # one curve of 3 points would fit gamma_trap, A and B exactly
+        curve_file = tmp_path / "short.csv"
+        assert main(["gen", "decay", "--t-end", "100", "--n-t", "3",
+                     "--tol", "0", "--noise", "poisson", "--seed", "1",
+                     "--out", str(curve_file)]) == 0
+        report = tmp_path / "trap.json"
+        assert main(["fit", "trap", str(curve_file),
+                     "--out", str(report)]) == 2
+        assert not report.exists()
+        assert "3 points cannot fit 3 parameters" in capsys.readouterr().err
+
+    def test_fit_trap_empty_curve_names_the_file(self, tmp_path, capsys):
+        curve_file = tmp_path / "empty.csv"
+        csvio.write_table(curve_file, ["time_s", "counts_per_s"], [[], []],
+                          meta={"power_w": 2e-5})
+        assert main(["fit", "trap", str(curve_file),
+                     "--out", str(tmp_path / "trap.json")]) == 2
+        assert f"{curve_file}: the curve has no data rows" \
+            in capsys.readouterr().err
 
     def test_fit_expdecay_no_decay_exit_4(self, tmp_path, capsys):
         # areas on a straight line: tau runs past 100 sampled spans

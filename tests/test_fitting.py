@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holeburn as hb
-from holeburn import FitError, csvio, fitting, lifetime
+from holeburn import FitError, csvio, fitting, lifetime, simplex
 from holeburn.cli import main
 from holeburn.fitting import _arrow_least_squares
 from holeburn.linefit import _t_quantile
@@ -140,9 +140,15 @@ def brent(objective, x0, xtol_rel=1e-10, max_iter=4000):
                 v, fv = u, fu
 
 
-def brent_in_place_of_gauss_newton(project, x0):
-    """`simplex.gauss_newton` run by the Brent oracle on the projected SSE."""
-    return brent(lambda x: project(x)[0], x0)
+def brent_in_place_of_gauss_newton(project, x0, lo=-math.inf, hi=math.inf):
+    """`simplex.gauss_newton` run by the Brent oracle on the projected SSE
+    over [lo, hi]: beyond a bound the SSE holds its value there."""
+    def clip(x):
+        return min(max(x, lo), hi)
+
+    res = brent(lambda x: project(clip(x))[0], clip(x0))
+    res.x = clip(res.x)
+    return res
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +370,16 @@ def fit_or_error(t, y):
         return str(exc), exc.diagnostics
 
 
+def assert_on_lower_tau_bound(diagnostics, gap):
+    """The lifetime search stopped on its lower bound, where exp(-gap / tau)
+    reaches machine epsilon, before its call budget ran out: the decay
+    over the shortest step leaves no trace in the next sample.  The bound
+    is approached by ever shorter steps, as the SSE there falls to 0."""
+    assert diagnostics["tau_s"] == pytest.approx(
+        gap / -math.log(np.finfo(float).eps), rel=1e-12)
+    assert diagnostics["nfev"] <= simplex._GN_MAX_ITER
+
+
 class TestExponentialFit:
     times = np.linspace(0.0, 0.5, 30)
 
@@ -408,8 +424,7 @@ class TestExponentialFit:
         y[0] = 1.0
         with pytest.raises(FitError, match="no resolvable decay") as err:
             hb.fit_exponential(t, y)
-        assert np.exp(-1.0 / err.value.diagnostics["tau_s"]) \
-            < np.finfo(float).eps
+        assert_on_lower_tau_bound(err.value.diagnostics, gap=1.0)
 
     def test_decay_before_second_sample_raises(self):
         # from t = 0 the amplitude stays finite as tau -> 0; the decay over
@@ -419,8 +434,7 @@ class TestExponentialFit:
         y[0] = 1.0
         with pytest.raises(FitError, match="no resolvable decay") as err:
             hb.fit_exponential(t, y)
-        assert np.exp(-1.0 / err.value.diagnostics["tau_s"]) \
-            < np.finfo(float).eps
+        assert_on_lower_tau_bound(err.value.diagnostics, gap=1.0)
 
     def test_late_time_axis_names_amplitude_overflow(self):
         # a 68 ms decay sampled on [50, 50.5] s is resolved, but its
@@ -491,6 +505,24 @@ class TestExponentialFit:
                 tau = mpmath.findroot(lambda x: mpmath.diff(sse, x),
                                       mpmath.mpf(fit.tau))
                 assert abs(float(fit.tau / tau) - 1) <= 1e-10, (sigma, seed)
+
+    def test_subnormal_gap_fits_as_before(self):
+        # the shortest step is 5e-324 s: the lower bound on log(tau / span)
+        # is taken in log space, where it does not underflow, and the fit
+        # is the one an unbounded search finds
+        t = [0.0, 5e-324, 1.0, 2.0, 3.0]
+        fit = hb.fit_exponential(t, [3.0, 3.0, 2.0, 1.5, 1.2])
+        assert (fit.tau, fit.nfev) == (1.575536579124889, 6)
+
+    def test_flat_series_stops_on_the_upper_bound(self):
+        # no decay and no offset: tau runs to 100 sampled spans, where the
+        # search stops within a few calls
+        with pytest.raises(FitError, match="no resolvable decay") as err:
+            hb.fit_exponential([0.0, 1.0, 2.0, 3.0, 4.0], [3.0] * 5,
+                               with_offset=False)
+        diag = err.value.diagnostics
+        assert diag["tau_s"] == pytest.approx(400.0, rel=1e-12)
+        assert diag["nfev"] <= 20
 
     def test_lifetime_beyond_sampled_span_raises(self):
         # a 2 ms decay sampled from 0.1 s on is pure noise around the
@@ -810,6 +842,17 @@ def assert_same_fit_permuted(permuted, fit, order):
     assert permuted.scale_a == [fit.scale_a[i] for i in order]
 
 
+def slowest_resolvable_gamma(material, domain, t, powers):
+    """The trap fit's lower bound on gamma_trap for curves sampled at t:
+    1 / (100 max_c(max k_c * max t)), k_c the rates of curve c's cloud per
+    unit gamma_trap, below which the model is a straight line."""
+    fastest = max(hb.TrapDecayModel(
+        material, hb.BeamGeometry.for_material(material, power=p0,
+                                               focus_fwhm=1e-6),
+        domain).compressed().bin_k.max() * t[-1] for p0 in powers)
+    return 1 / (100 * fastest)
+
+
 class TestTrapFit:
     def test_gauss_newton_matches_brent_oracle(self, material, fast_domain,
                                                two_curve_batch, monkeypatch):
@@ -938,8 +981,27 @@ class TestTrapFit:
                 hb.fit_trap_model(curves, material,
                                   domain=hb.LevelSetRule(24))
             diag = err.value.diagnostics
-            assert 0 <= diag["gamma_trap_per_s"] < 1e-4, seed
+            assert diag["gamma_trap_per_s"] == pytest.approx(
+                slowest_resolvable_gamma(material, hb.LevelSetRule(24), t,
+                                         (2e-6, 2e-5)), rel=1e-12), seed
+            assert diag["nfev"] <= 20, seed
             assert len(diag["scale_a"]) == 2
+
+    def test_more_points_than_parameters(self, material, fast_domain):
+        # gamma_trap, B and one A per curve: 3 points on one curve, or 2 on
+        # each of two, fit exactly and leave nothing to test the model
+        t = np.linspace(0.0, 150.0, 4)
+        y = np.array([5e3, 4e3, 3.5e3, 3.2e3])
+        for curves, message in [([(t[:3], y[:3], 2e-5)], "3 points cannot "
+                                 "fit 3 parameters"),
+                                ([(t[:2], y[:2], 2e-6), (t[:2], y[:2], 2e-5)],
+                                 "4 points cannot fit 4 parameters")]:
+            with pytest.raises(ValueError, match=message):
+                hb.fit_trap_model(curves, material, domain=fast_domain)
+        curve = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t,
+                                   domain=fast_domain)
+        res = hb.fit_trap_model(curve, material, domain=fast_domain)
+        assert res.gamma_trap == pytest.approx(7e4, rel=1e-3)
 
     def test_degenerate_curve_rejected(self, material, fast_domain):
         t = np.linspace(0, 10, 11)

@@ -182,3 +182,63 @@ def test_scalar_finds_unimodal_minimum(center, x0, slope, mix):
     assert res.converged
     assert abs(res.x - center) <= 1e-9 * max(1.0, abs(center))
     assert res.fun <= project(x0)[0]
+
+
+@pytest.mark.parametrize("residual, slope, x0, bound", [
+    # minimum at 5, beyond hi: the first step crosses hi and ends on it
+    (lambda x: [x - 5.0], lambda x: [1.0], 0.5, 2.5),
+    # minimum at -5, below lo
+    (lambda x: [x + 5.0], lambda x: [1.0], 0.5, 1e-3),
+    # minimum at 0, below lo, from 3.3, where x + (lo - x) falls below lo
+    (lambda x: [x], lambda x: [1.0], 3.3, 1e-3),
+    # minimum at log 30, beyond hi, and a start beyond it clipped onto hi
+    (lambda x: [math.exp(x) - 30.0], lambda x: [math.exp(x)], 10.0, 2.5),
+    # the minimum of atan(x + 2)^2 at -2, below lo, is approached in steps
+    (lambda x: [math.atan(x + 2.0)], lambda x: [1 / (1 + (x + 2.0) ** 2)],
+     1.5, 1e-3),
+], ids=["above", "below", "rounding", "clipped-start", "stepwise"])
+def test_scalar_search_stops_on_the_bound_it_points_out_of(residual, slope,
+                                                          x0, bound):
+    # the slope at the bound points out of [1e-3, 2.5]: the search stops
+    # there, on the bound exactly, and asks for no point outside the range
+    project = counted(residual, slope)
+    res = gauss_newton(project, x0, 1e-3, 2.5)
+    assert res.converged
+    assert res.x == bound
+    assert res.fun == project(bound)[0]
+    assert all(1e-3 <= x <= 2.5 for x in project.calls)
+    assert res.nfev <= 10
+
+
+def test_scalar_search_returns_the_bound_it_converges_on():
+    # the minimum lies 1e-11 inside lo, below the step tolerance: the
+    # search stays on the bound instead of taking that step
+    project = counted(lambda x: [x - 1e-3 - 1e-11], lambda x: [1.0])
+    res = gauss_newton(project, 0.0, 1e-3, 2.5)
+    assert res.converged
+    assert (res.x, res.nfev) == (1e-3, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(center=st.floats(-1e3, 1e3), x0=st.floats(-1e3, 1e3),
+       slope=st.floats(1e-2, 1e2), mix=st.floats(0.0, 1.0),
+       pads=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)))
+def test_scalar_loose_bounds_change_nothing(center, x0, slope, mix, pads):
+    # bounds beyond every point the unbounded search visits or returns
+    # leave the search as it is, bit for bit
+    def residual(x):
+        return [slope * (x - center), mix * (slope * (x - center)) ** 3]
+
+    def column(x):
+        return [slope, 3 * mix * slope * (slope * (x - center)) ** 2]
+
+    free = counted(residual, column)
+    res = gauss_newton(free, x0)
+    seen = free.calls + [res.x]
+    lo = min(seen) - pads[0] * (1 + abs(min(seen)))
+    hi = max(seen) + pads[1] * (1 + abs(max(seen)))
+    bounded = counted(residual, column)
+    got = gauss_newton(bounded, x0, lo, hi)
+    assert bounded.calls == free.calls
+    assert (got.x, got.fun, got.nfev, got.iterations, got.converged) == (
+        res.x, res.fun, res.nfev, res.iterations, res.converged)

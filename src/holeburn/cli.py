@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib
+import os
 import re
 import sys
 from pathlib import Path
@@ -382,6 +383,9 @@ def _join_negative_values(argv):
 
 
 def main(argv=None) -> int:
+    # No job gives OpenBLAS work, so its idle workers should sleep after
+    # 2^4 cycles, not spin for 2^28 (~0.1 s of CPU) once numpy loads.
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     parser = build_parser()
     args = parser.parse_args(
         _join_negative_values(sys.argv[1:] if argv is None else argv))

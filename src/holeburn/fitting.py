@@ -295,21 +295,26 @@ def _curve_triples(curves):
             t, y, p0 = item
         else:
             t, y, p0 = item.time_s, item.counts_per_s, item.power_w
+        if p0 is None or not p0 > 0:
+            raise ValueError(f"curve {index}: the excitation power must be "
+                             f"positive, got {p0!r}")
+        curve = f"curve {index} ({p0:g} W)"
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
         if t.ndim != 1 or t.shape != y.shape:
-            raise ValueError("curve arrays must be 1-D and equal length")
+            raise ValueError(f"{curve}: arrays must be 1-D and equal length")
+        if t.size == 0:
+            raise ValueError(f"{curve}: no points")
         if np.any(np.diff(t) <= 0):
-            raise ValueError("time stamps must be strictly increasing")
+            raise ValueError(f"{curve}: time stamps must be strictly "
+                             "increasing")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-            raise ValueError("curve arrays must be finite")
+            raise ValueError(f"{curve}: arrays must be finite")
         if np.ptp(y) == 0:
-            raise ValueError("degenerate curve: constant signal")
-        if p0 is None or p0 <= 0:
-            raise ValueError("each curve needs a positive excitation power")
+            raise ValueError(f"{curve}: degenerate curve, constant signal")
         if np.any(t < 0):
-            raise ValueError(f"curve {index} ({p0:g} W): time stamps must be "
-                             f"nonnegative, got t = {t.min():g} s")
+            raise ValueError(f"{curve}: time stamps must be nonnegative, "
+                             f"got t = {t.min():g} s")
         out.append((t, y, float(p0)))
     return out
 

@@ -21,11 +21,13 @@ and, per block, fills one reused (times x nodes) work array with
 exp(-rate * t) and reduces it against the amplitudes.  Each node is read
 once and the work array stays small, instead of every time streaming the
 whole cloud through memory.  The reduction is a single-threaded einsum,
-not BLAS: a threaded gemv or dot spins extra threads that cost CPU time
-without saving wall time at these sizes.  The same holds for the nodes:
-`_gauss_legendre` runs Newton's method on the Legendre recurrence instead
-of a LAPACK eigensolver, so nothing here calls BLAS or LAPACK.  Summation
-order is fixed, so results are bit-stable run to run.
+not BLAS: a threaded gemv or dot keeps extra threads busy that cost CPU
+time without saving wall time at these sizes.  The same holds for the
+nodes: `_gauss_legendre` runs Newton's method on the Legendre recurrence
+instead of a LAPACK eigensolver, so nothing here gives OpenBLAS's worker
+threads work.  (numpy's import still starts them, and they spin until
+OpenBLAS's idle timeout, which the CLI shortens.)  Summation order is
+fixed, so results are bit-stable run to run.
 """
 
 from __future__ import annotations

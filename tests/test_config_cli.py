@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from conftest import run_fresh
 import holeburn as hb
 from holeburn import cli, csvio, simplex
 from holeburn.cli import main
@@ -685,3 +687,92 @@ class TestCli:
         assert code == 4
         data = json.loads(report.read_text())
         assert "diagnostics" in data and "error" in data
+
+
+BLAS_TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+
+# Runs one CLI job in a fresh interpreter and prints its exit code and the
+# value the variable had when numpy was first imported.
+NUMPY_IMPORT_WATCH = """
+import os, sys
+seen = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get({name!r}))
+        return None
+
+sys.meta_path.insert(0, Watch())
+from holeburn.cli import main
+print(main({job!r}), seen)
+"""
+
+
+@pytest.fixture(scope="module")
+def job_inputs(tmp_path_factory):
+    """A decay curve and a hole scan for the fit jobs."""
+    root = tmp_path_factory.mktemp("inputs")
+    curve, scan = str(root / "curve.csv"), str(root / "scan.csv")
+    assert main(["gen", "decay", "--t-end", "100", "--n-t", "21", "--tol",
+                 "0", "--noise", "poisson", "--seed", "5",
+                 "--out", curve]) == 0
+    assert main(["gen", "holescan", "--n-points", "400", "--aom-off", "0:40",
+                 "--seed", "5", "--out", scan]) == 0
+    return curve, scan
+
+
+class TestBlasTimeout:
+    """`main` lets OpenBLAS's idle workers sleep at once; a caller's
+    setting wins, and only `main` touches the environment."""
+
+    def test_main_fills_in_an_unset_value(self, tmp_path, monkeypatch):
+        # set first, so that monkeypatch also removes the value main sets
+        monkeypatch.setenv(BLAS_TIMEOUT, "")
+        monkeypatch.delenv(BLAS_TIMEOUT)
+        assert main(["zeeman", "--out", str(tmp_path / "z.csv")]) == 0
+        assert os.environ[BLAS_TIMEOUT] == "4"
+
+    def test_main_keeps_an_explicit_value(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(BLAS_TIMEOUT, "30")
+        assert main(["zeeman", "--out", str(tmp_path / "z.csv")]) == 0
+        assert os.environ[BLAS_TIMEOUT] == "30"
+
+    def test_import_leaves_the_environment_alone(self):
+        run = run_fresh("import os; before = dict(os.environ); "
+                        "import holeburn.cli; print(os.environ == before)",
+                        env={BLAS_TIMEOUT: None})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["True"]
+
+    @pytest.mark.parametrize("command", ["simulate", "gen decay", "fit trap",
+                                         "fit hole"])
+    def test_set_before_numpy_loads(self, tmp_path, job_inputs, command):
+        curve, scan = job_inputs
+        args = {"simulate": ["--t-end", "5", "--n-t", "3"],
+                "gen decay": ["--t-end", "5", "--n-t", "3"],
+                "fit trap": [curve],
+                "fit hole": ["--scan", scan]}[command]
+        job = [*command.split(), *args, "--out", str(tmp_path / "out")]
+        run = run_fresh(NUMPY_IMPORT_WATCH.format(name=BLAS_TIMEOUT, job=job),
+                        env={BLAS_TIMEOUT: None})
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 ['4']"
+
+    def test_outputs_match_the_spinning_pool(self, tmp_path, job_inputs):
+        # "28" is OpenBLAS's compiled default: the pool spins ~0.1 s
+        curve, scan = job_inputs
+        jobs = {"signal.csv": ["simulate", "--t-end", "5", "--n-t", "3"],
+                "trap.json": ["fit", "trap", curve],
+                "hole.json": ["fit", "hole", "--scan", scan]}
+        outputs = []
+        for value in (None, "28"):
+            out = tmp_path / f"timeout-{value}"
+            out.mkdir()
+            code = "from holeburn.cli import main\n" + "".join(
+                f"assert main({[*argv, '--out', str(out / name)]!r}) == 0\n"
+                for name, argv in jobs.items())
+            run = run_fresh(code, env={BLAS_TIMEOUT: value})
+            assert run.returncode == 0, run.stderr
+            outputs.append({name: (out / name).read_bytes() for name in jobs})
+        assert outputs[0] == outputs[1]

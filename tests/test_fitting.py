@@ -1,17 +1,14 @@
 import ast
 import itertools
 import math
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_fresh
 import holeburn as hb
 from holeburn import FitError, csvio, fitting, lifetime, simplex
 from holeburn.cli import main
@@ -1023,11 +1020,32 @@ class TestTrapFit:
                                              r"nonnegative"):
             hb.fit_trap_model(curves, material, domain=fast_domain)
 
+    @pytest.mark.parametrize("t, y, message", [
+        ([], [], "no points"),
+        ([0.0, 1.0, 2.0], [3.0, np.nan, 1.0], "finite"),
+        ([0.0, 1.0, 2.0], [3.0, 2.0], "equal length"),
+    ], ids=["empty", "nan", "short"])
+    def test_bad_curve_named_by_index_and_power(self, material, fast_domain,
+                                                t, y, message):
+        good = np.linspace(0.0, 150.0, 20)
+        curves = [(np.array(t), np.array(y), 2e-5),
+                  (good, np.linspace(5, 1, 20), 8e-6)]
+        with pytest.raises(ValueError,
+                           match=rf"curve 0 \(2e-05 W\): .*{message}"):
+            hb.fit_trap_model(curves, material, domain=fast_domain)
+
     def test_missing_power_rejected(self, material, fast_domain):
         t = np.linspace(0, 10, 11)
         y = np.linspace(5, 1, 11)
         with pytest.raises(ValueError, match="power"):
             hb.fit_trap_model([(t, y, None)], material, domain=fast_domain)
+
+    def test_nan_power_named_by_index(self, material, fast_domain):
+        t = np.linspace(0, 10, 11)
+        curves = [(t, np.linspace(5, 1, 11), 2e-5),
+                  (t, np.linspace(5, 2, 11), float("nan"))]
+        with pytest.raises(ValueError, match=r"curve 1: .*power.*nan"):
+            hb.fit_trap_model(curves, material, domain=fast_domain)
 
     def test_curve_power_pair_rejected(self, material, fast_domain):
         # only DecayCurve records and (times, counts, power) triples
@@ -1041,16 +1059,6 @@ class TestTrapFit:
 # (np.median) are numpy subpackages that load lazily, on first use, and
 # cost a CLI job their import time.
 UNUSED_MODULES = ("scipy", "numpy.polynomial", "numpy.ma")
-
-
-def run_fresh(code):
-    """Run `code` in a fresh interpreter that imports this package."""
-    src = str(Path(hb.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
 
 
 def modules_after(code, prefixes=UNUSED_MODULES):

@@ -6,15 +6,14 @@ import dataclasses
 import importlib
 import json
 import math
-import os
 import re
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import run_fresh
 import holeburn as hb
 from holeburn.cli import main
 
@@ -41,15 +40,6 @@ PUBLIC_NAMES = {
     "spont_recombination_rate", "steady_state", "steady_state_fractions",
     "subtract_background",
 }
-
-
-def run_fresh(code):
-    """Run `code` in a fresh interpreter on this source tree; its stdout."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, cwd=ROOT).stdout
 
 
 class TestLazyNamespace:
@@ -88,7 +78,9 @@ class TestLazyNamespace:
         assert not hasattr(hb, "median")
 
     def test_star_import_in_fresh_interpreter(self):
-        out = run_fresh("from holeburn import *; print(len(dir()))")
+        run = run_fresh("from holeburn import *; print(len(dir()))")
+        run.check_returncode()
+        out = run.stdout
         assert int(out) >= len(PUBLIC_NAMES)
 
 
@@ -121,7 +113,9 @@ restore()
 print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in rec.spans}}),
                   "counts": rec.counts}}))
 """
-    report = json.loads(run_fresh(code).strip().splitlines()[-1])
+    run = run_fresh(code)
+    run.check_returncode()
+    report = json.loads(run.stdout.strip().splitlines()[-1])
     assert report["codes"] == [0] * len(jobs)
     assert {"integrator.refine", "csvio.write_signal_csv", "fitting.trap",
             "integrator.cloud", "integrator.compress", "fitting.hole",
@@ -206,4 +200,5 @@ def test_declared_dependencies_cover_the_tests():
                             *project["optional-dependencies"]["test"]]}
     imported = set().union(*map(_imported_modules,
                                 (ROOT / "tests").glob("*.py")))
-    assert imported - sys.stdlib_module_names - {"holeburn"} <= declared
+    ours = {"holeburn"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
+    assert imported - sys.stdlib_module_names - ours <= declared

@@ -19,8 +19,8 @@ _EXPORTS = {
                 "fit_hole_lorentzian", "fit_trap_model",
                 "hom_linewidth_from_hole", "lorentzian_hole"),
     "integrator": ("IntegrationDomain", "LevelSetRule", "SignalResult",
-                   "TrapDecayModel", "detected_signal",
-                   "refine_until_converged", "scaled_signal"),
+                   "detected_signal", "refine_until_converged",
+                   "scaled_signal"),
     "lifetime": ("ExpDecayFit", "fit_exponential"),
     "linefit": ("LinearFit", "fit_linear_ci"),
     "model": ("BeamGeometry", "beam_intensity", "beam_radius",

@@ -64,6 +64,16 @@ def _noise_from_args(args):
                      gaussian_sigma=getattr(args, "gaussian_sigma", 0.0))
 
 
+def _time_grid(args):
+    """`--n-t` times from 0 to `--t-end`, or one sample when t-end is 0."""
+    import numpy as np
+    if args.t_end < 0:
+        raise ValueError("t-end must be nonnegative")
+    if args.t_end == 0:
+        return np.array([0.0])
+    return np.linspace(0.0, args.t_end, args.n_t)
+
+
 def _command(args) -> str:
     """The subcommand as typed: "simulate", "fit trap", "gen decay", ..."""
     sub = getattr(args, f"{args.command}_command", None)
@@ -75,18 +85,11 @@ def _report(args, cfg, payload) -> dict:
 
 
 def _cmd_simulate(args, cfg):
-    import numpy as np
-
     from .integrator import LevelSetRule, scaled_signal
     from .model import BeamGeometry
     power = cfg.beam_power if args.power_w is None else args.power_w
     gamma_trap = args.gamma_trap
-    if args.t_end < 0:
-        raise ValueError("t-end must be nonnegative")
-    if args.t_end == 0:
-        t_grid = np.array([0.0])
-    else:
-        t_grid = np.linspace(0.0, args.t_end, args.n_t)
+    t_grid = _time_grid(args)
 
     geom = BeamGeometry.for_material(cfg.material, power=power,
                                      focus_fwhm=cfg.focus_fwhm)
@@ -192,12 +195,10 @@ def _cmd_zeeman(args, cfg):
 
 
 def _cmd_gen_decay(args, cfg):
-    import numpy as np
-
     from . import synth
     from .integrator import LevelSetRule
     noise = _noise_from_args(args)
-    t_grid = np.linspace(0.0, args.t_end, args.n_t)
+    t_grid = _time_grid(args)
     if not args.tol >= 0:
         raise ValueError("tol must be nonnegative (0 skips refinement)")
     refine_tol = args.tol if args.tol > 0 else None
@@ -255,6 +256,13 @@ def _cmd_gen_holedecay(args, cfg):
     return EXIT_OK
 
 
+def _add_decay_args(parser):
+    parser.add_argument("--power-w", type=float, default=None)
+    parser.add_argument("--gamma-trap", type=float, default=7e4)
+    parser.add_argument("--t-end", type=float, default=200.0)
+    parser.add_argument("--n-t", type=int, default=81)
+
+
 def _add_noise_args(parser, gaussian=True):
     parser.add_argument("--noise", choices=["none", "poisson", "gaussian"],
                         default="none")
@@ -272,10 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate the detected decay signal")
-    p.add_argument("--power-w", type=float, default=None)
-    p.add_argument("--gamma-trap", type=float, default=7e4)
-    p.add_argument("--t-end", type=float, default=200.0)
-    p.add_argument("--n-t", type=int, default=81)
+    _add_decay_args(p)
     p.add_argument("--tol", type=float, default=5e-3)
     p.add_argument("--out", default="signal.csv")
     p.set_defaults(func=_cmd_simulate)
@@ -322,12 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="gen_command", required=True)
 
     p = gen.add_parser("decay", help="synthetic decay curve(s)")
-    p.add_argument("--power-w", type=float, default=None)
+    _add_decay_args(p)
     p.add_argument("--powers", default=None,
                    help="comma-separated powers [W] for a batch")
-    p.add_argument("--gamma-trap", type=float, default=7e4)
-    p.add_argument("--t-end", type=float, default=200.0)
-    p.add_argument("--n-t", type=int, default=81)
     p.add_argument("--tol", type=float, default=5e-3,
                    help="grid refinement tolerance (0 skips refinement)")
     p.add_argument("--out", default="decay.csv",

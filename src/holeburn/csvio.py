@@ -44,6 +44,18 @@ def _column(path, name, col):
     return cells
 
 
+def _floats(values, names):
+    """A 1-D sequence of numbers (or 1-D numpy array) as a list of floats;
+    the ValueError raised for anything else names the arguments."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    try:
+        return [float(v) for v in values]
+    except TypeError:
+        raise ValueError(f"{names} must be 1-D arrays of equal "
+                         "length") from None
+
+
 def write_table(path, header, columns, meta=None):
     """Write '# key = value' metadata lines, the header, one row per sample.
 

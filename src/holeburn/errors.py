@@ -1,5 +1,5 @@
-"""The two failures the CLI maps to their own exit codes, and the rule by
-which both decay fits raise one.
+"""The two failures the CLI maps to their own exit codes, and the rules
+the fits share for raising one or leaving a parameter unresolved.
 
 They live apart from the integrator and the fits that raise them, so that
 `cli.main` can catch them without importing either.
@@ -8,6 +8,11 @@ They live apart from the integrator and the fits that raise them, so that
 # A fitted decay slower than this many sampled spans cannot be told from a
 # straight line by the data, so the lifetime and trap fits reject it.
 _MAX_DECAY_SPANS = 100
+
+# A lifetime's amplitude or a hole's depth is detected when it exceeds
+# this many sigma; below it the fits leave the lifetime, or the hole's
+# center and width, unresolved.
+_DETECTION_SIGMAS = 3
 
 
 class ConvergenceError(RuntimeError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _MAX_DECAY_SPANS, FitError
+from .errors import _DETECTION_SIGMAS, _MAX_DECAY_SPANS, FitError
 from .integrator import TrapDecayModel
 from .model import BeamGeometry, MaterialParams
 from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
@@ -266,8 +266,8 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     # indistinguishable from fit leftovers on structureless data.  The
     # floor scales with the signal and ignores its offset, as the fit
     # does.  An undetected hole has no center or width to report.
-    detected = errs[1] is not None and depth > max(3 * errs[1],
-                                                   1e-3 * float(np.ptp(y)))
+    detected = errs[1] is not None and depth > max(
+        _DETECTION_SIGMAS * errs[1], 1e-3 * float(np.ptp(y)))
     if not detected:
         errs[2:] = [None, None]
     names = ("baseline", "depth", "center_hz", "fwhm_hz")

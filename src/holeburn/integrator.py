@@ -15,16 +15,17 @@ focal volume per intensity turns the integral into a smooth one on
 library default, and the only rule that accepts replacement (r, z)
 profiles.
 
-Every S(t) in this module goes through one kernel, `_decay_sum`.  It
-walks the nodes in blocks of about `_SUM_BLOCK_ELEMENTS` node-time pairs
-and, per block, fills one reused (times x nodes) work array with
-exp(-rate * t) and reduces it against the amplitudes.  Each node is read
-once and the work array stays small, instead of every time streaming the
-whole cloud through memory.  The reduction is a single-threaded einsum,
-not BLAS: a threaded gemv or dot keeps extra threads busy that cost CPU
-time without saving wall time at these sizes.  The same holds for the
-nodes: `_gauss_legendre` runs Newton's method on the Legendre recurrence
-instead of a LAPACK eigensolver, so nothing here gives OpenBLAS's worker
+S(t) has two paths: `detected_signal` sums the cloud exactly, and the
+trap fit bins it by log k (`TrapDecayModel(...).compressed()`).  Both go
+through one kernel, `_decay_sum`.  It walks the nodes in blocks of about
+`_SUM_BLOCK_ELEMENTS` node-time pairs and, per block, fills one reused
+(times x nodes) work array with exp(-rate * t) and reduces it against
+the amplitudes.  Each node is read once and the work array stays small,
+instead of every time streaming the whole cloud through memory.  The
+reduction is a single-threaded einsum, not BLAS: a threaded gemv or dot
+keeps extra threads busy that cost CPU time without saving wall time at
+these sizes.  The same holds for the nodes: `_gauss_legendre` runs
+Newton's method on the Legendre recurrence instead of a LAPACK eigensolver, so nothing here gives OpenBLAS's worker
 threads work.  (numpy's import still starts them, and they spin until
 OpenBLAS's idle timeout, which the CLI shortens.)  Summation order is
 fixed, so results are bit-stable run to run.
@@ -126,14 +127,13 @@ class LevelSetRule:
 class SignalResult:
     """Model signal S(t) plus the grid it was computed on.
 
-    `converged` / `achieved_rel_change` are filled by the refinement loop;
-    a plain single-grid evaluation leaves them as None.
+    `achieved_rel_change` is filled by the refinement loop; a plain
+    single-grid evaluation leaves it None.
     """
 
     times: np.ndarray
     values: np.ndarray
     domain: IntegrationDomain | LevelSetRule
-    converged: Optional[bool] = None
     achieved_rel_change: Optional[float] = None
     refinements: int = 0
 
@@ -334,9 +334,7 @@ def refine_until_converged(t_grid, material: MaterialParams,
         refined.achieved_rel_change = change
         result = refined
         if change < rel_tol:
-            result.converged = True
             return result
-    result.converged = False
     raise ConvergenceError(
         f"no convergence to {rel_tol:g} after {_MAX_REFINEMENTS} "
         f"refinements (last change {result.achieved_rel_change:g})",
@@ -344,23 +342,16 @@ def refine_until_converged(t_grid, material: MaterialParams,
 
 
 class TrapDecayModel:
-    """Precomputed point cloud for repeated S(t, gamma_trap) evaluation.
+    """One curve's cloud (amplitude, k per node), held only for binning.
 
-    The cloud (amplitude, k per node) does not depend on gamma_trap,
-    so a fit can reuse one model per curve.  `compressed` bins the cloud
-    into a log-spaced k histogram of `_N_BINS` bins, shrinking evaluation
-    cost at a relative error far below fit tolerances.
+    The cloud does not depend on gamma_trap, so the trap fit builds one
+    per curve and evaluates its `compressed` log-k histogram of `_N_BINS`
+    bins, at a relative error far below fit tolerances.
     """
 
     def __init__(self, material: MaterialParams, geom: BeamGeometry,
-                 domain=None, intensity_fn: Optional[Callable] = None,
-                 coll_fn: Optional[Callable] = None):
-        self.domain, self._amp, self._k = _cloud(material, geom, domain,
-                                                 intensity_fn, coll_fn)
-
-    def signal(self, t_grid, gamma_trap) -> np.ndarray:
-        return _decay_sum(_check_times(t_grid), gamma_trap * self._k,
-                          self._amp)
+                 domain=None):
+        self.domain, self._amp, self._k = _cloud(material, geom, domain)
 
     def compressed(self) -> "CompressedDecayModel":
         return CompressedDecayModel(self._amp, self._k, _N_BINS)

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .errors import _MAX_DECAY_SPANS, FitError
+from .csvio import _floats
+from .errors import _DETECTION_SIGMAS, _MAX_DECAY_SPANS, FitError
 from .simplex import _jacobian_errors, gauss_newton
-
-# The decay is detected when its amplitude exceeds this many sigma.
-_DETECTION_SIGMAS = 3
 
 
 @dataclass
@@ -77,17 +75,6 @@ def _jacobian(t, params, t0=0.0):
     return columns + [[1.0] * len(t)] * (len(params) - 2)
 
 
-def _floats(values):
-    """A 1-D sequence of numbers (or 1-D numpy array) as a list of floats."""
-    if hasattr(values, "tolist"):
-        values = values.tolist()
-    try:
-        return [float(v) for v in values]
-    except TypeError:
-        raise ValueError("times and values must be 1-D arrays of equal "
-                         "length") from None
-
-
 def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     """Fit a exp(-t/tau) plus an optional constant floor.
 
@@ -101,7 +88,7 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     the samples start many lifetimes later.  An amplitude within
     `_DETECTION_SIGMAS` sigma of 0 leaves tau_err None, "tau_s" unresolved.
     """
-    t, y = _floats(times), _floats(values)
+    t, y = (_floats(v, "times and values") for v in (times, values))
     if len(t) != len(y):
         raise ValueError("times and values must be 1-D arrays of equal "
                          "length")

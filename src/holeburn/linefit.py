@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 
+from .csvio import _floats
+
 
 @dataclass
 class LinearFit:
@@ -61,23 +63,12 @@ def _t_quantile(dof, level):
     return math.sqrt(dof) * math.tan(mid)
 
 
-def _floats(values):
-    """A 1-D sequence of numbers (or 1-D numpy array) as a list of floats."""
-    if hasattr(values, "tolist"):
-        values = values.tolist()
-    try:
-        return [float(v) for v in values]
-    except TypeError:
-        raise ValueError("x and y must be 1-D arrays of equal "
-                         "length") from None
-
-
 def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
     """Ordinary least squares with a t-distribution slope interval.
 
     x and y are equal-length 1-D sequences of numbers or 1-D arrays.
     """
-    x, y = _floats(x), _floats(y)
+    x, y = (_floats(v, "x and y") for v in (x, y))
     if len(x) != len(y):
         raise ValueError("x and y must be 1-D arrays of equal length")
     n = len(x)

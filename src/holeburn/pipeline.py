@@ -94,17 +94,6 @@ class HoleArea:
         return self.sigma_area * self.freq_step
 
 
-def median(values) -> float:
-    """Median of a nonempty array of finite values, bit for bit numpy's.
-
-    numpy's median imports `numpy.ma` on its first call, about 12 ms of a
-    short CLI job; the mean of the middle one or two sorted values is the
-    same number.
-    """
-    s = np.sort(np.asarray(values, dtype=float), axis=None)
-    return float(np.mean(s[(s.size - 1) // 2:s.size // 2 + 1]))
-
-
 def detect_aom_off_range(power_monitor) -> tuple:
     """Heuristic: locate the modulator-off segment from the power trace.
 
@@ -199,6 +188,6 @@ def hole_area_with_error(scan: NormalizedScan, baseline: float,
     area = float(np.sum(baseline - y))
     sigma_area = float(np.sqrt(n * sigma_point**2))
     f = scan.freq[scan.included]
-    step = median(np.abs(np.diff(f))) if f.size > 1 else 0.0
+    step = float(np.median(np.abs(np.diff(f)))) if f.size > 1 else 0.0
     return HoleArea(area=area, sigma_area=sigma_area, freq_step=step,
                     n_points=n)

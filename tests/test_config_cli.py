@@ -9,6 +9,7 @@ import holeburn as hb
 from holeburn import cli, csvio, simplex
 from holeburn.cli import main
 from holeburn.config import _SCHEMA, ConfigError, load_config
+from holeburn.integrator import TrapDecayModel
 
 # Every config key with a valid non-default value and the attribute the
 # code reads it from, written out independently of the schema table.
@@ -354,6 +355,18 @@ class TestCli:
         assert data.shape == (3,)
         assert data[0] == 0.0
 
+    def test_gen_decay_t_end_zero_single_row(self, tmp_path):
+        # simulate's time grid: one sample, not --n-t copies of t = 0
+        out = tmp_path / "decay.csv"
+        assert main(["gen", "decay", "--t-end", "0", "--out", str(out)]) == 0
+        assert csvio.read_decay_curve(out).time_s.tolist() == [0.0]
+
+    def test_gen_decay_negative_t_end_exit_2(self, tmp_path, capsys):
+        code = main(["gen", "decay", "--t-end", "-5",
+                     "--out", str(tmp_path / "decay.csv")])
+        assert code == 2
+        assert "t-end must be nonnegative" in capsys.readouterr().err
+
     def test_simulate_zero_tol_exit_3(self, tmp_path):
         code = main(["simulate", "--t-end", "2",
                      "--n-t", "2", "--tol", "0",
@@ -574,7 +587,7 @@ class TestCli:
         assert "no resolvable decay" in data["error"]
         # the search stops on its lower bound, 1 / (100 max k max t)
         material = hb.MaterialParams()
-        fastest = max(hb.TrapDecayModel(
+        fastest = max(TrapDecayModel(
             material, hb.BeamGeometry.for_material(material, power=p0,
                                                    focus_fwhm=1e-6),
             hb.LevelSetRule()).compressed().bin_k.max() * t[-1]

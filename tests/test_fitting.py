@@ -13,6 +13,7 @@ import holeburn as hb
 from holeburn import FitError, csvio, fitting, lifetime, simplex
 from holeburn.cli import main
 from holeburn.fitting import _arrow_least_squares
+from holeburn.integrator import TrapDecayModel
 from holeburn.linefit import _t_quantile
 from holeburn.simplex import MinimizeResult
 
@@ -843,7 +844,7 @@ def slowest_resolvable_gamma(material, domain, t, powers):
     """The trap fit's lower bound on gamma_trap for curves sampled at t:
     1 / (100 max_c(max k_c * max t)), k_c the rates of curve c's cloud per
     unit gamma_trap, below which the model is a straight line."""
-    fastest = max(hb.TrapDecayModel(
+    fastest = max(TrapDecayModel(
         material, hb.BeamGeometry.for_material(material, power=p0,
                                                focus_fwhm=1e-6),
         domain).compressed().bin_k.max() * t[-1] for p0 in powers)
@@ -880,8 +881,8 @@ class TestTrapFit:
             for c, a in zip(curves, res.scale_a):
                 geom = hb.BeamGeometry.for_material(
                     material, power=c.power_w, focus_fwhm=1e-6)
-                m = hb.TrapDecayModel(material, geom,
-                                      fast_domain).compressed()
+                m = TrapDecayModel(material, geom,
+                                   fast_domain).compressed()
                 rate = gamma * m.bin_k[None, :] * c.time_s[:, None]
                 s = m.frozen_amp + np.exp(-rate) @ m.bin_amp
                 # d S / d log gamma = -sum amp (gamma k t) exp(-gamma k t)

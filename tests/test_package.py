@@ -26,7 +26,7 @@ PUBLIC_NAMES = {
     "LorentzianHoleFit", "MaterialParams", "MinimizeOptions",
     "MinimizeResult", "NoiseSpec", "NormalizedScan", "PLANCK_CONSTANT",
     "PipelineOrderError", "RawScan", "ResonanceFields", "SPEED_OF_LIGHT",
-    "SignalResult", "TrapDecayModel", "TrapFitResult", "ZeemanConfig",
+    "SignalResult", "TrapFitResult", "ZeemanConfig",
     "applied_field", "apply_noise", "beam_intensity", "beam_radius",
     "collection_efficiency", "detect_aom_off_range", "detected_signal",
     "detuned_intensity", "excited_population", "exp_decay", "fit_exponential",
@@ -118,7 +118,8 @@ print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in rec.spans}}),
     report = json.loads(run.stdout.strip().splitlines()[-1])
     assert report["codes"] == [0] * len(jobs)
     assert {"integrator.refine", "csvio.write_signal_csv", "fitting.trap",
-            "integrator.cloud", "integrator.compress", "fitting.hole",
+            "integrator.signal", "integrator.cloud", "integrator.compress",
+            "integrator.compressed_eval", "fitting.hole",
             "simplex.minimize", "csvio.read_raw_scan",
             "pipeline.normalize_by_power", "fitting.linear",
             "csvio.write_report"} <= set(report["spans"])

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import holeburn as hb
 from holeburn import PipelineOrderError
-from holeburn.pipeline import median
 
 
 def make_raw(n=400, off_a=0, off_b=40, fluor_offset=100.0, power_offset=50.0,
@@ -207,10 +204,3 @@ class TestHoleArea:
         scan = self.make_scan(np.arange(20.0), np.ones(20))
         with pytest.raises(ValueError):
             hb.hole_area_with_error(scan, np.nan, 0.1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=40))
-def test_median_equals_numpy_median(values):
-    # np.median is the reference; equality is exact for odd and even sizes
-    assert median(values) == np.median(values)

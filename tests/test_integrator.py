@@ -571,19 +571,21 @@ class TestCompressionBins:
 
 @pytest.fixture(scope="module")
 def decay_models(material, geom, small_domain):
-    return {"compressed":
-            TrapDecayModel(material, geom, small_domain).compressed()}
+    """Both S(t) paths as (t, power) -> values: exact and binned."""
+    return {"direct": lambda t, power: hb.detected_signal(
+                t, material, geom, power, small_domain).values,
+            "compressed":
+            TrapDecayModel(material, geom, small_domain).compressed().signal}
 
 
 class TestTrapDecayModel:
-    # The exact sum's checks are TestDetectedSignal's.
-    @pytest.mark.parametrize("kind", ["compressed"])
+    @pytest.mark.parametrize("kind", ["direct", "compressed"])
     @pytest.mark.parametrize("bad_t", [
         [], 5.0, [[0.0, 1.0]], [-1.0, 0.0], [np.nan],
     ])
     def test_bad_time_grids_rejected(self, decay_models, kind, bad_t):
         with pytest.raises(ValueError):
-            decay_models[kind].signal(bad_t, 7e4)
+            decay_models[kind](bad_t, 7e4)
 
     def test_compression_error_small(self, material, geom, small_domain):
         t = np.linspace(0, 200, 9)

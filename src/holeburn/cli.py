@@ -98,9 +98,10 @@ def _cmd_simulate(args, cfg):
     scaled = scaled_signal(result.values, cfg.scale_a, cfg.background_b,
                            power)
     write_signal_csv(args.out, t_grid, result.values, scaled)
+    change = ("n/a" if result.achieved_rel_change is None
+              else f"{result.achieved_rel_change:.2e}")
     print(f"simulate: wrote {args.out} "
-          f"({result.domain.n_points} nodes, "
-          f"rel change {result.achieved_rel_change:.2e})")
+          f"({result.domain.n_points} nodes, rel change {change})")
     return EXIT_OK
 
 
@@ -199,16 +200,13 @@ def _cmd_gen_decay(args, cfg):
     from .integrator import LevelSetRule
     noise = _noise_from_args(args)
     t_grid = _time_grid(args)
-    if not args.tol >= 0:
-        raise ValueError("tol must be nonnegative (0 skips refinement)")
-    refine_tol = args.tol if args.tol > 0 else None
     # A single curve is the batch of one: it gets noise stream 0.
     powers = (_parse_floats(args.powers) if args.powers
               else [cfg.beam_power if args.power_w is None else args.power_w])
     curves = synth.gen_decay_batch(cfg.material, args.gamma_trap,
                                    cfg.scale_a, cfg.background_b, powers,
                                    t_grid, noise, cfg.focus_fwhm,
-                                   LevelSetRule(), refine_tol=refine_tol)
+                                   LevelSetRule(), refine_tol=args.tol)
     if args.powers:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -261,6 +259,9 @@ def _add_decay_args(parser):
     parser.add_argument("--gamma-trap", type=float, default=7e4)
     parser.add_argument("--t-end", type=float, default=200.0)
     parser.add_argument("--n-t", type=int, default=81)
+    parser.add_argument("--tol", type=float, default=5e-3,
+                        help="relative change of S(t) that ends grid "
+                             "refinement (0 evaluates the rule once)")
 
 
 def _add_noise_args(parser, gaussian=True):
@@ -281,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate the detected decay signal")
     _add_decay_args(p)
-    p.add_argument("--tol", type=float, default=5e-3)
     p.add_argument("--out", default="signal.csv")
     p.set_defaults(func=_cmd_simulate)
 
@@ -330,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_decay_args(p)
     p.add_argument("--powers", default=None,
                    help="comma-separated powers [W] for a batch")
-    p.add_argument("--tol", type=float, default=5e-3,
-                   help="grid refinement tolerance (0 skips refinement)")
     p.add_argument("--out", default="decay.csv",
                    help="output file, or directory for a batch")
     _add_noise_args(p)

@@ -9,6 +9,12 @@ They live apart from the integrator and the fits that raise them, so that
 # straight line by the data, so the lifetime and trap fits reject it.
 _MAX_DECAY_SPANS = 100
 
+# The fits square their data, weight it and sum the products.  Values no
+# larger than this, and spreads and weights no smaller than its inverse,
+# keep those products normal floats, so a fit either runs at full
+# precision or refuses its input.
+_MAX_MAGNITUDE = 1e100
+
 # A lifetime's amplitude or a hole's depth is detected when it exceeds
 # this many sigma; below it the fits leave the lifetime, or the hole's
 # center and width, unresolved.

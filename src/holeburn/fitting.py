@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _DETECTION_SIGMAS, _MAX_DECAY_SPANS, FitError
+from .errors import (_DETECTION_SIGMAS, _MAX_DECAY_SPANS, _MAX_MAGNITUDE,
+                     FitError)
 from .integrator import TrapDecayModel
 from .model import BeamGeometry, MaterialParams
 from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
@@ -209,6 +210,11 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     span = float(np.ptp(f))
     if span <= 0:
         raise ValueError("freq values must not all coincide")
+    lim = _MAX_MAGNITUDE
+    if not (1 / lim <= span <= lim and float(np.max(np.abs(y))) <= lim):
+        raise ValueError(f"the frequency span must lie in [{1 / lim:g}, "
+                         f"{lim:g}] Hz and the signal within +-{lim:g}, "
+                         "where the fit's products stay normal floats")
 
     f_mid = 0.5 * float(np.min(f) + np.max(f))
     x = (f - f_mid) / span
@@ -219,7 +225,12 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
         if not np.all((sigma > 0) & (sigma < np.inf)):
             raise ValueError("sigma_point must be positive and finite")
         point_weights = 1.0 / sigma
-    w2 = (point_weights * y_scale) ** 2  # weights of the normalized signal
+    root_w2 = point_weights * y_scale
+    if not np.all((root_w2 >= 1 / lim) & (root_w2 <= lim)):
+        raise ValueError(f"the signal's spread over each point's sigma must "
+                         f"lie in [{1 / lim:g}, {lim:g}], where its square, "
+                         "the point's weight, stays a normal float")
+    w2 = root_w2 ** 2  # weights of the normalized signal
     w_sum = float(np.sum(w2))
     y_mean = float(np.dot(w2, y)) / w_sum
     dy = (y - y_mean) / y_scale
@@ -312,6 +323,13 @@ def _curve_triples(curves):
             raise ValueError(f"{curve}: arrays must be finite")
         if np.ptp(y) == 0:
             raise ValueError(f"{curve}: degenerate curve, constant signal")
+        lim = _MAX_MAGNITUDE
+        if not (max(np.max(np.abs(t)), np.max(np.abs(y))) <= lim
+                and np.ptp(y) >= 1 / lim):
+            raise ValueError(f"{curve}: times and counts must lie within "
+                             f"+-{lim:g} and the counts spread by at least "
+                             f"{1 / lim:g}, where the fit's products stay "
+                             "normal floats")
         if np.any(t < 0):
             raise ValueError(f"{curve}: time stamps must be nonnegative, "
                              f"got t = {t.min():g} s")

@@ -318,13 +318,17 @@ def refine_until_converged(t_grid, material: MaterialParams,
                            domain=None, rel_tol: float = 5e-3) -> SignalResult:
     """Double the rule's node counts until S(t) changes by less than rel_tol.
 
-    Raises ConvergenceError (carrying the best result so far) when
-    `_MAX_REFINEMENTS` doublings do not meet the tolerance.
+    rel_tol = 0 evaluates the starting rule once: no refinement, and
+    `achieved_rel_change` stays None.  Raises ConvergenceError (carrying
+    the best result so far) when `_MAX_REFINEMENTS` doublings do not meet
+    a positive tolerance.
     """
     if not rel_tol >= 0:
         raise ValueError("rel_tol must be nonnegative")
 
     result = detected_signal(t_grid, material, geom, gamma_trap, domain)
+    if rel_tol == 0:
+        return result
     for step in range(1, _MAX_REFINEMENTS + 1):
         finer = result.domain.doubled()
         refined = detected_signal(t_grid, material, geom, gamma_trap, finer)

@@ -14,6 +14,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .csvio import _floats
+from .errors import _MAX_MAGNITUDE
 
 
 @dataclass
@@ -76,6 +77,12 @@ def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
         raise ValueError("need at least 3 points")
     if not all(map(math.isfinite, x + y)):
         raise ValueError("x and y must be finite")
+    lim = _MAX_MAGNITUDE
+    if max(map(abs, x + y)) > lim or any(
+            0 < max(v) - min(v) < 1 / lim for v in (x, y)):
+        raise ValueError(f"x and y must lie within +-{lim:g} and, unless "
+                         f"constant, spread by at least {1 / lim:g}, where "
+                         "their squares stay normal floats")
     if not 0 < confidence < 1:
         raise ValueError("confidence must lie in (0, 1)")
     x_mean = math.fsum(x) / n

@@ -52,6 +52,9 @@ class RawScan:
         if len(self.fluor_counts) != n or len(self.power_monitor) != n:
             raise ValueError("freq, fluor_counts and power_monitor must have "
                              "equal lengths")
+        if not (np.all(np.isfinite(self.fluor_counts))
+                and np.all(np.isfinite(self.power_monitor))):
+            raise ValueError("fluor_counts and power_monitor must be finite")
         a, b = self.aom_off_range
         if not (0 <= a < b <= n):
             raise ValueError("aom_off_range must be a nonempty index interval "

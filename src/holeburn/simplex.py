@@ -171,8 +171,10 @@ def gauss_newton(project: Callable, x0: float, lo: float = -math.inf,
         # Inside [lo, hi] min and max return x + step itself, so a search
         # that never reaches a bound runs as an unbounded one, bit for bit.
         trial_x = min(max(x + step, lo), hi)
+        # g / h * g, not g * g / h: g^2 underflows on data whose SSE is a
+        # normal float, and the search would stop before its first trial.
         if (abs(step) < _GN_XTOL_REL * max(1.0, abs(x)) or trial_x == x
-                or g * g / h < 8 * math.ulp(sse)):
+                or g / h * g < 8 * math.ulp(sse)):
             return MinimizeResult(x if x in (lo, hi) else trial_x, sse,
                                   nfev - 1, nfev, True)
         if nfev > _GN_MAX_ITER:

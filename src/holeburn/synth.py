@@ -10,14 +10,13 @@ one batch; an identical noise spec therefore reproduces identical data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .csvio import DecayCurve
 from .fitting import exp_decay, lorentzian_hole
-from .integrator import (detected_signal, refine_until_converged,
-                         scaled_signal)
+from .integrator import refine_until_converged, scaled_signal
 from .model import BeamGeometry, MaterialParams
 from .pipeline import RawScan
 
@@ -66,26 +65,22 @@ def gen_decay_batch(material: MaterialParams, gamma_trap: float,
                     noise: NoiseSpec = NoiseSpec(),
                     focus_fwhm: float = 1e-6,
                     domain=None,
-                    refine_tol: Optional[float] = None) -> list:
+                    refine_tol: float = 0.0) -> list:
     """Simulate one decay curve per power, each on its own noise stream.
 
     Curve i is A * S(t) + B * P_i with counting noise from stream i, so a
     single curve is the batch of one on stream 0.  Ground truth
     (gamma_trap, A, B, noise settings) is stored in each curve's metadata.
-    With refine_tol set, the rule is refined as in the simulate command so
-    the fixture matches its output.
+    S(t) comes from `refine_until_converged` on `domain` at `refine_tol`,
+    as in the simulate command, so the fixture matches its output; the
+    default 0 evaluates the rule once.
     """
     curves = []
     for stream, p0 in enumerate(powers):
         geom = BeamGeometry.for_material(material, power=p0,
                                          focus_fwhm=focus_fwhm)
-        if refine_tol is None:
-            result = detected_signal(t_grid, material, geom, gamma_trap,
-                                     domain)
-        else:
-            result = refine_until_converged(t_grid, material, geom,
-                                            gamma_trap, domain,
-                                            rel_tol=refine_tol)
+        result = refine_until_converged(t_grid, material, geom, gamma_trap,
+                                        domain, rel_tol=refine_tol)
         counts = apply_noise(scaled_signal(result.values, scale_a,
                                            background_b, p0), noise, stream)
         meta = {

@@ -369,9 +369,26 @@ class TestCli:
 
     def test_simulate_zero_tol_exit_3(self, tmp_path):
         code = main(["simulate", "--t-end", "2",
-                     "--n-t", "2", "--tol", "0",
+                     "--n-t", "2", "--tol", "1e-300",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 3
+
+    def test_gen_decay_unmet_tol_exit_3(self, tmp_path):
+        code = main(["gen", "decay", "--t-end", "2",
+                     "--n-t", "2", "--tol", "1e-300",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 3
+
+    def test_zero_tol_evaluates_the_rule_once(self, tmp_path, capsys):
+        # --tol 0 means the same in both subcommands: the 48^2 rule, once
+        sim_out, gen_out = tmp_path / "sim.csv", tmp_path / "gen.csv"
+        args = ["--t-end", "5", "--n-t", "3", "--tol", "0"]
+        assert main(["simulate", *args, "--out", str(sim_out)]) == 0
+        assert "(2304 nodes, rel change n/a)" in capsys.readouterr().out
+        assert main(["gen", "decay", *args, "--out", str(gen_out)]) == 0
+        sim = np.loadtxt(sim_out, delimiter=",", skiprows=1)
+        gen = csvio.read_decay_curve(gen_out)
+        np.testing.assert_array_equal(gen.counts_per_s, sim[:, 2])
 
     @pytest.mark.parametrize("section, key", [
         (section, key) for section, keys in _SCHEMA.items()
@@ -447,6 +464,22 @@ class TestCli:
         treated = (tmp_path / "treated.csv").read_text().splitlines()
         header = [l for l in treated if l.startswith("freq_hz")][0]
         assert header == "freq_hz,fluor_counts,power_counts,excluded"
+
+    def test_fit_hole_extreme_power_background_exit_2(self, tmp_path,
+                                                      capsys):
+        # -1e308 in an AOM-off power reading leaves every weight 0 after
+        # normalization: the fit divided by zero
+        scan_path = tmp_path / "scan.csv"
+        assert main(["gen", "holescan", "--n-points", "400",
+                     "--out", str(scan_path)]) == 0
+        lines = scan_path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines)
+                   if line.startswith("freq_hz")) + 1
+        lines[row] = ",".join(lines[row].split(",")[:2] + ["-1e308"])
+        scan_path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "hole", "--scan", str(scan_path),
+                     "--out", str(tmp_path / "hole.json")]) == 2
+        assert "must lie in [1e-100, 1e+100]" in capsys.readouterr().err
 
     def test_fit_hole_auto_aom_detection(self, tmp_path):
         scan_path = tmp_path / "scan.csv"

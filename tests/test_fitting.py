@@ -274,6 +274,23 @@ class TestHoleFit:
         with pytest.raises(ValueError, match="finite"):
             hb.fit_hole_lorentzian(self.freq, y)
 
+    @pytest.mark.parametrize("extreme", [1e308, -1e308])
+    def test_extreme_frequency_rejected(self, extreme):
+        # its span squared overflows: the fit raised OverflowError
+        y = hb.lorentzian_hole(self.freq, 1.0, 0.4, -50e6, 6e6)
+        freq = self.freq.copy()
+        freq[-1] = extreme
+        with pytest.raises(ValueError, match=r"frequency span must lie in "
+                                             r"\[1e-100, 1e\+100\] Hz"):
+            hb.fit_hole_lorentzian(freq, y)
+
+    def test_subnormal_weights_rejected(self):
+        # the weights (spread)^2 are subnormal: the FWHM came out 17% off
+        y = 1e-160 * hb.lorentzian_hole(self.freq, 1.0, 0.4, -50e6, 6e6)
+        with pytest.raises(ValueError, match=r"spread over each point's "
+                                             r"sigma must lie in"):
+            hb.fit_hole_lorentzian(self.freq, y)
+
     def test_failure_raises_with_diagnostics(self, monkeypatch):
         monkeypatch.setattr(fitting, "_SEARCH",
                             replace(fitting._SEARCH, max_iter=3))
@@ -693,8 +710,18 @@ class TestLinearFit:
         ([0.0, 1.0, 2.0], [1.0, np.inf, 3.0], 0.8, "finite"),
         ([0.0, 1.0, 2.0], [1.0, 2.0, 4.0], 1.0, "confidence"),
         ([0.0, 1.0, 2.0], [1.0, 2.0, 4.0], 0.0, "confidence"),
+        # each square below overflows: a traceback, or slope -0.0 for x
+        ([0.0, 1.0, 2.0], [1.0, 1.7e154, 3.0], 0.8, r"within \+-1e\+100"),
+        ([0.0, 1.0, 1e308], [1.0, 2.0, 3.0], 0.8, r"within \+-1e\+100"),
+        ([0.0, 1.0, -1e308], [1.0, 2.0, 3.0], 0.8, r"within \+-1e\+100"),
+        ([0.0, 1.0, 1.7e154], [1.0, 2.0, 3.0], 0.8, r"within \+-1e\+100"),
+        # the squares below are subnormal: the slope, or the CI, is off
+        ([0.0, 1e-170, 2e-170], [1.0, 2.0, 4.0], 0.8, "spread by at least"),
+        ([0.0, 1.0, 2.0], [1e-163, 2e-163, 4e-163], 0.8,
+         "spread by at least"),
     ], ids=["2-d-array", "nested-list", "scalar", "ragged", "two-points",
-            "nan-x", "inf-y", "confidence-1", "confidence-0"])
+            "nan-x", "inf-y", "confidence-1", "confidence-0", "huge-y",
+            "max-x", "min-x", "huge-x", "tiny-x", "tiny-y"])
     def test_rejects_malformed_input(self, x, y, confidence, match):
         with pytest.raises(ValueError, match=match):
             hb.fit_linear_ci(x, y, confidence)
@@ -819,6 +846,15 @@ def seven_curve_batch(material, fast_domain):
     return hb.gen_decay_batch(material, 9e4, 0.19, 9.4e7, powers, t,
                               hb.NoiseSpec(kind="poisson", seed=11),
                               domain=fast_domain)
+
+
+@pytest.fixture(scope="module")
+def poisson_batch_3(material):
+    """Seed-3 Poisson batch at 2, 20 and 44 uW on the level-set rule."""
+    return hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7,
+                              [2e-6, 20e-6, 44e-6], np.linspace(0, 200, 81),
+                              hb.NoiseSpec(kind="poisson", seed=3),
+                              domain=hb.LevelSetRule())
 
 
 def trap_batches(material, domain):
@@ -950,6 +986,24 @@ class TestTrapFit:
         for sa, ba in zip(scaled.scale_a, base.scale_a):
             assert sa == pytest.approx(c * ba, rel=1e-4)
 
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(-300, 200))
+    @example(k=-300)
+    def test_power_of_two_rescaling_is_exact(self, material,
+                                             poisson_batch_3, k):
+        # Counts times 2^k: the search sees every sum scaled exactly, so it
+        # takes the same steps to the same gamma, and A_c and B scale by
+        # exactly 2^k; g^2 underflows at k = -300, g / h * g does not.
+        rule = hb.LevelSetRule()
+        base = hb.fit_trap_model(poisson_batch_3, material, domain=rule)
+        scaled = hb.fit_trap_model(
+            [(c.time_s, np.ldexp(c.counts_per_s, k), c.power_w)
+             for c in poisson_batch_3], material, domain=rule)
+        assert (scaled.gamma_trap, scaled.nfev) == (base.gamma_trap,
+                                                    base.nfev)
+        assert scaled.background_b == math.ldexp(base.background_b, k)
+        assert scaled.scale_a == [math.ldexp(a, k) for a in base.scale_a]
+
     def test_negative_background_clamped(self, material, fast_domain):
         # True B = 0 and each curve lowered by 2e6 counts/W x P, so the
         # unconstrained optimum has B < 0; the fit must stop at B = 0.
@@ -1025,7 +1079,12 @@ class TestTrapFit:
         ([], [], "no points"),
         ([0.0, 1.0, 2.0], [3.0, np.nan, 1.0], "finite"),
         ([0.0, 1.0, 2.0], [3.0, 2.0], "equal length"),
-    ], ids=["empty", "nan", "short"])
+        # beyond these the search's bound or its sums leave the floats
+        ([0.0, 1.0, 1e308], [3.0, 2.0, 1.0], r"within \+-1e\+100"),
+        ([0.0, 1.0, 2.0], [3.0, 2e200, 1.0], r"within \+-1e\+100"),
+        ([0.0, 1.0, 2.0], [3e-150, 2e-150, 1e-150], "spread by at least"),
+    ], ids=["empty", "nan", "short", "huge-time", "huge-counts",
+            "tiny-counts"])
     def test_bad_curve_named_by_index_and_power(self, material, fast_domain,
                                                 t, y, message):
         good = np.linspace(0.0, 150.0, 20)

@@ -473,12 +473,22 @@ class TestRefinement:
         assert res.refinements <= 3
         assert res.achieved_rel_change < 5e-3
 
+    def test_zero_tolerance_evaluates_once(self, material, geom):
+        t = np.array([0.0, 5.0])
+        rule = hb.LevelSetRule()
+        res = hb.refine_until_converged(t, material, geom, 7e4, rule,
+                                        rel_tol=0.0)
+        assert (res.refinements, res.achieved_rel_change) == (0, None)
+        assert res.domain == rule
+        np.testing.assert_array_equal(
+            res.values, hb.detected_signal(t, material, geom, 7e4, rule).values)
+
     def test_zero_tolerance_never_converges(self, material, geom):
         domain = hb.IntegrationDomain(n_r=8, n_z=8, n_delta=8)
         t = np.array([0.0, 5.0])
         with pytest.raises(hb.ConvergenceError) as err:
             hb.refine_until_converged(t, material, geom, 7e4, domain,
-                                      rel_tol=0.0)
+                                      rel_tol=1e-300)
         assert err.value.best_result is not None
         assert err.value.best_result.achieved_rel_change >= 0.0
 

@@ -30,6 +30,18 @@ class TestRawScan:
                        power_monitor=np.zeros(n), aom_off_range=rng)
 
 
+    @pytest.mark.parametrize("channel", ["fluor_counts", "power_monitor"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_channel(self, channel, bad):
+        # background subtraction would spread it over every point
+        n = 10
+        traces = {"fluor_counts": np.ones(n), "power_monitor": np.ones(n)}
+        traces[channel][3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            hb.RawScan(freq=np.arange(float(n)), aom_off_range=(0, 4),
+                       **traces)
+
+
 class TestDetectAomOff:
     def test_recovers_true_segment(self):
         freq = np.linspace(-100e6, 100e6, 3000)

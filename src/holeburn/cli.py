@@ -87,16 +87,14 @@ def _report(args, cfg, payload) -> dict:
 def _cmd_simulate(args, cfg):
     from .integrator import LevelSetRule, scaled_signal
     from .model import BeamGeometry
-    power = cfg.beam_power if args.power_w is None else args.power_w
-    gamma_trap = args.gamma_trap
     t_grid = _time_grid(args)
-
-    geom = BeamGeometry.for_material(cfg.material, power=power,
+    geom = BeamGeometry.for_material(cfg.material, power=args.power_w,
                                      focus_fwhm=cfg.focus_fwhm)
-    result = refine_until_converged(t_grid, cfg.material, geom, gamma_trap,
-                                    LevelSetRule(), rel_tol=args.tol)
+    result = refine_until_converged(t_grid, cfg.material, geom,
+                                    args.gamma_trap, LevelSetRule(),
+                                    rel_tol=args.tol)
     scaled = scaled_signal(result.values, cfg.scale_a, cfg.background_b,
-                           power)
+                           args.power_w)
     write_signal_csv(args.out, t_grid, result.values, scaled)
     change = ("n/a" if result.achieved_rel_change is None
               else f"{result.achieved_rel_change:.2e}")
@@ -173,10 +171,8 @@ def _cmd_fit_expdecay(args, cfg):
 
 
 def _cmd_fit_linear(args, cfg):
-    if args.confidence is not None:
-        cfg = dataclasses.replace(cfg, confidence=args.confidence)
     x, y, _ = csvio.read_xy(args.points, args.x_column, args.y_column)
-    fit = fit_linear_ci(x, y, confidence=cfg.confidence)
+    fit = fit_linear_ci(x, y, confidence=args.confidence)
     payload = {"input": args.points, **fit.to_dict()}
     csvio.write_report(args.out, _report(args, cfg, payload))
     print(f"fit linear: slope = {fit.slope:.4g} +- {fit.slope_ci:.2g} "
@@ -201,8 +197,7 @@ def _cmd_gen_decay(args, cfg):
     noise = _noise_from_args(args)
     t_grid = _time_grid(args)
     # A single curve is the batch of one: it gets noise stream 0.
-    powers = (_parse_floats(args.powers) if args.powers
-              else [cfg.beam_power if args.power_w is None else args.power_w])
+    powers = _parse_floats(args.powers) if args.powers else [args.power_w]
     curves = synth.gen_decay_batch(cfg.material, args.gamma_trap,
                                    cfg.scale_a, cfg.background_b, powers,
                                    t_grid, noise, cfg.focus_fwhm,
@@ -255,7 +250,7 @@ def _cmd_gen_holedecay(args, cfg):
 
 
 def _add_decay_args(parser):
-    parser.add_argument("--power-w", type=float, default=None)
+    parser.add_argument("--power-w", type=float, default=20e-6)
     parser.add_argument("--gamma-trap", type=float, default=7e4)
     parser.add_argument("--t-end", type=float, default=200.0)
     parser.add_argument("--n-t", type=int, default=81)
@@ -312,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True)
     p.add_argument("--x-column", default="x")
     p.add_argument("--y-column", default="y")
-    p.add_argument("--confidence", type=float, default=None,
-                   help="slope CI level (default: [fit] confidence)")
+    p.add_argument("--confidence", type=float, default=0.80,
+                   help="slope CI level, in (0, 1)")
     p.add_argument("--out", default="linear_fit.json")
     p.set_defaults(func=_cmd_fit_linear)
 

@@ -1,4 +1,4 @@
-"""Typed INI configuration covering every module's parameters.
+"""Typed INI configuration of the setup, which stays fixed from run to run.
 
 All physical quantities are SI and the unit rides in the key name, so a
 config file diff is unambiguous.  Unknown sections or keys are rejected
@@ -39,7 +39,6 @@ _SCHEMA = {
         "coll0": ("material.coll0", float),
     },
     "beam": {
-        "power_w": ("beam_power", float),
         "focus_fwhm_m": ("focus_fwhm", float),
     },
     "scale": {
@@ -52,21 +51,16 @@ _SCHEMA = {
         "stray_field_t": ("zeeman.stray_field", float),
         "field_sign": ("zeeman.field_sign", int),
     },
-    "fit": {
-        "confidence": ("confidence", float),
-    },
 }
 
 
 @dataclass
 class RunConfig:
     material: MaterialParams = field(default_factory=MaterialParams)
-    beam_power: float = 20e-6
     focus_fwhm: float = 1e-6
     scale_a: float = 0.19
     background_b: float = 9.4e7
     zeeman: ZeemanConfig = field(default_factory=ZeemanConfig)
-    confidence: float = 0.80
 
     def __post_init__(self):
         if not self.scale_a > 0:
@@ -75,9 +69,6 @@ class RunConfig:
         if not self.background_b >= 0:
             raise ValueError(f"background_b must be nonnegative, got "
                              f"{self.background_b!r}")
-        if not 0 < self.confidence < 1:
-            raise ValueError(f"confidence must lie in (0, 1), got "
-                             f"{self.confidence!r}")
 
     def to_dict(self) -> dict:
         """Resolved configuration keyed exactly like the config file."""

@@ -184,10 +184,13 @@ def read_raw_scan(path, aom_off_range=None) -> RawScan:
         except KeyError:
             raise ValueError(f"{path}: no aom_off_range in metadata; "
                              "pass one explicitly") from None
-    return RawScan(freq=np.array(cols["freq_hz"]),
-                   fluor_counts=np.array(cols["fluor_counts"]),
-                   power_monitor=np.array(cols["power_counts"]),
-                   aom_off_range=tuple(aom_off_range), meta=meta)
+    try:
+        return RawScan(freq=np.array(cols["freq_hz"]),
+                       fluor_counts=np.array(cols["fluor_counts"]),
+                       power_monitor=np.array(cols["power_counts"]),
+                       aom_off_range=tuple(aom_off_range), meta=meta)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_treated_scan(path, scan: RawScan, normalized: NormalizedScan):

@@ -268,9 +268,15 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
                                     "iterations": res.iterations,
                                     "nfev": res.nfev})
 
-    jacobian = _hole_jacobian(f, (baseline, depth, center, fwhm))
+    # D^2 in the Jacobian is the axis to the 4th power, so it is taken on
+    # the axis over the 2^e that puts the span in [0.5, 1); a power of two
+    # changes no bit, and the center and FWHM errors are scaled back.
+    e = math.frexp(span)[1]
+    jacobian = _hole_jacobian(np.ldexp(f, -e), (
+        baseline, depth, math.ldexp(center, -e), math.ldexp(fwhm, -e)))
     errs = _jacobian_errors([(c * point_weights).tolist() for c in jacobian],
                             sse)
+    errs[2:] = [err and math.ldexp(err, e) for err in errs[2:]]
 
     # A hole is detected when its depth exceeds 3 sigma, as a lifetime's
     # amplitude must, and 0.1% of the signal's spread: shallower holes are

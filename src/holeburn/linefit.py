@@ -85,6 +85,11 @@ def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
                          "their squares stay normal floats")
     if not 0 < confidence < 1:
         raise ValueError("confidence must lie in (0, 1)")
+    # Fit on x / 2^ex, which peaks in [0.5, 1): a power of two changes no
+    # bit, and s2 / sxx, which goes as (y / x)^2, then takes the scale of
+    # y^2 alone, which the limits above keep a normal float.
+    ex = math.frexp(max(map(abs, x)))[1]
+    x = [math.ldexp(v, -ex) for v in x]
     x_mean = math.fsum(x) / n
     y_mean = math.fsum(y) / n
     dx = [v - x_mean for v in x]
@@ -101,6 +106,7 @@ def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
     slope_err = math.sqrt(s2 / sxx)
     intercept_err = math.sqrt(s2 * (1.0 / n + x_mean ** 2 / sxx))
     tq = _t_quantile(dof, 0.5 + confidence / 2.0)
+    slope, slope_err = (math.ldexp(v, -ex) for v in (slope, slope_err))
     return LinearFit(slope=slope, intercept=intercept, confidence=confidence,
                      slope_ci=tq * slope_err, slope_err=slope_err,
                      intercept_err=intercept_err, residual=sse)

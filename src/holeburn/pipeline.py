@@ -52,9 +52,9 @@ class RawScan:
         if len(self.fluor_counts) != n or len(self.power_monitor) != n:
             raise ValueError("freq, fluor_counts and power_monitor must have "
                              "equal lengths")
-        if not (np.all(np.isfinite(self.fluor_counts))
-                and np.all(np.isfinite(self.power_monitor))):
-            raise ValueError("fluor_counts and power_monitor must be finite")
+        if not np.all(np.isfinite([self.freq, self.fluor_counts,
+                                   self.power_monitor])):
+            raise ValueError("freq and both traces must be finite")
         a, b = self.aom_off_range
         if not (0 <= a < b <= n):
             raise ValueError("aom_off_range must be a nonempty index interval "
@@ -183,7 +183,11 @@ def point_rms(scan: NormalizedScan) -> float:
 
 def hole_area_with_error(scan: NormalizedScan, baseline: float,
                          sigma_point: float) -> HoleArea:
-    """Hole area as the summed dip below baseline, with sqrt-sum-of-squares error."""
+    """Hole area as the summed dip below baseline, with sqrt-sum-of-squares error.
+
+    It misses the Lorentzian tails beyond the window and in the AOM-off gap,
+    so it reads low (0.969 of the true area, sigma 2.3x its scatter, over
+    200 Poisson scans of a 6 MHz hole).  No CLI path uses it."""
     if not np.isfinite(baseline):
         raise ValueError("baseline must be finite")
     y = scan.signal[scan.included]

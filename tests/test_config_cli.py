@@ -30,7 +30,6 @@ EVERY_KEY = [
     ("material", "fluor_rate_per_s", 2e7, lambda c: c.material.fluor_rate),
     ("material", "g_ratio", 0.5, lambda c: c.material.g_ratio),
     ("material", "coll0", 0.02, lambda c: c.material.coll0),
-    ("beam", "power_w", 5e-6, lambda c: c.beam_power),
     ("beam", "focus_fwhm_m", 1.5e-6, lambda c: c.focus_fwhm),
     ("scale", "scale_a", 0.25, lambda c: c.scale_a),
     ("scale", "background_b_counts_per_w", 8e7, lambda c: c.background_b),
@@ -38,7 +37,6 @@ EVERY_KEY = [
     ("zeeman", "g_excited_hz_per_t", 3e10, lambda c: c.zeeman.g_excited),
     ("zeeman", "stray_field_t", 1e-4, lambda c: c.zeeman.stray_field),
     ("zeeman", "field_sign", -1, lambda c: c.zeeman.field_sign),
-    ("fit", "confidence", 0.9, lambda c: c.confidence),
 ]
 
 
@@ -46,7 +44,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = load_config(None)
         assert cfg.material.sat_intensity == 1.4e7
-        assert cfg.beam_power == 20e-6
+        assert cfg.focus_fwhm == 1e-6
         assert cfg.zeeman.g_ground == 1.9e10
 
     def test_file_overrides(self, tmp_path):
@@ -56,7 +54,7 @@ class TestConfig:
 sat_intensity_w_per_m2 = 2.0e7
 
 [beam]
-power_w = 5e-6
+focus_fwhm_m = 1.5e-6
 
 [zeeman]
 stray_field_t = 0
@@ -64,25 +62,27 @@ stray_field_t = 0
         cfg = load_config(path)
         assert cfg.material.sat_intensity == 2.0e7
         assert cfg.material.sigma_ion == 1e-22  # untouched default
-        assert cfg.beam_power == 5e-6
+        assert cfg.focus_fwhm == 1.5e-6
         assert cfg.zeeman.stray_field == 0.0
 
     def test_unknown_key_rejected(self, tmp_path):
-        # the [fit] keys of the searches' settings, which are constants of
-        # `fitting`, are rejected rather than ignored
+        # the beam power is a per-run choice, set by --power-w only
         for text in ["[material]\nnot_a_key = 3\n",
-                     "[fit]\nftol_rel = 1e-9\n",
-                     "[fit]\ngamma_trap_seed_per_s = 1e5\n",
-                     "[fit]\nmax_iter = 8000\n",
-                     "[fit]\nxtol_rel = 1e-9\n"]:
+                     "[beam]\npower_w = 5e-6\n"]:
             path = tmp_path / "bad.ini"
             path.write_text(text)
             with pytest.raises(ConfigError, match="unknown key"):
                 load_config(path)
 
-    @pytest.mark.parametrize("text", ["[detector]\ngain = 3\n",
-                                      "[domain]\nn_r = 16\n"],
-                             ids=["detector", "domain"])
+    # [fit] is gone: the searches' settings are constants of `fitting`, and
+    # the slope CI level is set by `fit linear --confidence` only.
+    @pytest.mark.parametrize("text", [
+        "[detector]\ngain = 3\n", "[domain]\nn_r = 16\n",
+        "[fit]\nftol_rel = 1e-9\n", "[fit]\ngamma_trap_seed_per_s = 1e5\n",
+        "[fit]\nmax_iter = 8000\n", "[fit]\nxtol_rel = 1e-9\n",
+        "[fit]\nconfidence = 0.9\n",
+    ], ids=["detector", "domain", "fit-ftol_rel", "fit-gamma_trap_seed",
+            "fit-max_iter", "fit-xtol_rel", "fit-confidence"])
     def test_unknown_section_rejected(self, tmp_path, text):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -108,15 +108,6 @@ stray_field_t = 0
     @pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.2"])
     def test_confidence_outside_unit_interval_rejected(self, tmp_path,
                                                        capsys, level):
-        path = tmp_path / "bad.ini"
-        path.write_text(f"[fit]\nconfidence = {level}\n")
-        with pytest.raises(ConfigError, match="confidence must lie in"):
-            load_config(path)
-        out = tmp_path / "z.csv"
-        assert main(["--config", str(path), "zeeman", "--delta-f", "1e6",
-                     "--out", str(out)]) == 2
-        assert not out.exists()
-        # the flag goes through the same check
         points = tmp_path / "p.csv"
         csvio.write_table(points, ["x", "y"], [[0.0, 1.0, 2.0],
                                                [1.0, 2.0, 4.0]])
@@ -154,7 +145,8 @@ stray_field_t = 0
     def test_to_dict_echoes_schema(self):
         d = load_config(None).to_dict()
         assert d["material"]["sat_intensity_w_per_m2"] == 1.4e7
-        assert d["fit"]["confidence"] == 0.80
+        assert d["beam"] == {"focus_fwhm_m": 1e-6}
+        assert list(d) == ["material", "beam", "scale", "zeeman"]
 
     def test_echoed_config_loads_back_unchanged(self, tmp_path):
         echoed = load_config(None).to_dict()
@@ -185,12 +177,34 @@ stray_field_t = 0
     def test_compress_bins_rejected(self, tmp_path, capsys):
         path = tmp_path / "old.ini"
         path.write_text("[fit]\ncompress_bins = 1024\n")
-        with pytest.raises(ConfigError, match="compress_bins"):
+        with pytest.raises(ConfigError, match=r"unknown section \[fit\]"):
             load_config(path)
         code = main(["--config", str(path), "zeeman",
                      "--out", str(tmp_path / "z.csv")])
         assert code == 2
-        assert "compress_bins" in capsys.readouterr().err
+        assert "unknown section [fit]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[beam]\npower_w = 5e-6\n",
+         "unknown key 'power_w' in section [beam]"),
+        ("[fit]\nconfidence = 0.9\n", "unknown section [fit]"),
+    ], ids=["beam-power_w", "fit-confidence"])
+    def test_per_run_key_exits_2_before_any_work(self, tmp_path, capsys,
+                                                 text, message):
+        path = tmp_path / "old.ini"
+        path.write_text(text)
+        out = tmp_path / "out"
+        missing = str(tmp_path / "missing.csv")
+        for job in [["simulate"], ["fit", "trap", missing],
+                    ["fit", "hole", "--scan", missing],
+                    ["fit", "expdecay", "--series", missing],
+                    ["fit", "linear", "--points", missing],
+                    ["zeeman", "--delta-f", "1e6"], ["gen", "decay"],
+                    ["gen", "holescan"], ["gen", "holedecay"]]:
+            code = main(["--config", str(path), *job, "--out", str(out)])
+            assert code == 2, job
+            assert message in capsys.readouterr().err, job
+            assert not out.exists(), job
 
 
 class TestCsvIO:
@@ -388,6 +402,7 @@ class TestCli:
         assert main(["gen", "decay", *args, "--out", str(gen_out)]) == 0
         sim = np.loadtxt(sim_out, delimiter=",", skiprows=1)
         gen = csvio.read_decay_curve(gen_out)
+        assert gen.power_w == 20e-6  # the --power-w default
         np.testing.assert_array_equal(gen.counts_per_s, sim[:, 2])
 
     @pytest.mark.parametrize("section, key", [
@@ -481,6 +496,25 @@ class TestCli:
                      "--out", str(tmp_path / "hole.json")]) == 2
         assert "must lie in [1e-100, 1e+100]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_fit_hole_nonfinite_frequency_exit_2(self, tmp_path, capsys, bad):
+        # the first row lies in the AOM-off segment, which the fit never
+        # sees: the job exited 0 and copied the value into --treated-out
+        scan_path = tmp_path / "scan.csv"
+        assert main(["gen", "holescan", "--n-points", "400",
+                     "--out", str(scan_path)]) == 0
+        lines = scan_path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines)
+                   if line.startswith("freq_hz")) + 1
+        lines[row] = ",".join([bad] + lines[row].split(",")[1:])
+        scan_path.write_text("\n".join(lines) + "\n")
+        report, treated = tmp_path / "hole.json", tmp_path / "treated.csv"
+        assert main(["fit", "hole", "--scan", str(scan_path),
+                     "--treated-out", str(treated), "--out", str(report)]) == 2
+        assert f"{scan_path}: freq and both traces must be finite" \
+            in capsys.readouterr().err
+        assert not report.exists() and not treated.exists()
+
     def test_fit_hole_auto_aom_detection(self, tmp_path):
         scan_path = tmp_path / "scan.csv"
         report_path = tmp_path / "hole.json"
@@ -564,28 +598,20 @@ class TestCli:
         data = json.loads(report.read_text())
         assert data["slope"] == pytest.approx(2.0)
 
-    def test_fit_linear_confidence_from_config(self, tmp_path):
+    def test_fit_linear_confidence_flag(self, tmp_path):
         pts = tmp_path / "pts.csv"
         x = np.linspace(0, 5, 10)
         y = 2 * x + 1 + np.random.default_rng(4).normal(0, 0.3, x.size)
         csvio.write_table(pts, ["x", "y"], [x, y])
-        cfgfile = tmp_path / "cfg.ini"
-        cfgfile.write_text("[fit]\nconfidence = 0.99\n")
         report = tmp_path / "lin.json"
-        argv = ["--config", str(cfgfile), "fit", "linear", "--points",
-                str(pts), "--out", str(report)]
-        assert main(argv) == 0
-        data = json.loads(report.read_text())
-        assert data["confidence"] == 0.99
-        assert data["config"]["fit"]["confidence"] == 0.99
-        assert data["slope_ci"] == pytest.approx(
-            hb.fit_linear_ci(x, y, 0.99).slope_ci, rel=1e-12)
-        # an explicit flag still wins over the config, and the echoed
-        # config carries the level the fit used
-        assert main(argv + ["--confidence", "0.5"]) == 0
-        data = json.loads(report.read_text())
-        assert data["confidence"] == data["config"]["fit"]["confidence"] \
-            == 0.5
+        argv = ["fit", "linear", "--points", str(pts), "--out", str(report)]
+        for flag, level in [([], 0.80), (["--confidence", "0.99"], 0.99)]:
+            assert main(argv + flag) == 0
+            data = json.loads(report.read_text())
+            assert data["confidence"] == level
+            assert data["slope_ci"] == hb.fit_linear_ci(x, y, level).slope_ci
+            # the level is a per-run choice, not part of the echoed setup
+            assert "fit" not in data["config"]
 
     def test_fit_trap_end_to_end(self, tmp_path):
         batch = tmp_path / "batch"

@@ -149,6 +149,16 @@ def brent_in_place_of_gauss_newton(project, x0, lo=-math.inf, hi=math.inf):
     return res
 
 
+def accepted_exponents(values):
+    """Every j for which the fits accept values * 2^j: no magnitude or
+    spread above 1e100, and a spread of at least 1e-100."""
+    spread = max(values) - min(values)
+    top = max(max(map(abs, values)), spread)
+    js = [j for j in range(-800, 800) if math.ldexp(top, j) <= 1e100
+          and math.ldexp(spread, j) >= 1e-100]
+    return st.integers(js[0], js[-1])
+
+
 @pytest.fixture(scope="module")
 def material():
     return hb.MaterialParams()
@@ -315,6 +325,36 @@ class TestHoleFit:
         model_size = np.abs(hb.lorentzian_hole(freq, *params)).max()
         tol = 1e-9 * (model_size / np.abs(params) + np.abs(fd).max(axis=0))
         assert np.all(np.abs(jac - fd) <= tol)
+
+    # A Poisson scan treated like the benchmark's.
+    raw = hb.gen_hole_scan(np.linspace(-100e6, 100e6, 2001), 1.0, 0.4, -50e6,
+                           6e6, 1e3, (0, 100),
+                           noise=hb.NoiseSpec(kind="poisson", seed=7))
+    scan = hb.normalize_by_power(hb.subtract_background(raw))
+    bench_freq = scan.freq[scan.included]
+    bench_signal = scan.signal[scan.included]
+
+    @settings(max_examples=60, deadline=None)
+    @given(j=accepted_exponents(bench_freq.tolist()),
+           k=accepted_exponents(bench_signal.tolist()))
+    @example(j=-300, k=0)
+    @example(j=240, k=0)
+    def test_power_of_two_rescaling_is_exact(self, j, k):
+        # The search runs on the span-normalized axis, so it takes the same
+        # steps; the Jacobian, which divides by the axis to the 4th power,
+        # overflowed above ~1e77 Hz and underflowed below ~1e-77 Hz.
+        base = hb.fit_hole_lorentzian(self.bench_freq, self.bench_signal)
+        fit = hb.fit_hole_lorentzian(np.ldexp(self.bench_freq, j),
+                                     np.ldexp(self.bench_signal, k))
+        assert base.hole_detected
+        assert (fit.hole_detected, fit.unresolved, fit.nfev) == \
+            (base.hole_detected, base.unresolved, base.nfev)
+        for name, e in [("center", j), ("fwhm", j), ("depth", k),
+                        ("baseline", k)]:
+            assert getattr(fit, name) == math.ldexp(getattr(base, name), e)
+            assert getattr(fit, f"{name}_err") == \
+                math.ldexp(getattr(base, f"{name}_err"), e), name
+        assert fit.residual == math.ldexp(base.residual, 2 * k)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_errors_match_finite_difference_errors(self, weighted):
@@ -735,6 +775,29 @@ class TestLinearFit:
         assert hb.fit_linear_ci([x[i] for i in order],
                                 [y[i] for i in order]) == \
             hb.fit_linear_ci(x, y)
+
+    # A seed-0 noisy line.
+    line_x = np.linspace(0.0, 7.0, 12).tolist()
+    line_y = (0.5 * np.array(line_x) + 1.0
+              + np.random.default_rng(0).normal(0, 0.3, 12)).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(j=accepted_exponents(line_x), k=accepted_exponents(line_y))
+    @example(j=-250, k=300)
+    @example(j=250, k=-300)
+    def test_power_of_two_rescaling_is_exact(self, j, k):
+        # s2 / sxx goes as 2^(2k - 2j): it overflowed or underflowed while
+        # the slope did not, and the errors came out inf or 0
+        base = hb.fit_linear_ci(self.line_x, self.line_y)
+        fit = hb.fit_linear_ci([math.ldexp(v, j) for v in self.line_x],
+                               [math.ldexp(v, k) for v in self.line_y])
+        assert fit == replace(
+            base, slope=math.ldexp(base.slope, k - j),
+            intercept=math.ldexp(base.intercept, k),
+            slope_ci=math.ldexp(base.slope_ci, k - j),
+            slope_err=math.ldexp(base.slope_err, k - j),
+            intercept_err=math.ldexp(base.intercept_err, k),
+            residual=math.ldexp(base.residual, 2 * k))
 
     @settings(max_examples=200, deadline=None)
     @given(line=noisy_lines(), shift=st.floats(-1e3, 1e3))

@@ -1,5 +1,6 @@
 """Package-wide contracts: the lazy namespace, the names the bench tracer
-wraps, the records' rejection of NaN, and the declared dependencies."""
+wraps, the records' rejection of NaN, the declared dependencies and Python
+floor, and the README's config documentation."""
 
 import ast
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 from conftest import run_fresh
 import holeburn as hb
 from holeburn.cli import main
+from holeburn.config import _SCHEMA, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -203,3 +205,23 @@ def test_declared_dependencies_cover_the_tests():
                                 (ROOT / "tests").glob("*.py")))
     ours = {"holeburn"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
     assert imported - sys.stdlib_module_names - ours <= declared
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    text = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', text)
+    version = (int(floor.group(1)), int(floor.group(2)))
+    for path in sorted((ROOT / "src" / "holeburn").glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=version)
+
+
+def test_readme_documents_every_config_key(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    missing = [f"[{section}] {key}" for section, keys in _SCHEMA.items()
+               for key in keys if f"`{key}`" not in readme]
+    assert missing == []
+    examples = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert len(examples) == 1
+    path = tmp_path / "example.ini"
+    path.write_text(examples[0])
+    load_config(path)

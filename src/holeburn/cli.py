@@ -17,7 +17,7 @@ from pathlib import Path
 from . import csvio, zeeman
 from .config import ConfigError, load_config
 from .csvio import write_signal_csv
-from .errors import ConvergenceError, FitError
+from .errors import ConvergenceError, FitError, _check_within
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,17 +58,27 @@ def _parse_floats(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _count(text):
+    """A number of samples: an integer of at least 1."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
 def _noise_from_args(args):
     from .synth import NoiseSpec
+    if args.gaussian_sigma != 0 and args.noise != "gaussian":
+        raise ValueError(f"--gaussian-sigma {args.gaussian_sigma:g} sets "
+                         f"nothing without --noise gaussian")
     return NoiseSpec(kind=args.noise, seed=args.seed,
-                     gaussian_sigma=getattr(args, "gaussian_sigma", 0.0))
+                     gaussian_sigma=args.gaussian_sigma)
 
 
 def _time_grid(args):
     """`--n-t` times from 0 to `--t-end`, or one sample when t-end is 0."""
     import numpy as np
-    if args.t_end < 0:
-        raise ValueError("t-end must be nonnegative")
+    if not 0 <= args.t_end < np.inf:
+        raise ValueError("t-end must be nonnegative and finite")
     if args.t_end == 0:
         return np.array([0.0])
     return np.linspace(0.0, args.t_end, args.n_t)
@@ -220,6 +230,7 @@ def _cmd_gen_holescan(args, cfg):
 
     from . import synth
     noise = _noise_from_args(args)
+    _check_within(f_min=args.f_min, f_max=args.f_max)
     freq = np.linspace(args.f_min, args.f_max, args.n_points)
     scan = synth.gen_hole_scan(freq, args.baseline, args.depth, args.center,
                                args.fwhm, args.power_level,
@@ -237,14 +248,13 @@ def _cmd_gen_holedecay(args, cfg):
 
     from . import synth
     noise = _noise_from_args(args)
+    _check_within(0.0, wait_max=args.wait_max)
     waits = np.linspace(0.0, args.wait_max, args.n_points)
     areas = synth.gen_hole_decay_series(args.tau, args.offset, waits, noise,
                                         amplitude=args.amplitude)
     csvio.write_table(args.out, ["wait_time_s", "area"], [waits, areas],
                       meta={"tau_s": args.tau, "offset": args.offset,
-                            "amplitude": args.amplitude,
-                            "noise_kind": noise.kind,
-                            "noise_seed": noise.seed})
+                            "amplitude": args.amplitude, **noise.meta()})
     print(f"gen holedecay: wrote {args.out}")
     return EXIT_OK
 
@@ -253,18 +263,17 @@ def _add_decay_args(parser):
     parser.add_argument("--power-w", type=float, default=20e-6)
     parser.add_argument("--gamma-trap", type=float, default=7e4)
     parser.add_argument("--t-end", type=float, default=200.0)
-    parser.add_argument("--n-t", type=int, default=81)
+    parser.add_argument("--n-t", type=_count, default=81)
     parser.add_argument("--tol", type=float, default=5e-3,
                         help="relative change of S(t) that ends grid "
                              "refinement (0 evaluates the rule once)")
 
 
-def _add_noise_args(parser, gaussian=True):
+def _add_noise_args(parser):
     parser.add_argument("--noise", choices=["none", "poisson", "gaussian"],
                         default="none")
     parser.add_argument("--seed", type=int, default=0)
-    if gaussian:
-        parser.add_argument("--gaussian-sigma", type=float, default=0.0)
+    parser.add_argument("--gaussian-sigma", type=float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = gen.add_parser("holescan", help="synthetic raw hole scan")
     p.add_argument("--f-min", type=float, default=-100e6)
     p.add_argument("--f-max", type=float, default=100e6)
-    p.add_argument("--n-points", type=int, default=5000)
+    p.add_argument("--n-points", type=_count, default=5000)
     p.add_argument("--baseline", type=float, default=1.0)
     p.add_argument("--depth", type=float, default=0.4)
     p.add_argument("--center", type=float, default=-50e6)
@@ -352,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--wait-max", type=float, default=0.5)
-    p.add_argument("--n-points", type=int, default=25)
+    p.add_argument("--n-points", type=_count, default=25)
     p.add_argument("--out", default="holedecay.csv")
     _add_noise_args(p)
     p.set_defaults(func=_cmd_gen_holedecay)

@@ -21,6 +21,15 @@ _MAX_MAGNITUDE = 1e100
 _DETECTION_SIGMAS = 3
 
 
+def _check_within(lo=-_MAX_MAGNITUDE, **values):
+    """Raise ValueError naming the first value outside [lo, _MAX_MAGNITUDE]
+    (NaN included), the range whose products stay normal floats."""
+    for name, value in values.items():
+        if not lo <= value <= _MAX_MAGNITUDE:
+            raise ValueError(f"{name} must be in [{lo:g}, "
+                             f"{_MAX_MAGNITUDE:g}], got {value:g}")
+
+
 class ConvergenceError(RuntimeError):
     """Grid refinement hit its cap without meeting the tolerance."""
 

@@ -295,8 +295,8 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
     t = _check_times(t_grid)
     if np.any(np.diff(t) < 0):
         raise ValueError("t_grid must be sorted ascending")
-    if not gamma_trap >= 0:
-        raise ValueError("gamma_trap must be nonnegative")
+    if not 0 <= gamma_trap < np.inf:
+        raise ValueError("gamma_trap must be nonnegative and finite")
     domain, amp, k = _cloud(material, geom, domain, intensity_fn, coll_fn)
     return SignalResult(times=t, values=_decay_sum(t, gamma_trap * k, amp),
                         domain=domain)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MaterialParams, photon_energy
+from .errors import _MAX_MAGNITUDE
 
 
 @dataclass(frozen=True)
@@ -30,12 +31,14 @@ class BeamGeometry:
     rayleigh: float
 
     def __post_init__(self):
-        if not self.power >= 0:
-            raise ValueError("power must be nonnegative")
         if not self.waist > 0:
             raise ValueError("waist must be positive")
         if not self.rayleigh > 0:
             raise ValueError("rayleigh must be positive")
+        # The bound is on the power, so the check itself cannot overflow.
+        if not 0 <= self.power <= _MAX_MAGNITUDE * np.pi * self.waist**2 / 2:
+            raise ValueError(f"power must be nonnegative, with a peak "
+                             f"intensity within {_MAX_MAGNITUDE:g} W/m^2")
 
     @classmethod
     def from_focus(cls, power, focus_fwhm, vac_wavelength, refr_index):

@@ -1,10 +1,13 @@
 """Synthetic measurement generator with known ground truth.
 
-Every generator embeds its input parameters in the record metadata, so a
-round-trip test can compare fitted values against the truth that produced
-the data.  Randomness always comes from numpy's PCG64 generator seeded
-with (seed, stream), where the stream index separates curves generated in
-one batch; an identical noise spec therefore reproduces identical data.
+The decay-curve and hole-scan generators embed their input parameters in
+the record metadata, so a round-trip test can compare fitted values
+against the truth that produced the data; `gen_hole_decay_series` returns
+a bare array, and the `gen holedecay` command writes its truth beside it.
+Randomness always comes from numpy's PCG64 generator seeded with (seed,
+stream).  Only `gen_decay_batch` uses more than stream 0: curve i of a
+batch draws from stream i.  `NoiseSpec.meta` records the noise in every
+generated file, so the file alone reproduces identical data.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .csvio import DecayCurve
+from .errors import _MAX_MAGNITUDE, _check_within
 from .fitting import exp_decay, lorentzian_hole
 from .integrator import refine_until_converged, scaled_signal
 from .model import BeamGeometry, MaterialParams
@@ -34,12 +38,20 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in _NOISE_KINDS:
             raise ValueError(f"kind must be one of {_NOISE_KINDS}")
-        if self.kind == "gaussian" and not self.gaussian_sigma >= 0:
-            raise ValueError("gaussian_sigma must be nonnegative")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.kind == "gaussian":
+            _check_within(0.0, gaussian_sigma=self.gaussian_sigma)
 
-
-def _rng(noise: NoiseSpec, stream: int = 0) -> np.random.Generator:
-    return np.random.default_rng([noise.seed, stream])
+    def meta(self, stream: int = 0) -> dict:
+        """The metadata that redraws this noise on `stream`: kind, seed,
+        stream, generator and, for Gaussian noise, sigma."""
+        meta = {"noise_kind": self.kind, "noise_seed": self.seed,
+                "noise_stream": stream,
+                "rng": "numpy PCG64, default_rng([seed, stream])"}
+        if self.kind == "gaussian":
+            meta["gaussian_sigma"] = self.gaussian_sigma
+        return meta
 
 
 def apply_noise(values, noise: NoiseSpec, stream: int = 0) -> np.ndarray:
@@ -51,7 +63,7 @@ def apply_noise(values, noise: NoiseSpec, stream: int = 0) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if noise.kind == "none":
         return values.copy()
-    rng = _rng(noise, stream)
+    rng = np.random.default_rng([noise.seed, stream])
     if noise.kind == "poisson":
         if np.any(values < 0):
             raise ValueError("poisson noise requires nonnegative values")
@@ -89,13 +101,8 @@ def gen_decay_batch(material: MaterialParams, gamma_trap: float,
             "background_b_counts_per_w": background_b,
             "power_w": p0,
             "focus_fwhm_m": focus_fwhm,
-            "noise_kind": noise.kind,
-            "noise_seed": noise.seed,
-            "noise_stream": stream,
-            "rng": "numpy PCG64, default_rng([seed, stream])",
+            **noise.meta(stream),
         }
-        if noise.kind == "gaussian":
-            meta["gaussian_sigma"] = noise.gaussian_sigma
         curves.append(DecayCurve(time_s=np.asarray(t_grid, dtype=float),
                                  counts_per_s=counts, power_w=p0, meta=meta))
     return curves
@@ -106,27 +113,27 @@ def gen_hole_scan(freq, baseline: float, depth: float, center: float,
                   aom_off_range: tuple,
                   power_slope: float = 0.0,
                   fluor_offset: float = 0.0, power_offset: float = 0.0,
-                  noise: NoiseSpec = NoiseSpec(), stream: int = 0) -> RawScan:
+                  noise: NoiseSpec = NoiseSpec()) -> RawScan:
     """Construct a raw hole scan the way the detectors would record it.
 
     The true response is a constant minus a Lorentzian; fluorescence is
     that response times the (possibly sloped) laser power, plus a detector
     offset.  The AOM-off segment has zero true power, so both traces show
     only their offsets there.  Noise is applied to the fluorescence trace.
+    Every value lies within +-1e100, the range the hole fit accepts, with
+    fwhm at least 1e-100.
     """
     f = np.asarray(freq, dtype=float)
-    if f.ndim != 1 or f.size < 2:
-        raise ValueError("freq must be a 1-D axis with at least 2 points")
-    if not fwhm > 0:
-        raise ValueError("fwhm must be positive")
-    if not depth >= 0:
-        raise ValueError("depth must be nonnegative")
+    if f.ndim != 1 or f.size < 2 or f[0] == f[-1]:
+        raise ValueError("freq must be a 1-D axis with at least 2 points "
+                         "and distinct ends")
     if not power_level > 0:
         raise ValueError("power_level must be positive")
-    if not np.all(np.isfinite([baseline, center, power_slope, fluor_offset,
-                               power_offset])):
-        raise ValueError("baseline, center, power_slope and the offsets "
-                         "must be finite")
+    _check_within(baseline=baseline, center=center, power_level=power_level,
+                  power_slope=power_slope, fluor_offset=fluor_offset,
+                  power_offset=power_offset)
+    _check_within(0.0, depth=depth)
+    _check_within(1 / _MAX_MAGNITUDE, fwhm=fwhm)
     a, b = aom_off_range
     if not (0 <= a < b <= f.size):
         raise ValueError("aom_off_range must be a nonempty interval inside "
@@ -139,15 +146,12 @@ def gen_hole_scan(freq, baseline: float, depth: float, center: float,
 
     response = lorentzian_hole(f, baseline, depth, center, fwhm)
     fluor = response * power_true + fluor_offset
-    fluor = apply_noise(fluor, noise, stream)
+    fluor = apply_noise(fluor, noise)
     meta = {
         "baseline": baseline, "depth": depth, "center_hz": center,
         "fwhm_hz": fwhm, "power_level": power_level,
         "power_slope": power_slope, "fluor_offset": fluor_offset,
-        "power_offset": power_offset, "noise_kind": noise.kind,
-        "noise_seed": noise.seed, "noise_stream": stream,
-        "aom_off_start": a, "aom_off_stop": b,
-        "rng": "numpy PCG64, default_rng([seed, stream])",
+        "power_offset": power_offset, **noise.meta(),
     }
     return RawScan(freq=f, fluor_counts=fluor,
                    power_monitor=power_true + power_offset,
@@ -156,19 +160,19 @@ def gen_hole_scan(freq, baseline: float, depth: float, center: float,
 
 def gen_hole_decay_series(tau: float, offset: float, wait_times,
                           noise: NoiseSpec = NoiseSpec(),
-                          amplitude: float = 1.0,
-                          stream: int = 0) -> np.ndarray:
+                          amplitude: float = 1.0) -> np.ndarray:
     """Spectral-hole areas versus wait time: a exp(-t/tau) + offset.
 
     A positive offset models the persistent hole floor that survives the
-    spin-level relaxation.
+    spin-level relaxation.  The wait times ascend within [0, 1e100], tau
+    lies in [1e-100, 1e100] and the offset and amplitude within +-1e100.
     """
     t = np.asarray(wait_times, dtype=float)
-    if np.any(np.diff(t) < 0):
-        raise ValueError("wait_times must be ascending")
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if not np.isfinite(offset) or not np.isfinite(amplitude):
-        raise ValueError("offset and amplitude must be finite")
+    if not (np.all((t >= 0) & (t <= _MAX_MAGNITUDE))
+            and np.all(np.diff(t) >= 0)):
+        raise ValueError(f"wait_times must be ascending, in [0, "
+                         f"{_MAX_MAGNITUDE:g}]")
+    _check_within(1 / _MAX_MAGNITUDE, tau=tau)
+    _check_within(offset=offset, amplitude=amplitude)
     clean = exp_decay(t, amplitude, tau, offset)
-    return apply_noise(clean, noise, stream)
+    return apply_noise(clean, noise)

@@ -1,4 +1,5 @@
-"""The CLI's exit-code contract on malformed input files.
+"""The CLI's exit-code contract on malformed input files and on extreme
+flag values.
 
 Every fit subcommand reads a CSV a user hands it, so each must end on one
 of the documented exit codes (0 success, 2 input error, 3 non-convergence,
@@ -8,8 +9,16 @@ subnormal, text or nothing; the file cut to its header or to one row,
 its rows reversed or all made equal; a column added to or cut from one
 row; CRLF line endings; a UTF-8 byte-order mark.  Which rows a cell
 mutation hits is drawn once from a fixed seed.
+
+The commands that compute or generate data must likewise end on exit 0,
+2 or 3 whatever a numeric flag holds: every such flag is set, one per
+run, to NaN, +-inf, +-1e308, 1e300, 0, -1 and a subnormal.  An exit 2
+names the flag and writes no file; an exit 0 writes only finite cells.
+Both sweeps run in process, with numpy's warnings as errors.
 """
 
+import argparse
+import math
 import random
 
 import numpy as np
@@ -17,7 +26,7 @@ import pytest
 
 import holeburn as hb
 from holeburn import csvio, synth
-from holeburn.cli import main
+from holeburn.cli import build_parser, main
 
 CELL_VALUES = {"nan": "nan", "inf": "inf", "-inf": "-inf", "big": "1e308",
                "-big": "-1e308", "subnormal": "5e-324", "text": "abc",
@@ -147,3 +156,93 @@ def test_every_mutation_ends_on_a_contract_code(name, valid_texts, tmp_path,
             broken.append(f"{case}: exit {code}")
     capsys.readouterr()
     assert not broken, "\n".join(broken)
+
+
+# A negative value is also passed joined to its flag, as `--flag=-1`.
+FLAG_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e300", "0", "-1",
+               "1e-320")
+FLAG_CODES = {0, 2, 3}
+# Flags that take comma-separated numbers; argparse reads them as text.
+LIST_FLAGS = {"--delta-f", "--powers"}
+# Each job's base flags come first, so the swept value overrides them.
+FLAG_JOBS = {
+    "simulate": ["simulate", "--n-t", "5"],
+    "gen-decay": ["gen", "decay", "--n-t", "5"],
+    "gen-decay-poisson": ["gen", "decay", "--n-t", "5", "--noise", "poisson"],
+    "gen-holescan": ["gen", "holescan", "--n-points", "300",
+                     "--aom-off", "0:30"],
+    "gen-holescan-gaussian": ["gen", "holescan", "--n-points", "300",
+                              "--aom-off", "0:30", "--noise", "gaussian",
+                              "--gaussian-sigma", "5"],
+    "gen-holedecay": ["gen", "holedecay"],
+    "zeeman": ["zeeman"],
+}
+
+
+def numeric_flags(base):
+    """Option strings of the flags that take numbers, for the subcommand
+    that `base` starts with: every flag with a type, and the lists."""
+    parser = build_parser()
+    for token in base:
+        subparsers = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        if not subparsers or token.startswith("-"):
+            break
+        parser = subparsers[0].choices[token]
+    return [a.option_strings[0] for a in parser._actions
+            if a.type is not None or set(a.option_strings) & LIST_FLAGS]
+
+
+def flag_cases(job):
+    for flag in numeric_flags(FLAG_JOBS[job]):
+        for value in FLAG_VALUES:
+            yield flag, [flag, value]
+            if value.startswith("-"):
+                yield flag, [f"{flag}={value}"]
+
+
+def names_the_flag(err, flag):
+    """Whether an error line names the flag, or a word of four or more
+    letters from its name, in the singular ("power" for --power-w and
+    --powers)."""
+    stem = flag.lstrip("-")
+    words = [w.removesuffix("s") for w in stem.split("-") if len(w) >= 4]
+    return any(w in err for w in [stem, stem.replace("-", "_"), *words])
+
+
+def written_cells(out):
+    """Every data cell of the CSV file, or of each CSV in the directory."""
+    paths = sorted(out.glob("*.csv")) if out.is_dir() else [out]
+    for path in paths:
+        _, rows = _split(path.read_text(encoding="utf-8"))
+        for row in rows:
+            yield from row
+
+
+def test_every_extreme_flag_ends_on_a_contract_code(tmp_path, capsys):
+    cases = [(job, flag, value) for job in FLAG_JOBS
+             for flag, value in flag_cases(job)]
+    broken = []
+    for run, (job, flag, value) in enumerate(cases):
+        out = tmp_path / f"run{run}.csv"
+        case = " ".join([*FLAG_JOBS[job], *value])
+        try:
+            code = main([*FLAG_JOBS[job], *value, "--out", str(out)])
+        except SystemExit as exc:  # argparse's own exit 2
+            code = exc.code
+        except Exception as exc:  # a traceback or a numpy warning
+            capsys.readouterr()
+            broken.append(f"{case}: {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        if code not in FLAG_CODES:
+            broken.append(f"{case}: exit {code}")
+        elif code == 2 and out.exists():
+            broken.append(f"{case}: exit 2 wrote {out.name}")
+        elif code == 2 and not names_the_flag(err, flag):
+            broken.append(f"{case}: exit 2 without naming {flag}: {err!r}")
+        elif code == 0 and not all(map(math.isfinite,
+                                       map(float, written_cells(out)))):
+            broken.append(f"{case}: exit 0 wrote a non-finite cell")
+    assert not broken, (f"{len(broken)} of {len(cases)} runs broke the "
+                        "contract:\n" + "\n".join(broken))

@@ -439,12 +439,43 @@ class TestCli:
         ["gen", "holedecay", "--tau", "nan"],
         ["gen", "holedecay", "--offset", "nan"],
         ["gen", "holescan", "--center", "nan"],
+        ["simulate", "--gamma-trap", "inf"],
+        ["simulate", "--power-w", "inf"],
+        ["simulate", "--power-w", "1e300"],
+        ["simulate", "--t-end", "inf"],
+        ["gen", "decay", "--gamma-trap", "inf"],
+        ["gen", "decay", "--power-w", "1e308"],
+        ["gen", "holescan", "--fwhm", "1e300"],
+        ["gen", "holescan", "--f-min", "-1e308"],
+        ["gen", "holescan", "--power-slope", "1e300"],
+        ["gen", "holedecay", "--wait-max", "nan"],
+        ["gen", "holedecay", "--wait-max", "inf"],
+        ["gen", "holedecay", "--tau", "1e-320"],
     ], ids=["zeeman-delta-f-nan", "zeeman-delta-f-inf", "holedecay-tau-nan",
-            "holedecay-offset-nan", "holescan-center-nan"])
+            "holedecay-offset-nan", "holescan-center-nan",
+            "simulate-gamma-trap-inf", "simulate-power-inf",
+            "simulate-power-1e300", "simulate-t-end-inf",
+            "gen-decay-gamma-trap-inf", "gen-decay-power-1e308",
+            "holescan-fwhm-1e300", "holescan-f-min-big",
+            "holescan-power-slope-1e300", "holedecay-wait-max-nan",
+            "holedecay-wait-max-inf", "holedecay-tau-subnormal"])
     def test_non_finite_flag_exit_2(self, tmp_path, capsys, job):
         out = tmp_path / "x.csv"
         assert main([*job, "--out", str(out)]) == 2
         assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("job", [
+        ["gen", "decay", "--noise", "poisson", "--seed", "2"],
+        ["gen", "holescan"],
+        ["gen", "holedecay", "--noise", "none"],
+    ], ids=["decay", "holescan", "holedecay"])
+    def test_gaussian_sigma_needs_gaussian_noise(self, tmp_path, capsys, job):
+        # a sigma that no noise draws from sets nothing, so it is refused
+        out = tmp_path / "x.csv"
+        assert main([*job, "--gaussian-sigma", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--gaussian-sigma" in err and "--noise gaussian" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("center", [

@@ -171,11 +171,29 @@ FREQ = np.linspace(-1e8, 1e8, 200)
     lambda: hb.scaled_signal([1.0], NAN, 9.4e7, 2e-5),
     lambda: hb.scaled_signal([1.0], 0.19, NAN, 2e-5),
     lambda: hb.scaled_signal([1.0], 0.19, 9.4e7, NAN),
+    lambda: hb.detected_signal([0.0, 1.0], hb.MaterialParams(),
+                               hb.BeamGeometry.for_material(
+                                   hb.MaterialParams(), 2e-5), math.inf,
+                               hb.LevelSetRule()),
+    lambda: hb.BeamGeometry.for_material(hb.MaterialParams(), math.inf),
+    lambda: hb.BeamGeometry.for_material(hb.MaterialParams(), 1e300),
+    lambda: hb.gen_hole_scan(FREQ, 1.0, 0.3, 0.0, 1e300, 1e3, (0, 20)),
+    lambda: hb.gen_hole_scan(FREQ, 1.0, 0.3, 1e300, 6e6, 1e3, (0, 20)),
+    lambda: hb.gen_hole_scan(FREQ, -1e308, 0.3, 0.0, 6e6, 1e3, (0, 20)),
+    lambda: hb.gen_hole_decay_series(0.1, 0.0, [0.0, NAN]),
+    lambda: hb.gen_hole_decay_series(0.1, 0.0, [0.0, math.inf]),
+    lambda: hb.gen_hole_decay_series(1e-320, 0.0, [0.0, 0.1]),
+    lambda: hb.NoiseSpec("gaussian", 1, math.inf),
+    lambda: hb.NoiseSpec("poisson", -1),
 ], ids=["holescan-fwhm", "holescan-depth", "holescan-power-level",
         "holescan-baseline", "holescan-center", "holescan-fluor-offset-inf",
         "holedecay-tau", "holedecay-offset", "holedecay-amplitude",
         "delta-f-nan", "delta-f-inf", "scaled-signal-scale-a",
-        "scaled-signal-background-b", "scaled-signal-power"])
+        "scaled-signal-background-b", "scaled-signal-power",
+        "signal-gamma-trap-inf", "beam-power-inf", "beam-power-1e300",
+        "holescan-fwhm-1e300", "holescan-center-1e300",
+        "holescan-baseline-big", "holedecay-wait-nan", "holedecay-wait-inf",
+        "holedecay-tau-subnormal", "noise-sigma-inf", "noise-seed-negative"])
 def test_generator_rejects_non_finite(call):
     with pytest.raises(ValueError):
         call()

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import holeburn as hb
-from holeburn import NoiseSpec
+from holeburn import NoiseSpec, csvio
+from holeburn.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +163,44 @@ class TestGenHoleDecaySeries:
     def test_wait_times_must_ascend(self):
         with pytest.raises(ValueError):
             hb.gen_hole_decay_series(0.072, 0.0, np.array([0.1, 0.0]))
+
+
+class TestRedrawFromMetadata:
+    """A generated file records every setting its noise was drawn with, so
+    the library redraws the file's data rows from the file alone."""
+
+    @staticmethod
+    def noise(meta):
+        assert meta["rng"] == "numpy PCG64, default_rng([seed, stream])"
+        assert meta["noise_stream"] == "0"
+        return NoiseSpec(kind=meta["noise_kind"], seed=int(meta["noise_seed"]),
+                         gaussian_sigma=float(meta["gaussian_sigma"]))
+
+    def test_gaussian_hole_scan(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert main(["gen", "holescan", "--center=-2e7", "--n-points", "400",
+                     "--noise", "gaussian", "--gaussian-sigma", "5",
+                     "--seed", "7", "--out", str(out)]) == 0
+        meta, cols = csvio._read_table(
+            out, ["freq_hz", "fluor_counts", "power_counts"])
+        scan = hb.gen_hole_scan(
+            np.array(cols["freq_hz"]), float(meta["baseline"]),
+            float(meta["depth"]), float(meta["center_hz"]),
+            float(meta["fwhm_hz"]), float(meta["power_level"]),
+            (int(meta["aom_off_start"]), int(meta["aom_off_stop"])),
+            power_slope=float(meta["power_slope"]),
+            fluor_offset=float(meta["fluor_offset"]),
+            power_offset=float(meta["power_offset"]), noise=self.noise(meta))
+        assert scan.fluor_counts.tolist() == cols["fluor_counts"]
+        assert scan.power_monitor.tolist() == cols["power_counts"]
+
+    def test_gaussian_hole_decay_series(self, tmp_path):
+        out = tmp_path / "series.csv"
+        assert main(["gen", "holedecay", "--offset", "0.05",
+                     "--noise", "gaussian", "--gaussian-sigma", "0.02",
+                     "--seed", "3", "--out", str(out)]) == 0
+        meta, cols = csvio._read_table(out, ["wait_time_s", "area"])
+        areas = hb.gen_hole_decay_series(
+            float(meta["tau_s"]), float(meta["offset"]), cols["wait_time_s"],
+            self.noise(meta), amplitude=float(meta["amplitude"]))
+        assert areas.tolist() == cols["area"]

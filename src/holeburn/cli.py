@@ -127,12 +127,13 @@ def _cmd_fit_trap(args, cfg):
                             domain=LevelSetRule())
     if not result.converged:
         raise FitError("trap fit did not converge",
-                       diagnostics=result.to_dict())
+                       diagnostics=dataclasses.asdict(result))
     report = _report(args, cfg, {
-        "inputs": list(args.curves), **result.to_dict()})
+        "inputs": list(args.curves), **dataclasses.asdict(result)})
     csvio.write_report(args.out, report)
-    print(f"fit trap: gamma_trap = {result.gamma_trap:.4g} /s, "
-          f"B = {result.background_b:.4g} counts/W -> {args.out}")
+    print(f"fit trap: gamma_trap = {result.gamma_trap_per_s:.4g} /s, "
+          f"B = {result.background_b_counts_per_w:.4g} counts/W -> "
+          f"{args.out}")
     return EXIT_OK
 
 
@@ -152,14 +153,15 @@ def _cmd_fit_hole(args, cfg):
         csvio.write_treated_scan(args.treated_out, subtracted, normalized)
     keep = normalized.included
     fit = fit_hole_lorentzian(normalized.freq[keep], normalized.signal[keep])
-    hom = hom_linewidth_from_hole(fit.fwhm) if fit.hole_detected else None
-    payload = {"input": args.scan, **fit.to_dict(), "hom_linewidth_hz": hom}
+    hom = hom_linewidth_from_hole(fit.fwhm_hz) if fit.hole_detected else None
+    payload = {"input": args.scan, **dataclasses.asdict(fit),
+               "hom_linewidth_hz": hom}
     csvio.write_report(args.out, _report(args, cfg, payload))
     if not fit.hole_detected:
         print(f"error: hole fit: the scan resolves no hole; unresolved "
               f"{', '.join(fit.unresolved)} -> {args.out}", file=sys.stderr)
         return EXIT_FITFAIL
-    print(f"fit hole: fwhm = {fit.fwhm / 1e6:.3g} MHz, "
+    print(f"fit hole: fwhm = {fit.fwhm_hz / 1e6:.3g} MHz, "
           f"hom linewidth = {hom / 1e6:.3g} MHz -> {args.out}")
     return EXIT_OK
 
@@ -169,21 +171,21 @@ def _cmd_fit_expdecay(args, cfg):
     fit = fit_exponential(t, y, with_offset=not args.no_offset)
     if not fit.converged:
         raise FitError("exponential fit did not converge",
-                       diagnostics=fit.to_dict())
-    payload = {"input": args.series, **fit.to_dict()}
+                       diagnostics=dataclasses.asdict(fit))
+    payload = {"input": args.series, **dataclasses.asdict(fit)}
     csvio.write_report(args.out, _report(args, cfg, payload))
     if fit.unresolved:
         print(f"error: exponential fit: no decay above 3 sigma; unresolved "
               f"{', '.join(fit.unresolved)} -> {args.out}", file=sys.stderr)
         return EXIT_FITFAIL
-    print(f"fit expdecay: tau = {fit.tau:.4g} s -> {args.out}")
+    print(f"fit expdecay: tau = {fit.tau_s:.4g} s -> {args.out}")
     return EXIT_OK
 
 
 def _cmd_fit_linear(args, cfg):
     x, y, _ = csvio.read_xy(args.points, args.x_column, args.y_column)
     fit = fit_linear_ci(x, y, confidence=args.confidence)
-    payload = {"input": args.points, **fit.to_dict()}
+    payload = {"input": args.points, **dataclasses.asdict(fit)}
     csvio.write_report(args.out, _report(args, cfg, payload))
     print(f"fit linear: slope = {fit.slope:.4g} +- {fit.slope_ci:.2g} "
           f"({fit.confidence:.0%} CI) -> {args.out}")
@@ -213,11 +215,19 @@ def _cmd_gen_decay(args, cfg):
                                    t_grid, noise, cfg.focus_fwhm,
                                    LevelSetRule(), refine_tol=args.tol)
     if args.powers:
+        # Files are named by the power in uW to 6 digits, so two powers that
+        # print alike would write one file.
+        names = {}
+        for p0 in powers:
+            name = f"decay_{p0 * 1e6:g}uW.csv"
+            if name in names:
+                raise ValueError(f"--powers {names[name]!r} and {p0!r} would "
+                                 f"both be written to {name}")
+            names[name] = p0
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for p0, curve in zip(powers, curves):
-            path = out_dir / f"decay_{p0 * 1e6:g}uW.csv"
-            csvio.write_decay_curve(path, curve)
+        for name, curve in zip(names, curves):
+            csvio.write_decay_curve(out_dir / name, curve)
         print(f"gen decay: wrote {len(powers)} curves -> {out_dir}")
     else:
         csvio.write_decay_curve(args.out, curves[0])

@@ -20,7 +20,7 @@ the lifetime fit itself is plain Python, in `lifetime`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -129,58 +129,37 @@ def _free_complement(blocks, scales, background, vectors):
 @dataclass
 class LorentzianHoleFit:
     """Result of a constant-minus-Lorentzian spectral-hole fit; an error is
-    None for a parameter the data do not resolve, named in `unresolved`."""
+    None for a parameter the data do not resolve, named in `unresolved`.
+    The fields are the report's keys, in its order."""
 
     baseline: float
     depth: float
-    center: float
-    fwhm: float
+    center_hz: float
+    fwhm_hz: float
     baseline_err: float | None
     depth_err: float | None
-    center_err: float | None
-    fwhm_err: float | None
+    center_err_hz: float | None
+    fwhm_err_hz: float | None
     unresolved: list
-    residual: float
+    residual_sse: float
     converged: bool
     hole_detected: bool
     iterations: int
     nfev: int
 
-    def to_dict(self):
-        return {
-            "baseline": self.baseline, "depth": self.depth,
-            "center_hz": self.center, "fwhm_hz": self.fwhm,
-            "baseline_err": self.baseline_err, "depth_err": self.depth_err,
-            "center_err_hz": self.center_err, "fwhm_err_hz": self.fwhm_err,
-            "unresolved": list(self.unresolved),
-            "residual_sse": self.residual, "converged": self.converged,
-            "hole_detected": self.hole_detected,
-            "iterations": self.iterations, "nfev": self.nfev,
-        }
-
 
 @dataclass
 class TrapFitResult:
-    """Multi-curve trap-model fit: shared gamma_trap and background, A per curve."""
+    """Multi-curve trap-model fit: shared gamma_trap and background, A per
+    curve.  The fields are the report's keys, in its order."""
 
-    gamma_trap: float
-    background_b: float
+    gamma_trap_per_s: float
+    background_b_counts_per_w: float
     scale_a: list
-    residual: float
+    residual_sse: float
     converged: bool
     iterations: int
     nfev: int
-
-    def to_dict(self):
-        return {
-            "gamma_trap_per_s": self.gamma_trap,
-            "background_b_counts_per_w": self.background_b,
-            "scale_a": list(self.scale_a),
-            "residual_sse": self.residual,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "nfev": self.nfev,
-        }
 
 
 def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
@@ -289,11 +268,11 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
         errs[2:] = [None, None]
     names = ("baseline", "depth", "center_hz", "fwhm_hz")
     return LorentzianHoleFit(
-        baseline=baseline, depth=depth, center=center, fwhm=fwhm,
-        baseline_err=errs[0], depth_err=errs[1], center_err=errs[2],
-        fwhm_err=errs[3],
+        baseline=baseline, depth=depth, center_hz=center, fwhm_hz=fwhm,
+        baseline_err=errs[0], depth_err=errs[1], center_err_hz=errs[2],
+        fwhm_err_hz=errs[3],
         unresolved=[name for name, err in zip(names, errs) if err is None],
-        residual=sse, converged=res.converged, hole_detected=detected,
+        residual_sse=sse, converged=res.converged, hole_detected=detected,
         iterations=res.iterations, nfev=res.nfev)
 
 
@@ -366,7 +345,10 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
 
     gamma_trap is searched no lower than 1 / (max_c(max k_c * max t_c) *
     `_MAX_DECAY_SPANS`), k_c the rates of curve c's cloud per unit gamma,
-    where the model turns into a straight line; a fit there raises FitError.
+    where the model turns into a straight line, and no higher than
+    max_c(-ln(eps) / (min k_c * min dt_c)), dt_c the steps between curve
+    c's samples, where it turns into a step, nor than `_MAX_MAGNITUDE`.
+    A fit on either bound, or an empty range, raises FitError.
     """
     triples = _curve_triples(curves)
     if not triples:
@@ -398,19 +380,33 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
         return (sse, np.concatenate(residuals).tolist(),
                 (-np.concatenate(col)).tolist())
 
-    # Below this bound on log(gamma / _GAMMA_SEED) the model is a straight
-    # line over the data, the lifetime fit's rule on tau.
+    # The data resolve log(gamma / _GAMMA_SEED) from lo, below which the
+    # model is a straight line over the data, to hi, above which no live
+    # bin of any curve leaves a trace (machine epsilon) over its curve's
+    # shortest step: the lifetime fit's rules on tau.  hi is taken in log
+    # space, so that it cannot overflow, and caps gamma at _MAX_MAGNITUDE,
+    # so that gamma and its products stay normal floats.
     fastest = max(float(m.bin_k.max(initial=0.0)) * t[-1]
                   for m, (t, _, _) in zip(models, triples))
     lo = -math.log(_GAMMA_SEED * fastest * _MAX_DECAY_SPANS)
-    res = gauss_newton(project, 0.0, lo)
+    trace = -math.log(math.ulp(1.0))
+    hi = max((math.log(trace / float(np.diff(t).min()))
+              - math.log(float(m.bin_k.min()))
+              for m, (t, _, _) in zip(models, triples)
+              if m.bin_k.size and t.size > 1), default=-math.inf)
+    hi = min(hi, math.log(_MAX_MAGNITUDE)) - math.log(_GAMMA_SEED)
+    if not lo < hi:
+        raise FitError("trap fit found no resolvable decay", diagnostics={
+            "gamma_trap_max_per_s": _GAMMA_SEED * math.exp(hi)})
+    res = gauss_newton(project, 0.0, lo, hi)
 
     gamma, _, (scales, background, sse, _) = solve(res.x)
-    result = TrapFitResult(gamma_trap=gamma, background_b=background,
-                           scale_a=scales, residual=sse,
+    result = TrapFitResult(gamma_trap_per_s=gamma,
+                           background_b_counts_per_w=background,
+                           scale_a=scales, residual_sse=sse,
                            converged=res.converged,
                            iterations=res.iterations, nfev=res.nfev)
-    if res.x == lo:
+    if res.x in (lo, hi):
         raise FitError("trap fit found no resolvable decay",
-                       diagnostics=result.to_dict())
+                       diagnostics=asdict(result))
     return result

@@ -28,31 +28,21 @@ from .simplex import _jacobian_errors, gauss_newton
 class ExpDecayFit:
     """Result of an exponential decay fit a exp(-t/tau) (+ offset).
 
-    An error is None for a parameter the data do not resolve; `unresolved`
-    names those parameters by their report keys.
+    The fields are the report's keys, in its order.  An error is None for
+    a parameter the data do not resolve; `unresolved` names those fields.
     """
 
     amplitude: float
-    tau: float
+    tau_s: float
     offset: Optional[float]
     amplitude_err: Optional[float]
-    tau_err: Optional[float]
+    tau_err_s: Optional[float]
     offset_err: Optional[float]
     unresolved: list
-    residual: float
+    residual_sse: float
     converged: bool
     iterations: int
     nfev: int
-
-    def to_dict(self):
-        return {
-            "amplitude": self.amplitude, "tau_s": self.tau,
-            "offset": self.offset, "amplitude_err": self.amplitude_err,
-            "tau_err_s": self.tau_err, "offset_err": self.offset_err,
-            "unresolved": list(self.unresolved),
-            "residual_sse": self.residual, "converged": self.converged,
-            "iterations": self.iterations, "nfev": self.nfev,
-        }
 
 
 def _exp_decay(t, amplitude, tau, offset=0.0):
@@ -181,9 +171,9 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
         tau_err = None
     names = ("amplitude", "tau_s", "offset")[:len(params)]
     return ExpDecayFit(
-        amplitude=amp, tau=tau, offset=params[2] if with_offset else None,
-        amplitude_err=amp_err, tau_err=tau_err, offset_err=offset_err,
+        amplitude=amp, tau_s=tau, offset=params[2] if with_offset else None,
+        amplitude_err=amp_err, tau_err_s=tau_err, offset_err=offset_err,
         unresolved=[name for name, err in zip(
             names, (amp_err, tau_err, offset_err)) if err is None],
-        residual=sse, converged=res.converged, iterations=res.iterations,
+        residual_sse=sse, converged=res.converged, iterations=res.iterations,
         nfev=res.nfev)

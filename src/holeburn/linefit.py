@@ -19,7 +19,8 @@ from .errors import _MAX_MAGNITUDE
 
 @dataclass
 class LinearFit:
-    """Ordinary least squares line with a t-distribution slope interval."""
+    """Ordinary least squares line with a t-distribution slope interval.
+    The fields are the report's keys, in its order."""
 
     slope: float
     intercept: float
@@ -27,15 +28,7 @@ class LinearFit:
     slope_ci: float
     slope_err: float
     intercept_err: float
-    residual: float
-
-    def to_dict(self):
-        return {
-            "slope": self.slope, "intercept": self.intercept,
-            "confidence": self.confidence, "slope_ci": self.slope_ci,
-            "slope_err": self.slope_err, "intercept_err": self.intercept_err,
-            "residual_sse": self.residual,
-        }
+    residual_sse: float
 
     def covers(self, true_slope) -> bool:
         return abs(true_slope - self.slope) <= self.slope_ci
@@ -109,4 +102,4 @@ def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
     slope, slope_err = (math.ldexp(v, -ex) for v in (slope, slope_err))
     return LinearFit(slope=slope, intercept=intercept, confidence=confidence,
                      slope_ci=tq * slope_err, slope_err=slope_err,
-                     intercept_err=intercept_err, residual=sse)
+                     intercept_err=intercept_err, residual_sse=sse)

@@ -47,10 +47,19 @@ class BeamGeometry:
         waist = FWHM/sqrt(2 ln 2) and the Rayleigh length uses the
         wavelength inside the medium, vac_wavelength/refr_index.
         """
-        if not 0 < focus_fwhm < np.inf:
-            raise ValueError("focus_fwhm must be positive and finite")
+        # w0^2, z_R = pi w0^2 / medium and the focal volume pi w0^2 z_R
+        # stay within _MAX_MAGNITUDE; the bound is on the focus, so the check
+        # itself cannot overflow.
+        lim, medium = _MAX_MAGNITUDE, vac_wavelength / refr_index
+        w2_max = min(lim, lim * medium / np.pi, np.sqrt(lim * medium) / np.pi)
+        focus_max = np.sqrt(2 * np.log(2) * w2_max)
+        if not 0 < focus_fwhm <= focus_max:
+            raise ValueError(f"focus_fwhm must be positive and at most "
+                             f"{focus_max:g} m, where the waist squared, the "
+                             f"Rayleigh length and the focal volume stay "
+                             f"within {lim:g}, got {focus_fwhm!r}")
         waist = focus_fwhm / np.sqrt(2 * np.log(2))
-        rayleigh = np.pi * waist**2 / (vac_wavelength / refr_index)
+        rayleigh = np.pi * waist**2 / medium
         return cls(power=power, waist=waist, rayleigh=rayleigh)
 
     @classmethod

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import _MAX_MAGNITUDE, _check_within
+
 
 @dataclass(frozen=True)
 class ZeemanConfig:
@@ -27,11 +29,9 @@ class ZeemanConfig:
     field_sign: int = 1
 
     def __post_init__(self):
-        if not (0 < self.g_ground < math.inf and 0 < self.g_excited < math.inf):
-            raise ValueError("splitting coefficients must be positive and "
-                             "finite")
-        if not math.isfinite(self.stray_field):
-            raise ValueError("stray_field must be finite")
+        _check_within(1 / _MAX_MAGNITUDE, g_ground=self.g_ground,
+                      g_excited=self.g_excited)
+        _check_within(stray_field=self.stray_field)
         # type() rather than isinstance(): True is an int equal to 1
         if type(self.field_sign) is not int or self.field_sign not in (-1, 1):
             raise ValueError("field_sign must be the integer +1 or -1")

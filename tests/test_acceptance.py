@@ -152,14 +152,14 @@ class TestCriterion4TrapFitRoundTrip:
                                     REF_SCALE_A, REF_BACKGROUND_B,
                                     [DRIVE_POWER], t_grid)
         fit = hb.fit_trap_model(curves, reference_rate_material)
-        err = abs(fit.gamma_trap - REF_GAMMA_TRAP) / REF_GAMMA_TRAP
+        err = abs(fit.gamma_trap_per_s - REF_GAMMA_TRAP) / REF_GAMMA_TRAP
         verdict("4a", "noiseless single-curve gamma_trap recovery within 1%",
                 err < 0.01, f"(rel err = {err:.2%})")
 
     def test_seven_curve_poisson_roundtrip(self, reference_rate_material,
                                            seven_curve_batch):
         fit = hb.fit_trap_model(seven_curve_batch, reference_rate_material)
-        g_err = abs(fit.gamma_trap - REF_GAMMA_TRAP) / REF_GAMMA_TRAP
+        g_err = abs(fit.gamma_trap_per_s - REF_GAMMA_TRAP) / REF_GAMMA_TRAP
         a_errs = [abs(a - REF_SCALE_A) / REF_SCALE_A
                   for a in fit.scale_a]
         ok = g_err < 0.10 and max(a_errs) < 0.15
@@ -194,8 +194,8 @@ class TestCriterion6HoleFitRoundTrip:
         errs = {
             "baseline": abs(fit.baseline - 1.0),
             "depth": abs(fit.depth - 0.4) / 0.4,
-            "center": abs(fit.center + 50e6) / 50e6,
-            "fwhm": abs(fit.fwhm - 6e6) / 6e6,
+            "center": abs(fit.center_hz + 50e6) / 50e6,
+            "fwhm": abs(fit.fwhm_hz - 6e6) / 6e6,
         }
         worst = max(errs.values())
         verdict("6a", "noiseless Lorentzian hole recovery exact to 1e-6",
@@ -208,7 +208,7 @@ class TestCriterion6HoleFitRoundTrip:
                                  gaussian_sigma=0.02)
             y = hb.apply_noise(hb.lorentzian_hole(self.freq, **self.truth),
                                noise)
-            fwhms.append(hb.fit_hole_lorentzian(self.freq, y).fwhm)
+            fwhms.append(hb.fit_hole_lorentzian(self.freq, y).fwhm_hz)
         bias = abs(float(np.mean(fwhms)) - 6e6) / 6e6
         verdict("6b", "100-seed noisy ensemble recovers FWHM with bias < 5%",
                 bias < 0.05, f"(bias = {bias:.2%})")
@@ -226,7 +226,7 @@ class TestCriterion7ExponentialRoundTrip:
     def test_noiseless_recovery_to_0p1pct(self):
         areas = hb.gen_hole_decay_series(self.tau, 0.08, self.waits)
         fit = hb.fit_exponential(self.waits, areas, with_offset=True)
-        err = abs(fit.tau - self.tau) / self.tau
+        err = abs(fit.tau_s - self.tau) / self.tau
         verdict("7a", "noiseless 72 ms lifetime recovery to 0.1%",
                 err < 1e-3, f"(rel err = {err:.2e})")
 
@@ -237,7 +237,7 @@ class TestCriterion7ExponentialRoundTrip:
                                  gaussian_sigma=0.05)
             areas = hb.gen_hole_decay_series(self.tau, 0.08, self.waits,
                                              noise)
-            taus.append(hb.fit_exponential(self.waits, areas).tau)
+            taus.append(hb.fit_exponential(self.waits, areas).tau_s)
         err = abs(float(np.mean(taus)) - self.tau) / self.tau
         verdict("7b", "noisy ensemble mean lifetime within 5%",
                 err < 0.05, f"(mean rel err = {err:.2%})")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -9,7 +10,10 @@ import holeburn as hb
 from holeburn import cli, csvio, simplex
 from holeburn.cli import main
 from holeburn.config import _SCHEMA, ConfigError, load_config
+from holeburn.fitting import LorentzianHoleFit, TrapFitResult
 from holeburn.integrator import TrapDecayModel
+from holeburn.lifetime import ExpDecayFit
+from holeburn.linefit import LinearFit
 
 # Every config key with a valid non-default value and the attribute the
 # code reads it from, written out independently of the schema table.
@@ -419,6 +423,37 @@ class TestCli:
         assert f"'{key}' in section [{section}] must be finite" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("focus", ["1e300", "1e308"])
+    @pytest.mark.parametrize("job", ["simulate", "gen decay", "fit trap"])
+    def test_focus_beyond_magnitude_exit_2(self, tmp_path, capsys,
+                                           job_inputs, job, focus):
+        # the waist squared overflowed: NaN rows at exit 0, and warnings
+        path = tmp_path / "focus.ini"
+        path.write_text(f"[beam]\nfocus_fwhm_m = {focus}\n")
+        argv = {"simulate": ["simulate", "--n-t", "3", "--tol", "0"],
+                "gen decay": ["gen", "decay", "--n-t", "3", "--tol", "0"],
+                "fit trap": ["fit", "trap", job_inputs[0]]}[job]
+        out = tmp_path / "out"
+        assert main(["--config", str(path), *argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "focus_fwhm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, name", [
+        ("g_ground_hz_per_t", "1e-320", "g_ground"),
+        ("g_excited_hz_per_t", "1e300", "g_excited"),
+        ("stray_field_t", "-1e300", "stray_field"),
+    ])
+    def test_zeeman_value_beyond_magnitude_exit_2(self, tmp_path, capsys,
+                                                  key, value, name):
+        # a subnormal coefficient wrote inf fields at exit 0
+        path = tmp_path / "zeeman.ini"
+        path.write_text(f"[zeeman]\n{key} = {value}\n")
+        out = tmp_path / "z.csv"
+        assert main(["--config", str(path), "zeeman", "--delta-f", "1e8",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"{name} must be in" in capsys.readouterr().err
+
     @pytest.mark.parametrize("job", [
         ["simulate", "--gamma-trap", "nan"],
         ["simulate", "--tol", "nan"],
@@ -644,6 +679,40 @@ class TestCli:
             # the level is a per-run choice, not part of the echoed setup
             assert "fit" not in data["config"]
 
+    @pytest.mark.parametrize("gen, fit, record, extra", [
+        (["decay", "--powers", "8e-6,29e-6", "--t-end", "150", "--n-t", "31",
+          "--tol", "0", "--noise", "poisson", "--seed", "2", "--out", "in"],
+         ["trap", "in/decay_8uW.csv", "in/decay_29uW.csv"], TrapFitResult,
+         []),
+        (["holescan", "--seed", "7", "--out", "in"], ["hole", "--scan", "in"],
+         LorentzianHoleFit, ["hom_linewidth_hz"]),
+        (["holedecay", "--offset", "0.05", "--out", "in"],
+         ["expdecay", "--series", "in"], ExpDecayFit, []),
+        (["holedecay", "--out", "in"],
+         ["linear", "--points", "in", "--x-column", "wait_time_s",
+          "--y-column", "area"], LinearFit, []),
+    ], ids=["trap", "hole", "expdecay", "linear"])
+    def test_fit_report_keys_are_record_fields(self, tmp_path, monkeypatch,
+                                               gen, fit, record, extra):
+        # each report writes its fit record's fields under their own names,
+        # in order, between the input and the config
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", *gen]) == 0
+        assert main(["fit", *fit, "--out", "fit.json"]) == 0
+        keys = list(json.loads((tmp_path / "fit.json").read_text()))
+        assert keys[0] == "command" and keys[1] in ("input", "inputs")
+        assert keys[2:] == [f.name for f in dataclasses.fields(record)] \
+            + extra + ["config"]
+
+    def test_gen_decay_powers_sharing_a_file_exit_2(self, tmp_path, capsys):
+        # both powers print as 1 uW, so the batch kept one of its curves
+        out = tmp_path / "batch"
+        assert main(["gen", "decay", "--powers", "1e-6,1.0000001e-6",
+                     "--n-t", "3", "--tol", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "1e-06 and 1.0000001e-06" in err and "decay_1uW.csv" in err
+
     def test_fit_trap_end_to_end(self, tmp_path):
         batch = tmp_path / "batch"
         assert main(["gen", "decay", "--powers",
@@ -685,6 +754,37 @@ class TestCli:
         assert data["diagnostics"]["gamma_trap_per_s"] == pytest.approx(
             1 / (100 * fastest), rel=1e-12)
         assert data["diagnostics"]["nfev"] <= 20
+        assert "no resolvable decay" in capsys.readouterr().err
+
+    def test_fit_trap_step_exit_4(self, tmp_path, capsys):
+        # the curve has fully decayed by its second sample: the search
+        # stops on its upper bound instead of returning gamma ~ 6e26 /s
+        curve = tmp_path / "step.csv"
+        t = np.linspace(0.0, 200.0, 81)
+        csvio.write_decay_curve(curve, hb.DecayCurve(
+            time_s=t, counts_per_s=np.where(t == 0, 1e6, 2e3),
+            power_w=2e-5))
+        report = tmp_path / "trap.json"
+        assert main(["fit", "trap", str(curve), "--out", str(report)]) == 4
+        assert "no resolvable decay" in json.loads(report.read_text())["error"]
+        assert "no resolvable decay" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_ion_m2", "1e-320"), ("photoioniz_fwhm_hz", "1e300"),
+        ("photoioniz_fwhm_hz", "1e308"), ("g_ratio", "1e300")])
+    def test_fit_trap_vanishing_cloud_rates_exit_4(self, tmp_path, capsys,
+                                                   job_inputs, key, value):
+        # the cloud's rates per unit gamma nearly vanish: resolving the
+        # decay would take gamma past 1e100, and exp(log gamma) overflowed
+        path = tmp_path / "rates.ini"
+        path.write_text(f"[material]\n{key} = {value}\n")
+        report = tmp_path / "trap.json"
+        assert main(["--config", str(path), "fit", "trap", job_inputs[0],
+                     "--out", str(report)]) == 4
+        data = json.loads(report.read_text())
+        assert "no resolvable decay" in data["error"]
+        assert data["diagnostics"]["gamma_trap_max_per_s"] == \
+            pytest.approx(1e100)
         assert "no resolvable decay" in capsys.readouterr().err
 
     def test_fit_trap_more_points_than_parameters(self, tmp_path, capsys):

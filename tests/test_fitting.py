@@ -1,7 +1,7 @@
 import ast
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -190,8 +190,8 @@ class TestHoleFit:
         fit = hb.fit_hole_lorentzian(self.freq, y)
         assert fit.baseline == pytest.approx(truth["baseline"], rel=1e-6)
         assert fit.depth == pytest.approx(truth["depth"], rel=1e-6)
-        assert fit.center == pytest.approx(truth["center"], rel=1e-6)
-        assert fit.fwhm == pytest.approx(truth["fwhm"], rel=1e-6)
+        assert fit.center_hz == pytest.approx(truth["center"], rel=1e-6)
+        assert fit.fwhm_hz == pytest.approx(truth["fwhm"], rel=1e-6)
         assert fit.hole_detected and fit.converged
 
     @settings(max_examples=25, deadline=None)
@@ -203,8 +203,8 @@ class TestHoleFit:
         b = hb.fit_hole_lorentzian(self.freq, c * y + d)
         assert (b.baseline - d) / c == pytest.approx(a.baseline, rel=1e-9)
         assert b.depth == pytest.approx(c * a.depth, rel=1e-9)
-        assert b.fwhm == pytest.approx(a.fwhm, rel=1e-9)
-        assert b.center == pytest.approx(a.center, rel=1e-9)
+        assert b.fwhm_hz == pytest.approx(a.fwhm_hz, rel=1e-9)
+        assert b.center_hz == pytest.approx(a.center_hz, rel=1e-9)
         # on noisy data the errors of baseline and depth scale by c, and
         # those of center and FWHM stay
         y = y + np.random.default_rng(2).normal(0, 0.02, self.freq.size)
@@ -212,8 +212,8 @@ class TestHoleFit:
         b = hb.fit_hole_lorentzian(self.freq, c * y + d)
         assert [b.baseline_err, b.depth_err] == pytest.approx(
             [c * a.baseline_err, c * a.depth_err], rel=1e-7)
-        assert [b.center_err, b.fwhm_err] == pytest.approx(
-            [a.center_err, a.fwhm_err], rel=1e-7)
+        assert [b.center_err_hz, b.fwhm_err_hz] == pytest.approx(
+            [a.center_err_hz, a.fwhm_err_hz], rel=1e-7)
 
     @settings(max_examples=25, deadline=None)
     @given(shift=st.floats(-1e9, 1e9))
@@ -221,10 +221,10 @@ class TestHoleFit:
         y = hb.lorentzian_hole(self.freq, 1.0, 0.4, -50e6, 6e6)
         a = hb.fit_hole_lorentzian(self.freq, y)
         b = hb.fit_hole_lorentzian(self.freq + shift, y)
-        assert b.fwhm == pytest.approx(a.fwhm, rel=1e-9)
+        assert b.fwhm_hz == pytest.approx(a.fwhm_hz, rel=1e-9)
         # the center is located on the span-normalized axis, so a shift
         # near zero is resolved to 1e-9 of the span, not of the shift
-        assert b.center - a.center == pytest.approx(
+        assert b.center_hz - a.center_hz == pytest.approx(
             shift, rel=1e-9, abs=1e-9 * np.ptp(self.freq))
 
     def test_center_seed_near_zero(self):
@@ -233,8 +233,8 @@ class TestHoleFit:
         center = freq[1000] + 0.3 * (freq[1] - freq[0])
         y = hb.lorentzian_hole(freq, 1.0, 0.3, center, 6e6)
         fit = hb.fit_hole_lorentzian(freq, y)
-        assert fit.center == pytest.approx(center, abs=1e-9 * np.ptp(freq))
-        assert fit.fwhm == pytest.approx(6e6, rel=1e-8)
+        assert fit.center_hz == pytest.approx(center, abs=1e-9 * np.ptp(freq))
+        assert fit.fwhm_hz == pytest.approx(6e6, rel=1e-8)
 
     def test_flat_trace_not_detected(self):
         fit = hb.fit_hole_lorentzian(self.freq, np.full_like(self.freq, 2.0))
@@ -248,9 +248,9 @@ class TestHoleFit:
                                      2.0 + rng.normal(0, 0.01, self.freq.size))
         assert fit.depth == 0.0 and not fit.hole_detected
         assert 0 < fit.depth_err < np.inf and 0 < fit.baseline_err < np.inf
-        assert fit.center_err is None and fit.fwhm_err is None
+        assert fit.center_err_hz is None and fit.fwhm_err_hz is None
         assert fit.unresolved == ["center_hz", "fwhm_hz"]
-        report = fit.to_dict()
+        report = asdict(fit)
         assert report["fwhm_err_hz"] is None
         assert report["unresolved"] == ["center_hz", "fwhm_hz"]
 
@@ -259,8 +259,8 @@ class TestHoleFit:
         y = hb.lorentzian_hole(self.freq, 1.0, 0.4, -50e6, 6e6) \
             + rng.normal(0, 0.02, self.freq.size)
         fit = hb.fit_hole_lorentzian(self.freq, y, sigma_point=0.02)
-        assert fit.fwhm == pytest.approx(6e6, rel=0.1)
-        assert fit.fwhm_err > 0
+        assert fit.fwhm_hz == pytest.approx(6e6, rel=0.1)
+        assert fit.fwhm_err_hz > 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("per_point", [False, True],
@@ -349,12 +349,14 @@ class TestHoleFit:
         assert base.hole_detected
         assert (fit.hole_detected, fit.unresolved, fit.nfev) == \
             (base.hole_detected, base.unresolved, base.nfev)
-        for name, e in [("center", j), ("fwhm", j), ("depth", k),
-                        ("baseline", k)]:
+        for name, err, e in [("center_hz", "center_err_hz", j),
+                             ("fwhm_hz", "fwhm_err_hz", j),
+                             ("depth", "depth_err", k),
+                             ("baseline", "baseline_err", k)]:
             assert getattr(fit, name) == math.ldexp(getattr(base, name), e)
-            assert getattr(fit, f"{name}_err") == \
-                math.ldexp(getattr(base, f"{name}_err"), e), name
-        assert fit.residual == math.ldexp(base.residual, 2 * k)
+            assert getattr(fit, err) == \
+                math.ldexp(getattr(base, err), e), name
+        assert fit.residual_sse == math.ldexp(base.residual_sse, 2 * k)
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_errors_match_finite_difference_errors(self, weighted):
@@ -376,12 +378,12 @@ class TestHoleFit:
         for f, y in scans:
             sigma = 0.02 * (1 + 0.5 * np.sin(f / 3e7)) if weighted else None
             fit = hb.fit_hole_lorentzian(f, y, sigma_point=sigma)
-            params = [fit.baseline, fit.depth, fit.center, fit.fwhm]
+            params = [fit.baseline, fit.depth, fit.center_hz, fit.fwhm_hz]
             ref = fd_errors(lambda p: hb.lorentzian_hole(f, *p), params,
                             hb.lorentzian_hole(f, *params) - y,
                             None if sigma is None else 1 / sigma)
-            errors = [fit.baseline_err, fit.depth_err, fit.center_err,
-                      fit.fwhm_err]
+            errors = [fit.baseline_err, fit.depth_err, fit.center_err_hz,
+                      fit.fwhm_err_hz]
             assert fit.hole_detected
             assert errors == pytest.approx(ref, rel=1e-7)
 
@@ -441,7 +443,7 @@ class TestExponentialFit:
     def test_noiseless_recovery(self):
         y = hb.exp_decay(self.times, 1.0, 0.072, 0.1)
         fit = hb.fit_exponential(self.times, y, with_offset=True)
-        assert fit.tau == pytest.approx(0.072, rel=1e-3)
+        assert fit.tau_s == pytest.approx(0.072, rel=1e-3)
         assert fit.amplitude == pytest.approx(1.0, rel=1e-3)
         assert fit.offset == pytest.approx(0.1, rel=1e-3)
 
@@ -449,7 +451,7 @@ class TestExponentialFit:
         y = hb.exp_decay(self.times, 2.0, 0.1)
         fit = hb.fit_exponential(self.times, y, with_offset=False)
         assert fit.offset is None
-        assert fit.tau == pytest.approx(0.1, rel=1e-6)
+        assert fit.tau_s == pytest.approx(0.1, rel=1e-6)
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.one_of(st.floats(0.01, 100.0), st.floats(-100.0, -0.01)))
@@ -457,14 +459,14 @@ class TestExponentialFit:
         y = hb.exp_decay(self.times, 1.0, 0.072, 0.1)
         a = hb.fit_exponential(self.times, y)
         b = hb.fit_exponential(self.times, c * y)
-        assert b.tau == pytest.approx(a.tau, rel=1e-9)
+        assert b.tau_s == pytest.approx(a.tau_s, rel=1e-9)
         assert b.amplitude == pytest.approx(c * a.amplitude, rel=1e-9)
         assert b.offset == pytest.approx(c * a.offset, rel=1e-9)
 
     def test_constant_data(self):
         fit = hb.fit_exponential(self.times, np.full_like(self.times, 3.0))
         assert fit.amplitude == pytest.approx(0.0, abs=1e-9)
-        assert fit.tau > 0
+        assert fit.tau_s > 0
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -502,9 +504,9 @@ class TestExponentialFit:
                 as err:
             hb.fit_exponential(t, y)
         resolved = hb.fit_exponential(t - 50.0, y)
-        assert err.value.diagnostics["tau_s"] == pytest.approx(resolved.tau,
+        assert err.value.diagnostics["tau_s"] == pytest.approx(resolved.tau_s,
                                                                 rel=1e-7)
-        assert resolved.tau == pytest.approx(0.068, rel=0.05)
+        assert resolved.tau_s == pytest.approx(0.068, rel=0.05)
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(0.0, 5.0))
@@ -512,10 +514,10 @@ class TestExponentialFit:
         y = hb.exp_decay(self.times, 1.0, 0.072, 0.1)
         a = hb.fit_exponential(self.times, y)
         b = hb.fit_exponential(self.times + c, y)
-        assert b.tau == pytest.approx(a.tau, rel=1e-9)
+        assert b.tau_s == pytest.approx(a.tau_s, rel=1e-9)
         assert b.offset == pytest.approx(a.offset, rel=1e-9)
         assert b.amplitude == pytest.approx(
-            a.amplitude * np.exp(c / b.tau), rel=1e-9)
+            a.amplitude * np.exp(c / b.tau_s), rel=1e-9)
 
     def test_gauss_newton_matches_brent_oracle(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -527,9 +529,10 @@ class TestExponentialFit:
                             brent_in_place_of_gauss_newton)
         oracle = hb.fit_exponential(waits, y)
         assert fit.converged and oracle.converged
-        assert fit.tau == pytest.approx(oracle.tau, rel=1e-8)
-        assert fit.tau_err == pytest.approx(oracle.tau_err, rel=1e-8)
-        assert fit.residual == pytest.approx(oracle.residual, rel=1e-12)
+        assert fit.tau_s == pytest.approx(oracle.tau_s, rel=1e-8)
+        assert fit.tau_err_s == pytest.approx(oracle.tau_err_s, rel=1e-8)
+        assert fit.residual_sse == pytest.approx(oracle.residual_sse,
+                                                 rel=1e-12)
         assert fit.nfev < oracle.nfev
 
     def test_lands_on_the_optimum(self):
@@ -558,8 +561,8 @@ class TestExponentialFit:
                                        for w, v in zip(e, dy))
 
                 tau = mpmath.findroot(lambda x: mpmath.diff(sse, x),
-                                      mpmath.mpf(fit.tau))
-                assert abs(float(fit.tau / tau) - 1) <= 1e-10, (sigma, seed)
+                                      mpmath.mpf(fit.tau_s))
+                assert abs(float(fit.tau_s / tau) - 1) <= 1e-10, (sigma, seed)
 
     def test_subnormal_gap_fits_as_before(self):
         # the shortest step is 5e-324 s: the lower bound on log(tau / span)
@@ -567,7 +570,7 @@ class TestExponentialFit:
         # is the one an unbounded search finds
         t = [0.0, 5e-324, 1.0, 2.0, 3.0]
         fit = hb.fit_exponential(t, [3.0, 3.0, 2.0, 1.5, 1.2])
-        assert (fit.tau, fit.nfev) == (1.575536579124889, 6)
+        assert (fit.tau_s, fit.nfev) == (1.575536579124889, 6)
 
     def test_flat_series_stops_on_the_upper_bound(self):
         # no decay and no offset: tau runs to 100 sampled spans, where the
@@ -593,8 +596,8 @@ class TestExponentialFit:
 
     def test_constant_data_leaves_tau_unresolved(self):
         fit = hb.fit_exponential(self.times, np.full_like(self.times, 3.0))
-        assert fit.tau_err is None and fit.unresolved == ["tau_s"]
-        assert fit.to_dict()["tau_err_s"] is None
+        assert fit.tau_err_s is None and fit.unresolved == ["tau_s"]
+        assert asdict(fit)["tau_err_s"] is None
         assert fit.amplitude_err is not None and fit.offset_err is not None
 
     def test_pure_noise_rarely_resolves_tau(self):
@@ -607,7 +610,7 @@ class TestExponentialFit:
                 fit = hb.fit_exponential(self.times, y)
             except FitError:
                 continue
-            resolved += fit.tau_err is not None
+            resolved += fit.tau_err_s is not None
         assert resolved <= 3
 
     def test_point_order_does_not_matter(self):
@@ -686,12 +689,12 @@ class TestExponentialFit:
             y = np.exp(-(waits - start) / rng.uniform(0.05, 0.1)) \
                 + rng.uniform(0.02, 0.08) + rng.normal(0.0, 0.01, waits.size)
             fit = hb.fit_exponential(waits, y, with_offset)
-            params = [fit.amplitude, fit.tau,
+            params = [fit.amplitude, fit.tau_s,
                       fit.offset][:3 if with_offset else 2]
             residuals = hb.exp_decay(waits, *params) - y
             ref = fd_errors(lambda p: hb.exp_decay(waits, *p), params,
                             residuals)
-            errors = [fit.amplitude_err, fit.tau_err, fit.offset_err]
+            errors = [fit.amplitude_err, fit.tau_err_s, fit.offset_err]
             assert errors[:len(params)] == pytest.approx(ref, rel=1e-8)
 
 
@@ -797,7 +800,7 @@ class TestLinearFit:
             slope_ci=math.ldexp(base.slope_ci, k - j),
             slope_err=math.ldexp(base.slope_err, k - j),
             intercept_err=math.ldexp(base.intercept_err, k),
-            residual=math.ldexp(base.residual, 2 * k))
+            residual_sse=math.ldexp(base.residual_sse, 2 * k))
 
     @settings(max_examples=200, deadline=None)
     @given(line=noisy_lines(), shift=st.floats(-1e3, 1e3))
@@ -932,9 +935,10 @@ def trap_batches(material, domain):
 def assert_same_fit_permuted(permuted, fit, order):
     """The fit of the curves taken in `order` is `fit`, bit for bit, with
     its scales permuted along."""
-    assert permuted.gamma_trap == fit.gamma_trap
-    assert permuted.background_b == fit.background_b
-    assert permuted.residual == fit.residual
+    assert permuted.gamma_trap_per_s == fit.gamma_trap_per_s
+    assert (permuted.background_b_counts_per_w
+            == fit.background_b_counts_per_w)
+    assert permuted.residual_sse == fit.residual_sse
     assert permuted.nfev == fit.nfev
     assert permuted.scale_a == [fit.scale_a[i] for i in order]
 
@@ -960,8 +964,10 @@ class TestTrapFit:
         oracle = hb.fit_trap_model(two_curve_batch, material,
                                    domain=fast_domain)
         assert fit.converged and oracle.converged
-        assert fit.gamma_trap == pytest.approx(oracle.gamma_trap, rel=1e-8)
-        assert fit.residual == pytest.approx(oracle.residual, rel=1e-12)
+        assert fit.gamma_trap_per_s == pytest.approx(oracle.gamma_trap_per_s,
+                                                     rel=1e-8)
+        assert fit.residual_sse == pytest.approx(oracle.residual_sse,
+                                                 rel=1e-12)
         assert fit.nfev < oracle.nfev
 
     def test_calls_per_fit(self, material, fast_domain):
@@ -976,7 +982,7 @@ class TestTrapFit:
         # at the fitted gamma.
         for seed, curves in enumerate(trap_batches(material, fast_domain), 1):
             res = hb.fit_trap_model(curves, material, domain=fast_domain)
-            gamma, design, d, r = res.gamma_trap, [], [], []
+            gamma, design, d, r = res.gamma_trap_per_s, [], [], []
             for c, a in zip(curves, res.scale_a):
                 geom = hb.BeamGeometry.for_material(
                     material, power=c.power_w, focus_fwhm=1e-6)
@@ -986,7 +992,8 @@ class TestTrapFit:
                 s = m.frozen_amp + np.exp(-rate) @ m.bin_amp
                 # d S / d log gamma = -sum amp (gamma k t) exp(-gamma k t)
                 d.append(-a * (rate * np.exp(-rate)) @ m.bin_amp)
-                r.append(c.counts_per_s - a * s - res.background_b * c.power_w)
+                r.append(c.counts_per_s - a * s
+                         - res.background_b_counts_per_w * c.power_w)
                 design.append((s, c.power_w))
             rows = np.cumsum([0] + [s.size for s, _ in design])
             columns = []
@@ -995,7 +1002,7 @@ class TestTrapFit:
                     column = np.zeros(rows[-1])
                     column[rows[i]:rows[i + 1]] = s
                     columns.append(column)
-            if res.background_b > 0:
+            if res.background_b_counts_per_w > 0:
                 columns.append(np.concatenate(
                     [np.full(s.size, p0) for s, p0 in design]))
             free = np.column_stack(columns)
@@ -1009,7 +1016,7 @@ class TestTrapFit:
                                     domain=fast_domain)
         res = hb.fit_trap_model(curves, material, domain=fast_domain)
         assert res.converged
-        assert res.gamma_trap == pytest.approx(7e4, rel=0.01)
+        assert res.gamma_trap_per_s == pytest.approx(7e4, rel=0.01)
         assert res.scale_a[0] == pytest.approx(0.19, rel=0.02)
 
     def test_curve_permutation_invariance(self, material, fast_domain):
@@ -1041,11 +1048,12 @@ class TestTrapFit:
         base = hb.fit_trap_model(curves, material, domain=fast_domain)
         scaled = hb.fit_trap_model([(t, c * y, p0) for t, y, p0 in curves],
                                    material, domain=fast_domain)
-        assert scaled.gamma_trap == pytest.approx(base.gamma_trap, rel=1e-6)
-        assert scaled.residual == pytest.approx(c**2 * base.residual,
-                                                rel=1e-6)
-        assert scaled.background_b == pytest.approx(c * base.background_b,
-                                                    rel=1e-4)
+        assert scaled.gamma_trap_per_s == pytest.approx(
+            base.gamma_trap_per_s, rel=1e-6)
+        assert scaled.residual_sse == pytest.approx(c**2 * base.residual_sse,
+                                                    rel=1e-6)
+        assert scaled.background_b_counts_per_w == pytest.approx(
+            c * base.background_b_counts_per_w, rel=1e-4)
         for sa, ba in zip(scaled.scale_a, base.scale_a):
             assert sa == pytest.approx(c * ba, rel=1e-4)
 
@@ -1062,9 +1070,10 @@ class TestTrapFit:
         scaled = hb.fit_trap_model(
             [(c.time_s, np.ldexp(c.counts_per_s, k), c.power_w)
              for c in poisson_batch_3], material, domain=rule)
-        assert (scaled.gamma_trap, scaled.nfev) == (base.gamma_trap,
-                                                    base.nfev)
-        assert scaled.background_b == math.ldexp(base.background_b, k)
+        assert (scaled.gamma_trap_per_s, scaled.nfev) == (
+            base.gamma_trap_per_s, base.nfev)
+        assert scaled.background_b_counts_per_w == math.ldexp(
+            base.background_b_counts_per_w, k)
         assert scaled.scale_a == [math.ldexp(a, k) for a in base.scale_a]
 
     def test_negative_background_clamped(self, material, fast_domain):
@@ -1079,10 +1088,10 @@ class TestTrapFit:
                    for c, p0 in zip(curves, powers)]
         res = hb.fit_trap_model(shifted, material, domain=fast_domain)
         assert res.converged
-        assert res.background_b == 0.0
+        assert res.background_b_counts_per_w == 0.0
         assert all(a >= 0 for a in res.scale_a)
-        hb.scaled_signal(np.ones(1), res.scale_a[0], res.background_b,
-                         powers[0])
+        hb.scaled_signal(np.ones(1), res.scale_a[0],
+                         res.background_b_counts_per_w, powers[0])
 
     def test_rising_ramp_has_no_resolvable_decay(self, material):
         # 1e5 counts/s rising 1% over 200 s, with noise and no decay: the
@@ -1102,6 +1111,20 @@ class TestTrapFit:
             assert diag["nfev"] <= 20, seed
             assert len(diag["scale_a"]) == 2
 
+    def test_step_has_no_resolvable_decay(self, material):
+        # 1e6 counts/s at t = 0 and 2e3 after: the search drives gamma up
+        # to where no bin leaves a trace (machine epsilon) over the 2.5 s
+        # step, instead of returning gamma ~ 6e26 /s
+        t = np.linspace(0.0, 200.0, 81)
+        rule = hb.LevelSetRule()
+        with pytest.raises(FitError, match="no resolvable decay") as err:
+            hb.fit_trap_model([(t, np.where(t == 0, 1e6, 2e3), 2e-5)],
+                              material, domain=rule)
+        slowest = TrapDecayModel(material, hb.BeamGeometry.for_material(
+            material, power=2e-5, focus_fwhm=1e-6), rule).compressed().bin_k
+        assert err.value.diagnostics["gamma_trap_per_s"] == pytest.approx(
+            -np.log(np.finfo(float).eps) / (slowest.min() * 2.5), rel=1e-12)
+
     def test_more_points_than_parameters(self, material, fast_domain):
         # gamma_trap, B and one A per curve: 3 points on one curve, or 2 on
         # each of two, fit exactly and leave nothing to test the model
@@ -1116,7 +1139,7 @@ class TestTrapFit:
         curve = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t,
                                    domain=fast_domain)
         res = hb.fit_trap_model(curve, material, domain=fast_domain)
-        assert res.gamma_trap == pytest.approx(7e4, rel=1e-3)
+        assert res.gamma_trap_per_s == pytest.approx(7e4, rel=1e-3)
 
     def test_degenerate_curve_rejected(self, material, fast_domain):
         t = np.linspace(0, 10, 11)

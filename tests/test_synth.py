@@ -136,8 +136,8 @@ class TestGenHoleScan:
         keep = norm.included
         fit = hb.fit_hole_lorentzian(norm.freq[keep], norm.signal[keep])
         assert fit.depth == pytest.approx(0.4, rel=1e-6)
-        assert fit.center == pytest.approx(-50e6, rel=1e-6)
-        assert fit.fwhm == pytest.approx(6e6, rel=1e-6)
+        assert fit.center_hz == pytest.approx(-50e6, rel=1e-6)
+        assert fit.fwhm_hz == pytest.approx(6e6, rel=1e-6)
 
     def test_negative_power_profile_rejected(self):
         with pytest.raises(ValueError):

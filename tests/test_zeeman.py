@@ -132,3 +132,18 @@ def test_config_rejects_what_the_file_cannot_set(kwargs):
     # the config file gives finite floats and an int sign; so must callers
     with pytest.raises(ValueError):
         ZeemanConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"g_ground": 1e-320},
+    {"g_excited": 1e-101},
+    {"g_ground": 1e101},
+    {"stray_field": 1e300},
+    {"stray_field": -1e101},
+], ids=["g-ground-subnormal", "g-excited-tiny", "g-ground-huge",
+        "stray-huge", "stray-huge-negative"])
+def test_config_keeps_the_fields_finite(kwargs):
+    # the fields are delta_f / g: a subnormal coefficient made them inf
+    (name, _), = kwargs.items()
+    with pytest.raises(ValueError, match=f"{name} must be in"):
+        ZeemanConfig(**kwargs)

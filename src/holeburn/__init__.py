@@ -31,7 +31,7 @@ _EXPORTS = {
               "steady_state_fractions"),
     "pipeline": ("HoleArea", "NormalizedScan", "PipelineOrderError",
                  "RawScan", "detect_aom_off_range", "hole_area_with_error",
-                 "normalize_by_power", "point_rms", "subtract_background"),
+                 "normalize_by_power", "subtract_background"),
     "simplex": ("MinimizeOptions", "MinimizeResult", "minimize"),
     "synth": ("NoiseSpec", "apply_noise", "gen_decay_batch",
               "gen_hole_decay_series", "gen_hole_scan"),

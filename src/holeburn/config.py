@@ -14,6 +14,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .constants import MaterialParams
+from .errors import _MAX_MAGNITUDE, _check_within
 from .zeeman import ZeemanConfig
 
 
@@ -63,12 +64,8 @@ class RunConfig:
     zeeman: ZeemanConfig = field(default_factory=ZeemanConfig)
 
     def __post_init__(self):
-        if not self.scale_a > 0:
-            raise ValueError(f"scale_a must be positive, got "
-                             f"{self.scale_a!r}")
-        if not self.background_b >= 0:
-            raise ValueError(f"background_b must be nonnegative, got "
-                             f"{self.background_b!r}")
+        _check_within(1 / _MAX_MAGNITUDE, scale_a=self.scale_a)
+        _check_within(0.0, background_b=self.background_b)
 
     def to_dict(self) -> dict:
         """Resolved configuration keyed exactly like the config file."""

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import _MAX_MAGNITUDE, _check_within
+
 PLANCK_CONSTANT = 6.62607015e-34  # J s
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
@@ -63,13 +65,11 @@ class MaterialParams:
     coll0: float = 0.016
 
     def __post_init__(self):
-        for name in ("sat_intensity", "sigma_ion", "sigma_rec",
-                     "photoioniz_fwhm", "vac_wavelength", "refr_index",
-                     "hom_linewidth0", "ion_density", "fluor_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if not self.g_ratio >= 0:
-            raise ValueError("g_ratio must be nonnegative")
+        # every constant but g_ratio (>= 0) and coll0 (a fraction) is > 0
+        _check_within(1 / _MAX_MAGNITUDE, **{
+            name: value for name, value in vars(self).items()
+            if name not in ("g_ratio", "coll0")})
+        _check_within(0.0, g_ratio=self.g_ratio)
         if not 0 < self.coll0 <= 1:
             raise ValueError("coll0 must lie in (0, 1]")
 

@@ -1,5 +1,6 @@
-"""The two failures the CLI maps to their own exit codes, and the rules
-the fits share for raising one or leaving a parameter unresolved.
+"""The two failures the CLI maps to their own exit codes, the rules the
+fits share for raising one or leaving a parameter unresolved, and the one
+range rule for the numbers the program takes in.
 
 They live apart from the integrator and the fits that raise them, so that
 `cli.main` can catch them without importing either.
@@ -9,9 +10,10 @@ They live apart from the integrator and the fits that raise them, so that
 # straight line by the data, so the lifetime and trap fits reject it.
 _MAX_DECAY_SPANS = 100
 
-# The fits square their data, weight it and sum the products.  Values no
-# larger than this, and spreads and weights no smaller than its inverse,
-# keep those products normal floats, so a fit either runs at full
+# The model multiplies the config's constants, and the fits square their
+# data, weight it and sum the products.  Values no larger than this, and
+# spreads, weights and positive constants no smaller than its inverse,
+# keep those products normal floats, so a run either computes at full
 # precision or refuses its input.
 _MAX_MAGNITUDE = 1e100
 
@@ -23,11 +25,19 @@ _DETECTION_SIGMAS = 3
 
 def _check_within(lo=-_MAX_MAGNITUDE, **values):
     """Raise ValueError naming the first value outside [lo, _MAX_MAGNITUDE]
-    (NaN included), the range whose products stay normal floats."""
+    (NaN included), the range whose products stay normal floats.
+
+    A value is a number or a 1-D sequence of numbers (a list, a tuple or an
+    array, read through its `tolist`), each of whose elements must lie in
+    the range.
+    """
     for name, value in values.items():
-        if not lo <= value <= _MAX_MAGNITUDE:
-            raise ValueError(f"{name} must be in [{lo:g}, "
-                             f"{_MAX_MAGNITUDE:g}], got {value:g}")
+        if hasattr(value, "tolist"):
+            value = value.tolist()
+        for v in value if isinstance(value, (list, tuple)) else [value]:
+            if not lo <= v <= _MAX_MAGNITUDE:
+                raise ValueError(f"{name} must be in [{lo:g}, "
+                                 f"{_MAX_MAGNITUDE:g}], got {v:g}")
 
 
 class ConvergenceError(RuntimeError):

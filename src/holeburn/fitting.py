@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import (_DETECTION_SIGMAS, _MAX_DECAY_SPANS, _MAX_MAGNITUDE,
-                     FitError)
+                     FitError, _check_within)
 from .integrator import TrapDecayModel
 from .model import BeamGeometry, MaterialParams
 from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
@@ -189,11 +189,8 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     span = float(np.ptp(f))
     if span <= 0:
         raise ValueError("freq values must not all coincide")
-    lim = _MAX_MAGNITUDE
-    if not (1 / lim <= span <= lim and float(np.max(np.abs(y))) <= lim):
-        raise ValueError(f"the frequency span must lie in [{1 / lim:g}, "
-                         f"{lim:g}] Hz and the signal within +-{lim:g}, "
-                         "where the fit's products stay normal floats")
+    _check_within(1 / _MAX_MAGNITUDE, freq_span=span)
+    _check_within(signal=y)
 
     f_mid = 0.5 * float(np.min(f) + np.max(f))
     x = (f - f_mid) / span
@@ -205,10 +202,8 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
             raise ValueError("sigma_point must be positive and finite")
         point_weights = 1.0 / sigma
     root_w2 = point_weights * y_scale
-    if not np.all((root_w2 >= 1 / lim) & (root_w2 <= lim)):
-        raise ValueError(f"the signal's spread over each point's sigma must "
-                         f"lie in [{1 / lim:g}, {lim:g}], where its square, "
-                         "the point's weight, stays a normal float")
+    # its square is the point's weight
+    _check_within(1 / _MAX_MAGNITUDE, **{"signal spread / sigma": root_w2})
     w2 = root_w2 ** 2  # weights of the normalized signal
     w_sum = float(np.sum(w2))
     y_mean = float(np.dot(w2, y)) / w_sum
@@ -308,13 +303,9 @@ def _curve_triples(curves):
             raise ValueError(f"{curve}: arrays must be finite")
         if np.ptp(y) == 0:
             raise ValueError(f"{curve}: degenerate curve, constant signal")
-        lim = _MAX_MAGNITUDE
-        if not (max(np.max(np.abs(t)), np.max(np.abs(y))) <= lim
-                and np.ptp(y) >= 1 / lim):
-            raise ValueError(f"{curve}: times and counts must lie within "
-                             f"+-{lim:g} and the counts spread by at least "
-                             f"{1 / lim:g}, where the fit's products stay "
-                             "normal floats")
+        _check_within(**{f"{curve}: time_s": t, f"{curve}: counts_per_s": y})
+        _check_within(1 / _MAX_MAGNITUDE,
+                      **{f"{curve}: counts_per_s spread": float(np.ptp(y))})
         if np.any(t < 0):
             raise ValueError(f"{curve}: time stamps must be nonnegative, "
                              f"got t = {t.min():g} s")
@@ -388,7 +379,9 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     # so that gamma and its products stay normal floats.
     fastest = max(float(m.bin_k.max(initial=0.0)) * t[-1]
                   for m, (t, _, _) in zip(models, triples))
-    lo = -math.log(_GAMMA_SEED * fastest * _MAX_DECAY_SPANS)
+    # A cloud whose amplitudes all underflow has no decay: lo = inf.
+    lo = (-math.log(_GAMMA_SEED * fastest * _MAX_DECAY_SPANS) if fastest
+          else math.inf)
     trace = -math.log(math.ulp(1.0))
     hi = max((math.log(trace / float(np.diff(t).min()))
               - math.log(float(m.bin_k.min()))

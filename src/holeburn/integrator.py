@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import model
-from .errors import ConvergenceError
+from .errors import _MAX_MAGNITUDE, ConvergenceError, _check_within
 from .model import BeamGeometry, MaterialParams
 
 # Node-time pairs per block of `_decay_sum` (one 8 MB float64 work array).
@@ -304,12 +304,8 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
 
 def scaled_signal(s_model, scale_a, background_b, power):
     """Detected count rate A * S + B * P0 for each model-signal sample."""
-    if not scale_a > 0:
-        raise ValueError("scale_a must be positive")
-    if not background_b >= 0:
-        raise ValueError("background_b must be nonnegative")
-    if not power >= 0:
-        raise ValueError("power must be nonnegative")
+    _check_within(1 / _MAX_MAGNITUDE, scale_a=scale_a)
+    _check_within(0.0, background_b=background_b, power=power)
     return scale_a * np.asarray(s_model, dtype=float) + background_b * power
 
 

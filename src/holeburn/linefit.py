@@ -14,7 +14,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .csvio import _floats
-from .errors import _MAX_MAGNITUDE
+from .errors import _MAX_MAGNITUDE, _check_within
 
 
 @dataclass
@@ -70,12 +70,11 @@ def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
         raise ValueError("need at least 3 points")
     if not all(map(math.isfinite, x + y)):
         raise ValueError("x and y must be finite")
-    lim = _MAX_MAGNITUDE
-    if max(map(abs, x + y)) > lim or any(
-            0 < max(v) - min(v) < 1 / lim for v in (x, y)):
-        raise ValueError(f"x and y must lie within +-{lim:g} and, unless "
-                         f"constant, spread by at least {1 / lim:g}, where "
-                         "their squares stay normal floats")
+    _check_within(x=x, y=y)
+    # unless constant, each spreads over a range whose square stays normal
+    _check_within(1 / _MAX_MAGNITUDE, **{
+        f"{name} spread": max(v) - min(v)
+        for name, v in (("x", x), ("y", y)) if max(v) > min(v)})
     if not 0 < confidence < 1:
         raise ValueError("confidence must lie in (0, 1)")
     # Fit on x / 2^ex, which peaks in [0.5, 1): a power of two changes no

@@ -36,9 +36,12 @@ class BeamGeometry:
         if not self.rayleigh > 0:
             raise ValueError("rayleigh must be positive")
         # The bound is on the power, so the check itself cannot overflow.
-        if not 0 <= self.power <= _MAX_MAGNITUDE * np.pi * self.waist**2 / 2:
-            raise ValueError(f"power must be nonnegative, with a peak "
-                             f"intensity within {_MAX_MAGNITUDE:g} W/m^2")
+        power_max = _MAX_MAGNITUDE * np.pi * self.waist**2 / 2
+        if not 0 <= self.power <= power_max:
+            raise ValueError(f"power must be nonnegative and at most "
+                             f"{power_max:g} W, where the peak intensity at "
+                             f"this focus_fwhm stays within "
+                             f"{_MAX_MAGNITUDE:g} W/m^2, got {self.power!r}")
 
     @classmethod
     def from_focus(cls, power, focus_fwhm, vac_wavelength, refr_index):
@@ -48,16 +51,16 @@ class BeamGeometry:
         wavelength inside the medium, vac_wavelength/refr_index.
         """
         # w0^2, z_R = pi w0^2 / medium and the focal volume pi w0^2 z_R
-        # stay within _MAX_MAGNITUDE; the bound is on the focus, so the check
-        # itself cannot overflow.
+        # stay within _MAX_MAGNITUDE, and w0^2 a normal float; the bound is
+        # on the focus, so the check itself cannot overflow.
         lim, medium = _MAX_MAGNITUDE, vac_wavelength / refr_index
         w2_max = min(lim, lim * medium / np.pi, np.sqrt(lim * medium) / np.pi)
         focus_max = np.sqrt(2 * np.log(2) * w2_max)
-        if not 0 < focus_fwhm <= focus_max:
-            raise ValueError(f"focus_fwhm must be positive and at most "
-                             f"{focus_max:g} m, where the waist squared, the "
+        if not 1 / lim <= focus_fwhm <= focus_max:
+            raise ValueError(f"focus_fwhm must be in [{1 / lim:g}, "
+                             f"{focus_max:g}] m, where the waist squared, the "
                              f"Rayleigh length and the focal volume stay "
-                             f"within {lim:g}, got {focus_fwhm!r}")
+                             f"normal floats, got {focus_fwhm!r}")
         waist = focus_fwhm / np.sqrt(2 * np.log(2))
         rayleigh = np.pi * waist**2 / medium
         return cls(power=power, waist=waist, rayleigh=rayleigh)

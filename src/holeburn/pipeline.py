@@ -25,9 +25,6 @@ _UNSUBTRACTED_REL_THRESHOLD = 1e-2
 # Fewest readings in a modulator-off segment `detect_aom_off_range` accepts.
 _MIN_OFF_LENGTH = 8
 
-# Fewest usable points `point_rms` estimates the noise from.
-_MIN_RMS_POINTS = 16
-
 
 class PipelineOrderError(RuntimeError):
     """A treatment step was applied out of order."""
@@ -166,19 +163,6 @@ def normalize_by_power(scan: RawScan) -> NormalizedScan:
     return NormalizedScan(freq=np.asarray(scan.freq, dtype=float),
                           signal=signal, excluded=excluded,
                           meta=dict(scan.meta))
-
-
-def point_rms(scan: NormalizedScan) -> float:
-    """Per-point RMS noise from a scan that contains no burned hole.
-
-    The RMS is taken relative to the mean signal level over all included
-    points, which is the baseline when no hole is present.
-    """
-    y = scan.signal[scan.included]
-    if y.size < _MIN_RMS_POINTS:
-        raise ValueError(f"need at least {_MIN_RMS_POINTS} usable points")
-    baseline = float(np.mean(y))
-    return float(np.sqrt(np.mean((y - baseline) ** 2)))
 
 
 def hole_area_with_error(scan: NormalizedScan, baseline: float,

@@ -164,14 +164,14 @@ def gen_hole_decay_series(tau: float, offset: float, wait_times,
     """Spectral-hole areas versus wait time: a exp(-t/tau) + offset.
 
     A positive offset models the persistent hole floor that survives the
-    spin-level relaxation.  The wait times ascend within [0, 1e100], tau
-    lies in [1e-100, 1e100] and the offset and amplitude within +-1e100.
+    spin-level relaxation.  The wait times are 1-D and ascend within
+    [0, 1e100], tau lies in [1e-100, 1e100] and the offset and amplitude
+    within +-1e100.
     """
     t = np.asarray(wait_times, dtype=float)
-    if not (np.all((t >= 0) & (t <= _MAX_MAGNITUDE))
-            and np.all(np.diff(t) >= 0)):
-        raise ValueError(f"wait_times must be ascending, in [0, "
-                         f"{_MAX_MAGNITUDE:g}]")
+    if t.ndim != 1 or np.any(np.diff(t) < 0):
+        raise ValueError("wait_times must be a 1-D ascending sequence")
+    _check_within(0.0, wait_times=t)
     _check_within(1 / _MAX_MAGNITUDE, tau=tau)
     _check_within(offset=offset, amplitude=amplitude)
     clean = exp_decay(t, amplitude, tau, offset)

@@ -12,7 +12,6 @@ the same kind; the module itself needs no numpy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,8 +74,7 @@ def resonance_fields(delta_f_laser, cfg: ZeemanConfig) -> ResonanceFields:
     ground and excited splittings, or their difference.  The sum condition
     always sits at the lowest field.
     """
-    if not 0 < delta_f_laser < math.inf:
-        raise ValueError("delta_f_laser must be positive and finite")
+    _check_within(1 / _MAX_MAGNITUDE, delta_f_laser=delta_f_laser)
     b_ground = delta_f_laser / cfg.g_ground
     b_sum = delta_f_laser / (cfg.g_ground + cfg.g_excited)
     diff = abs(cfg.g_ground - cfg.g_excited)

@@ -14,10 +14,17 @@ The commands that compute or generate data must likewise end on exit 0,
 2 or 3 whatever a numeric flag holds: every such flag is set, one per
 run, to NaN, +-inf, +-1e308, 1e300, 0, -1 and a subnormal.  An exit 2
 names the flag and writes no file; an exit 0 writes only finite cells.
-Both sweeps run in process, with numpy's warnings as errors.
+The setup read from the config file is held to the same contract: every
+config key is set, one per run, to each of those values and to the edges
+of the range that bounds the config's numbers, and `simulate`,
+`gen decay`, `fit trap` and `zeeman` must end on exit 0, 2, 3 or 4.  An
+exit 2 names the key or the field it sets and writes no file; an exit 0
+writes only finite numbers.
+All three sweeps run in process, with numpy's warnings as errors.
 """
 
 import argparse
+import json
 import math
 import random
 
@@ -27,6 +34,7 @@ import pytest
 import holeburn as hb
 from holeburn import csvio, synth
 from holeburn.cli import build_parser, main
+from holeburn.config import _SCHEMA
 
 CELL_VALUES = {"nan": "nan", "inf": "inf", "-inf": "-inf", "big": "1e308",
                "-big": "-1e308", "subnormal": "5e-324", "text": "abc",
@@ -244,5 +252,73 @@ def test_every_extreme_flag_ends_on_a_contract_code(tmp_path, capsys):
         elif code == 0 and not all(map(math.isfinite,
                                        map(float, written_cells(out)))):
             broken.append(f"{case}: exit 0 wrote a non-finite cell")
+    assert not broken, (f"{len(broken)} of {len(cases)} runs broke the "
+                        "contract:\n" + "\n".join(broken))
+
+
+# The flag values, and the edges of [1e-100, 1e100] and of [-1e100, 1e100]
+# with a value just past each.
+KEY_VALUES = FLAG_VALUES + ("1e100", "-1e100", "1e-100", "2e100", "5e-101")
+CONFIG_JOBS = {
+    "simulate": ["simulate", "--n-t", "5", "--tol", "0"],
+    "gen-decay": ["gen", "decay", "--n-t", "5", "--tol", "0"],
+    "fit-trap": ["fit", "trap"],
+    "zeeman": ["zeeman", "--delta-f", "1e8,2e9"],
+}
+
+
+def report_numbers(node):
+    """Every float in a parsed JSON report."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for item in node:
+            yield from report_numbers(item)
+    elif isinstance(node, float):
+        yield node
+
+
+def written_numbers(out):
+    """Every number of the JSON report, or of the CSV file or files."""
+    if out.suffix == ".json":
+        return report_numbers(json.loads(out.read_text(encoding="utf-8")))
+    return map(float, written_cells(out))
+
+
+def test_every_extreme_config_key_ends_on_a_contract_code(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    assert main(["gen", "decay", "--powers", "5e-6,2e-5,4.4e-5", "--n-t",
+                 "21", "--t-end", "100", "--tol", "0", "--noise", "poisson",
+                 "--seed", "3", "--out", str(batch)]) == 0
+    jobs = dict(CONFIG_JOBS)
+    jobs["fit-trap"] = [*jobs["fit-trap"], *map(str, sorted(batch.iterdir()))]
+    keys = [(section, key, target.rpartition(".")[2])
+            for section, table in _SCHEMA.items()
+            for key, (target, _) in table.items()]
+    cases = [(job, key, value) for job in jobs for key in keys
+             for value in KEY_VALUES]
+    broken = []
+    for run, (job, (section, key, field), value) in enumerate(cases):
+        config = tmp_path / f"run{run}.ini"
+        config.write_text(f"[{section}]\n{key} = {value}\n")
+        out = tmp_path / (f"run{run}.json" if job == "fit-trap"
+                          else f"run{run}.csv")
+        case = f"{job} with {key} = {value}"
+        try:
+            code = main(["--config", str(config), *jobs[job],
+                         "--out", str(out)])
+        except Exception as exc:  # a traceback or a numpy warning
+            capsys.readouterr()
+            broken.append(f"{case}: {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        if code not in CONTRACT_CODES:
+            broken.append(f"{case}: exit {code}")
+        elif code == 2 and out.exists():
+            broken.append(f"{case}: exit 2 wrote {out.name}")
+        elif code == 2 and key not in err and field not in err:
+            broken.append(f"{case}: exit 2 without naming {key}: {err!r}")
+        elif code == 0 and not all(map(math.isfinite, written_numbers(out))):
+            broken.append(f"{case}: exit 0 wrote a non-finite number")
     assert not broken, (f"{len(broken)} of {len(cases)} runs broke the "
                         "contract:\n" + "\n".join(broken))

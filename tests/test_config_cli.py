@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -122,16 +123,19 @@ stray_field_t = 0
         assert "confidence must lie in (0, 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, match", [
-        ("scale_a = 0", "scale_a must be positive"),
-        ("scale_a = -0.19", "scale_a must be positive"),
-        ("background_b_counts_per_w = -1", "background_b must be "
-                                           "nonnegative"),
-    ])
+        ("scale_a = 0", "scale_a must be in [1e-100, 1e+100], got 0"),
+        ("scale_a = -0.19", "scale_a must be in [1e-100, 1e+100], got -0.19"),
+        ("background_b_counts_per_w = -1", "background_b must be in "
+                                           "[0, 1e+100], got -1"),
+    ], ids=["scale_a = 0-scale_a must be positive",
+            "scale_a = -0.19-scale_a must be positive",
+            "background_b_counts_per_w = -1-background_b must be "
+            "nonnegative"])
     def test_scale_values_rejected_at_load(self, tmp_path, capsys,
                                            monkeypatch, text, match):
         path = tmp_path / "bad.ini"
         path.write_text(f"[scale]\n{text}\n")
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(ConfigError, match=re.escape(match)):
             load_config(path)
         out = tmp_path / "z.csv"
         assert main(["--config", str(path), "zeeman", "--delta-f", "1e6",
@@ -454,6 +458,21 @@ class TestCli:
         assert not out.exists()
         assert f"{name} must be in" in capsys.readouterr().err
 
+    def test_zeeman_field_beyond_magnitude_exit_2(self, tmp_path, capsys):
+        # 1e300 Hz over 1e-100 Hz/T wrote inf fields at exit 0; at the
+        # range's edge the field, 1e200 T, is still a finite float
+        path = tmp_path / "zeeman.ini"
+        path.write_text("[zeeman]\ng_ground_hz_per_t = 1e-100\n")
+        out = tmp_path / "z.csv"
+        assert main(["--config", str(path), "zeeman", "--delta-f", "1e300",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "delta_f" in capsys.readouterr().err
+        assert main(["--config", str(path), "zeeman", "--delta-f", "1e100",
+                     "--out", str(out)]) == 0
+        _, fields, _ = csvio.read_xy(out, "delta_f_hz", "b_ground_total_t")
+        assert fields == [1e200]
+
     @pytest.mark.parametrize("job", [
         ["simulate", "--gamma-trap", "nan"],
         ["simulate", "--tol", "nan"],
@@ -560,7 +579,7 @@ class TestCli:
         scan_path.write_text("\n".join(lines) + "\n")
         assert main(["fit", "hole", "--scan", str(scan_path),
                      "--out", str(tmp_path / "hole.json")]) == 2
-        assert "must lie in [1e-100, 1e+100]" in capsys.readouterr().err
+        assert "must be in [1e-100, 1e+100]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_fit_hole_nonfinite_frequency_exit_2(self, tmp_path, capsys, bad):
@@ -770,12 +789,14 @@ class TestCli:
         assert "no resolvable decay" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("sigma_ion_m2", "1e-320"), ("photoioniz_fwhm_hz", "1e300"),
-        ("photoioniz_fwhm_hz", "1e308"), ("g_ratio", "1e300")])
+        ("g_ratio", "1e100"), ("sigma_rec_m2", "1e100")])
     def test_fit_trap_vanishing_cloud_rates_exit_4(self, tmp_path, capsys,
                                                    job_inputs, key, value):
         # the cloud's rates per unit gamma nearly vanish: resolving the
-        # decay would take gamma past 1e100, and exp(log gamma) overflowed
+        # decay would take gamma past its 1e100 cap.  Constants beyond
+        # their range (sigma_ion_m2 = 1e-320, g_ratio = 1e300), whose
+        # exp(log gamma) overflowed, now exit 2 at load: see the config
+        # sweep in test_cli_contract.py
         path = tmp_path / "rates.ini"
         path.write_text(f"[material]\n{key} = {value}\n")
         report = tmp_path / "trap.json"

@@ -435,7 +435,7 @@ class TestDecaySum:
 
 class TestScaledSignal:
     def test_zero_scale_is_background(self):
-        out = hb.scaled_signal(np.array([1.0, 2.0, 5.0]), 1e-300, 9.4e7,
+        out = hb.scaled_signal(np.array([1.0, 2.0, 5.0]), 1e-100, 9.4e7,
                                20e-6)
         assert np.allclose(out, 9.4e7 * 20e-6)
 
@@ -445,9 +445,9 @@ class TestScaledSignal:
 
     def test_validation(self):
         for args, message in [
-                ((0.0, 0.0, 1e-6), "scale_a must be positive"),
-                ((0.19, -1.0, 1e-6), "background_b must be nonnegative"),
-                ((0.19, 0.0, -1e-6), "power must be nonnegative")]:
+                ((0.0, 0.0, 1e-6), r"scale_a must be in \[1e-100, "),
+                ((0.19, -1.0, 1e-6), r"background_b must be in \[0, "),
+                ((0.19, 0.0, -1e-6), r"power must be in \[0, ")]:
             with pytest.raises(ValueError, match=message):
                 hb.scaled_signal(np.array([1.0]), *args)
 

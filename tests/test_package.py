@@ -36,7 +36,7 @@ PUBLIC_NAMES = {
     "gen_decay_batch", "gen_hole_decay_series", "gen_hole_scan",
     "hole_area_with_error", "hom_linewidth_from_hole",
     "ionization_rate", "lorentzian_hole", "minimize",
-    "normalize_by_power", "photon_energy", "point_rms",
+    "normalize_by_power", "photon_energy",
     "power_broadened_linewidth", "r2_from_rates", "refine_until_converged",
     "resonance_fields", "saturation_ratio", "scaled_signal", "splittings",
     "spont_recombination_rate", "steady_state", "steady_state_fractions",

@@ -132,40 +132,6 @@ class TestNormalize:
         assert np.allclose(vals, 1.5, rtol=1e-9)
 
 
-class TestPointRms:
-    def make_norm(self, signal):
-        n = len(signal)
-        return hb.NormalizedScan(freq=np.arange(float(n)),
-                                 signal=np.asarray(signal, dtype=float),
-                                 excluded=np.zeros(n, dtype=bool))
-
-    def test_flat_trace_zero(self):
-        assert hb.point_rms(self.make_norm(np.full(100, 1.5))) == 0.0
-
-    def test_unit_variance_noise(self):
-        rng = np.random.default_rng(123)
-        scan = self.make_norm(5.0 + rng.normal(0, 1.0, 5000))
-        assert hb.point_rms(scan) == pytest.approx(1.0, rel=0.05)
-
-    def test_scaling(self):
-        rng = np.random.default_rng(7)
-        base = 1.0 + rng.normal(0, 0.1, 2000)
-        s1 = hb.point_rms(self.make_norm(base))
-        s3 = hb.point_rms(self.make_norm(3.0 * base))
-        assert s3 == pytest.approx(3.0 * s1, rel=1e-12)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            hb.point_rms(self.make_norm(np.ones(10)))
-
-    def test_excluded_points_skipped(self):
-        sig = np.full(100, 2.0)
-        sig[:10] = 1e6  # excluded garbage must not contribute
-        scan = hb.NormalizedScan(freq=np.arange(100.0), signal=sig,
-                                 excluded=np.arange(100) < 10)
-        assert hb.point_rms(scan) == 0.0
-
-
 class TestHoleArea:
     def make_scan(self, freq, signal, excluded=None):
         n = len(freq)

@@ -164,6 +164,11 @@ class TestGenHoleDecaySeries:
         with pytest.raises(ValueError):
             hb.gen_hole_decay_series(0.072, 0.0, np.array([0.1, 0.0]))
 
+    @pytest.mark.parametrize("waits", [0.5, [[0.0, 0.1], [0.2, 0.3]]])
+    def test_wait_times_must_be_1d(self, waits):
+        with pytest.raises(ValueError, match="1-D ascending"):
+            hb.gen_hole_decay_series(0.072, 0.0, waits)
+
 
 class TestRedrawFromMetadata:
     """A generated file records every setting its noise was drawn with, so

@@ -25,10 +25,8 @@ _EXPORTS = {
     "linefit": ("LinearFit", "fit_linear_ci"),
     "model": ("BeamGeometry", "beam_intensity", "beam_radius",
               "collection_efficiency", "detuned_intensity",
-              "excited_population", "ionization_rate",
-              "power_broadened_linewidth", "r2_from_rates",
-              "saturation_ratio", "spont_recombination_rate", "steady_state",
-              "steady_state_fractions"),
+              "ionization_rate", "power_broadened_linewidth",
+              "spont_recombination_rate", "steady_state"),
     "pipeline": ("HoleArea", "NormalizedScan", "PipelineOrderError",
                  "RawScan", "detect_aom_off_range", "hole_area_with_error",
                  "normalize_by_power", "subtract_background"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .constants import MaterialParams
+from .constants import _FOCUS_FWHM, MaterialParams
 from .errors import _MAX_MAGNITUDE, _check_within
 from .zeeman import ZeemanConfig
 
@@ -58,7 +58,7 @@ _SCHEMA = {
 @dataclass
 class RunConfig:
     material: MaterialParams = field(default_factory=MaterialParams)
-    focus_fwhm: float = 1e-6
+    focus_fwhm: float = _FOCUS_FWHM
     scale_a: float = 0.19
     background_b: float = 9.4e7
     zeeman: ZeemanConfig = field(default_factory=ZeemanConfig)

@@ -10,6 +10,9 @@ from .errors import _MAX_MAGNITUDE, _check_within
 PLANCK_CONSTANT = 6.62607015e-34  # J s
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
+# Intensity FWHM of the beam focus [m] wherever a config or caller sets none.
+_FOCUS_FWHM = 1e-6
+
 
 def photon_energy(wavelength):
     """Photon energy h*c0/lambda in joules for a vacuum wavelength in meters."""

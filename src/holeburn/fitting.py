@@ -24,10 +24,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .constants import _FOCUS_FWHM
 from .errors import (_DETECTION_SIGMAS, _MAX_DECAY_SPANS, _MAX_MAGNITUDE,
                      FitError, _check_within)
 from .integrator import TrapDecayModel
-from .model import BeamGeometry, MaterialParams
+from .model import _F_KEYS, BeamGeometry, MaterialParams
 from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
 
 # Objective value of the hole fit at a nonpositive width.
@@ -313,8 +314,8 @@ def _curve_triples(curves):
     return out
 
 
-def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
-                   domain=None) -> TrapFitResult:
+def fit_trap_model(curves, material: MaterialParams,
+                   focus_fwhm=_FOCUS_FWHM, domain=None) -> TrapFitResult:
     """Globally fit the trapping rate to one or more decay curves.
 
     gamma_trap and the background coefficient B are shared across curves;
@@ -350,10 +351,16 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
                          f"(gamma_trap, B and one A per curve)")
 
     models = []
-    for t, _, p0 in triples:
+    for index, (_, _, p0) in enumerate(triples):
         geom = BeamGeometry.for_material(material, power=p0,
                                          focus_fwhm=focus_fwhm)
-        models.append(TrapDecayModel(material, geom, domain).compressed())
+        m = TrapDecayModel(material, geom, domain).compressed()
+        # The fit squares its model as it squares the data, so the model's
+        # S(0) is held to the range of a curve's counts spread.
+        _check_within(1 / _MAX_MAGNITUDE, **{
+            f"curve {index} ({p0:g} W): the model signal S(0) of {_F_KEYS}, "
+            f"sat_intensity_w_per_m2": m.frozen_amp + float(np.sum(m.bin_amp))})
+        models.append(m)
 
     def solve(xn):
         gamma = _GAMMA_SEED * math.exp(xn)
@@ -379,7 +386,8 @@ def fit_trap_model(curves, material: MaterialParams, focus_fwhm=1e-6,
     # so that gamma and its products stay normal floats.
     fastest = max(float(m.bin_k.max(initial=0.0)) * t[-1]
                   for m, (t, _, _) in zip(models, triples))
-    # A cloud whose amplitudes all underflow has no decay: lo = inf.
+    # A cloud with no live bin (every k underflows to 0) has no decay:
+    # lo = inf.
     lo = (-math.log(_GAMMA_SEED * fastest * _MAX_DECAY_SPANS) if fastest
           else math.inf)
     trace = -math.log(math.ulp(1.0))

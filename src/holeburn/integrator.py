@@ -217,11 +217,12 @@ def _cloud(material: MaterialParams, geom: BeamGeometry, domain=None,
     is amplitude * exp(-gamma_trap * k * t).  An `IntegrationDomain` (the
     default for None) is the midpoint box, whose (r, z) profiles
     intensity_fn and coll_fn may each replace; a `LevelSetRule` is the
-    infinite-limit Gauss rule, and overrides are an error there.  The
-    excited fraction and k come from `model.steady_state`, which stays
-    finite where the envelope underflows to zero intensity.
+    infinite-limit Gauss rule, and overrides are an error there.  Per node
+    all is dimensionless (s = I / I_sat, s_L, and the weight over the
+    signal scale F of `model._groups`, which multiplies once at the end).
     """
     domain = IntegrationDomain() if domain is None else domain
+    s0, rho, scale = model._groups(material, geom)
     if isinstance(domain, LevelSetRule):
         if intensity_fn is not None or coll_fn is not None:
             raise ValueError("intensity_fn and coll_fn need an "
@@ -230,14 +231,16 @@ def _cloud(material: MaterialParams, geom: BeamGeometry, domain=None,
         node, w = np.pi / 4 * (x + 1), np.pi / 4 * w
         alpha, theta = node[:, None], node
         # u = I / I0 = cos^2 alpha; the focal volume per intensity times
-        # the collection coll0 u is pi w0^2 z_R 2 sin^2 a (1 + tan^2 a / 3).
-        i_sp = geom.peak_intensity * np.cos(alpha) ** 2
-        weight = (np.pi * geom.waist**2 * geom.rayleigh * material.coll0
-                  * 2 * np.sin(alpha) ** 2 * (1 + np.tan(alpha) ** 2 / 3)
+        # the collection coll0 u is pi w0^2 z_R coll0 2 sin^2 a
+        # (1 + tan^2 a / 3), and F holds pi w0^2 z_R coll0.
+        s = s0 * np.cos(alpha) ** 2
+        weight = (2 * np.sin(alpha) ** 2 * (1 + np.tan(alpha) ** 2 / 3)
                   * w[:, None])
-        # detuning = (Gamma_hom / 2) tan theta on both signs of theta
-        detuning = lambda half: (half * np.tan(theta),
-                                 2 * half * w / np.cos(theta) ** 2)
+        # detuning = (Gamma_hom / 2) tan theta on both signs of theta, so
+        # x = tan theta, the Lorentzian is exactly cos^2 theta, and the
+        # detuning step over hom_linewidth0 (in F) is b w / cos^2 theta.
+        cos2 = np.cos(theta) ** 2
+        detuning = lambda b: (s * cos2, b * w / cos2)
     else:
         if intensity_fn is None:
             intensity_fn = partial(model.beam_intensity, geom=geom)
@@ -249,22 +252,21 @@ def _cloud(material: MaterialParams, geom: BeamGeometry, domain=None,
         i_sp, coll = (np.broadcast_to(np.asarray(fn(rr, zz), dtype=float),
                                       rr.shape)[:, :, None]
                       for fn in (intensity_fn, coll_fn))
-        weight = 2 * np.pi * dr * dz * coll * rr[:, :, None]
-        detuning = lambda half: (d, dd)
+        s = i_sp / material.sat_intensity
+        # 2 pi r dr dz coll over the pi w0^2 z_R coll0 in F
+        weight = (2 * rr[:, :, None] * dr / geom.waist**2 * dz / geom.rayleigh
+                  * coll / material.coll0)
+        g0 = material.hom_linewidth0
+        detuning = lambda b: (model.detuned_intensity(s, d, g0 * b), dd / g0)
 
     # Ionization couples to the full local intensity (its band is far too
     # broad for MHz-scale detuning to matter); only the optical transition
     # sees the detuning Lorentzian, with a linewidth power broadened by
     # the same local intensity.
-    g_ion = model.ionization_rate(i_sp, material.sigma_ion,
-                                  material.vac_wavelength)
-    g_hom = model.power_broadened_linewidth(i_sp, material)
-    delta, d_delta = detuning(g_hom / 2)
-    i_l = model.detuned_intensity(i_sp, delta, g_hom)
-    excited, k = model.steady_state(i_l, g_ion, material)
-    amp = material.fluor_rate * material.ion_density * weight * d_delta \
-        * excited
-    return domain, amp.reshape(-1), k.reshape(-1)
+    s_l, d_delta = detuning(model.power_broadened_linewidth(s))
+    excited, k = model.steady_state(s_l, s, rho)
+    amp = scale * (weight * d_delta * excited).reshape(-1)
+    return domain, amp, k.reshape(-1)
 
 
 def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
@@ -303,10 +305,14 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
 
 
 def scaled_signal(s_model, scale_a, background_b, power):
-    """Detected count rate A * S + B * P0 for each model-signal sample."""
+    """Detected count rate A * S + B * P0 for each model-signal sample,
+    each within +-1e100."""
     _check_within(1 / _MAX_MAGNITUDE, scale_a=scale_a)
     _check_within(0.0, background_b=background_b, power=power)
-    return scale_a * np.asarray(s_model, dtype=float) + background_b * power
+    counts = scale_a * np.asarray(s_model, dtype=float) + background_b * power
+    _check_within(**{"the counts A S + B P of scale_a, "
+                     "background_b_counts_per_w, --power-w": counts})
+    return counts
 
 
 def refine_until_converged(t_grid, material: MaterialParams,

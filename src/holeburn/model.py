@@ -9,17 +9,19 @@ efficiency live here as well, since every spatial point of the simulation
 is evaluated through these functions.  The crystal's constants,
 MaterialParams, are a scalar record in constants.py.
 
-All quantities are SI: W/m^2, Hz, m, s.
+Rates and beam are SI (W/m^2, Hz, m, s); `_groups` forms the run's SI
+products once, and per node the model takes saturation parameters I/I_sat.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import MaterialParams, photon_energy
-from .errors import _MAX_MAGNITUDE
+from .constants import _FOCUS_FWHM, MaterialParams, photon_energy
+from .errors import _MAX_MAGNITUDE, _check_within
 
 
 @dataclass(frozen=True)
@@ -31,17 +33,10 @@ class BeamGeometry:
     rayleigh: float
 
     def __post_init__(self):
-        if not self.waist > 0:
-            raise ValueError("waist must be positive")
-        if not self.rayleigh > 0:
-            raise ValueError("rayleigh must be positive")
-        # The bound is on the power, so the check itself cannot overflow.
-        power_max = _MAX_MAGNITUDE * np.pi * self.waist**2 / 2
-        if not 0 <= self.power <= power_max:
-            raise ValueError(f"power must be nonnegative and at most "
-                             f"{power_max:g} W, where the peak intensity at "
-                             f"this focus_fwhm stays within "
-                             f"{_MAX_MAGNITUDE:g} W/m^2, got {self.power!r}")
+        _check_within(0.0, power=self.power)
+        if not (self.waist > 0 and self.rayleigh > 0):
+            raise ValueError("waist and rayleigh (of focus_fwhm_m, "
+                             "vac_wavelength_m, refr_index) must be positive")
 
     @classmethod
     def from_focus(cls, power, focus_fwhm, vac_wavelength, refr_index):
@@ -50,23 +45,14 @@ class BeamGeometry:
         waist = FWHM/sqrt(2 ln 2) and the Rayleigh length uses the
         wavelength inside the medium, vac_wavelength/refr_index.
         """
-        # w0^2, z_R = pi w0^2 / medium and the focal volume pi w0^2 z_R
-        # stay within _MAX_MAGNITUDE, and w0^2 a normal float; the bound is
-        # on the focus, so the check itself cannot overflow.
-        lim, medium = _MAX_MAGNITUDE, vac_wavelength / refr_index
-        w2_max = min(lim, lim * medium / np.pi, np.sqrt(lim * medium) / np.pi)
-        focus_max = np.sqrt(2 * np.log(2) * w2_max)
-        if not 1 / lim <= focus_fwhm <= focus_max:
-            raise ValueError(f"focus_fwhm must be in [{1 / lim:g}, "
-                             f"{focus_max:g}] m, where the waist squared, the "
-                             f"Rayleigh length and the focal volume stay "
-                             f"normal floats, got {focus_fwhm!r}")
-        waist = focus_fwhm / np.sqrt(2 * np.log(2))
-        rayleigh = np.pi * waist**2 / medium
+        _check_within(1 / _MAX_MAGNITUDE, focus_fwhm=focus_fwhm)
+        waist = focus_fwhm / math.sqrt(2 * math.log(2))
+        rayleigh = math.pi * waist**2 / (vac_wavelength / refr_index)
         return cls(power=power, waist=waist, rayleigh=rayleigh)
 
     @classmethod
-    def for_material(cls, material: MaterialParams, power, focus_fwhm=1e-6):
+    def for_material(cls, material: MaterialParams, power,
+                     focus_fwhm=_FOCUS_FWHM):
         return cls.from_focus(power, focus_fwhm, material.vac_wavelength,
                               material.refr_index)
 
@@ -76,17 +62,50 @@ class BeamGeometry:
         return 2 * self.power / (np.pi * self.waist**2)
 
 
-def saturation_ratio(i_exc, i_sat):
-    """Steady-state ground/excited population ratio, 1 + 2 I_sat / I_exc.
+def _product(*factors):
+    """Product of nonnegative floats, kept as mantissa and exponent so no
+    partial product overflows; inf where the product itself does."""
+    mantissa, exponent = 1.0, 0
+    for m, e in map(math.frexp, factors):
+        mantissa, carry = math.frexp(mantissa * m)
+        exponent += e + carry
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
 
-    Zero excitation has no finite ratio; such points are dark and must be
-    handled by the caller instead of being fed through this formula.
+
+# The config keys the signal scale F is formed from.
+_F_KEYS = ("fluor_rate_per_s, ion_density_per_m3_per_hz, coll0, "
+           "hom_linewidth0_hz, focus_fwhm_m, vac_wavelength_m, refr_index")
+
+
+def _groups(material: MaterialParams, geom: BeamGeometry):
+    """(s0, rho, F): the run's groups, each checked once, as is F s0.
+
+    s0 = I0 / I_sat.  rho = Gamma_spon / Gamma_ion(I_sat), so the ionized
+    share is q = s / (s + rho) and rho = 0 at g_ratio = 0.  F = fluor_rate
+    ion_density coll0 pi w0^2 z_R hom_linewidth0 [1/s] scales S(t), which
+    on the infinite-limit rule stays below (pi^2 / 16) F s0.  No step
+    before a check overflows, and each check names the config keys and
+    flags its group is formed from.  F may underflow towards 0, which
+    gives a signal that underflows with it.
     """
-    if np.any(np.asarray(i_sat) <= 0):
-        raise ValueError("i_sat must be positive")
-    if np.any(np.asarray(i_exc) <= 0):
-        raise ValueError("unexcited point: i_exc must be positive")
-    return 1 + 2 * i_sat / i_exc
+    s0 = geom.peak_intensity / material.sat_intensity
+    rho = material.gamma_rec_spon / ionization_rate(
+        material.sat_intensity, material.sigma_ion, material.vac_wavelength)
+    f = _product(material.fluor_rate, material.ion_density, material.coll0,
+                 np.pi, geom.waist, geom.waist, geom.rayleigh,
+                 material.hom_linewidth0)
+    _check_within(0.0, **{
+        "the saturation parameter s0 of --power-w, focus_fwhm_m, "
+        "sat_intensity_w_per_m2": s0,
+        "the rate ratio rho of sigma_rec_m2, photoioniz_fwhm_hz, g_ratio, "
+        "vac_wavelength_m, sigma_ion_m2, sat_intensity_w_per_m2": rho,
+        f"the signal scale F of {_F_KEYS}": f})
+    _check_within(0.0, **{f"the signal bound F s0 of {_F_KEYS}, --power-w, "
+                          f"sat_intensity_w_per_m2": f * s0})
+    return s0, rho, f
 
 
 def ionization_rate(intensity, sigma_ion, wavelength):
@@ -101,62 +120,32 @@ def spont_recombination_rate(sigma_rec, delta_f, lambda_deex, g_ratio=1.0):
 
     Uses the frequency-integrated cross section sigma_rec * 2 pi * delta_f
     and a radiative-decay assumption at the deexcitation wavelength:
-    4 sigma_0 / lambda^2 times the degeneracy ratio.
+    4 sigma_0 / lambda^2 times the degeneracy ratio (first, so that
+    g_ratio = 0 gives 0 however large the rest).
     """
     if sigma_rec <= 0 or delta_f <= 0 or lambda_deex <= 0:
         raise ValueError("sigma_rec, delta_f and lambda_deex must be positive")
     if g_ratio < 0:
         raise ValueError("g_ratio must be nonnegative")
     sigma0 = sigma_rec * 2 * np.pi * delta_f
-    return 4 * sigma0 / lambda_deex**2 * g_ratio
+    return g_ratio * sigma0 * 4 / lambda_deex**2
 
 
-def r2_from_rates(gamma_ion, gamma_rec_spon):
-    """Excited/conduction-band population ratio 1 + spon/ion.
-
-    gamma_ion = 0 means no conduction-band coupling at all; callers should
-    treat such points as k = 0 rather than requesting this ratio.
-    """
-    if gamma_ion < 0 or gamma_rec_spon < 0:
-        raise ValueError("rates must be nonnegative")
-    if gamma_ion == 0:
-        raise ValueError("no conduction-band coupling: gamma_ion is zero")
-    return 1 + gamma_rec_spon / gamma_ion
-
-
-def steady_state_fractions(r1, r2):
-    """Conduction-band fraction k = 1 / (r1 r2 + r2 + 1) of untrapped ions."""
-    if np.any(np.asarray(r1) < 1) or np.any(np.asarray(r2) < 1):
-        raise ValueError("population ratios cannot be below 1")
-    return 1.0 / (r1 * r2 + r2 + 1)
-
-
-def steady_state(i_l, g_ion, material: MaterialParams):
+def steady_state(s_l, s, rho):
     """(excited, k): excited-state and conduction-band fractions r2 k and k.
 
-    i_l is the detuned excitation intensity and g_ion the ionization rate
-    of the full local intensity; they broadcast against each other.  This
-    is the steady state of `saturation_ratio`, `r2_from_rates` and
-    `steady_state_fractions` in a form that stays finite for zero
-    intensity: with q = Gamma_ion / (Gamma_ion + Gamma_spon),
-    excited = I_L / (2 (I_L + I_sat) + q I_L) and k = q excited, which
-    reduce to the two-level steady state with k = 0 when the
-    conduction-band coupling vanishes.  (The ratio functions raise there,
-    and wide integration domains underflow the Gaussian envelope to
-    exactly 0.)  Where both rates are 0, I_L is 0 too and q = 1 stands in
-    for 0/0.
+    s_l = I_L / I_sat of the detuned excitation and s = I / I_sat of the
+    full local intensity, which alone ionizes, broadcast together.  With
+    `_groups`'s rho, q = s / (s + rho) = Gamma_ion / (Gamma_ion + Gamma_spon),
+    excited = s_L / (2 (s_L + 1) + q s_L) and k = q excited: the chain
+    r1 = 1 + 2 / s_L, r2 = 1 + rho / s, k = 1 / (r1 r2 + r2 + 1), finite at
+    zero intensity (where the envelope underflows) and where s and rho are
+    both 0, with q = 1 for 0/0.
     """
-    rates = np.asarray(g_ion + material.gamma_rec_spon, dtype=float)
-    q = np.divide(g_ion, rates, out=np.ones_like(rates), where=rates > 0)
-    excited = i_l / (2 * (i_l + material.sat_intensity) + q * i_l)
+    rates = np.asarray(s + rho, dtype=float)
+    q = np.divide(s, rates, out=np.ones_like(rates), where=rates > 0)
+    excited = s_l / (2 * (s_l + 1) + q * s_l)
     return excited, q * excited
-
-
-def excited_population(t, n_total, r2, k, gamma_trap):
-    """Excited-state population density r2 k N exp(-gamma_trap k t)."""
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("t must be nonnegative")
-    return r2 * k * n_total * np.exp(-gamma_trap * k * np.asarray(t, dtype=float))
 
 
 def beam_radius(z, geom: BeamGeometry):
@@ -165,29 +154,27 @@ def beam_radius(z, geom: BeamGeometry):
 
 
 def beam_intensity(r, z, geom: BeamGeometry):
-    """Gaussian-beam intensity at cylindrical position (r, z) [W/m^2]."""
-    w = beam_radius(z, geom)
-    return geom.peak_intensity * (geom.waist / w) ** 2 * np.exp(
-        -2 * np.asarray(r, dtype=float) ** 2 / w**2)
+    """Gaussian-beam intensity at cylindrical position (r, z) [W/m^2]: the
+    peak times the envelope, which is the collection at coll0 = 1."""
+    return geom.peak_intensity * collection_efficiency(r, z, geom, 1.0)
 
 
-def power_broadened_linewidth(i_exc, params: MaterialParams):
-    """Homogeneous linewidth broadened by saturation, Gamma0 sqrt(1 + I/I_sat)."""
-    if np.any(np.asarray(i_exc) < 0):
-        raise ValueError("i_exc must be nonnegative")
-    return params.hom_linewidth0 * np.sqrt(1 + np.asarray(i_exc, dtype=float)
-                                           / params.sat_intensity)
+def power_broadened_linewidth(s):
+    """Homogeneous linewidth over hom_linewidth0, sqrt(1 + s), at
+    saturation parameter s = I / I_sat."""
+    if np.any(np.asarray(s) < 0):
+        raise ValueError("s must be nonnegative")
+    return np.sqrt(1 + np.asarray(s, dtype=float))
 
 
 def detuned_intensity(i_exc, delta, gamma_hom):
-    """Effective excitation intensity of an ion detuned by delta.
-
-    Applies the Lorentzian factor (G/2)^2 / (delta^2 + (G/2)^2).
-    """
+    """Effective excitation intensity of an ion detuned by delta: the
+    Lorentzian factor 1 / (1 + x^2), x = delta / (G/2), which cannot
+    overflow."""
     if np.any(np.asarray(gamma_hom) <= 0):
         raise ValueError("gamma_hom must be positive")
     half = np.asarray(gamma_hom, dtype=float) / 2
-    return i_exc * half**2 / (np.asarray(delta, dtype=float) ** 2 + half**2)
+    return i_exc / (1 + (np.asarray(delta, dtype=float) / half) ** 2)
 
 
 def collection_efficiency(r, z, geom: BeamGeometry, coll0):

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .constants import _FOCUS_FWHM
 from .csvio import DecayCurve
 from .errors import _MAX_MAGNITUDE, _check_within
 from .fitting import exp_decay, lorentzian_hole
@@ -25,6 +26,9 @@ from .model import BeamGeometry, MaterialParams
 from .pipeline import RawScan
 
 _NOISE_KINDS = ("none", "poisson", "gaussian")
+
+# The largest mean numpy's Poisson sampler takes (about 9.2e18).
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,10 @@ def apply_noise(values, noise: NoiseSpec, stream: int = 0) -> np.ndarray:
         return values.copy()
     rng = np.random.default_rng([noise.seed, stream])
     if noise.kind == "poisson":
-        if np.any(values < 0):
-            raise ValueError("poisson noise requires nonnegative values")
+        if not np.all((values >= 0) & (values <= _POISSON_MAX)):
+            raise ValueError(f"--noise poisson takes means in [0, "
+                             f"{_POISSON_MAX:.4g}], got {values.min():g} to "
+                             f"{values.max():g}")
         return rng.poisson(values).astype(float)
     return values + rng.normal(0.0, noise.gaussian_sigma, size=values.shape)
 
@@ -75,7 +81,7 @@ def gen_decay_batch(material: MaterialParams, gamma_trap: float,
                     scale_a: float, background_b: float,
                     powers: Sequence[float], t_grid,
                     noise: NoiseSpec = NoiseSpec(),
-                    focus_fwhm: float = 1e-6,
+                    focus_fwhm: float = _FOCUS_FWHM,
                     domain=None,
                     refine_tol: float = 0.0) -> list:
     """Simulate one decay curve per power, each on its own noise stream.

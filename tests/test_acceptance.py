@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import holeburn as hb
+from oracles import r2_from_rates, saturation_ratio, steady_state_fractions
 
 REF_GAMMA_TRAP = 7e4
 REF_SCALE_A = 0.19
@@ -95,11 +96,11 @@ class TestCriterion2FlatBeamOracle:
             t, material, geom, REF_GAMMA_TRAP, domain,
             intensity_fn=lambda r, z: np.full_like(r, intensity),
             coll_fn=lambda r, z: np.full_like(r, coll))
-        r1 = hb.saturation_ratio(intensity, material.sat_intensity)
+        r1 = saturation_ratio(intensity, material.sat_intensity)
         g_ion = hb.ionization_rate(intensity, material.sigma_ion,
                                    material.vac_wavelength)
-        r2 = hb.r2_from_rates(g_ion, material.gamma_rec_spon)
-        k = hb.steady_state_fractions(r1, r2)
+        r2 = r2_from_rates(g_ion, material.gamma_rec_spon)
+        k = steady_state_fractions(r1, r2)
         volume = np.pi * domain.r_max**2 * 2 * domain.z_halfwidth
         oracle = (volume * 2 * domain.delta_halfwidth * material.fluor_rate
                   * r2 * k * material.ion_density * coll

@@ -19,11 +19,16 @@ config key is set, one per run, to each of those values and to the edges
 of the range that bounds the config's numbers, and `simulate`,
 `gen decay`, `fit trap` and `zeeman` must end on exit 0, 2, 3 or 4.  An
 exit 2 names the key or the field it sets and writes no file; an exit 0
-writes only finite numbers.
-All three sweeps run in process, with numpy's warnings as errors.
+writes only finite numbers.  The model multiplies these numbers, so a
+cross sweep sets every pair of the multiplying keys and the power to
+1e100 and 1e-100 together: `simulate` and `gen decay` must end on exit
+0, 2, 3 or 4, an exit 2 must name one of the pair and write no file, and
+an exit 0 must write only finite cells within +-1e100.
+All four sweeps run in process, with numpy's warnings as errors.
 """
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -34,7 +39,7 @@ import pytest
 import holeburn as hb
 from holeburn import csvio, synth
 from holeburn.cli import build_parser, main
-from holeburn.config import _SCHEMA
+from holeburn.config import _SCHEMA, load_config
 
 CELL_VALUES = {"nan": "nan", "inf": "inf", "-inf": "-inf", "big": "1e308",
                "-big": "-1e308", "subnormal": "5e-324", "text": "abc",
@@ -322,3 +327,99 @@ def test_every_extreme_config_key_ends_on_a_contract_code(tmp_path, capsys):
             broken.append(f"{case}: exit 0 wrote a non-finite number")
     assert not broken, (f"{len(broken)} of {len(cases)} runs broke the "
                         "contract:\n" + "\n".join(broken))
+
+
+def multiplying_keys(tmp_path):
+    """(section, key, field) of every key of [material], [beam] and
+    [scale] that loads at both 1e100 and 1e-100 (all but coll0, a
+    fraction), and ("", "--power-w", "power") for the power flag."""
+    keys, config = [], tmp_path / "probe.ini"
+    for section in ("material", "beam", "scale"):
+        for key, (target, _) in _SCHEMA[section].items():
+            try:
+                for value in ("1e100", "1e-100"):
+                    config.write_text(f"[{section}]\n{key} = {value}\n")
+                    load_config(config)
+            except ValueError:
+                continue
+            keys.append((section, key, target.rpartition(".")[2]))
+    return keys + [("", "--power-w", "power")]
+
+
+CROSS_JOBS = {"simulate": CONFIG_JOBS["simulate"],
+              "gen-decay": CONFIG_JOBS["gen-decay"]}
+
+
+def test_every_pair_of_extreme_keys_ends_on_a_contract_code(tmp_path,
+                                                            capsys):
+    keys = multiplying_keys(tmp_path)
+    cases = [(job, pair, values) for job in CROSS_JOBS
+             for pair in itertools.combinations(keys, 2)
+             for values in itertools.product(("1e100", "1e-100"), repeat=2)]
+    broken = []
+    for run, (job, pair, values) in enumerate(cases):
+        config, sections, flags = tmp_path / f"run{run}.ini", {}, []
+        for (section, key, _), value in zip(pair, values):
+            if section:
+                sections.setdefault(section, []).append(f"{key} = {value}")
+            else:
+                flags += [key, value]
+        config.write_text("".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                                  for section, lines in sections.items()))
+        out = tmp_path / f"run{run}.csv"
+        case = f"{job} with " + ", ".join(
+            f"{key} = {value}" for (_, key, _), value in zip(pair, values))
+        try:
+            code = main(["--config", str(config), *CROSS_JOBS[job], *flags,
+                         "--out", str(out)])
+        except Exception as exc:  # a traceback or a numpy warning
+            capsys.readouterr()
+            broken.append(f"{case}: {type(exc).__name__}: {exc}")
+            continue
+        err = capsys.readouterr().err
+        names = [name for _, key, field in pair for name in (key, field)]
+        if code not in CONTRACT_CODES:
+            broken.append(f"{case}: exit {code}")
+        elif code == 2 and out.exists():
+            broken.append(f"{case}: exit 2 wrote {out.name}")
+        elif code == 2 and not any(name in err for name in names):
+            broken.append(f"{case}: exit 2 naming neither: {err!r}")
+        elif code == 0 and not all(abs(v) <= 1e100 for v in
+                                   map(float, written_cells(out))):
+            broken.append(f"{case}: exit 0 wrote a cell beyond 1e100 or "
+                          f"not finite")
+    assert not broken, (f"{len(broken)} of {len(cases)} runs broke the "
+                        "contract:\n" + "\n".join(broken))
+
+
+@pytest.mark.parametrize("config, flags", [
+    ("[material]\nion_density_per_m3_per_hz = 1e100\nfluor_rate_per_s = 1e100"
+     "\nhom_linewidth0_hz = 1e100\n[scale]\nscale_a = 1e100\n", []),
+    ("[material]\nhom_linewidth0_hz = 1e100\n", ["--power-w", "1e80"]),
+], ids=["four-keys-1e100", "linewidth-1e100-power-1e80"])
+@pytest.mark.parametrize("job", ["simulate", "gen-decay"])
+def test_products_past_the_range_exit_2_naming_their_keys(tmp_path, capsys,
+                                                          config, flags, job):
+    # each key lies in its range, but their product does not
+    path, out = tmp_path / "run.ini", tmp_path / "out.csv"
+    path.write_text(config)
+    assert main(["--config", str(path), *CROSS_JOBS[job], *flags,
+                 "--out", str(out)]) == 2
+    assert "hom_linewidth0_hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, job", [
+    ("[scale]\nscale_a = 1e90\n",
+     ["gen", "decay", "--n-t", "5", "--tol", "0", "--noise", "poisson"]),
+    ("", ["gen", "holescan", "--n-points", "300", "--aom-off", "0:30",
+          "--baseline", "1e30", "--noise", "poisson"]),
+], ids=["gen-decay", "gen-holescan"])
+def test_poisson_mean_past_numpys_limit_exits_2(tmp_path, capsys, config,
+                                                job):
+    # numpy draws no Poisson count of mean above about 9.2e18
+    path, out = tmp_path / "run.ini", tmp_path / "out.csv"
+    path.write_text(config)
+    assert main(["--config", str(path), *job, "--out", str(out)]) == 2
+    assert "--noise poisson" in capsys.readouterr().err
+    assert not out.exists()

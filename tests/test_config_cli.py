@@ -473,19 +473,21 @@ class TestCli:
         _, fields, _ = csvio.read_xy(out, "delta_f_hz", "b_ground_total_t")
         assert fields == [1e200]
 
-    @pytest.mark.parametrize("job", [
-        ["simulate", "--gamma-trap", "nan"],
-        ["simulate", "--tol", "nan"],
-        ["simulate", "--power-w", "nan"],
-        ["gen", "decay", "--tol", "nan"],
-        ["gen", "decay", "--tol", "-1"],
+    @pytest.mark.parametrize("job, message", [
+        (["simulate", "--gamma-trap", "nan"], "must be nonnegative"),
+        (["simulate", "--tol", "nan"], "must be nonnegative"),
+        # the power passes the range rule, "must be in [0, 1e+100]"
+        (["simulate", "--power-w", "nan"], "must be in [0, "),
+        (["gen", "decay", "--tol", "nan"], "must be nonnegative"),
+        (["gen", "decay", "--tol", "-1"], "must be nonnegative"),
     ], ids=["simulate-gamma-trap-nan", "simulate-tol-nan",
             "simulate-power-nan", "gen-tol-nan", "gen-tol-negative"])
-    def test_invalid_number_flag_exit_2(self, tmp_path, capsys, job):
+    def test_invalid_number_flag_exit_2(self, tmp_path, capsys, job,
+                                        message):
         code = main([*job, "--t-end", "2", "--n-t", "2",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "must be nonnegative" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("job", [
         ["zeeman", "--delta-f", "nan,1e6"],
@@ -788,19 +790,41 @@ class TestCli:
         assert "no resolvable decay" in json.loads(report.read_text())["error"]
         assert "no resolvable decay" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", [
+        "fluor_rate_per_s", "ion_density_per_m3_per_hz", "hom_linewidth0_hz"])
+    @pytest.mark.parametrize("job", [["simulate"], ["gen", "decay"]])
+    def test_tiny_signal_scale_runs(self, tmp_path, key, job):
+        # F is held to [0, 1e100]: at 1e-100 the signal underflows with it
+        # and the counts are the background B P
+        path = tmp_path / "tiny.ini"
+        path.write_text(f"[material]\n{key} = 1e-100\n")
+        out = tmp_path / "out.csv"
+        assert main(["--config", str(path), *job, "--n-t", "5", "--tol", "0",
+                     "--out", str(out)]) == 0
+        _, counts, _ = csvio.read_xy(out, "time_s", "scaled_counts_per_s"
+                                     if job == ["simulate"]
+                                     else "counts_per_s")
+        assert counts == pytest.approx([9.4e7 * 20e-6] * 5, rel=1e-12)
+
     @pytest.mark.parametrize("key, value", [
-        ("g_ratio", "1e100"), ("sigma_rec_m2", "1e100")])
+        ("g_ratio", "1e95"), ("sigma_rec_m2", "1e75")])
     def test_fit_trap_vanishing_cloud_rates_exit_4(self, tmp_path, capsys,
-                                                   job_inputs, key, value):
-        # the cloud's rates per unit gamma nearly vanish: resolving the
-        # decay would take gamma past its 1e100 cap.  Constants beyond
-        # their range (sigma_ion_m2 = 1e-320, g_ratio = 1e300), whose
-        # exp(log gamma) overflowed, now exit 2 at load: see the config
-        # sweep in test_cli_contract.py
+                                                   key, value):
+        # the cloud's rates per unit gamma nearly vanish: at 10 nW, with
+        # the rate ratio rho near its 1e100 limit, resolving the decay
+        # would take gamma past its 1e100 cap.  Constants beyond their
+        # range (sigma_ion_m2 = 1e-320, g_ratio = 1e300), whose
+        # exp(log gamma) overflowed, now exit 2 at load, and a rho past
+        # 1e100 (g_ratio = 1e100) exits 2 naming it: see the config
+        # sweeps in test_cli_contract.py
+        curve = str(tmp_path / "curve.csv")
+        assert main(["gen", "decay", "--power-w", "1e-8", "--t-end", "100",
+                     "--n-t", "21", "--tol", "0", "--noise", "poisson",
+                     "--seed", "5", "--out", curve]) == 0
         path = tmp_path / "rates.ini"
         path.write_text(f"[material]\n{key} = {value}\n")
         report = tmp_path / "trap.json"
-        assert main(["--config", str(path), "fit", "trap", job_inputs[0],
+        assert main(["--config", str(path), "fit", "trap", curve,
                      "--out", str(report)]) == 4
         data = json.loads(report.read_text())
         assert "no resolvable decay" in data["error"]

@@ -1188,6 +1188,21 @@ class TestTrapFit:
                            match=rf"curve 0 \(2e-05 W\): .*{message}"):
             hb.fit_trap_model(curves, material, domain=fast_domain)
 
+    @pytest.mark.parametrize("constants", [
+        {"coll0": 1e-320},
+        {"fluor_rate": 1e-100, "ion_density": 1e-100},
+        {"fluor_rate": 1e-100},
+    ], ids=["subnormal-coll0", "two-keys-tiny", "fluor-tiny"])
+    def test_model_signal_below_range_named(self, two_curve_batch,
+                                            fast_domain, constants):
+        # the fit squares its model as it squares the data; below 1e-100
+        # every A came out 0 (or past 1e100) and gamma stayed at its seed
+        material = hb.MaterialParams(**constants)
+        with pytest.raises(ValueError, match=r"curve 0 \(8e-06 W\): the "
+                           r"model signal S\(0\) of fluor_rate_per_s.*must "
+                           r"be in \[1e-100, 1e\+100\]"):
+            hb.fit_trap_model(two_curve_batch, material, domain=fast_domain)
+
     def test_missing_power_rejected(self, material, fast_domain):
         t = np.linspace(0, 10, 11)
         y = np.linspace(5, 1, 11)

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ import holeburn as hb
 from holeburn import integrator
 from holeburn.csvio import write_signal_csv
 from holeburn.integrator import TrapDecayModel
+from oracles import (excited_population, r2_from_rates, saturation_ratio,
+                     steady_state_fractions)
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +37,11 @@ def flat_profiles(value, coll_value):
 
 def flat_beam_oracle(material, intensity, coll, domain, gamma_trap, t):
     """Closed-form signal for a uniform box: V * f0 * R2 * k * N * coll * exp."""
-    r1 = hb.saturation_ratio(intensity, material.sat_intensity)
+    r1 = saturation_ratio(intensity, material.sat_intensity)
     g_ion = hb.ionization_rate(intensity, material.sigma_ion,
                                material.vac_wavelength)
-    r2 = hb.r2_from_rates(g_ion, material.gamma_rec_spon)
-    k = hb.steady_state_fractions(r1, r2)
+    r2 = r2_from_rates(g_ion, material.gamma_rec_spon)
+    k = steady_state_fractions(r1, r2)
     volume = np.pi * domain.r_max**2 * 2 * domain.z_halfwidth
     bandwidth = 2 * domain.delta_halfwidth
     return (volume * bandwidth * material.fluor_rate * r2 * k
@@ -123,21 +127,22 @@ class TestLevelSetRule:
         r = rho[:, None, None] * w_z
         i_sp = hb.beam_intensity(r, z, geom)
         coll = hb.collection_efficiency(r, z, geom, material.coll0)
-        ghom = hb.power_broadened_linewidth(i_sp, material)
+        ghom = material.hom_linewidth0 * hb.power_broadened_linewidth(
+            i_sp / material.sat_intensity)
         delta = ghom / 2 * np.tan(theta)
         i_l = hb.detuned_intensity(i_sp, delta, ghom)
         g_ion = hb.ionization_rate(i_sp, material.sigma_ion,
                                    material.vac_wavelength)
         r2 = 1 + material.gamma_rec_spon / g_ion
-        k = hb.steady_state_fractions(
-            hb.saturation_ratio(i_l, material.sat_intensity), r2)
+        k = steady_state_fractions(
+            saturation_ratio(i_l, material.sat_intensity), r2)
         # dr dz dDelta, with both signs of z and of the detuning
         weight = (4 * w_z * w_rho[:, None, None]
                   * (geom.rayleigh * w_phi / np.cos(phi) ** 2)[None, :, None]
                   * ghom / 2 * w_theta / np.cos(theta) ** 2)
         oracle = [np.sum(weight * 2 * np.pi * r * coll * material.fluor_rate
-                         * hb.excited_population(tj, material.ion_density,
-                                                 r2, k, gamma_trap))
+                         * excited_population(tj, material.ion_density,
+                                              r2, k, gamma_trap))
                   for tj in t]
         rule = hb.detected_signal(t, material, geom, gamma_trap,
                                   hb.LevelSetRule())
@@ -289,18 +294,19 @@ class TestDetectedSignal:
         for zi, wzi in zip(z, wz):
             i_sp = hb.beam_intensity(r, zi, geom)
             coll = hb.collection_efficiency(r, zi, geom, material.coll0)
-            ghom = hb.power_broadened_linewidth(i_sp, material)
+            ghom = material.hom_linewidth0 * hb.power_broadened_linewidth(
+                i_sp / material.sat_intensity)
             g_ion = hb.ionization_rate(i_sp, material.sigma_ion,
                                        material.vac_wavelength)
             r2 = 1 + material.gamma_rec_spon / g_ion
             i_l = hb.detuned_intensity(i_sp[:, None], d[None, :],
                                        ghom[:, None])
-            r1 = hb.saturation_ratio(i_l, material.sat_intensity)
-            k = hb.steady_state_fractions(r1, r2[:, None])
+            r1 = saturation_ratio(i_l, material.sat_intensity)
+            k = steady_state_fractions(r1, r2[:, None])
             weight = wzi * (wr * r)[:, None] * wd[None, :]
             for j, tj in enumerate(t):
-                n5d = hb.excited_population(tj, material.ion_density,
-                                            r2[:, None], k, gamma_trap)
+                n5d = excited_population(tj, material.ion_density,
+                                         r2[:, None], k, gamma_trap)
                 total[j] += np.sum(weight * material.fluor_rate * n5d
                                    * coll[:, None])
         total *= 2 * np.pi
@@ -378,19 +384,62 @@ class TestDetectedSignal:
         for i in range(domain.n_points):
             i_sp = hb.beam_intensity(rr[i], zz[i], geom)
             i_l = hb.detuned_intensity(
-                i_sp, delta[i], hb.power_broadened_linewidth(i_sp, material))
-            r1 = hb.saturation_ratio(i_l, material.sat_intensity)
-            r2 = hb.r2_from_rates(
+                i_sp, delta[i], material.hom_linewidth0
+                * hb.power_broadened_linewidth(i_sp / material.sat_intensity))
+            r1 = saturation_ratio(i_l, material.sat_intensity)
+            r2 = r2_from_rates(
                 hb.ionization_rate(i_sp, material.sigma_ion,
                                    material.vac_wavelength),
                 material.gamma_rec_spon)
-            k_chain = hb.steady_state_fractions(r1, r2)
+            k_chain = steady_state_fractions(r1, r2)
             amp_chain = (material.fluor_rate * material.ion_density * r2
                          * k_chain * hb.collection_efficiency(
                              rr[i], zz[i], geom, material.coll0)
                          * 2 * np.pi * rr[i] * dr * dz * dd)
             assert k[i] == pytest.approx(k_chain, rel=1e-12)
             assert amp[i] == pytest.approx(amp_chain, rel=1e-12)
+
+
+# What names a group in `model._groups`'s range errors.
+GROUP_NAME = re.compile(r"saturation parameter s0|rate ratio rho|"
+                        r"signal scale F|signal bound F s0")
+SCALED_KEYS = ["fluor_rate", "ion_density", "hom_linewidth0"]
+
+
+class TestGroups:
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(SCALED_KEYS),
+           exponents=st.tuples(*3 * [st.integers(-332, 332)]),
+           target=st.integers(-332, 332))
+    def test_signal_scales_by_powers_of_two(self, geom, key, exponents,
+                                            target):
+        """Setting fluor_rate, ion_density or hom_linewidth0, each 2^e
+        within [1e-100, 1e100], scales S(t) by 2^k bit for bit, or the run
+        is refused naming a group; no value leaves [0, 1e100].  A signal
+        whose node amplitudes underflow below the normal floats cannot
+        scale exactly and is only held to the range: each node carries
+        more than 2^-64 of S here, so above 2^64 times the smallest normal
+        float every amplitude is normal."""
+        base = hb.MaterialParams(**{name: 2.0**e for name, e
+                                    in zip(SCALED_KEYS, exponents)})
+        scaled = replace(base, **{key: 2.0**target})
+        k = target - exponents[SCALED_KEYS.index(key)]
+        t = np.array([0.0, 2.0, 30.0, 200.0])
+        results = []
+        for material in (base, scaled):
+            try:
+                values = hb.detected_signal(t, material, geom, 7e4,
+                                            hb.LevelSetRule()).values
+            except ValueError as err:
+                assert GROUP_NAME.search(str(err)), str(err)
+                continue
+            assert np.all((values >= 0) & (values <= 1e100))
+            results.append(values)
+        normal = [np.all(v >= np.ldexp(np.finfo(float).tiny, 64))
+                  for v in results]
+        if len(results) == 2 and all(normal):
+            np.testing.assert_array_equal(results[1],
+                                          np.ldexp(results[0], k))
 
 
 def naive_decay_sum(t, rate, amp):

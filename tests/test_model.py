@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holeburn import model
 from holeburn import (BeamGeometry, MaterialParams, beam_intensity,
                       beam_radius, collection_efficiency, detuned_intensity,
-                      excited_population, ionization_rate,
-                      power_broadened_linewidth, r2_from_rates,
-                      saturation_ratio, spont_recombination_rate,
-                      steady_state, steady_state_fractions)
+                      ionization_rate, power_broadened_linewidth,
+                      spont_recombination_rate, steady_state)
+from oracles import (excited_population, r2_from_rates, saturation_ratio,
+                     steady_state_fractions)
 
 
 @pytest.fixture
@@ -44,6 +47,40 @@ class TestParameterRecords:
     def test_from_focus_rejects_bad_fwhm(self, material, fwhm):
         with pytest.raises(ValueError, match="focus_fwhm"):
             BeamGeometry.for_material(material, power=20e-6, focus_fwhm=fwhm)
+
+
+class TestGroups:
+    def test_default_values(self, material, geom):
+        s0, rho, f = model._groups(material, geom)
+        assert s0 == geom.peak_intensity / material.sat_intensity
+        assert rho == pytest.approx(material.gamma_rec_spon / ionization_rate(
+            material.sat_intensity, material.sigma_ion,
+            material.vac_wavelength), rel=1e-15)
+        assert f == pytest.approx(
+            material.fluor_rate * material.ion_density * material.coll0
+            * np.pi * geom.waist**2 * geom.rayleigh * material.hom_linewidth0,
+            rel=1e-15)
+
+    def test_finite_without_recombination_or_power(self):
+        material = MaterialParams(g_ratio=0.0)
+        s0, rho, f = model._groups(
+            material, BeamGeometry.for_material(material, power=0.0))
+        assert (s0, rho) == (0.0, 0.0) and 0 < f < math.inf
+
+    def test_product_out_of_range_names_its_keys(self):
+        material = MaterialParams(fluor_rate=1e100, ion_density=1e100)
+        with pytest.raises(ValueError, match="signal scale F .*"
+                           "ion_density_per_m3_per_hz.*got 1.59"):
+            model._groups(material, BeamGeometry.for_material(material, 2e-5))
+
+    def test_product_has_no_intermediate_overflow(self):
+        assert model._product(1e200, 1e200, 1e-300) == pytest.approx(
+            1e100, rel=1e-15)
+        assert model._product(1e-200, 1e-200, 1e300) == pytest.approx(
+            1e-100, rel=1e-15)
+        assert model._product(1e300, 1e300) == math.inf
+        assert model._product(0.0, 1e300, 1e300) == 0.0
+        assert model._product(3.0, 7.0, 0.1) == 3.0 * 7.0 * 0.1
 
 
 class TestSaturationRatio:
@@ -129,7 +166,12 @@ class TestSteadyState:
         r2 = r2_from_rates(g_ion, material.gamma_rec_spon)
         k = steady_state_fractions(
             saturation_ratio(i_l, material.sat_intensity), r2)
-        excited, k_q = steady_state(i_l, g_ion, material)
+        # s = I / I_sat = g_ion / Gamma_ion(I_sat); rho over the same rate
+        at_sat = ionization_rate(material.sat_intensity, material.sigma_ion,
+                                 material.vac_wavelength)
+        excited, k_q = steady_state(i_l / material.sat_intensity,
+                                    g_ion / at_sat,
+                                    material.gamma_rec_spon / at_sat)
         assert excited == pytest.approx(r2 * k, rel=1e-12)
         assert k_q == pytest.approx(k, rel=1e-12)
 
@@ -138,8 +180,11 @@ class TestSteadyState:
     def test_steady_state_dark_point(self, g_ion, g_ratio):
         # zero intensity, also with both rates zero (q = 0/0)
         material = MaterialParams(g_ratio=g_ratio)
-        excited, k = steady_state(np.array([0.0, 1e7]),
-                                  np.array([g_ion, g_ion]), material)
+        at_sat = ionization_rate(material.sat_intensity, material.sigma_ion,
+                                 material.vac_wavelength)
+        s_l = np.array([0.0, 1e7]) / material.sat_intensity
+        excited, k = steady_state(s_l, np.array([g_ion, g_ion]) / at_sat,
+                                  material.gamma_rec_spon / at_sat)
         assert np.all(np.isfinite([excited, k]))
         assert (excited[0], k[0]) == (0.0, 0.0)
         assert excited[1] > 0 and k[1] >= 0
@@ -179,13 +224,14 @@ class TestBeamOptics:
 
 class TestLinewidthAndDetuning:
     def test_unbroadened(self, material):
-        assert power_broadened_linewidth(0.0, material) == 4e6
+        # the linewidth in units of hom_linewidth0 at s = I / I_sat
+        assert material.hom_linewidth0 * power_broadened_linewidth(0.0) == 4e6
 
     def test_broadening_factors(self, material):
-        i_sat = material.sat_intensity
-        assert power_broadened_linewidth(i_sat, material) == \
+        g0 = material.hom_linewidth0
+        assert g0 * power_broadened_linewidth(1.0) == \
             pytest.approx(4e6 * np.sqrt(2))
-        assert power_broadened_linewidth(3 * i_sat, material) == \
+        assert g0 * power_broadened_linewidth(3.0) == \
             pytest.approx(8e6)
 
     def test_detuning_factors(self):

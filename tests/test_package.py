@@ -31,15 +31,15 @@ PUBLIC_NAMES = {
     "SignalResult", "TrapFitResult", "ZeemanConfig",
     "applied_field", "apply_noise", "beam_intensity", "beam_radius",
     "collection_efficiency", "detect_aom_off_range", "detected_signal",
-    "detuned_intensity", "excited_population", "exp_decay", "fit_exponential",
+    "detuned_intensity", "exp_decay", "fit_exponential",
     "fit_hole_lorentzian", "fit_linear_ci", "fit_trap_model",
     "gen_decay_batch", "gen_hole_decay_series", "gen_hole_scan",
     "hole_area_with_error", "hom_linewidth_from_hole",
     "ionization_rate", "lorentzian_hole", "minimize",
     "normalize_by_power", "photon_energy",
-    "power_broadened_linewidth", "r2_from_rates", "refine_until_converged",
-    "resonance_fields", "saturation_ratio", "scaled_signal", "splittings",
-    "spont_recombination_rate", "steady_state", "steady_state_fractions",
+    "power_broadened_linewidth", "refine_until_converged",
+    "resonance_fields", "scaled_signal", "splittings",
+    "spont_recombination_rate", "steady_state",
     "subtract_background",
 }
 

@@ -2,7 +2,8 @@
 
 The namespace is lazy (PEP 562): ``import holeburn`` loads no submodule,
 and each name below is imported from its module on first use, so a CLI job
-loads only the modules its subcommand runs.
+loads only the modules its subcommand runs.  `_deferred` does the same for
+a name that another module calls.
 """
 
 import importlib
@@ -15,13 +16,13 @@ _EXPORTS = {
                   "photon_energy"),
     "csvio": ("DecayCurve",),
     "errors": ("ConvergenceError", "FitError"),
-    "fitting": ("LorentzianHoleFit", "TrapFitResult", "exp_decay",
-                "fit_hole_lorentzian", "fit_trap_model",
-                "hom_linewidth_from_hole", "lorentzian_hole"),
+    "fitting": ("LorentzianHoleFit", "TrapFitResult", "fit_hole_lorentzian",
+                "fit_trap_model", "hom_linewidth_from_hole",
+                "lorentzian_hole"),
     "integrator": ("IntegrationDomain", "LevelSetRule", "SignalResult",
                    "detected_signal", "refine_until_converged",
                    "scaled_signal"),
-    "lifetime": ("ExpDecayFit", "fit_exponential"),
+    "lifetime": ("ExpDecayFit", "exp_decay", "fit_exponential"),
     "linefit": ("LinearFit", "fit_linear_ci"),
     "model": ("BeamGeometry", "beam_intensity", "beam_radius",
               "collection_efficiency", "detuned_intensity",
@@ -51,6 +52,21 @@ def __getattr__(name):
     module = importlib.import_module(f"{__name__}.{_MODULE_OF[name]}")
     value = globals()[name] = getattr(module, name)
     return value
+
+
+def _deferred(module, name):
+    """Stand-in for `module.name` that imports the module on its first call.
+
+    A module binds these in its globals and calls the name through them, so
+    a job imports only the modules it runs, and the names stay replaceable
+    there (bench/tracing.py wraps them).
+    """
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"{__name__}.{module}"),
+                       name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
 
 
 def __dir__():

@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import os
 import re
 import sys
 from pathlib import Path
 
-from . import csvio, zeeman
+from . import _deferred, csvio, zeeman
 from .config import ConfigError, load_config
 from .csvio import write_signal_csv
 from .errors import ConvergenceError, FitError, _check_within
@@ -24,21 +23,7 @@ EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 EXIT_FITFAIL = 4
 
-def _deferred(module, name):
-    """Stand-in for `module.name` that imports the module on its first call.
-
-    The handlers call these names through this module's globals, so a job
-    imports only the modules its subcommand runs, and the names stay
-    replaceable here (bench/tracing.py wraps them).
-    """
-    def call(*args, **kwargs):
-        real = getattr(importlib.import_module(f".{module}", __package__), name)
-        return real(*args, **kwargs)
-
-    call.__name__ = call.__qualname__ = name
-    return call
-
-
+# The handlers call these through this module's globals (see _deferred).
 refine_until_converged = _deferred("integrator", "refine_until_converged")
 fit_trap_model = _deferred("fitting", "fit_trap_model")
 fit_hole_lorentzian = _deferred("fitting", "fit_hole_lorentzian")

@@ -22,35 +22,35 @@ class ConfigError(ValueError):
     """Invalid or unreadable run configuration."""
 
 
-# The one map from config keys to RunConfig: section -> key -> (target,
-# type).  A target is a RunConfig attribute, or "record.field" for a field
-# of one of its records.  Loading and echoing both read only this table.
+# The one map from config keys to RunConfig: section -> key -> target, a
+# RunConfig attribute or "record.field" for a field of one of its records.
+# Every key is a finite float.  Loading and echoing both read only this
+# table.
 _SCHEMA = {
     "material": {
-        "sat_intensity_w_per_m2": ("material.sat_intensity", float),
-        "sigma_ion_m2": ("material.sigma_ion", float),
-        "sigma_rec_m2": ("material.sigma_rec", float),
-        "photoioniz_fwhm_hz": ("material.photoioniz_fwhm", float),
-        "vac_wavelength_m": ("material.vac_wavelength", float),
-        "refr_index": ("material.refr_index", float),
-        "hom_linewidth0_hz": ("material.hom_linewidth0", float),
-        "ion_density_per_m3_per_hz": ("material.ion_density", float),
-        "fluor_rate_per_s": ("material.fluor_rate", float),
-        "g_ratio": ("material.g_ratio", float),
-        "coll0": ("material.coll0", float),
+        "sat_intensity_w_per_m2": "material.sat_intensity",
+        "sigma_ion_m2": "material.sigma_ion",
+        "sigma_rec_m2": "material.sigma_rec",
+        "photoioniz_fwhm_hz": "material.photoioniz_fwhm",
+        "vac_wavelength_m": "material.vac_wavelength",
+        "refr_index": "material.refr_index",
+        "hom_linewidth0_hz": "material.hom_linewidth0",
+        "ion_density_per_m3_per_hz": "material.ion_density",
+        "fluor_rate_per_s": "material.fluor_rate",
+        "g_ratio": "material.g_ratio",
+        "coll0": "material.coll0",
     },
     "beam": {
-        "focus_fwhm_m": ("focus_fwhm", float),
+        "focus_fwhm_m": "focus_fwhm",
     },
     "scale": {
-        "scale_a": ("scale_a", float),
-        "background_b_counts_per_w": ("background_b", float),
+        "scale_a": "scale_a",
+        "background_b_counts_per_w": "background_b",
     },
     "zeeman": {
-        "g_ground_hz_per_t": ("zeeman.g_ground", float),
-        "g_excited_hz_per_t": ("zeeman.g_excited", float),
-        "stray_field_t": ("zeeman.stray_field", float),
-        "field_sign": ("zeeman.field_sign", int),
+        "g_ground_hz_per_t": "zeeman.g_ground",
+        "g_excited_hz_per_t": "zeeman.g_excited",
+        "stray_field_t": "zeeman.stray_field",
     },
 }
 
@@ -70,27 +70,26 @@ class RunConfig:
     def to_dict(self) -> dict:
         """Resolved configuration keyed exactly like the config file."""
         return {section: {key: attrgetter(target)(self)
-                          for key, (target, _) in keys.items()}
+                          for key, target in keys.items()}
                 for section, keys in _SCHEMA.items()}
 
 
 def _collect(parser, section) -> dict:
-    """Validate one section against the schema; map target to typed value."""
+    """Validate one section against the schema; map target to float value."""
     schema = _SCHEMA[section]
     values = {}
     for key, raw in parser.items(section):
         if key not in schema:
             raise ConfigError(f"unknown key '{key}' in section [{section}]")
-        target, typ = schema[key]
         try:
-            values[target] = typ(raw)
+            value = float(raw)
         except ValueError:
-            raise ConfigError(
-                f"key '{key}' in section [{section}] must be {typ.__name__}, "
-                f"got '{raw}'") from None
-        if typ is float and not math.isfinite(values[target]):
+            raise ConfigError(f"key '{key}' in section [{section}] must be "
+                              f"float, got '{raw}'") from None
+        if not math.isfinite(value):
             raise ConfigError(f"key '{key}' in section [{section}] must be "
                               f"finite, got '{raw}'")
+        values[schema[key]] = value
     return values
 
 

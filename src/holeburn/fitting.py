@@ -13,8 +13,6 @@ trap fit searches log gamma_trap by Gauss-Newton (`gauss_newton`) with
 Kaufman's column; its coefficients, all bounded at 0, come in closed form
 from `_arrow_least_squares`, since each scale A_c sits only in its own
 curve's rows and the background B in all of them.  No fit calls LAPACK.
-`exp_decay` is the lifetime model on arrays, for the fixture generators;
-the lifetime fit itself is plain Python, in `lifetime`.
 """
 
 from __future__ import annotations
@@ -24,12 +22,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .constants import _FOCUS_FWHM
+from . import _deferred
+from .constants import _FOCUS_FWHM, MaterialParams
 from .errors import (_DETECTION_SIGMAS, _MAX_DECAY_SPANS, _MAX_MAGNITUDE,
                      FitError, _check_within)
-from .integrator import TrapDecayModel
-from .model import _F_KEYS, BeamGeometry, MaterialParams
 from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
+
+# The trap fit's model, loaded with the integrator on the fit's first call.
+TrapDecayModel = _deferred("integrator", "TrapDecayModel")
 
 # Objective value of the hole fit at a nonpositive width.
 _REJECT = 1e300
@@ -58,11 +58,6 @@ def _hole_jacobian(freq, params):
     return [np.ones_like(u), -half**2 / dist,
             -depth * 2 * u * half**2 / dist**2,
             -depth * half * u**2 / dist**2]
-
-
-def exp_decay(t, amplitude, tau, offset=0.0):
-    """Exponential decay amplitude * exp(-t/tau) + offset."""
-    return amplitude * np.exp(-np.asarray(t, dtype=float) / tau) + offset
 
 
 def _arrow_least_squares(blocks):
@@ -342,6 +337,7 @@ def fit_trap_model(curves, material: MaterialParams,
     c's samples, where it turns into a step, nor than `_MAX_MAGNITUDE`.
     A fit on either bound, or an empty range, raises FitError.
     """
+    from .model import _F_KEYS, BeamGeometry
     triples = _curve_triples(curves)
     if not triples:
         raise ValueError("need at least one curve")

@@ -45,8 +45,9 @@ class ExpDecayFit:
     nfev: int
 
 
-def _exp_decay(t, amplitude, tau, offset=0.0):
-    """amplitude * exp(-t/tau) + offset at each time in t, as a list."""
+def exp_decay(t, amplitude, tau, offset=0.0):
+    """The lifetime model amplitude * exp(-t/tau) + offset at each time in
+    t, as a list."""
     return [amplitude * math.exp(-v / tau) + offset for v in t]
 
 
@@ -158,7 +159,7 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     # The model and its Jacobian are evaluated from t0, where no
     # exponential overflows; on that axis the amplitude is a0.
     dt = [v - t0 for v in t]
-    residuals = [m - v for m, v in zip(_exp_decay(dt, *params), y)]
+    residuals = [m - v for m, v in zip(exp_decay(dt, *params), y)]
     sse = math.fsum(r * r for r in residuals)
     a0_err, tau_err, *rest = _jacobian_errors(_jacobian(dt, params), sse)
     offset_err = rest[0] if with_offset else None

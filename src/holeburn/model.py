@@ -39,7 +39,8 @@ class BeamGeometry:
                              "vac_wavelength_m, refr_index) must be positive")
 
     @classmethod
-    def from_focus(cls, power, focus_fwhm, vac_wavelength, refr_index):
+    def for_material(cls, material: MaterialParams, power,
+                     focus_fwhm=_FOCUS_FWHM):
         """Build the geometry from the intensity-profile FWHM of the focus.
 
         waist = FWHM/sqrt(2 ln 2) and the Rayleigh length uses the
@@ -47,14 +48,9 @@ class BeamGeometry:
         """
         _check_within(1 / _MAX_MAGNITUDE, focus_fwhm=focus_fwhm)
         waist = focus_fwhm / math.sqrt(2 * math.log(2))
-        rayleigh = math.pi * waist**2 / (vac_wavelength / refr_index)
-        return cls(power=power, waist=waist, rayleigh=rayleigh)
-
-    @classmethod
-    def for_material(cls, material: MaterialParams, power,
-                     focus_fwhm=_FOCUS_FWHM):
-        return cls.from_focus(power, focus_fwhm, material.vac_wavelength,
-                              material.refr_index)
+        wavelength = material.vac_wavelength / material.refr_index
+        return cls(power=power, waist=waist,
+                   rayleigh=math.pi * waist**2 / wavelength)
 
     @property
     def peak_intensity(self) -> float:

@@ -20,8 +20,9 @@ import numpy as np
 from .constants import _FOCUS_FWHM
 from .csvio import DecayCurve
 from .errors import _MAX_MAGNITUDE, _check_within
-from .fitting import exp_decay, lorentzian_hole
+from .fitting import lorentzian_hole
 from .integrator import refine_until_converged, scaled_signal
+from .lifetime import exp_decay
 from .model import BeamGeometry, MaterialParams
 from .pipeline import RawScan
 
@@ -63,6 +64,7 @@ def apply_noise(values, noise: NoiseSpec, stream: int = 0) -> np.ndarray:
 
     Poisson mode draws integer counts with the sample value as the mean
     (one-second bins), so the relative fluctuation is 1/sqrt(value).
+    Gaussian noise must leave every value within +-1e100.
     """
     values = np.asarray(values, dtype=float)
     if noise.kind == "none":
@@ -74,7 +76,9 @@ def apply_noise(values, noise: NoiseSpec, stream: int = 0) -> np.ndarray:
                              f"{_POISSON_MAX:.4g}], got {values.min():g} to "
                              f"{values.max():g}")
         return rng.poisson(values).astype(float)
-    return values + rng.normal(0.0, noise.gaussian_sigma, size=values.shape)
+    noisy = values + rng.normal(0.0, noise.gaussian_sigma, size=values.shape)
+    _check_within(**{"the values with --gaussian-sigma noise": noisy})
+    return noisy
 
 
 def gen_decay_batch(material: MaterialParams, gamma_trap: float,
@@ -180,5 +184,5 @@ def gen_hole_decay_series(tau: float, offset: float, wait_times,
     _check_within(0.0, wait_times=t)
     _check_within(1 / _MAX_MAGNITUDE, tau=tau)
     _check_within(offset=offset, amplitude=amplitude)
-    clean = exp_decay(t, amplitude, tau, offset)
+    clean = exp_decay(t.tolist(), amplitude, tau, offset)
     return apply_noise(clean, noise)

@@ -3,8 +3,8 @@
 Both the ground and the excited doublet split linearly with the magnetic
 field along the crystal b-axis (where the two magnetic sites overlap), so
 a scalar field model is enough.  A configurable stray field offsets the
-applied field, total = applied + field_sign * stray_field; the sign can be
-flipped to model a reversed coil polarity.
+applied field, total = applied + stray_field; a reversed coil polarity is
+the stray field with the other sign.
 
 The field functions take a float or a numpy array of fields and return
 the same kind; the module itself needs no numpy.
@@ -25,15 +25,11 @@ class ZeemanConfig:
     g_ground: float = 1.9e10
     g_excited: float = 2.55e10
     stray_field: float = 2e-4
-    field_sign: int = 1
 
     def __post_init__(self):
         _check_within(1 / _MAX_MAGNITUDE, g_ground=self.g_ground,
                       g_excited=self.g_excited)
         _check_within(stray_field=self.stray_field)
-        # type() rather than isinstance(): True is an int equal to 1
-        if type(self.field_sign) is not int or self.field_sign not in (-1, 1):
-            raise ValueError("field_sign must be the integer +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -55,7 +51,7 @@ class ResonanceFields:
 
 def applied_field(total, cfg: ZeemanConfig):
     """Coil setting [T] that produces the given total field (float or array)."""
-    return total - cfg.field_sign * cfg.stray_field
+    return total - cfg.stray_field
 
 
 def splittings(b_total, cfg: ZeemanConfig):

@@ -299,7 +299,7 @@ def test_every_extreme_config_key_ends_on_a_contract_code(tmp_path, capsys):
     jobs["fit-trap"] = [*jobs["fit-trap"], *map(str, sorted(batch.iterdir()))]
     keys = [(section, key, target.rpartition(".")[2])
             for section, table in _SCHEMA.items()
-            for key, (target, _) in table.items()]
+            for key, target in table.items()]
     cases = [(job, key, value) for job in jobs for key in keys
              for value in KEY_VALUES]
     broken = []
@@ -335,7 +335,7 @@ def multiplying_keys(tmp_path):
     fraction), and ("", "--power-w", "power") for the power flag."""
     keys, config = [], tmp_path / "probe.ini"
     for section in ("material", "beam", "scale"):
-        for key, (target, _) in _SCHEMA[section].items():
+        for key, target in _SCHEMA[section].items():
             try:
                 for value in ("1e100", "1e-100"):
                     config.write_text(f"[{section}]\n{key} = {value}\n")

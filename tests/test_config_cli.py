@@ -41,7 +41,6 @@ EVERY_KEY = [
     ("zeeman", "g_ground_hz_per_t", 2e10, lambda c: c.zeeman.g_ground),
     ("zeeman", "g_excited_hz_per_t", 3e10, lambda c: c.zeeman.g_excited),
     ("zeeman", "stray_field_t", 1e-4, lambda c: c.zeeman.stray_field),
-    ("zeeman", "field_sign", -1, lambda c: c.zeeman.field_sign),
 ]
 
 
@@ -96,8 +95,8 @@ stray_field_t = 0
 
     def test_bad_type_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[zeeman]\nfield_sign = minus\n")
-        with pytest.raises(ConfigError, match="field_sign"):
+        path.write_text("[zeeman]\nstray_field_t = minus\n")
+        with pytest.raises(ConfigError, match="stray_field_t"):
             load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -414,8 +413,7 @@ class TestCli:
         np.testing.assert_array_equal(gen.counts_per_s, sim[:, 2])
 
     @pytest.mark.parametrize("section, key", [
-        (section, key) for section, keys in _SCHEMA.items()
-        for key, (_, typ) in keys.items() if typ is float])
+        (section, key) for section, keys in _SCHEMA.items() for key in keys])
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_non_finite_config_float_exit_2(self, tmp_path, capsys, section,
                                             key, value):
@@ -457,6 +455,39 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert not out.exists()
         assert f"{name} must be in" in capsys.readouterr().err
+
+    def test_field_sign_key_exit_2(self, tmp_path, capsys):
+        # a reversed coil is a stray field of the other sign
+        path = tmp_path / "zeeman.ini"
+        path.write_text("[zeeman]\nfield_sign = -1\n")
+        out = tmp_path / "z.csv"
+        assert main(["--config", str(path), "zeeman", "--delta-f", "1e7",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "unknown key 'field_sign' in section [zeeman]" \
+            in capsys.readouterr().err
+
+    def test_negative_stray_field_is_the_reversed_coil(self, tmp_path):
+        # the table written with field_sign = -1 and stray_field_t = 2e-4,
+        # before the sign became the stray field's own
+        reversed_coil = (
+            "delta_f_hz,b_ground_total_t,b_sum_total_t,b_diff_total_t,"
+            "b_ground_applied_t,b_sum_applied_t,b_diff_applied_t\n"
+            "19000000.0,0.001,0.00042696629213483144,0.002923076923076923,"
+            "0.0012000000000000001,0.0006269662921348315,"
+            "0.0031230769230769233\n"
+            "44500000.0,0.002342105263157895,0.001,0.006846153846153846,"
+            "0.002542105263157895,0.0012000000000000001,"
+            "0.007046153846153846\n"
+            "10000000.0,0.0005263157894736842,0.00022471910112359551,"
+            "0.0015384615384615385,0.0007263157894736842,"
+            "0.00042471910112359555,0.0017384615384615386\n")
+        path = tmp_path / "zeeman.ini"
+        path.write_text("[zeeman]\nstray_field_t = -2e-4\n")
+        out = tmp_path / "z.csv"
+        assert main(["--config", str(path), "zeeman", "--delta-f",
+                     "19e6,44.5e6,1e7", "--out", str(out)]) == 0
+        assert out.read_bytes() == reversed_coil.encode()
 
     def test_zeeman_field_beyond_magnitude_exit_2(self, tmp_path, capsys):
         # 1e300 Hz over 1e-100 Hz/T wrote inf fields at exit 0; at the
@@ -532,6 +563,15 @@ class TestCli:
         assert main([*job, "--gaussian-sigma", "5", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "--gaussian-sigma" in err and "--noise gaussian" in err
+        assert not out.exists()
+
+    def test_gaussian_noise_beyond_magnitude_exit_2(self, tmp_path, capsys):
+        # sigma 1e100 put 105 of 300 counts beyond 1e100 at exit 0
+        out = tmp_path / "x.csv"
+        assert main(["gen", "holescan", "--n-points", "300", "--aom-off",
+                     "0:30", "--noise", "gaussian", "--gaussian-sigma",
+                     "1e100", "--out", str(out)]) == 2
+        assert "--gaussian-sigma" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("center", [

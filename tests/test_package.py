@@ -68,6 +68,9 @@ class TestLazyNamespace:
         assert hb.fit_exponential is hb.lifetime.fit_exponential
         assert hb.ExpDecayFit is hb.lifetime.ExpDecayFit
         assert not hasattr(hb.fitting, "fit_exponential")
+        # and so is the lifetime model, which the generator evaluates too
+        assert hb.exp_decay is hb.lifetime.exp_decay
+        assert not hasattr(hb.fitting, "exp_decay")
 
     def test_dir_lists_public_names(self):
         listing = dir(hb)
@@ -130,7 +133,7 @@ print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in rec.spans}}),
 
 def _records():
     """(record class, valid keyword arguments) for every validated record."""
-    geom = hb.BeamGeometry.from_focus(2e-5, 1e-6, 371e-9, 1.8)
+    geom = hb.BeamGeometry.for_material(hb.MaterialParams(), 2e-5, 1e-6)
     return [
         (hb.MaterialParams, {}),
         (hb.BeamGeometry, dataclasses.asdict(geom)),
@@ -238,6 +241,10 @@ def test_readme_documents_every_config_key(tmp_path):
     missing = [f"[{section}] {key}" for section, keys in _SCHEMA.items()
                for key in keys if f"`{key}`" not in readme]
     assert missing == []
+    # and the config table documents no key the schema lacks
+    rows = re.findall(r"^\| (?:`\[\w+\]`)? *\| `(\w+)` \|", readme, re.M)
+    assert len(rows) == sum(map(len, _SCHEMA.values()))
+    assert set(rows) == {key for keys in _SCHEMA.values() for key in keys}
     examples = re.findall(r"```ini\n(.*?)```", readme, re.S)
     assert len(examples) == 1
     path = tmp_path / "example.ini"

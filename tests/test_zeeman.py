@@ -14,8 +14,8 @@ def cfg():
 
 
 class TestTotalField:
-    # total = applied + field_sign * stray_field; the coil setting for a
-    # wanted total field is its inverse, applied_field
+    # total = applied + stray_field; the coil setting for a wanted total
+    # field is its inverse, applied_field
     def test_stray_cancellation(self, cfg):
         # applying -0.2 mT cancels the +0.2 mT stray field
         assert hb.applied_field(0.0, cfg) == pytest.approx(-0.2e-3,
@@ -26,7 +26,8 @@ class TestTotalField:
         assert hb.applied_field(1.7e-3, cfg) == 1.7e-3
 
     def test_sign_flip_moves_zero(self):
-        cfg = ZeemanConfig(field_sign=-1)
+        # a reversed coil is the stray field with the other sign
+        cfg = ZeemanConfig(stray_field=-2e-4)
         assert hb.applied_field(0.0, cfg) == pytest.approx(0.2e-3,
                                                            rel=1e-15)
         res = hb.resonance_fields(44.5e6, cfg)
@@ -35,7 +36,9 @@ class TestTotalField:
     def test_applied_inverts_total(self, cfg):
         total = 1e-3
         applied = hb.applied_field(total, cfg)
-        assert applied + cfg.field_sign * cfg.stray_field == \
+        assert applied + cfg.stray_field == pytest.approx(total)
+        flipped = ZeemanConfig(stray_field=-cfg.stray_field)
+        assert hb.applied_field(total, flipped) - cfg.stray_field == \
             pytest.approx(total)
 
 
@@ -115,21 +118,15 @@ class TestResonanceFields:
 def test_config_validation():
     with pytest.raises(ValueError):
         ZeemanConfig(g_ground=0.0)
-    with pytest.raises(ValueError):
-        ZeemanConfig(field_sign=2)
 
 
 @pytest.mark.parametrize("kwargs", [
     {"g_ground": math.inf},
     {"g_excited": math.inf},
     {"stray_field": math.inf},
-    {"field_sign": True},
-    {"field_sign": 1.0},
-    {"field_sign": -1.0},
-], ids=["g-ground-inf", "g-excited-inf", "stray-inf", "sign-bool",
-        "sign-float", "sign-neg-float"])
+], ids=["g-ground-inf", "g-excited-inf", "stray-inf"])
 def test_config_rejects_what_the_file_cannot_set(kwargs):
-    # the config file gives finite floats and an int sign; so must callers
+    # the config file gives finite floats; so must callers
     with pytest.raises(ValueError):
         ZeemanConfig(**kwargs)
 

@@ -4,8 +4,9 @@ All CSV files are comma separated with one header line; metadata rides in
 leading comment lines of the form '# key = value' so that ground truth and
 provenance survive a round trip through the file system.  Every table goes
 through write_table and every reader through _read_table, so the format is
-defined once.  numpy loads only where a reader builds its arrays, so a job
-that writes or reads lists of floats (zeeman, fit linear) never imports it.
+defined once.  Readers return lists of floats, which the fits and
+`RawScan` take in through `errors._samples`; numpy loads only where
+`read_decay_curve` builds its arrays.
 """
 
 from __future__ import annotations
@@ -42,18 +43,6 @@ def _column(path, name, col):
     if any(isinstance(v, (list, tuple)) for v in cells):
         raise ValueError(f"{path}: column {name!r} is not 1-D")
     return cells
-
-
-def _floats(values, names):
-    """A 1-D sequence of numbers (or 1-D numpy array) as a list of floats;
-    the ValueError raised for anything else names the arguments."""
-    if hasattr(values, "tolist"):
-        values = values.tolist()
-    try:
-        return [float(v) for v in values]
-    except TypeError:
-        raise ValueError(f"{names} must be 1-D arrays of equal "
-                         "length") from None
 
 
 def write_table(path, header, columns, meta=None):
@@ -172,8 +161,6 @@ def write_raw_scan(path, scan: RawScan):
 
 
 def read_raw_scan(path, aom_off_range=None) -> RawScan:
-    import numpy as np
-
     from .pipeline import RawScan
     meta, cols = _read_table(path, ["freq_hz", "fluor_counts", "power_counts"])
     if aom_off_range is None:
@@ -185,9 +172,9 @@ def read_raw_scan(path, aom_off_range=None) -> RawScan:
             raise ValueError(f"{path}: no aom_off_range in metadata; "
                              "pass one explicitly") from None
     try:
-        return RawScan(freq=np.array(cols["freq_hz"]),
-                       fluor_counts=np.array(cols["fluor_counts"]),
-                       power_monitor=np.array(cols["power_counts"]),
+        return RawScan(freq=cols["freq_hz"],
+                       fluor_counts=cols["fluor_counts"],
+                       power_monitor=cols["power_counts"],
                        aom_off_range=tuple(aom_off_range), meta=meta)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

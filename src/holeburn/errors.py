@@ -1,10 +1,15 @@
 """The two failures the CLI maps to their own exit codes, the rules the
-fits share for raising one or leaving a parameter unresolved, and the one
-range rule for the numbers the program takes in.
+fits share for raising one or leaving a parameter unresolved, the one
+range rule for the numbers the program takes in, and the one intake for
+the data columns every fit and scan takes in.
 
 They live apart from the integrator and the fits that raise them, so that
-`cli.main` can catch them without importing either.
+`cli.main` can catch them without importing either, and they load no
+numpy, so neither do the CLI core and the plain-Python fits.
 """
+
+import math
+from itertools import chain
 
 # A fitted decay slower than this many sampled spans cannot be told from a
 # straight line by the data, so the lifetime and trap fits reject it.
@@ -38,6 +43,28 @@ def _check_within(lo=-_MAX_MAGNITUDE, **values):
             if not lo <= v <= _MAX_MAGNITUDE:
                 raise ValueError(f"{name} must be in [{lo:g}, "
                                  f"{_MAX_MAGNITUDE:g}], got {v:g}")
+
+
+def _samples(names, *columns, min_points=1):
+    """The columns as lists of floats, checked to be 1-D (lists, tuples or
+    arrays, read through their `tolist`), of equal length, at least
+    `min_points` long and finite; the ValueError raised otherwise names
+    them by `names`."""
+    try:
+        lists = [list(map(float, c.tolist() if hasattr(c, "tolist") else c))
+                 for c in columns]
+    except TypeError:
+        lists = []
+    lengths = {len(c) for c in lists}
+    if len(lengths) != 1:
+        raise ValueError(f"{names} must be 1-D arrays of equal length")
+    n = lengths.pop()
+    if n < min_points:
+        raise ValueError(f"{names}: {n or 'no'} points; need at least "
+                         f"{min_points}")
+    if not all(map(math.isfinite, chain(*lists))):
+        raise ValueError(f"{names} must be finite")
+    return lists
 
 
 class ConvergenceError(RuntimeError):

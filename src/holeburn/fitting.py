@@ -1,14 +1,17 @@
 """Separable least-squares fits of the hole and trap models.
 
-Scale-like parameters enter every model linearly, so the minimizer
+Both fits take their data columns in through `errors._samples` and wrap
+the lists it returns once with `np.array`.  Scale-like parameters enter
+every model linearly, so the minimizer
 searches only the nonlinear ones and the objective solves the rest by
 linear least squares (variable projection, Golub & Pereyra 1973).  The
 hole fit searches its center and width by simplex (`minimize`) on
 normalized data (frequencies in units of the scan span, signals in units
 of their spread), so its stopping rule is invariant to shifts and scaling;
 its baseline and depth come in closed form from moments about the weighted
-means, with the depth clamped at 0.  Its errors come from its analytic
-Jacobian through `simplex._jacobian_errors`, as the lifetime fit's do.  The
+means, with the depth clamped at 0.  Its SSE and errors are taken in that
+normalized frame, from its analytic Jacobian through
+`simplex._jacobian_errors` as the lifetime fit's are, and scaled back.  The
 trap fit searches log gamma_trap by Gauss-Newton (`gauss_newton`) with
 Kaufman's column; its coefficients, all bounded at 0, come in closed form
 from `_arrow_least_squares`, since each scale A_c sits only in its own
@@ -25,7 +28,7 @@ import numpy as np
 from . import _deferred
 from .constants import _FOCUS_FWHM, MaterialParams
 from .errors import (_DETECTION_SIGMAS, _MAX_DECAY_SPANS, _MAX_MAGNITUDE,
-                     FitError, _check_within)
+                     FitError, _check_within, _samples)
 from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
 
 # The trap fit's model, loaded with the integrator on the fit's first call.
@@ -173,15 +176,8 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     of the signal's spread) leaves the center and FWHM unresolved: their
     errors are None and `unresolved` lists them.
     """
-    f = np.asarray(freq, dtype=float)
-    y = np.asarray(signal, dtype=float)
-    if f.shape != y.shape or f.ndim != 1:
-        raise ValueError("freq and signal must be 1-D arrays of equal length")
-    if f.size < 8:
-        raise ValueError("need at least 8 points spanning the hole")
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(y))):
-        raise ValueError("freq and signal must be finite (drop excluded "
-                         "points first)")
+    f, y = map(np.array, _samples("freq and signal", freq, signal,
+                                  min_points=8))
     span = float(np.ptp(f))
     if span <= 0:
         raise ValueError("freq values must not all coincide")
@@ -206,30 +202,32 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     dy = (y - y_mean) / y_scale
 
     def project(p):
-        """Depth of the normalized hole at (center, fwhm), and the SSE."""
+        """The SSE, the depth of the normalized hole at (center, fwhm) and
+        the weighted mean of its unit-depth shape."""
         shape = lorentzian_hole(x, 0.0, 1.0, *p)
-        ds = shape - float(np.dot(w2, shape)) / w_sum
+        mean = float(np.dot(w2, shape)) / w_sum
+        ds = shape - mean
         wds = w2 * ds
         s_ss = float(np.dot(wds, ds))
         depth = max(0.0, float(np.dot(wds, dy)) / s_ss) if s_ss > 0 else 0.0
         r = dy - depth * ds
-        return depth, float(np.dot(w2 * r, r))
+        return float(np.dot(w2 * r, r)), depth, mean
 
     def objective(p):
-        return project(p)[1] if p[1] > 0 else _REJECT
+        return project(p)[0] if p[1] > 0 else _REJECT
 
     # Seeds: center at the minimum, width at 10% of the span.
     res = minimize(objective, [float(x[np.argmin(y)]), 0.1], _SEARCH)
 
     xn0, wn = map(float, res.x)
-    depth = project(res.x)[0] * y_scale
+    # A residual in units of y_scale, weighted by root_w2 = y_scale /
+    # sigma, is the raw one over sigma: the SSE is the raw frame's.
+    sse, depth_n, shape_mean = project(res.x)
+    depth = depth_n * y_scale
     center = xn0 * span + f_mid
     fwhm = wn * span
     # The baseline lifts the weighted mean of the fitted hole onto y_mean.
-    hole = lorentzian_hole(f, 0.0, depth, center, fwhm)
-    baseline = y_mean - float(np.dot(w2, hole)) / w_sum
-    weighted = (baseline + hole - y) * point_weights
-    sse = float(np.dot(weighted, weighted))
+    baseline = y_mean - depth * shape_mean
 
     if not res.converged:
         raise FitError("Lorentzian hole fit failed",
@@ -238,15 +236,11 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
                                     "iterations": res.iterations,
                                     "nfev": res.nfev})
 
-    # D^2 in the Jacobian is the axis to the 4th power, so it is taken on
-    # the axis over the 2^e that puts the span in [0.5, 1); a power of two
-    # changes no bit, and the center and FWHM errors are scaled back.
-    e = math.frexp(span)[1]
-    jacobian = _hole_jacobian(np.ldexp(f, -e), (
-        baseline, depth, math.ldexp(center, -e), math.ldexp(fwhm, -e)))
-    errs = _jacobian_errors([(c * point_weights).tolist() for c in jacobian],
-                            sse)
-    errs[2:] = [err and math.ldexp(err, e) for err in errs[2:]]
+    # The errors are taken in the normalized frame and scaled back.
+    jacobian = _hole_jacobian(x, (baseline / y_scale, depth_n, xn0, wn))
+    errs = [err and err * scale for err, scale in zip(
+        _jacobian_errors([(c * root_w2).tolist() for c in jacobian], sse),
+        (y_scale, y_scale, span, span))]
 
     # A hole is detected when its depth exceeds 3 sigma, as a lifetime's
     # amplitude must, and 0.1% of the signal's spread: shallower holes are
@@ -286,26 +280,20 @@ def _curve_triples(curves):
             raise ValueError(f"curve {index}: the excitation power must be "
                              f"positive, got {p0!r}")
         curve = f"curve {index} ({p0:g} W)"
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if t.ndim != 1 or t.shape != y.shape:
-            raise ValueError(f"{curve}: arrays must be 1-D and equal length")
-        if t.size == 0:
-            raise ValueError(f"{curve}: no points")
-        if np.any(np.diff(t) <= 0):
+        t, y = _samples(f"{curve}: time_s and counts_per_s", t, y)
+        if any(b <= a for a, b in zip(t, t[1:])):
             raise ValueError(f"{curve}: time stamps must be strictly "
                              "increasing")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-            raise ValueError(f"{curve}: arrays must be finite")
-        if np.ptp(y) == 0:
+        spread = max(y) - min(y)
+        if spread == 0:
             raise ValueError(f"{curve}: degenerate curve, constant signal")
         _check_within(**{f"{curve}: time_s": t, f"{curve}: counts_per_s": y})
         _check_within(1 / _MAX_MAGNITUDE,
-                      **{f"{curve}: counts_per_s spread": float(np.ptp(y))})
-        if np.any(t < 0):
+                      **{f"{curve}: counts_per_s spread": spread})
+        if t[0] < 0:
             raise ValueError(f"{curve}: time stamps must be nonnegative, "
-                             f"got t = {t.min():g} s")
-        out.append((t, y, float(p0)))
+                             f"got t = {t[0]:g} s")
+        out.append((np.array(t), np.array(y), float(p0)))
     return out
 
 

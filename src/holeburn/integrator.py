@@ -40,7 +40,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import model
-from .errors import _MAX_MAGNITUDE, ConvergenceError, _check_within
+from .errors import _MAX_MAGNITUDE, ConvergenceError, _check_within, _samples
 from .model import BeamGeometry, MaterialParams
 
 # Node-time pairs per block of `_decay_sum` (one 8 MB float64 work array).
@@ -151,12 +151,10 @@ def _grid_axes(domain: IntegrationDomain):
 
 def _check_times(t_grid) -> np.ndarray:
     """Sample times as a float array: 1-D, nonempty, finite, nonnegative."""
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-D array")
-    if not np.all(np.isfinite(t)) or np.any(t < 0):
-        raise ValueError("t_grid must be finite and nonnegative")
-    return t
+    (t,) = _samples("t_grid", t_grid)
+    if min(t) < 0:
+        raise ValueError("t_grid must be nonnegative")
+    return np.array(t)
 
 
 def _decay_sum(t: np.ndarray, rate: np.ndarray, amp: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Exponential lifetime fit a exp(-t/tau) (+ offset) in plain Python.
 
 A lifetime series has a few dozen points, so this module runs on `math`
-and a `fit expdecay` job loads no numpy.  The fit is separable:
+and a `fit expdecay` job loads no numpy: its columns come in as lists of
+floats through `errors._samples`, the intake every fit shares.  The fit
+is separable:
 `gauss_newton` searches u = log(tau / span), and for each tau the
 amplitude and offset come from the closed-form one- or two-column least
 squares over moments about the means.  The points are sorted first
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .csvio import _floats
-from .errors import _DETECTION_SIGMAS, _MAX_DECAY_SPANS, FitError
+from .errors import _DETECTION_SIGMAS, _MAX_DECAY_SPANS, FitError, _samples
 from .simplex import _jacobian_errors, gauss_newton
 
 
@@ -79,15 +80,8 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     the samples start many lifetimes later.  An amplitude within
     `_DETECTION_SIGMAS` sigma of 0 leaves tau_err None, "tau_s" unresolved.
     """
-    t, y = (_floats(v, "times and values") for v in (times, values))
-    if len(t) != len(y):
-        raise ValueError("times and values must be 1-D arrays of equal "
-                         "length")
+    t, y = _samples("times and values", times, values, min_points=4)
     n = len(t)
-    if n < 4:
-        raise ValueError("need at least 4 points")
-    if not all(map(math.isfinite, t + y)):
-        raise ValueError("times and values must be finite")
     t, y = map(list, zip(*sorted(zip(t, y))))
     t0 = t[0]
     tspan = t[-1] - t0

@@ -1,7 +1,8 @@
 """Ordinary least-squares line with a Student-t slope interval.
 
 A line fit handles a few dozen points, so this module is plain Python on
-`math` and a `fit linear` job loads no numpy.  Every sum is a `math.fsum`,
+`math` and a `fit linear` job loads no numpy: its columns come in as lists
+of floats through `errors._samples`.  Every sum is a `math.fsum`,
 and the moments are taken about the means, so each sum is correctly
 rounded and the fit does not depend on the order of the points.
 """
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 
-from .csvio import _floats
-from .errors import _MAX_MAGNITUDE, _check_within
+from .errors import _MAX_MAGNITUDE, _check_within, _samples
 
 
 @dataclass
@@ -62,14 +62,8 @@ def fit_linear_ci(x, y, confidence=0.80) -> LinearFit:
 
     x and y are equal-length 1-D sequences of numbers or 1-D arrays.
     """
-    x, y = (_floats(v, "x and y") for v in (x, y))
-    if len(x) != len(y):
-        raise ValueError("x and y must be 1-D arrays of equal length")
+    x, y = _samples("x and y", x, y, min_points=3)
     n = len(x)
-    if n < 3:
-        raise ValueError("need at least 3 points")
-    if not all(map(math.isfinite, x + y)):
-        raise ValueError("x and y must be finite")
     _check_within(x=x, y=y)
     # unless constant, each spreads over a range whose square stays normal
     _check_within(1 / _MAX_MAGNITUDE, **{

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .errors import _check_within, _samples
+
 # Monitors never read exactly zero, so "laser off" means below this
 # fraction of the maximum power reading.
 ZERO_POWER_REL_THRESHOLD = 1e-3
@@ -35,7 +37,9 @@ class RawScan:
     """Raw frequency scan: fluorescence and power traces plus metadata.
 
     aom_off_range is a half-open [start, stop) index interval marking the
-    modulator-off segment that shows the detector background.
+    modulator-off segment that shows the detector background.  The three
+    columns may be given as any 1-D sequences; they are checked by
+    `errors._samples` and the range rule and held as float arrays.
     """
 
     freq: np.ndarray
@@ -45,15 +49,15 @@ class RawScan:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n = len(self.freq)
-        if len(self.fluor_counts) != n or len(self.power_monitor) != n:
-            raise ValueError("freq, fluor_counts and power_monitor must have "
-                             "equal lengths")
-        if not np.all(np.isfinite([self.freq, self.fluor_counts,
-                                   self.power_monitor])):
-            raise ValueError("freq and both traces must be finite")
+        names = ("freq", "fluor_counts", "power_monitor")
+        columns = _samples("freq and both traces",
+                           *(getattr(self, name) for name in names))
+        _check_within(**dict(zip(names, columns)))
+        for name in names:
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
         a, b = self.aom_off_range
-        if not (0 <= a < b <= n):
+        if not (0 <= a < b <= len(self.freq)):
             raise ValueError("aom_off_range must be a nonempty index interval "
                              "inside the trace")
 
@@ -103,16 +107,15 @@ def detect_aom_off_range(power_monitor) -> tuple:
     when it is known, since a deep fluorescence hole cannot fool the
     power monitor but unusual power profiles can fool this guess.
     """
-    power = np.asarray(power_monitor, dtype=float)
-    if power.ndim != 1 or power.size < _MIN_OFF_LENGTH:
-        raise ValueError("power trace too short for detection")
-    spread = float(np.ptp(power))
+    (power,) = _samples("power trace", power_monitor,
+                        min_points=_MIN_OFF_LENGTH)
+    spread = max(power) - min(power)
     if spread == 0:
         raise ValueError("flat power trace: no off segment to detect")
-    low = power <= np.min(power) + 0.05 * spread
+    level = min(power) + 0.05 * spread
 
     best, run_start = None, None
-    for i, flag in enumerate(np.append(low, False)):
+    for i, flag in enumerate([v <= level for v in power] + [False]):
         if flag and run_start is None:
             run_start = i
         elif not flag and run_start is not None:
@@ -160,7 +163,7 @@ def normalize_by_power(scan: RawScan) -> NormalizedScan:
         raise ValueError("all points excluded: no usable laser power")
     signal = np.full(len(scan.freq), np.nan)
     signal[~excluded] = scan.fluor_counts[~excluded] / scan.power_monitor[~excluded]
-    return NormalizedScan(freq=np.asarray(scan.freq, dtype=float),
+    return NormalizedScan(freq=scan.freq,
                           signal=signal, excluded=excluded,
                           meta=dict(scan.meta))
 

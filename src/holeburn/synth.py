@@ -130,8 +130,8 @@ def gen_hole_scan(freq, baseline: float, depth: float, center: float,
     that response times the (possibly sloped) laser power, plus a detector
     offset.  The AOM-off segment has zero true power, so both traces show
     only their offsets there.  Noise is applied to the fluorescence trace.
-    Every value lies within +-1e100, the range the hole fit accepts, with
-    fwhm at least 1e-100.
+    Every input and, as `RawScan` checks, every written value lies within
+    +-1e100, the range the hole fit accepts, with fwhm at least 1e-100.
     """
     f = np.asarray(freq, dtype=float)
     if f.ndim != 1 or f.size < 2 or f[0] == f[-1]:
@@ -175,8 +175,8 @@ def gen_hole_decay_series(tau: float, offset: float, wait_times,
 
     A positive offset models the persistent hole floor that survives the
     spin-level relaxation.  The wait times are 1-D and ascend within
-    [0, 1e100], tau lies in [1e-100, 1e100] and the offset and amplitude
-    within +-1e100.
+    [0, 1e100], tau lies in [1e-100, 1e100], and the offset, the amplitude
+    and every clean area within +-1e100.
     """
     t = np.asarray(wait_times, dtype=float)
     if t.ndim != 1 or np.any(np.diff(t) < 0):
@@ -185,4 +185,6 @@ def gen_hole_decay_series(tau: float, offset: float, wait_times,
     _check_within(1 / _MAX_MAGNITUDE, tau=tau)
     _check_within(offset=offset, amplitude=amplitude)
     clean = exp_decay(t.tolist(), amplitude, tau, offset)
+    _check_within(**{"the areas a exp(-t/tau) + offset of --amplitude, "
+                     "--offset": clean})
     return apply_noise(clean, noise)

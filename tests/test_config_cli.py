@@ -621,7 +621,7 @@ class TestCli:
         scan_path.write_text("\n".join(lines) + "\n")
         assert main(["fit", "hole", "--scan", str(scan_path),
                      "--out", str(tmp_path / "hole.json")]) == 2
-        assert "must be in [1e-100, 1e+100]" in capsys.readouterr().err
+        assert "must be in [-1e+100, 1e+100]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_fit_hole_nonfinite_frequency_exit_2(self, tmp_path, capsys, bad):
@@ -641,6 +641,41 @@ class TestCli:
         assert f"{scan_path}: freq and both traces must be finite" \
             in capsys.readouterr().err
         assert not report.exists() and not treated.exists()
+
+    def test_hole_scan_values_held_to_range_exit_2(self, tmp_path, capsys):
+        # baseline times power is 1e200: the generator wrote it, and the
+        # fit took it for a scan with no hole (exit 4)
+        scan_path = tmp_path / "scan.csv"
+        assert main(["gen", "holescan", "--baseline", "1e100",
+                     "--power-level", "1e100", "--n-points", "300",
+                     "--aom-off", "0:30", "--out", str(scan_path)]) == 2
+        assert "fluor_counts must be in [-1e+100, 1e+100], got 1e+200" \
+            in capsys.readouterr().err
+        assert not scan_path.exists()
+        assert main(["gen", "holescan", "--n-points", "300",
+                     "--aom-off", "0:30", "--out", str(scan_path)]) == 0
+        lines = scan_path.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines)
+                   if line.startswith("freq_hz")) + 100
+        cells = lines[row].split(",")
+        lines[row] = ",".join([cells[0], "1e200", cells[2]])
+        scan_path.write_text("\n".join(lines) + "\n")
+        report = tmp_path / "hole.json"
+        assert main(["fit", "hole", "--scan", str(scan_path),
+                     "--out", str(report)]) == 2
+        assert f"{scan_path}: fluor_counts must be in [-1e+100, 1e+100], " \
+            "got 1e+200" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_hole_decay_areas_held_to_range_exit_2(self, tmp_path, capsys):
+        # amplitude plus offset is 2e100: the generator wrote it
+        out = tmp_path / "series.csv"
+        assert main(["gen", "holedecay", "--amplitude", "1e100",
+                     "--offset", "1e100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--amplitude, --offset must be in [-1e+100, 1e+100], " \
+            "got 2e+100" in err
+        assert not out.exists()
 
     def test_fit_hole_auto_aom_detection(self, tmp_path):
         scan_path = tmp_path / "scan.csv"

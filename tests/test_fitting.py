@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -638,8 +639,9 @@ class TestExponentialFit:
         ([0.0, 1.0, 2.0, np.nan], [4.0, 3.0, 2.0, 1.0], "finite"),
         ([0.0, 1.0, 2.0, 3.0], [4.0, np.inf, 2.0, 1.0], "finite"),
         ([1.0, 1.0, 1.0, 1.0], [4.0, 3.0, 2.0, 1.0], "coincide"),
+        ([0.0, 1.0, 2.0], [3.0, 2.0, 1.0], "at least 4"),
     ], ids=["2-d-array", "scalar", "ragged", "nan-time", "inf-value",
-            "one-time"])
+            "one-time", "three-points"])
     def test_rejects_malformed_input(self, times, values, match):
         with pytest.raises(ValueError, match=match):
             hb.fit_exponential(times, values)
@@ -1212,6 +1214,82 @@ class TestTrapFit:
             hb.fit_trap_model([(curve, 2e-5)], material, domain=fast_domain)
 
 
+def intake_case(name, seed):
+    """(call, columns, names, fewest points) of one consumer of
+    `errors._samples`: `call` takes the columns and returns a value whose
+    repr shows every bit of the result."""
+    rng = np.random.default_rng(seed)
+    if name == "expdecay":
+        t = np.linspace(0.0, 0.3, 12)
+        y = np.asarray(hb.exp_decay(t, 1.0, 0.072, 0.1))
+        return (lambda c: hb.fit_exponential(*c), [t, y + rng.normal(
+            0, 0.01, t.size)], "times and values", 4)
+    if name == "linear":
+        x = np.arange(6.0)
+        return (lambda c: hb.fit_linear_ci(*c),
+                [x, 2 * x + 1 + rng.normal(0, 0.1, x.size)], "x and y", 3)
+    if name == "hole":
+        f = np.linspace(-100e6, 100e6, 201)
+        y = hb.lorentzian_hole(f, 1.0, 0.4, -50e6, 6e6)
+        return (lambda c: hb.fit_hole_lorentzian(*c),
+                [f, y + rng.normal(0, 0.01, f.size)], "freq and signal", 8)
+    if name == "trap":
+        domain = hb.IntegrationDomain(n_r=12, n_z=12, n_delta=24)
+        t = np.linspace(0, 120, 31)
+        curve, = hb.gen_decay_batch(hb.MaterialParams(), 9e4, 0.19, 9.4e7,
+                                    [2e-5], t, hb.NoiseSpec("poisson", seed),
+                                    domain=domain)
+        return (lambda c: hb.fit_trap_model([(*c, 2e-5)], hb.MaterialParams(),
+                                            domain=domain),
+                [t, curve.counts_per_s],
+                "curve 0 (2e-05 W): time_s and counts_per_s", 1)
+    f = np.linspace(-1e8, 1e8, 40)
+    power = np.r_[np.zeros(10), np.full(30, 1e3)] + rng.uniform(0, 5, 40)
+
+    def scan(columns):
+        raw = hb.RawScan(*columns, aom_off_range=(0, 10))
+        return [getattr(raw, n).tolist()
+                for n in ("freq", "fluor_counts", "power_monitor")]
+    return (scan, [f, 2 * power + rng.uniform(0, 5, 40), power],
+            "freq and both traces", 1)
+
+
+@pytest.mark.parametrize("name", ["expdecay", "linear", "hole", "trap",
+                                  "scan"])
+class TestIntake:
+    """Every fit and scan takes its columns in through `errors._samples`."""
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_list_tuple_and_array_give_identical_results(self, name, seed):
+        call, columns, _, _ = intake_case(name, seed)
+        results = [repr(call([kind(c) for c in columns])) for kind in (
+            lambda c: c.tolist(), lambda c: tuple(c.tolist()), np.array)]
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("bad", ["2-d", "ragged", "nan", "short"])
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_malformed_columns_named(self, name, seed, bad):
+        call, columns, names, fewest = intake_case(name, seed)
+        message = {"2-d": "must be 1-D arrays of equal length",
+                   "ragged": "must be 1-D arrays of equal length",
+                   "nan": "must be finite",
+                   "short": f"need at least {fewest}"}[bad]
+        if bad == "2-d":
+            columns = [c[:, None] for c in columns]
+        elif bad == "ragged":
+            columns[0] = columns[0][:-1]
+        elif bad == "nan":
+            columns[-1] = columns[-1].copy()
+            columns[-1][columns[-1].size // 2] = np.nan
+        else:
+            columns = [c[:fewest - 1] for c in columns]
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(names)}.*{message}"):
+            call(columns)
+
+
 # scipy is a test-only dependency; numpy.polynomial (leggauss) and numpy.ma
 # (np.median) are numpy subpackages that load lazily, on first use, and
 # cost a CLI job their import time.
@@ -1311,7 +1389,10 @@ def test_zeeman_loads_only_the_cli_core(tmp_path):
 @pytest.mark.parametrize("code", [
     "import sys, holeburn.config",
     "import sys, holeburn.csvio",
-], ids=["config", "csvio"])
+    "import sys, holeburn.errors",
+    "import sys, holeburn.lifetime",
+    "import sys, holeburn.linefit",
+], ids=["config", "csvio", "errors", "lifetime", "linefit"])
 def test_cli_core_module_loads_no_numpy(code):
     assert modules_after(code, ("numpy",)) == "[]"
 

@@ -1,7 +1,10 @@
 """Command-line front end: simulate, fit, zeeman tables, fixture generation.
 
 Exit codes are a stable contract: 0 success, 2 input or configuration
-error, 3 integration non-convergence, 4 fit failure.
+error, 3 integration non-convergence, 4 fit failure.  `_write_fit` writes
+every fit report (command, input, the record's fields, config) and exits 4
+when the record leaves a parameter unresolved; a fit that raises FitError
+gets a report of the error, its diagnostics and the config, and exits 4.
 """
 
 from __future__ import annotations
@@ -79,6 +82,21 @@ def _report(args, cfg, payload) -> dict:
     return {"command": _command(args), **payload, "config": cfg.to_dict()}
 
 
+def _write_fit(args, cfg, source, fit, summary) -> int:
+    """Write the report of `fit` on `source`, a path or a list of them; exit
+    4 naming its unresolved parameters, if any, else print `summary(fit)`."""
+    key = "inputs" if isinstance(source, list) else "input"
+    csvio.write_report(args.out, _report(args, cfg, {
+        key: source, **dataclasses.asdict(fit)}))
+    unresolved = getattr(fit, "unresolved", [])
+    if unresolved:
+        print(f"error: {_command(args)}: unresolved {', '.join(unresolved)} "
+              f"-> {args.out}", file=sys.stderr)
+        return EXIT_FITFAIL
+    print(f"{_command(args)}: {summary(fit)} -> {args.out}")
+    return EXIT_OK
+
+
 def _cmd_simulate(args, cfg):
     from .integrator import LevelSetRule, scaled_signal
     from .model import BeamGeometry
@@ -110,21 +128,13 @@ def _cmd_fit_trap(args, cfg):
         curves.append(curve)
     result = fit_trap_model(curves, cfg.material, focus_fwhm=cfg.focus_fwhm,
                             domain=LevelSetRule())
-    if not result.converged:
-        raise FitError("trap fit did not converge",
-                       diagnostics=dataclasses.asdict(result))
-    report = _report(args, cfg, {
-        "inputs": list(args.curves), **dataclasses.asdict(result)})
-    csvio.write_report(args.out, report)
-    print(f"fit trap: gamma_trap = {result.gamma_trap_per_s:.4g} /s, "
-          f"B = {result.background_b_counts_per_w:.4g} counts/W -> "
-          f"{args.out}")
-    return EXIT_OK
+    return _write_fit(args, cfg, list(args.curves), result, lambda fit: (
+        f"gamma_trap = {fit.gamma_trap_per_s:.4g} /s, "
+        f"B = {fit.background_b_counts_per_w:.4g} counts/W"))
 
 
 def _cmd_fit_hole(args, cfg):
     from . import pipeline
-    from .fitting import hom_linewidth_from_hole
     if args.aom_off == "auto":
         scan = csvio.read_raw_scan(args.scan, aom_off_range=(0, 1))
         detected = pipeline.detect_aom_off_range(scan.power_monitor)
@@ -138,43 +148,24 @@ def _cmd_fit_hole(args, cfg):
         csvio.write_treated_scan(args.treated_out, subtracted, normalized)
     keep = normalized.included
     fit = fit_hole_lorentzian(normalized.freq[keep], normalized.signal[keep])
-    hom = hom_linewidth_from_hole(fit.fwhm_hz) if fit.hole_detected else None
-    payload = {"input": args.scan, **dataclasses.asdict(fit),
-               "hom_linewidth_hz": hom}
-    csvio.write_report(args.out, _report(args, cfg, payload))
-    if not fit.hole_detected:
-        print(f"error: hole fit: the scan resolves no hole; unresolved "
-              f"{', '.join(fit.unresolved)} -> {args.out}", file=sys.stderr)
-        return EXIT_FITFAIL
-    print(f"fit hole: fwhm = {fit.fwhm_hz / 1e6:.3g} MHz, "
-          f"hom linewidth = {hom / 1e6:.3g} MHz -> {args.out}")
-    return EXIT_OK
+    return _write_fit(args, cfg, args.scan, fit, lambda fit: (
+        f"fwhm = {fit.fwhm_hz / 1e6:.3g} MHz, "
+        f"hom linewidth = {fit.hom_linewidth_hz / 1e6:.3g} MHz"))
 
 
 def _cmd_fit_expdecay(args, cfg):
     t, y, _ = csvio.read_xy(args.series, "wait_time_s", "area")
     fit = fit_exponential(t, y, with_offset=not args.no_offset)
-    if not fit.converged:
-        raise FitError("exponential fit did not converge",
-                       diagnostics=dataclasses.asdict(fit))
-    payload = {"input": args.series, **dataclasses.asdict(fit)}
-    csvio.write_report(args.out, _report(args, cfg, payload))
-    if fit.unresolved:
-        print(f"error: exponential fit: no decay above 3 sigma; unresolved "
-              f"{', '.join(fit.unresolved)} -> {args.out}", file=sys.stderr)
-        return EXIT_FITFAIL
-    print(f"fit expdecay: tau = {fit.tau_s:.4g} s -> {args.out}")
-    return EXIT_OK
+    return _write_fit(args, cfg, args.series, fit,
+                      lambda fit: f"tau = {fit.tau_s:.4g} s")
 
 
 def _cmd_fit_linear(args, cfg):
     x, y, _ = csvio.read_xy(args.points, args.x_column, args.y_column)
     fit = fit_linear_ci(x, y, confidence=args.confidence)
-    payload = {"input": args.points, **dataclasses.asdict(fit)}
-    csvio.write_report(args.out, _report(args, cfg, payload))
-    print(f"fit linear: slope = {fit.slope:.4g} +- {fit.slope_ci:.2g} "
-          f"({fit.confidence:.0%} CI) -> {args.out}")
-    return EXIT_OK
+    return _write_fit(args, cfg, args.points, fit, lambda fit: (
+        f"slope = {fit.slope:.4g} +- {fit.slope_ci:.2g} "
+        f"({fit.confidence:.0%} CI)"))
 
 
 def _cmd_zeeman(args, cfg):
@@ -389,19 +380,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(
         _join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args, load_config(args.config))
+        cfg = load_config(args.config)
+        return args.func(args, cfg)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except FitError as exc:
+        # Only the fit subcommands raise it, and each has --out.
         print(f"error: {exc}", file=sys.stderr)
         if exc.diagnostics:
             print(f"diagnostics: {exc.diagnostics}", file=sys.stderr)
-        out = getattr(args, "out", None)
-        if out:
-            csvio.write_report(out, {"command": _command(args),
-                                     "error": str(exc),
-                                     "diagnostics": exc.diagnostics})
+        csvio.write_report(args.out, _report(args, cfg, {
+            "error": str(exc), "diagnostics": exc.diagnostics}))
         return EXIT_FITFAIL
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ numpy, so neither do the CLI core and the plain-Python fits.
 """
 
 import math
+from dataclasses import asdict
 from itertools import chain
 
 # A fitted decay slower than this many sampled spans cannot be told from a
@@ -65,6 +66,14 @@ def _samples(names, *columns, min_points=1):
     if not all(map(math.isfinite, chain(*lists))):
         raise ValueError(f"{names} must be finite")
     return lists
+
+
+def _converged(fit, message):
+    """The fit's record if its search converged; else FitError with
+    `message`, the record's fields its diagnostics."""
+    if not fit.converged:
+        raise FitError(message, diagnostics=asdict(fit))
+    return fit
 
 
 class ConvergenceError(RuntimeError):

@@ -16,6 +16,8 @@ trap fit searches log gamma_trap by Gauss-Newton (`gauss_newton`) with
 Kaufman's column; its coefficients, all bounded at 0, come in closed form
 from `_arrow_least_squares`, since each scale A_c sits only in its own
 curve's rows and the background B in all of them.  No fit calls LAPACK.
+Both fits raise FitError, with their record's fields as diagnostics, when
+their search does not converge.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from . import _deferred
 from .constants import _FOCUS_FWHM, MaterialParams
 from .errors import (_DETECTION_SIGMAS, _MAX_DECAY_SPANS, _MAX_MAGNITUDE,
-                     FitError, _check_within, _samples)
+                     FitError, _check_within, _converged, _samples)
 from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
 
 # The trap fit's model, loaded with the integrator on the fit's first call.
@@ -128,8 +130,9 @@ def _free_complement(blocks, scales, background, vectors):
 @dataclass
 class LorentzianHoleFit:
     """Result of a constant-minus-Lorentzian spectral-hole fit; an error is
-    None for a parameter the data do not resolve, named in `unresolved`.
-    The fields are the report's keys, in its order."""
+    None for a parameter the data do not resolve, named in `unresolved`,
+    and so is `hom_linewidth_hz` when no hole is detected.  The fields are
+    the report's keys, in its order."""
 
     baseline: float
     depth: float
@@ -145,6 +148,7 @@ class LorentzianHoleFit:
     hole_detected: bool
     iterations: int
     nfev: int
+    hom_linewidth_hz: float | None
 
 
 @dataclass
@@ -174,7 +178,8 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
 
     A hole that is not detected (depth within 3 sigma of 0, or below 0.1%
     of the signal's spread) leaves the center and FWHM unresolved: their
-    errors are None and `unresolved` lists them.
+    errors are None, `unresolved` lists them and `hom_linewidth_hz` is
+    None.  A simplex that does not converge raises FitError.
     """
     f, y = map(np.array, _samples("freq and signal", freq, signal,
                                   min_points=8))
@@ -229,13 +234,6 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     # The baseline lifts the weighted mean of the fitted hole onto y_mean.
     baseline = y_mean - depth * shape_mean
 
-    if not res.converged:
-        raise FitError("Lorentzian hole fit failed",
-                       diagnostics={"converged": res.converged,
-                                    "fwhm_hz": fwhm, "residual_sse": sse,
-                                    "iterations": res.iterations,
-                                    "nfev": res.nfev})
-
     # The errors are taken in the normalized frame and scaled back.
     jacobian = _hole_jacobian(x, (baseline / y_scale, depth_n, xn0, wn))
     errs = [err and err * scale for err, scale in zip(
@@ -252,17 +250,20 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     if not detected:
         errs[2:] = [None, None]
     names = ("baseline", "depth", "center_hz", "fwhm_hz")
-    return LorentzianHoleFit(
+    return _converged(LorentzianHoleFit(
         baseline=baseline, depth=depth, center_hz=center, fwhm_hz=fwhm,
         baseline_err=errs[0], depth_err=errs[1], center_err_hz=errs[2],
         fwhm_err_hz=errs[3],
         unresolved=[name for name, err in zip(names, errs) if err is None],
         residual_sse=sse, converged=res.converged, hole_detected=detected,
-        iterations=res.iterations, nfev=res.nfev)
+        iterations=res.iterations, nfev=res.nfev,
+        hom_linewidth_hz=hom_linewidth_from_hole(fwhm) if detected else None),
+        "Lorentzian hole fit failed")
 
 
 def hom_linewidth_from_hole(fwhm):
-    """Upper bound on the homogeneous linewidth: half the hole FWHM."""
+    """Upper bound on the homogeneous linewidth: half the hole FWHM, the
+    hole fit's `hom_linewidth_hz` when it detects a hole."""
     if not 0 < fwhm < np.inf:
         raise ValueError("fwhm must be positive and finite")
     return fwhm / 2.0
@@ -323,7 +324,8 @@ def fit_trap_model(curves, material: MaterialParams,
     where the model turns into a straight line, and no higher than
     max_c(-ln(eps) / (min k_c * min dt_c)), dt_c the steps between curve
     c's samples, where it turns into a step, nor than `_MAX_MAGNITUDE`.
-    A fit on either bound, or an empty range, raises FitError.
+    A fit on either bound, an empty range or a search that does not
+    converge raises FitError.
     """
     from .model import _F_KEYS, BeamGeometry
     triples = _curve_triples(curves)
@@ -394,4 +396,4 @@ def fit_trap_model(curves, material: MaterialParams,
     if res.x in (lo, hi):
         raise FitError("trap fit found no resolvable decay",
                        diagnostics=asdict(result))
-    return result
+    return _converged(result, "trap fit did not converge")

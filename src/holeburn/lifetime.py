@@ -3,15 +3,15 @@
 A lifetime series has a few dozen points, so this module runs on `math`
 and a `fit expdecay` job loads no numpy: its columns come in as lists of
 floats through `errors._samples`, the intake every fit shares.  The fit
-is separable:
-`gauss_newton` searches u = log(tau / span), and for each tau the
-amplitude and offset come from the closed-form one- or two-column least
-squares over moments about the means.  The points are sorted first
+is separable: `gauss_newton` searches u = log(tau / span), and for each
+tau the amplitude and offset come from the closed-form one- or two-column
+least squares over moments about the means.  The points are sorted first
 and every sum is a `math.fsum`, so the fit does not depend on their order.
 Uncertainties come from the analytic Jacobian J at the optimum,
 cov = s^2 (J^T J)^-1 with s^2 the residual variance, by the hole fit's
 routine too, `simplex._jacobian_errors`.  A decay whose amplitude is
 within 3 sigma of 0 leaves the lifetime unresolved: it gets no error bar.
+A search that does not converge raises FitError with the record's fields.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .errors import _DETECTION_SIGMAS, _MAX_DECAY_SPANS, FitError, _samples
+from .errors import (_DETECTION_SIGMAS, _MAX_DECAY_SPANS, FitError,
+                     _converged, _samples)
 from .simplex import _jacobian_errors, gauss_newton
 
 
@@ -76,9 +77,10 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     searches u = log(tau / span) from log(1/3) between the bounds the
     samples resolve, and FitError is raised when it ends on one (a decay
     complete within the shortest step between samples, or slower than
-    `_MAX_DECAY_SPANS` spans) or when the amplitude at t = 0 overflows as
-    the samples start many lifetimes later.  An amplitude within
-    `_DETECTION_SIGMAS` sigma of 0 leaves tau_err None, "tau_s" unresolved.
+    `_MAX_DECAY_SPANS` spans), when it does not converge, or when the
+    amplitude at t = 0 overflows as the samples start many lifetimes later.
+    An amplitude within `_DETECTION_SIGMAS` sigma of 0 leaves tau_err None,
+    "tau_s" unresolved.
     """
     t, y = _samples("times and values", times, values, min_points=4)
     n = len(t)
@@ -165,10 +167,10 @@ def fit_exponential(times, values, with_offset=True) -> ExpDecayFit:
     if a0_err is None or abs(a0) <= _DETECTION_SIGMAS * a0_err:
         tau_err = None
     names = ("amplitude", "tau_s", "offset")[:len(params)]
-    return ExpDecayFit(
+    return _converged(ExpDecayFit(
         amplitude=amp, tau_s=tau, offset=params[2] if with_offset else None,
         amplitude_err=amp_err, tau_err_s=tau_err, offset_err=offset_err,
         unresolved=[name for name, err in zip(
             names, (amp_err, tau_err, offset_err)) if err is None],
         residual_sse=sse, converged=res.converged, iterations=res.iterations,
-        nfev=res.nfev)
+        nfev=res.nfev), "exponential fit did not converge")

@@ -205,7 +205,8 @@ def _jacobian_errors(columns, sse):
     J^T J is inverted exactly (adjugate over determinant) on columns
     scaled to unit norm, so magnitudes do not set its condition.  A
     parameter whose column vanishes gets None, and so does every parameter
-    when the scaled J^T J is singular to working precision.
+    when the scaled J^T J is singular to working precision: its
+    determinant is not positive, or a diagonal cofactor is negative.
     """
     n, p = len(columns[0]), len(columns)
     norms = [math.hypot(*column) for column in columns]
@@ -214,10 +215,12 @@ def _jacobian_errors(columns, sse):
     gram = [[math.fsum(map(mul, a, b)) for b in unit] for a in unit]
     errors = [None] * p
     det = _det(gram)
-    if det > 0:
+    cofactors = [_det([row[:k] + row[k + 1:] for j, row in enumerate(gram)
+                       if j != k]) for k in range(len(kept))]
+    # A rounded determinant of a singular J^T J can come out positive, but
+    # then a cofactor can come out negative.
+    if det > 0 and all(c >= 0 for c in cofactors):
         s2 = sse / (n - p)
-        for k, i in enumerate(kept):
-            minor = [row[:k] + row[k + 1:] for j, row in enumerate(gram)
-                     if j != k]
-            errors[i] = math.sqrt(s2 * _det(minor) / det) / norms[i]
+        for i, cofactor in zip(kept, cofactors):
+            errors[i] = math.sqrt(s2 * cofactor / det) / norms[i]
     return errors

@@ -3,7 +3,10 @@ flag values.
 
 Every fit subcommand reads a CSV a user hands it, so each must end on one
 of the documented exit codes (0 success, 2 input error, 3 non-convergence,
-4 fit failure) whatever the file holds, never on a traceback.  Each case
+4 fit failure) whatever the file holds, never on a traceback.  An exit 2
+writes no report; an exit 4 writes one that names the command and echoes
+the config, with either the error and its diagnostics or the unresolved
+parameters.  Each case
 mutates a valid fixture once: a cell set to NaN, +-inf, +-1e308, a
 subnormal, text or nothing; the file cut to its header or to one row,
 its rows reversed or all made equal; a column added to or cut from one
@@ -157,9 +160,11 @@ def test_every_mutation_ends_on_a_contract_code(name, valid_texts, tmp_path,
     cases = [(f"{name}-{kind}", mutate_file(text, kind))
              for kind in FILE_MUTATIONS]
     cases += list(cell_cases(name, text, seed=31))
+    report = tmp_path / "report.json"
     broken = []
     for case, mutated in cases:
         path.write_text(mutated, encoding="utf-8", newline="")
+        report.unlink(missing_ok=True)
         try:
             code = main(argv(name, path, tmp_path))
         except Exception as exc:  # a traceback breaks the contract
@@ -167,8 +172,23 @@ def test_every_mutation_ends_on_a_contract_code(name, valid_texts, tmp_path,
             continue
         if code not in CONTRACT_CODES:
             broken.append(f"{case}: exit {code}")
+        elif code == 2 and report.exists():
+            broken.append(f"{case}: exit 2 wrote a report")
+        elif code == 4 and not fit_failure_reported(report, name):
+            broken.append(f"{case}: exit 4 without a full failure report")
     capsys.readouterr()
     assert not broken, "\n".join(broken)
+
+
+def fit_failure_reported(report, name):
+    """An exit-4 report names its command and carries the config, and either
+    the error with its diagnostics or the unresolved parameters."""
+    if not report.exists():
+        return False
+    data = json.loads(report.read_text())
+    return (data.get("command") == f"fit {name}" and "config" in data
+            and ({"error", "diagnostics"} <= data.keys()
+                 or bool(data.get("unresolved"))))
 
 
 # A negative value is also passed joined to its flag, as `--flag=-1`.

@@ -10,7 +10,7 @@ from conftest import run_fresh
 import holeburn as hb
 from holeburn import cli, csvio, simplex
 from holeburn.cli import main
-from holeburn.config import _SCHEMA, ConfigError, load_config
+from holeburn.config import _SCHEMA, ConfigError, RunConfig, load_config
 from holeburn.fitting import LorentzianHoleFit, TrapFitResult
 from holeburn.integrator import TrapDecayModel
 from holeburn.lifetime import ExpDecayFit
@@ -724,6 +724,24 @@ class TestCli:
         assert report["fwhm_err_hz"] is None
         assert report["hom_linewidth_hz"] is None
 
+    def test_fit_hole_singular_jacobian_exit_4(self, tmp_path, capsys):
+        # the fit ends where J^T J is singular, though its rounded
+        # determinant is positive: no error bar is taken from a negative
+        # cofactor (a "math domain error", exit 2), and every parameter
+        # is unresolved
+        scan_path = tmp_path / "scan.csv"
+        report_path = tmp_path / "hole.json"
+        assert main(["gen", "holescan", "--depth", "0", "--n-points", "400",
+                     "--aom-off", "0:40", "--noise", "poisson", "--seed",
+                     "45", "--out", str(scan_path)]) == 0
+        assert main(["fit", "hole", "--scan", str(scan_path),
+                     "--out", str(report_path)]) == 4
+        report = json.loads(report_path.read_text())
+        assert report["unresolved"] == ["baseline", "depth", "center_hz",
+                                        "fwhm_hz"]
+        assert report["hole_detected"] is False
+        assert "baseline, depth, center_hz, fwhm_hz" in capsys.readouterr().err
+
     def test_fit_expdecay_end_to_end(self, tmp_path):
         series = tmp_path / "series.csv"
         report = tmp_path / "exp.json"
@@ -775,30 +793,29 @@ class TestCli:
             # the level is a per-run choice, not part of the echoed setup
             assert "fit" not in data["config"]
 
-    @pytest.mark.parametrize("gen, fit, record, extra", [
+    @pytest.mark.parametrize("gen, fit, record", [
         (["decay", "--powers", "8e-6,29e-6", "--t-end", "150", "--n-t", "31",
           "--tol", "0", "--noise", "poisson", "--seed", "2", "--out", "in"],
-         ["trap", "in/decay_8uW.csv", "in/decay_29uW.csv"], TrapFitResult,
-         []),
+         ["trap", "in/decay_8uW.csv", "in/decay_29uW.csv"], TrapFitResult),
         (["holescan", "--seed", "7", "--out", "in"], ["hole", "--scan", "in"],
-         LorentzianHoleFit, ["hom_linewidth_hz"]),
+         LorentzianHoleFit),
         (["holedecay", "--offset", "0.05", "--out", "in"],
-         ["expdecay", "--series", "in"], ExpDecayFit, []),
+         ["expdecay", "--series", "in"], ExpDecayFit),
         (["holedecay", "--out", "in"],
          ["linear", "--points", "in", "--x-column", "wait_time_s",
-          "--y-column", "area"], LinearFit, []),
+          "--y-column", "area"], LinearFit),
     ], ids=["trap", "hole", "expdecay", "linear"])
     def test_fit_report_keys_are_record_fields(self, tmp_path, monkeypatch,
-                                               gen, fit, record, extra):
+                                               gen, fit, record):
         # each report writes its fit record's fields under their own names,
-        # in order, between the input and the config
+        # in order, between the input and the config, and nothing else
         monkeypatch.chdir(tmp_path)
         assert main(["gen", *gen]) == 0
         assert main(["fit", *fit, "--out", "fit.json"]) == 0
         keys = list(json.loads((tmp_path / "fit.json").read_text()))
         assert keys[0] == "command" and keys[1] in ("input", "inputs")
         assert keys[2:] == [f.name for f in dataclasses.fields(record)] \
-            + extra + ["config"]
+            + ["config"]
 
     def test_gen_decay_powers_sharing_a_file_exit_2(self, tmp_path, capsys):
         # both powers print as 1 uW, so the batch kept one of its curves
@@ -1010,6 +1027,7 @@ class TestCli:
         assert code == 4
         data = json.loads(report.read_text())
         assert "diagnostics" in data and "error" in data
+        assert data["config"] == RunConfig().to_dict()
 
 
 BLAS_TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"

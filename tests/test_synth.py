@@ -144,6 +144,20 @@ class TestGenHoleScan:
             hb.gen_hole_scan(self.freq, 1.0, 0.4, 0.0, 5e6, 100.0,
                              aom_off_range=(0, 50), power_slope=-2.0)
 
+    @pytest.mark.parametrize("off", [(5, 5), (-1, 3), (0, freq.size + 1)],
+                             ids=["empty", "negative-start", "past-the-end"])
+    def test_off_range_outside_the_trace_rejected(self, off):
+        with pytest.raises(ValueError, match="aom_off_range"):
+            hb.gen_hole_scan(self.freq, 1.0, 0.4, 0.0, 5e6, 100.0,
+                             aom_off_range=off)
+
+    def test_cli_off_range_past_the_end_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["gen", "holescan", "--n-points", "300",
+                     "--aom-off", "0:301", "--out", str(out)]) == 2
+        assert "aom_off_range" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenHoleDecaySeries:
     def test_noiseless_exact(self):

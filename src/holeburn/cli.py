@@ -5,12 +5,21 @@ error, 3 integration non-convergence, 4 fit failure.  `_write_fit` writes
 every fit report (command, input, the record's fields, config) and exits 4
 when the record leaves a parameter unresolved; a fit that raises FitError
 gets a report of the error, its diagnostics and the config, and exits 4.
+
+`main(argv)` returns the exit code and leaves the cyclic GC as it found
+it.  `main()` with no argv, which the `holeburn` script and `python -m
+holeburn.cli` call, owns the process: it runs `sys.argv[1:]` with the
+cyclic GC off, flushes stdout and stderr and ends with `os._exit`, so no
+job pays for tearing the interpreter down.  Nothing is lost at that exit:
+every file is written whole and closed before the job returns, and
+`holeburn` registers no `atexit` handler.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import re
 import sys
@@ -117,7 +126,6 @@ def _cmd_simulate(args, cfg):
 
 
 def _cmd_fit_trap(args, cfg):
-    from .integrator import LevelSetRule
     curves = []
     for path in args.curves:
         curve = csvio.read_decay_curve(path)
@@ -126,8 +134,7 @@ def _cmd_fit_trap(args, cfg):
         if not curve.time_s.size:
             raise ValueError(f"{path}: the curve has no data rows")
         curves.append(curve)
-    result = fit_trap_model(curves, cfg.material, focus_fwhm=cfg.focus_fwhm,
-                            domain=LevelSetRule())
+    result = fit_trap_model(curves, cfg.material, focus_fwhm=cfg.focus_fwhm)
     return _write_fit(args, cfg, list(args.curves), result, lambda fit: (
         f"gamma_trap = {fit.gamma_trap_per_s:.4g} /s, "
         f"B = {fit.background_b_counts_per_w:.4g} counts/W"))
@@ -135,13 +142,10 @@ def _cmd_fit_trap(args, cfg):
 
 def _cmd_fit_hole(args, cfg):
     from . import pipeline
-    if args.aom_off == "auto":
-        scan = csvio.read_raw_scan(args.scan, aom_off_range=(0, 1))
-        detected = pipeline.detect_aom_off_range(scan.power_monitor)
-        scan = dataclasses.replace(scan, aom_off_range=detected)
-    else:
-        aom_off = _parse_range(args.aom_off) if args.aom_off else None
-        scan = csvio.read_raw_scan(args.scan, aom_off_range=aom_off)
+    aom_off = args.aom_off or None
+    if aom_off not in (None, "auto"):
+        aom_off = _parse_range(aom_off)
+    scan = csvio.read_raw_scan(args.scan, aom_off_range=aom_off)
     subtracted = pipeline.subtract_background(scan)
     normalized = pipeline.normalize_by_power(subtracted)
     if args.treated_out:
@@ -181,7 +185,6 @@ def _cmd_zeeman(args, cfg):
 
 def _cmd_gen_decay(args, cfg):
     from . import synth
-    from .integrator import LevelSetRule
     noise = _noise_from_args(args)
     t_grid = _time_grid(args)
     # A single curve is the batch of one: it gets noise stream 0.
@@ -189,7 +192,7 @@ def _cmd_gen_decay(args, cfg):
     curves = synth.gen_decay_batch(cfg.material, args.gamma_trap,
                                    cfg.scale_a, cfg.background_b, powers,
                                    t_grid, noise, cfg.focus_fwhm,
-                                   LevelSetRule(), refine_tol=args.tol)
+                                   refine_tol=args.tol)
     if args.powers:
         # Files are named by the power in uW to 6 digits, so two powers that
         # print alike would write one file.
@@ -372,13 +375,13 @@ def _join_negative_values(argv):
     return out
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
+    """Run the job that `argv` names; return its exit code."""
     # No job gives OpenBLAS work, so its idle workers should sleep after
     # 2^4 cycles, not spin for 2^28 (~0.1 s of CPU) once numpy loads.
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     parser = build_parser()
-    args = parser.parse_args(
-        _join_negative_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_join_negative_values(argv))
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)
@@ -398,5 +401,21 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+def main(argv=None) -> int:
+    """Run the job that `argv` names and return its exit code; with no
+    `argv`, run `sys.argv[1:]` and end the process (module docstring)."""
+    if argv is not None:
+        return _run(argv)
+    gc.disable()
+    try:
+        code = _run(sys.argv[1:])
+    except SystemExit as exc:
+        # argparse's exit: 0 after --help, 2 on a bad flag
+        code = exc.code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -161,7 +161,10 @@ def write_raw_scan(path, scan: RawScan):
 
 
 def read_raw_scan(path, aom_off_range=None) -> RawScan:
-    from .pipeline import RawScan
+    """The scan in `path`, its modulator-off range `aom_off_range`: by
+    default the one its metadata records, and for "auto" the one
+    `pipeline.detect_aom_off_range` finds in its power column."""
+    from .pipeline import RawScan, detect_aom_off_range
     meta, cols = _read_table(path, ["freq_hz", "fluor_counts", "power_counts"])
     if aom_off_range is None:
         try:
@@ -172,6 +175,8 @@ def read_raw_scan(path, aom_off_range=None) -> RawScan:
             raise ValueError(f"{path}: no aom_off_range in metadata; "
                              "pass one explicitly") from None
     try:
+        if aom_off_range == "auto":
+            aom_off_range = detect_aom_off_range(cols["power_counts"])
         return RawScan(freq=cols["freq_hz"],
                        fluor_counts=cols["fluor_counts"],
                        power_monitor=cols["power_counts"],

@@ -317,7 +317,8 @@ def fit_trap_model(curves, material: MaterialParams,
     focus_fwhm : float
         Beam focus FWHM shared by all measurements [m].
     domain : IntegrationDomain or LevelSetRule, optional
-        Rule each curve's decay cloud is built with.
+        Rule each curve's decay cloud is built with; `LevelSetRule()`, the
+        rule of the CLI and of `gen_decay_batch`, when None.
 
     gamma_trap is searched no lower than 1 / (max_c(max k_c * max t_c) *
     `_MAX_DECAY_SPANS`), k_c the rates of curve c's cloud per unit gamma,
@@ -327,7 +328,9 @@ def fit_trap_model(curves, material: MaterialParams,
     A fit on either bound, an empty range or a search that does not
     converge raises FitError.
     """
+    from .integrator import LevelSetRule
     from .model import _F_KEYS, BeamGeometry
+    domain = LevelSetRule() if domain is None else domain
     triples = _curve_triples(curves)
     if not triples:
         raise ValueError("need at least one curve")

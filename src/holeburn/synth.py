@@ -21,7 +21,7 @@ from .constants import _FOCUS_FWHM
 from .csvio import DecayCurve
 from .errors import _MAX_MAGNITUDE, _check_within
 from .fitting import lorentzian_hole
-from .integrator import refine_until_converged, scaled_signal
+from .integrator import LevelSetRule, refine_until_converged, scaled_signal
 from .lifetime import exp_decay
 from .model import BeamGeometry, MaterialParams
 from .pipeline import RawScan
@@ -95,8 +95,10 @@ def gen_decay_batch(material: MaterialParams, gamma_trap: float,
     (gamma_trap, A, B, noise settings) is stored in each curve's metadata.
     S(t) comes from `refine_until_converged` on `domain` at `refine_tol`,
     as in the simulate command, so the fixture matches its output; the
-    default 0 evaluates the rule once.
+    default 0 evaluates the rule once.  `domain` None is `LevelSetRule()`,
+    the rule the CLI and `fit_trap_model` use.
     """
+    domain = LevelSetRule() if domain is None else domain
     curves = []
     for stream, p0 in enumerate(powers):
         geom = BeamGeometry.for_material(material, power=p0,

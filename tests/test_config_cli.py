@@ -247,6 +247,19 @@ class TestCsvIO:
         back = csvio.read_raw_scan(path, aom_off_range=(0, 1))
         assert back.aom_off_range == (0, 1)
 
+    def test_raw_scan_auto_range(self, tmp_path):
+        scan = hb.gen_hole_scan(np.linspace(-1e8, 1e8, 200), 1.0, 0.3, 0.0,
+                                5e6, 100.0, aom_off_range=(30, 70),
+                                power_offset=1.0)
+        path = tmp_path / "s.csv"
+        csvio.write_raw_scan(path, scan)
+        assert csvio.read_raw_scan(path, "auto").aom_off_range == (30, 70)
+        path.write_text("freq_hz,fluor_counts,power_counts\n"
+                        + "1.0,1.0,1.0\n" * 20)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: flat power trace"):
+            csvio.read_raw_scan(path, "auto")
+
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

@@ -1017,6 +1017,18 @@ class TestTrapFit:
         assert list(diagnostics) == [f.name for f in fields(hb.TrapFitResult)]
         assert diagnostics["converged"] is False
 
+    def test_no_rule_named_is_the_level_set_rule(self, material):
+        # the generator and the fit take the CLI's rule by default
+        args = (material, 7e4, 0.19, 9.4e7, [2e-6, 44e-6],
+                np.linspace(0, 200, 41), hb.NoiseSpec(kind="poisson", seed=5))
+        default = hb.gen_decay_batch(*args)
+        named = hb.gen_decay_batch(*args, domain=hb.LevelSetRule())
+        for a, b in zip(default, named, strict=True):
+            assert a.counts_per_s.tolist() == b.counts_per_s.tolist()
+            assert a.meta == b.meta
+        assert hb.fit_trap_model(default, material) == hb.fit_trap_model(
+            named, material, domain=hb.LevelSetRule())
+
     def test_calls_per_fit(self, material, fast_domain):
         for seed, curves in enumerate(trap_batches(material, fast_domain), 1):
             res = hb.fit_trap_model(curves, material, domain=fast_domain)

@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "constants": ("MaterialParams", "PLANCK_CONSTANT", "SPEED_OF_LIGHT",
-                  "photon_energy"),
+    "config": ("MaterialParams", "PLANCK_CONSTANT", "SPEED_OF_LIGHT",
+               "ZeemanConfig", "photon_energy"),
     "csvio": ("DecayCurve",),
     "errors": ("ConvergenceError", "FitError"),
     "fitting": ("LorentzianHoleFit", "TrapFitResult", "fit_hole_lorentzian",
@@ -34,12 +34,12 @@ _EXPORTS = {
     "simplex": ("MinimizeOptions", "MinimizeResult", "minimize"),
     "synth": ("NoiseSpec", "apply_noise", "gen_decay_batch",
               "gen_hole_decay_series", "gen_hole_scan"),
-    "zeeman": ("ResonanceFields", "ZeemanConfig", "applied_field",
-               "resonance_fields", "splittings"),
+    "zeeman": ("ResonanceFields", "applied_field", "resonance_fields",
+               "splittings"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}
-_SUBMODULES = ("cli", "config", *_EXPORTS)
+_SUBMODULES = ("cli", *_EXPORTS)
 
 __all__ = sorted(_MODULE_OF)
 

@@ -25,7 +25,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import _deferred, csvio, zeeman
+from . import _deferred, csvio
 from .config import ConfigError, load_config
 from .csvio import write_signal_csv
 from .errors import ConvergenceError, FitError, _check_within
@@ -173,6 +173,7 @@ def _cmd_fit_linear(args, cfg):
 
 
 def _cmd_zeeman(args, cfg):
+    from . import zeeman
     deltas = _parse_floats(args.delta_f) if args.delta_f else []
     results = [zeeman.resonance_fields(df, cfg.zeeman) for df in deltas]
     names = [f.name for f in dataclasses.fields(zeeman.ResonanceFields)]

@@ -1,21 +1,115 @@
-"""Typed INI configuration of the setup, which stays fixed from run to run.
+"""The setup, which stays fixed from run to run, and the typed INI file
+that sets it: the crystal's constants, the focus, the detection scale and
+the Zeeman coefficients, with the CODATA constants (exact by definition).
 
-All physical quantities are SI and the unit rides in the key name, so a
-config file diff is unambiguous.  Unknown sections or keys are rejected
+All quantities are SI and the unit rides in the key name, so a config
+file diff is unambiguous.  Unknown sections or keys are rejected
 outright; a missing file section falls back to the built-in defaults.
+The module loads no numpy, and the INI parser only to read a file.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .constants import _FOCUS_FWHM, MaterialParams
 from .errors import _MAX_MAGNITUDE, _check_within
-from .zeeman import ZeemanConfig
+
+PLANCK_CONSTANT = 6.62607015e-34  # J s
+SPEED_OF_LIGHT = 299792458.0  # m/s
+
+# Intensity FWHM of the beam focus [m] wherever a config or caller sets none.
+_FOCUS_FWHM = 1e-6
+
+
+def photon_energy(wavelength):
+    """Photon energy h*c0/lambda in joules for a vacuum wavelength in meters."""
+    if wavelength <= 0:
+        raise ValueError("wavelength must be positive")
+    return PLANCK_CONSTANT * SPEED_OF_LIGHT / wavelength
+
+
+@dataclass(frozen=True)
+class MaterialParams:
+    """Fixed physical constants of the crystal and its UV transition.
+
+    Attributes
+    ----------
+    sat_intensity : float
+        Saturation intensity of the ground-excited transition [W/m^2].
+    sigma_ion : float
+        Cross section for photoionization of the excited state into the
+        conduction band [m^2].
+    sigma_rec : float
+        Cross section for stimulated recombination from the conduction
+        band [m^2].
+    photoioniz_fwhm : float
+        FWHM of the excited-state photoionization band [Hz].
+    vac_wavelength : float
+        Vacuum excitation wavelength, also used as the deexcitation
+        wavelength for the spontaneous recombination estimate [m].
+    refr_index : float
+        Refractive index of the crystal.
+    hom_linewidth0 : float
+        Unbroadened homogeneous linewidth of the optical transition [Hz].
+    ion_density : float
+        Spectral density of ions [ions/m^3/Hz].
+    fluor_rate : float
+        Fluorescence emission rate of the excited state, 1/lifetime [1/s].
+    g_ratio : float
+        Degeneracy ratio between the excited state and the conduction
+        band states (assumed 1 when unknown).
+    coll0 : float
+        Peak photon collection efficiency of the detection setup.
+    """
+
+    sat_intensity: float = 1.4e7
+    sigma_ion: float = 1e-22
+    sigma_rec: float = 1e-20
+    photoioniz_fwhm: float = 82e12
+    vac_wavelength: float = 371e-9
+    refr_index: float = 1.8
+    hom_linewidth0: float = 4e6
+    ion_density: float = 6e10
+    fluor_rate: float = 2.5e7
+    g_ratio: float = 1.0
+    coll0: float = 0.016
+
+    def __post_init__(self):
+        # every constant but g_ratio (>= 0) and coll0 (a fraction) is > 0
+        _check_within(1 / _MAX_MAGNITUDE, **{
+            name: value for name, value in vars(self).items()
+            if name not in ("g_ratio", "coll0")})
+        _check_within(0.0, g_ratio=self.g_ratio)
+        if not 0 < self.coll0 <= 1:
+            raise ValueError("coll0 must lie in (0, 1]")
+
+    @property
+    def photon_energy(self) -> float:
+        return photon_energy(self.vac_wavelength)
+
+    @property
+    def gamma_rec_spon(self) -> float:
+        """Spontaneous conduction-band decay rate derived from sigma_rec."""
+        from .model import spont_recombination_rate
+        return spont_recombination_rate(self.sigma_rec, self.photoioniz_fwhm,
+                                        self.vac_wavelength, self.g_ratio)
+
+
+@dataclass(frozen=True)
+class ZeemanConfig:
+    """Splitting coefficients [Hz/T] and the stray-field offset [T]."""
+
+    g_ground: float = 1.9e10
+    g_excited: float = 2.55e10
+    stray_field: float = 2e-4
+
+    def __post_init__(self):
+        _check_within(1 / _MAX_MAGNITUDE, g_ground=self.g_ground,
+                      g_excited=self.g_excited)
+        _check_within(stray_field=self.stray_field)
 
 
 class ConfigError(ValueError):
@@ -74,25 +168,6 @@ class RunConfig:
                 for section, keys in _SCHEMA.items()}
 
 
-def _collect(parser, section) -> dict:
-    """Validate one section against the schema; map target to float value."""
-    schema = _SCHEMA[section]
-    values = {}
-    for key, raw in parser.items(section):
-        if key not in schema:
-            raise ConfigError(f"unknown key '{key}' in section [{section}]")
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"key '{key}' in section [{section}] must be "
-                              f"float, got '{raw}'") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"key '{key}' in section [{section}] must be "
-                              f"finite, got '{raw}'")
-        values[schema[key]] = value
-    return values
-
-
 def load_config(path=None) -> RunConfig:
     """Parse a config file; None or a missing-section file yields defaults."""
     cfg = RunConfig()
@@ -101,6 +176,7 @@ def load_config(path=None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    import configparser
     parser = configparser.ConfigParser()
     try:
         parser.read(path, encoding="utf-8")
@@ -112,8 +188,18 @@ def load_config(path=None) -> RunConfig:
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}] in {path}")
-        for target, value in _collect(parser, section).items():
-            record, _, name = target.rpartition(".")
+        for key, raw in parser.items(section):
+            where = f"key '{key}' in section [{section}]"
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown {where}")
+            try:
+                value = float(raw)
+            except ValueError:
+                raise ConfigError(f"{where} must be float, got '{raw}'") \
+                    from None
+            if not math.isfinite(value):
+                raise ConfigError(f"{where} must be finite, got '{raw}'")
+            record, _, name = _SCHEMA[section][key].rpartition(".")
             updates.setdefault(record, {})[name] = value
 
     # replace() reruns each record's own validation on the merged fields.

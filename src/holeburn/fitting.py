@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _deferred
-from .constants import _FOCUS_FWHM, MaterialParams
+from .config import _FOCUS_FWHM, MaterialParams
 from .errors import (_DETECTION_SIGMAS, _MAX_DECAY_SPANS, _MAX_MAGNITUDE,
                      FitError, _check_within, _converged, _samples)
 from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
@@ -36,8 +36,15 @@ from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
 # The trap fit's model, loaded with the integrator on the fit's first call.
 TrapDecayModel = _deferred("integrator", "TrapDecayModel")
 
-# Objective value of the hole fit at a nonpositive width.
+# Objective value of the hole fit at a shape its scan does not resolve.
 _REJECT = 1e300
+
+# The hole shapes a scan resolves, in the hole fit's normalized units
+# (frequencies in units of the span): a centre on the sampled axis and a
+# FWHM from the smallest positive gap between samples up to
+# _MAX_FWHM_SPANS, the span.  A narrower hole is a spike that no two
+# samples share, and a wider one a slope of the baseline.
+_MAX_FWHM_SPANS = 1.0
 
 # Search settings of the hole fit.  The trap fit searches
 # log(gamma_trap / _GAMMA_SEED) [gamma in 1/s] from 0.
@@ -176,10 +183,13 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
         Per-point noise level, positive and finite, used to weight
         residuals; unweighted when omitted.
 
+    The search keeps to the shapes the scan resolves (`_MAX_FWHM_SPANS`).
     A hole that is not detected (depth within 3 sigma of 0, or below 0.1%
     of the signal's spread) leaves the center and FWHM unresolved: their
     errors are None, `unresolved` lists them and `hom_linewidth_hz` is
-    None.  A simplex that does not converge raises FitError.
+    None; its depth is that of the best-fitting resolved dip, within a
+    few times the signal's spread on an evenly spaced scan.  A simplex
+    that does not converge raises FitError.
     """
     f, y = map(np.array, _samples("freq and signal", freq, signal,
                                   min_points=8))
@@ -218,11 +228,17 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
         r = dy - depth * ds
         return float(np.dot(w2 * r, r)), depth, mean
 
-    def objective(p):
-        return project(p)[0] if p[1] > 0 else _REJECT
+    # The resolved shapes (see _MAX_FWHM_SPANS).
+    gaps = np.diff(np.sort(f))  # np.unique would load numpy.ma
+    min_fwhm, lo, hi = float(gaps[gaps > 0].min()) / span, x.min(), x.max()
 
-    # Seeds: center at the minimum, width at 10% of the span.
-    res = minimize(objective, [float(x[np.argmin(y)]), 0.1], _SEARCH)
+    def objective(p):
+        resolved = lo <= p[0] <= hi and min_fwhm <= p[1] <= _MAX_FWHM_SPANS
+        return project(p)[0] if resolved else _REJECT
+
+    # Seeds: center at the minimum, width at 10% of the span or one gap.
+    res = minimize(objective, [float(x[np.argmin(y)]), max(0.1, min_fwhm)],
+                   _SEARCH)
 
     xn0, wn = map(float, res.x)
     # A residual in units of y_scale, weighted by root_w2 = y_scale /

@@ -7,7 +7,7 @@ reduces to algebraic population ratios plus one exponential for the trap
 filling.  Beam optics (Gaussian focus) and the confocal collection
 efficiency live here as well, since every spatial point of the simulation
 is evaluated through these functions.  The crystal's constants,
-MaterialParams, are a scalar record in constants.py.
+MaterialParams, are a scalar record of the setup in config.py.
 
 Rates and beam are SI (W/m^2, Hz, m, s); `_groups` forms the run's SI
 products once, and per node the model takes saturation parameters I/I_sat.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _FOCUS_FWHM, MaterialParams, photon_energy
+from .config import _FOCUS_FWHM, MaterialParams, photon_energy
 from .errors import _MAX_MAGNITUDE, _check_within
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import _FOCUS_FWHM
+from .config import _FOCUS_FWHM
 from .csvio import DecayCurve
 from .errors import _MAX_MAGNITUDE, _check_within
 from .fitting import lorentzian_hole

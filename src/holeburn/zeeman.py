@@ -4,7 +4,8 @@ Both the ground and the excited doublet split linearly with the magnetic
 field along the crystal b-axis (where the two magnetic sites overlap), so
 a scalar field model is enough.  A configurable stray field offsets the
 applied field, total = applied + stray_field; a reversed coil polarity is
-the stray field with the other sign.
+the stray field with the other sign.  The coefficients and the stray field
+are the setup's `config.ZeemanConfig`.
 
 The field functions take a float or a numpy array of fields and return
 the same kind; the module itself needs no numpy.
@@ -13,23 +14,12 @@ the same kind; the module itself needs no numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import _MAX_MAGNITUDE, _check_within
 
-
-@dataclass(frozen=True)
-class ZeemanConfig:
-    """Splitting coefficients [Hz/T] and the stray-field offset [T]."""
-
-    g_ground: float = 1.9e10
-    g_excited: float = 2.55e10
-    stray_field: float = 2e-4
-
-    def __post_init__(self):
-        _check_within(1 / _MAX_MAGNITUDE, g_ground=self.g_ground,
-                      g_excited=self.g_excited)
-        _check_within(stray_field=self.stray_field)
+if TYPE_CHECKING:
+    from .config import ZeemanConfig
 
 
 @dataclass(frozen=True)
@@ -75,11 +65,6 @@ def resonance_fields(delta_f_laser, cfg: ZeemanConfig) -> ResonanceFields:
     b_sum = delta_f_laser / (cfg.g_ground + cfg.g_excited)
     diff = abs(cfg.g_ground - cfg.g_excited)
     b_diff = delta_f_laser / diff if diff > 0 else None
-    return ResonanceFields(
-        b_ground_total=b_ground,
-        b_sum_total=b_sum,
-        b_diff_total=b_diff,
-        b_ground_applied=float(applied_field(b_ground, cfg)),
-        b_sum_applied=float(applied_field(b_sum, cfg)),
-        b_diff_applied=None if b_diff is None else float(applied_field(b_diff, cfg)),
-    )
+    totals = (b_ground, b_sum, b_diff)
+    return ResonanceFields(*totals, *(
+        None if b is None else float(applied_field(b, cfg)) for b in totals))

@@ -636,6 +636,22 @@ class TestCli:
                      "--out", str(tmp_path / "hole.json")]) == 2
         assert "must be in [-1e+100, 1e+100]" in capsys.readouterr().err
 
+    def test_fit_hole_subtracted_trace_beyond_range_exit_2(self, tmp_path,
+                                                          capsys):
+        # every reading is in range, but the AOM-off fluorescence, +1e100,
+        # subtracted from the rest, -1e100, is not
+        scan_path, report = tmp_path / "scan.csv", tmp_path / "hole.json"
+        on = np.arange(40) >= 10
+        csvio.write_raw_scan(scan_path, hb.RawScan(
+            freq=np.linspace(-100e6, 100e6, 40),
+            fluor_counts=np.where(on, -1e100, 1e100),
+            power_monitor=np.where(on, 1000.0, 0.0), aom_off_range=(0, 10)))
+        assert main(["fit", "hole", "--scan", str(scan_path),
+                     "--out", str(report)]) == 2
+        assert capsys.readouterr().err == ("error: fluor_counts must be in "
+                                           "[-1e+100, 1e+100], got -2e+100\n")
+        assert not report.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_fit_hole_nonfinite_frequency_exit_2(self, tmp_path, capsys, bad):
         # the first row lies in the AOM-off segment, which the fit never
@@ -738,10 +754,10 @@ class TestCli:
         assert report["hom_linewidth_hz"] is None
 
     def test_fit_hole_singular_jacobian_exit_4(self, tmp_path, capsys):
-        # the fit ends where J^T J is singular, though its rounded
-        # determinant is positive: no error bar is taken from a negative
-        # cofactor (a "math domain error", exit 2), and every parameter
-        # is unresolved
+        # a search without bounds ended this no-hole scan on a 0.02 Hz
+        # spike, where J^T J is singular (test_simplex.py keeps those
+        # columns); the bounded search ends on a resolved shape, and the
+        # undetected hole leaves its center and FWHM unresolved
         scan_path = tmp_path / "scan.csv"
         report_path = tmp_path / "hole.json"
         assert main(["gen", "holescan", "--depth", "0", "--n-points", "400",
@@ -750,10 +766,9 @@ class TestCli:
         assert main(["fit", "hole", "--scan", str(scan_path),
                      "--out", str(report_path)]) == 4
         report = json.loads(report_path.read_text())
-        assert report["unresolved"] == ["baseline", "depth", "center_hz",
-                                        "fwhm_hz"]
+        assert report["unresolved"] == ["center_hz", "fwhm_hz"]
         assert report["hole_detected"] is False
-        assert "baseline, depth, center_hz, fwhm_hz" in capsys.readouterr().err
+        assert "unresolved center_hz, fwhm_hz" in capsys.readouterr().err
 
     def test_fit_expdecay_end_to_end(self, tmp_path):
         series = tmp_path / "series.csv"

@@ -312,8 +312,8 @@ class TestHoleFit:
         assert list(err.value.diagnostics) == [
             f.name for f in fields(fitting.LorentzianHoleFit)]
 
-    # The seed-35 scan with no hole ends on a singular J^T J whose rounded
-    # determinant is positive and one of whose cofactors is negative.
+    # On the seed-35 scan with no hole, a search without width bounds ends
+    # on a spike narrower than a sample, at a singular J^T J.
     @settings(max_examples=60, deadline=None)
     @given(depth=st.sampled_from([0.0, 0.03, 0.4]),
            seed=st.integers(0, 2**32 - 1))
@@ -338,6 +338,29 @@ class TestHoleFit:
         assert (fit.hom_linewidth_hz is None) == bool(fit.unresolved)
         if fit.hole_detected:
             assert fit.hom_linewidth_hz == fit.fwhm_hz / 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 400),
+           level=st.floats(0.0, 4.0))
+    @example(seed=0, n=8, level=2.0)  # a gap above the width's 10% seed
+    def test_no_hole_search_stays_on_resolved_shapes(self, seed, n, level):
+        # Poisson scans of 10^level counts a point with no hole: the fit
+        # ends on a width from the sample step to the span and a centre on
+        # the axis (to rounding), never on a spike between samples.  The
+        # sample nearest a resolved centre dips at least half the depth,
+        # so the depth stays within two spreads of the signal.
+        freq = np.linspace(-100e6, 100e6, n)
+        y = np.random.default_rng(seed).poisson(10**level, n).astype(float)
+        try:
+            fit = hb.fit_hole_lorentzian(freq, y)
+        except FitError as exc:
+            assert exc.diagnostics["converged"] is False
+            return
+        span, step = np.ptp(freq), freq[1] - freq[0]
+        rounding = 1e-12 * span
+        assert step - rounding <= fit.fwhm_hz <= span + rounding
+        assert freq[0] - rounding <= fit.center_hz <= freq[-1] + rounding
+        assert 0 <= fit.depth <= 2 * np.ptp(y)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -1432,10 +1455,10 @@ def test_import_holeburn_loads_no_module():
                          ("numpy", "holeburn")) == "['holeburn']"
 
 
-# Loaded by every CLI job: the front end, the config and what it holds.
-CLI_CORE = {"holeburn", "holeburn.cli", "holeburn.config",
-            "holeburn.constants", "holeburn.csvio", "holeburn.errors",
-            "holeburn.zeeman"}
+# Loaded by every CLI job: the front end, the setup it loads and the files
+# and errors it handles.
+CLI_CORE = {"holeburn", "holeburn.cli", "holeburn.config", "holeburn.csvio",
+            "holeburn.errors"}
 
 
 def test_simulate_loads_only_the_integrator(tmp_path):
@@ -1445,9 +1468,15 @@ def test_simulate_loads_only_the_integrator(tmp_path):
                                                       "holeburn.model"}
 
 
-def test_zeeman_loads_only_the_cli_core(tmp_path):
+def test_zeeman_loads_the_cli_core_and_zeeman(tmp_path):
     job = ["zeeman", "--delta-f", "1e6", "--out", str(tmp_path / "z.csv")]
-    assert holeburn_modules_after(job) == CLI_CORE
+    assert holeburn_modules_after(job) == CLI_CORE | {"holeburn.zeeman"}
+
+
+def test_setup_users_load_no_ini_parser():
+    # the config file's parser loads only when load_config reads a file
+    code = "import sys, holeburn.fitting, holeburn.model, holeburn.synth"
+    assert modules_after(code, ("configparser",)) == "[]"
 
 
 @pytest.mark.parametrize("code", [

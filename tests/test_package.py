@@ -58,10 +58,17 @@ class TestLazyNamespace:
         assert getattr(hb, name) is importlib.import_module(f"holeburn.{name}")
 
     def test_material_params_is_one_record(self):
-        # defined in constants, re-exported by model for the formulas
+        # defined in config with the rest of the setup, re-exported by
+        # model for the formulas
         assert hb.MaterialParams is hb.model.MaterialParams
-        assert hb.MaterialParams is hb.constants.MaterialParams
-        assert hb.fitting.MaterialParams is hb.constants.MaterialParams
+        assert hb.MaterialParams is hb.config.MaterialParams
+        assert hb.fitting.MaterialParams is hb.config.MaterialParams
+
+    def test_submodules_are_every_module(self):
+        # a module left out of _EXPORTS would not resolve as an attribute
+        stems = {path.stem for path in (ROOT / "src" / "holeburn").glob("*.py")}
+        assert set(hb._SUBMODULES) == stems - {"__init__"}
+        assert len(hb._SUBMODULES) == len(set(hb._SUBMODULES))
 
     def test_lifetime_fit_is_plain_python(self):
         # the lifetime fit moved out of fitting, which loads numpy

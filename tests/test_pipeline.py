@@ -94,6 +94,20 @@ class TestSubtractBackground:
         assert np.allclose(twice.power_monitor, once.power_monitor, atol=1e-12)
 
 
+    def test_subtracted_trace_checked_again(self):
+        # a valid scan whose subtracted fluorescence, -1e100 - 1e100, leaves
+        # the range: the second pass through RawScan's checks rejects it
+        on = np.arange(40) >= 10
+        scan = hb.RawScan(freq=np.linspace(-100e6, 100e6, 40),
+                          fluor_counts=np.where(on, -1e100, 1e100),
+                          power_monitor=np.where(on, 1000.0, 0.0),
+                          aom_off_range=(0, 10))
+        with pytest.raises(ValueError, match=r"^fluor_counts must be in "
+                                             r"\[-1e\+100, 1e\+100\], "
+                                             r"got -2e\+100$"):
+            hb.subtract_background(scan)
+
+
 class TestNormalize:
     def test_constant_response(self):
         scan = hb.subtract_background(make_raw(response=2.0))

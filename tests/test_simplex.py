@@ -1,4 +1,7 @@
+import json
 import math
+from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +245,19 @@ def test_scalar_loose_bounds_change_nothing(center, x0, slope, mix, pads):
     assert bounded.calls == free.calls
     assert (got.x, got.fun, got.nfev, got.iterations, got.converged) == (
         res.x, res.fun, res.nfev, res.iterations, res.converged)
+
+
+def test_jacobian_errors_none_on_a_negative_cofactor():
+    # J^T J of a hole fit on a sub-sample spike: singular, but its rounded
+    # determinant comes out positive while a diagonal cofactor comes out
+    # negative, whose square root is no error bar
+    data = json.loads((Path(__file__).parent / "data"
+                       / "singular_hole_jacobian.json").read_text())
+    columns = data["columns"]
+    unit = [[v / math.hypot(*c) for v in c] for c in columns]
+    gram = [[math.fsum(map(mul, a, b)) for b in unit] for a in unit]
+    cofactors = [simplex._det([row[:k] + row[k + 1:]
+                               for j, row in enumerate(gram) if j != k])
+                 for k in range(len(gram))]
+    assert simplex._det(gram) > 0 and min(cofactors) < 0
+    assert simplex._jacobian_errors(columns, data["sse"]) == [None] * 4

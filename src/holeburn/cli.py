@@ -107,14 +107,13 @@ def _write_fit(args, cfg, source, fit, summary) -> int:
 
 
 def _cmd_simulate(args, cfg):
-    from .integrator import LevelSetRule, scaled_signal
+    from .integrator import scaled_signal
     from .model import BeamGeometry
     t_grid = _time_grid(args)
     geom = BeamGeometry.for_material(cfg.material, power=args.power_w,
                                      focus_fwhm=cfg.focus_fwhm)
     result = refine_until_converged(t_grid, cfg.material, geom,
-                                    args.gamma_trap, LevelSetRule(),
-                                    rel_tol=args.tol)
+                                    args.gamma_trap, rel_tol=args.tol)
     scaled = scaled_signal(result.values, cfg.scale_a, cfg.background_b,
                            args.power_w)
     write_signal_csv(args.out, t_grid, result.values, scaled)
@@ -165,6 +164,8 @@ def _cmd_fit_expdecay(args, cfg):
 
 
 def _cmd_fit_linear(args, cfg):
+    if args.x_column == args.y_column:
+        raise ValueError(f"--x-column and --y-column both name '{args.x_column}'")
     x, y, _ = csvio.read_xy(args.points, args.x_column, args.y_column)
     fit = fit_linear_ci(x, y, confidence=args.confidence)
     return _write_fit(args, cfg, args.points, fit, lambda fit: (

@@ -278,8 +278,10 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
 
 
 def hom_linewidth_from_hole(fwhm):
-    """Upper bound on the homogeneous linewidth: half the hole FWHM, the
-    hole fit's `hom_linewidth_hz` when it detects a hole."""
+    """Half the hole FWHM (`hom_linewidth_hz`): a bound on the homogeneous
+    linewidth only for one resolved Lorentzian.  Power broadening puts it
+    7-164% high at 2-44 uW (ROADMAP direction 13); 6 MHz spin components at
+    0.05-2 mT fit a 1.3-5.1 MHz FWHM, so it reads low there (direction 16)."""
     if not 0 < fwhm < np.inf:
         raise ValueError("fwhm must be positive and finite")
     return fwhm / 2.0
@@ -333,8 +335,8 @@ def fit_trap_model(curves, material: MaterialParams,
     focus_fwhm : float
         Beam focus FWHM shared by all measurements [m].
     domain : IntegrationDomain or LevelSetRule, optional
-        Rule each curve's decay cloud is built with; `LevelSetRule()`, the
-        rule of the CLI and of `gen_decay_batch`, when None.
+        Rule each curve's decay cloud is built with; the library's
+        default, `LevelSetRule()`, when None.
 
     gamma_trap is searched no lower than 1 / (max_c(max k_c * max t_c) *
     `_MAX_DECAY_SPANS`), k_c the rates of curve c's cloud per unit gamma,
@@ -344,9 +346,7 @@ def fit_trap_model(curves, material: MaterialParams,
     A fit on either bound, an empty range or a search that does not
     converge raises FitError.
     """
-    from .integrator import LevelSetRule
     from .model import _F_KEYS, BeamGeometry
-    domain = LevelSetRule() if domain is None else domain
     triples = _curve_triples(curves)
     if not triples:
         raise ValueError("need at least one curve")

@@ -6,14 +6,13 @@ rate, and the detected signal is the collection-weighted sum of the
 per-point exponentials, each built from the formulas in `model.py`.  The
 azimuthal integral is a plain factor 2 pi because nothing depends on it.
 
-Two rules place the nodes.  `LevelSetRule` (what the CLI uses) integrates
-over infinite limits: the collection efficiency shares the beam's
-envelope, so everything depends on (r, z) only through u = I / I0, and the
-focal volume per intensity turns the integral into a smooth one on
-[0, pi/2]^2 with Gauss-Legendre nodes in (alpha, theta).  An
+Two rules place the nodes.  `LevelSetRule`, the default (`_rule`),
+integrates over infinite limits: the collection efficiency shares the
+beam's envelope, so everything depends on (r, z) only through u = I / I0,
+and the focal volume per intensity turns the integral into a smooth one
+on [0, pi/2]^2 with Gauss-Legendre nodes in (alpha, theta).  An
 `IntegrationDomain` is a finite midpoint box in (r, z, detuning), the
-library default, and the only rule that accepts replacement (r, z)
-profiles.
+only rule that accepts replacement (r, z) profiles.
 
 S(t) has two paths: `detected_signal` sums the cloud exactly, and the
 trap fit bins it by log k (`TrapDecayModel(...).compressed()`).  Both go
@@ -204,7 +203,12 @@ def _gauss_legendre(n):
     return x, w
 
 
-def _cloud(material: MaterialParams, geom: BeamGeometry, domain=None,
+def _rule(domain):
+    """The rule to use: `domain`, or the default `LevelSetRule()` if None."""
+    return LevelSetRule() if domain is None else domain
+
+
+def _cloud(material: MaterialParams, geom: BeamGeometry, domain,
            intensity_fn: Optional[Callable] = None,
            coll_fn: Optional[Callable] = None):
     """(rule, amplitude, k per node) for the rule the record's type names.
@@ -212,14 +216,13 @@ def _cloud(material: MaterialParams, geom: BeamGeometry, domain=None,
     amplitude carries everything time-independent: fluorescence rate times
     excited-state density times collection efficiency times the quadrature
     weight.  k is the conduction-band fraction so that the per-node signal
-    is amplitude * exp(-gamma_trap * k * t).  An `IntegrationDomain` (the
-    default for None) is the midpoint box, whose (r, z) profiles
-    intensity_fn and coll_fn may each replace; a `LevelSetRule` is the
-    infinite-limit Gauss rule, and overrides are an error there.  Per node
+    is amplitude * exp(-gamma_trap * k * t).  An `IntegrationDomain` is
+    the midpoint box, whose (r, z) profiles intensity_fn and coll_fn may
+    each replace; a `LevelSetRule` is the infinite-limit Gauss rule, and
+    overrides are an error there.  Per node
     all is dimensionless (s = I / I_sat, s_L, and the weight over the
     signal scale F of `model._groups`, which multiplies once at the end).
     """
-    domain = IntegrationDomain() if domain is None else domain
     s0, rho, scale = model._groups(material, geom)
     if isinstance(domain, LevelSetRule):
         if intensity_fn is not None or coll_fn is not None:
@@ -281,8 +284,8 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
     gamma_trap : float
         Trapping rate from the conduction band [1/s].
     domain : IntegrationDomain or LevelSetRule, optional
-        Rule to integrate with: a finite midpoint box (the standard one
-        when omitted) or the infinite-limit level-set rule.
+        The midpoint box, also when omitted (unlike the other entries, for
+        acceptance 1a: ROADMAP direction 5), or the level-set rule.
     intensity_fn, coll_fn : callable, optional
         Overrides mapping (r, z) arrays to intensity / collection
         efficiency on a box; used for oracle checks with flat profiles.
@@ -297,6 +300,7 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
         raise ValueError("t_grid must be sorted ascending")
     if not 0 <= gamma_trap < np.inf:
         raise ValueError("gamma_trap must be nonnegative and finite")
+    domain = IntegrationDomain() if domain is None else domain
     domain, amp, k = _cloud(material, geom, domain, intensity_fn, coll_fn)
     return SignalResult(times=t, values=_decay_sum(t, gamma_trap * k, amp),
                         domain=domain)
@@ -318,15 +322,16 @@ def refine_until_converged(t_grid, material: MaterialParams,
                            domain=None, rel_tol: float = 5e-3) -> SignalResult:
     """Double the rule's node counts until S(t) changes by less than rel_tol.
 
-    rel_tol = 0 evaluates the starting rule once: no refinement, and
-    `achieved_rel_change` stays None.  Raises ConvergenceError (carrying
-    the best result so far) when `_MAX_REFINEMENTS` doublings do not meet
-    a positive tolerance.
+    It starts on `domain`, `LevelSetRule()` when None.  rel_tol = 0 evaluates
+    that once: no refinement, and `achieved_rel_change` stays None.  Raises
+    ConvergenceError (carrying the best result so far) when
+    `_MAX_REFINEMENTS` doublings do not meet a positive tolerance.
     """
     if not rel_tol >= 0:
         raise ValueError("rel_tol must be nonnegative")
 
-    result = detected_signal(t_grid, material, geom, gamma_trap, domain)
+    result = detected_signal(t_grid, material, geom, gamma_trap,
+                             _rule(domain))
     if rel_tol == 0:
         return result
     for step in range(1, _MAX_REFINEMENTS + 1):
@@ -355,7 +360,7 @@ class TrapDecayModel:
 
     def __init__(self, material: MaterialParams, geom: BeamGeometry,
                  domain=None):
-        self.domain, self._amp, self._k = _cloud(material, geom, domain)
+        self.domain, self._amp, self._k = _cloud(material, geom, _rule(domain))
 
     def compressed(self) -> "CompressedDecayModel":
         return CompressedDecayModel(self._amp, self._k, _N_BINS)

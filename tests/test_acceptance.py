@@ -4,8 +4,10 @@ Each check states its tolerance inline, computes the measured value, prints
 a PASS/FAIL line, and asserts.  Shared expensive computations (the
 reference-rate simulation, the seven-curve batch) live in module fixtures.
 
-The signal checks call the library without a rule, so they run on the
-finite default midpoint box.  Two clauses are red there by analysis, not
+The signal checks call `detected_signal` without a rule, so they run on
+the finite midpoint box, which that one entry keeps as its no-rule
+default while 1a passes there (every other entry defaults to
+`LevelSetRule`).  Two clauses are red there by analysis, not
 by accident (see the README): 1b, the 200 s scaled-signal band, and 3b,
 the integration-limit insensitivity bound.  Both trace to the heavy
 1/(1+(z/z_R)^2) axial tail of the intensity-times-collection profile,

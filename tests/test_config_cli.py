@@ -821,6 +821,18 @@ class TestCli:
             # the level is a per-run choice, not part of the echoed setup
             assert "fit" not in data["config"]
 
+    def test_fit_linear_one_column_twice_exit_2(self, tmp_path, capsys):
+        # a column fitted against itself would report slope 1 +- 0
+        pts = tmp_path / "pts.csv"
+        x = np.linspace(0, 5, 10)
+        csvio.write_table(pts, ["x", "y"], [x, 2 * x + 1])
+        report = tmp_path / "lin.json"
+        assert main(["fit", "linear", "--points", str(pts), "--x-column", "y",
+                     "--y-column", "y", "--out", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert "--x-column and --y-column both name 'y'" in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("gen, fit, record", [
         (["decay", "--powers", "8e-6,29e-6", "--t-end", "150", "--n-t", "31",
           "--tol", "0", "--noise", "poisson", "--seed", "2", "--out", "in"],

@@ -87,8 +87,26 @@ class TestLevelSetRule:
     def test_records_resolve_never_none(self, material, geom):
         assert hb.detected_signal([0.0], material, geom, 7e4).domain \
             == hb.IntegrationDomain()
+        assert TrapDecayModel(material, geom).domain == hb.LevelSetRule()
         model = TrapDecayModel(material, geom, hb.LevelSetRule(n=8))
         assert model.domain.n_points == 64
+
+    @pytest.mark.parametrize("rel_tol", [0.0, 5e-3])
+    def test_no_rule_named_is_the_level_set_rule(self, material, geom,
+                                                  rel_tol):
+        # every entry but detected_signal, which keeps the box for 1a
+        t = np.array([0.0, 5.0, 60.0, 200.0])
+        default = hb.refine_until_converged(t, material, geom, 7e4,
+                                            rel_tol=rel_tol)
+        named = hb.refine_until_converged(t, material, geom, 7e4,
+                                          hb.LevelSetRule(), rel_tol=rel_tol)
+        assert default.values.tobytes() == named.values.tobytes()
+        assert (default.domain, default.refinements) \
+            == (named.domain, named.refinements)
+        assert default.domain.n_points <= 96**2
+        a = TrapDecayModel(material, geom).compressed()
+        b = TrapDecayModel(material, geom, hb.LevelSetRule()).compressed()
+        assert a.signal(t, 7e4).tobytes() == b.signal(t, 7e4).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(r=st.floats(0.0, 20e-6), z=st.floats(-500e-6, 500e-6),

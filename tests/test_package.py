@@ -243,6 +243,28 @@ def test_sources_parse_at_the_declared_python_floor():
         ast.parse(path.read_text(), str(path), feature_version=version)
 
 
+def test_one_place_picks_the_default_rule():
+    """Only `integrator._rule` builds the default rule record, and only
+    `detected_signal` its own no-rule box: no other code calls
+    `LevelSetRule()` or `IntegrationDomain()` without arguments."""
+    records = {"LevelSetRule", "IntegrationDomain"}
+    sites = set()
+    for path in sorted((ROOT / "src" / "holeburn").glob("*.py")):
+        owner = {}
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            name = (getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", None)
+                    if isinstance(node, ast.Call) else None)
+            if name in records and not node.args and not node.keywords:
+                sites.add((path.stem, owner.get(id(node), "<module>"), name))
+    assert sites == {("integrator", "_rule", "LevelSetRule"),
+                     ("integrator", "detected_signal", "IntegrationDomain")}
+
+
 def test_readme_documents_every_config_key(tmp_path):
     readme = (ROOT / "README.md").read_text()
     missing = [f"[{section}] {key}" for section, keys in _SCHEMA.items()

@@ -2,13 +2,14 @@
 
 A raw scan carries a fluorescence trace and a laser-power monitor trace,
 both with a detector offset visible in the segment where the modulator was
-off.  Treatment subtracts that offset from each channel, then divides
-fluorescence by power point by point.  Points of (near) zero laser power
-are excluded rather than divided through.
+off.  Treatment subtracts that offset from each channel and records it,
+then divides fluorescence by power point by point.  Points of (near) zero
+laser power are excluded rather than divided through.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,11 +19,6 @@ from .errors import _check_within, _samples
 # Monitors never read exactly zero, so "laser off" means below this
 # fraction of the maximum power reading.
 ZERO_POWER_REL_THRESHOLD = 1e-3
-
-# Residual AOM-off level (relative to trace peak) above which a scan is
-# treated as not background subtracted.  Laxer than the exclusion
-# threshold so detector noise does not trigger false refusals.
-_UNSUBTRACTED_REL_THRESHOLD = 1e-2
 
 # Fewest readings in a modulator-off segment `detect_aom_off_range` accepts.
 _MIN_OFF_LENGTH = 8
@@ -128,7 +124,8 @@ def detect_aom_off_range(power_monitor) -> tuple:
 
 
 def subtract_background(scan: RawScan) -> RawScan:
-    """Remove each channel's detector offset, estimated in the AOM-off segment."""
+    """Remove each channel's detector offset, estimated in the AOM-off segment,
+    and record both in `meta` as `background_fluor` and `background_power`."""
     a, b = scan.aom_off_range
     fluor_bg = float(np.mean(scan.fluor_counts[a:b]))
     power_bg = float(np.mean(scan.power_monitor[a:b]))
@@ -142,25 +139,20 @@ def subtract_background(scan: RawScan) -> RawScan:
 def normalize_by_power(scan: RawScan) -> NormalizedScan:
     """Divide fluorescence by laser power point by point.
 
-    Requires the background to have been subtracted already (the AOM-off
-    segment must average to about zero in both channels).  Points whose
-    power reading is at the zero level are excluded from the result.
+    A point whose power is at most ZERO_POWER_REL_THRESHOLD of the peak
+    |power|, or 8 ulp of the recorded power background (the rounding of
+    the subtraction), is excluded; ValueError if every point is.  Then
+    PipelineOrderError unless `meta` holds the record `subtract_background`
+    writes (as text when read back from a file).
     """
-    a, b = scan.aom_off_range
-    power_peak = float(np.max(np.abs(scan.power_monitor)))
-    if power_peak == 0:
-        raise ValueError("power trace is identically zero")
-    tol = ZERO_POWER_REL_THRESHOLD * power_peak
-    fluor_peak = float(np.max(np.abs(scan.fluor_counts)))
-    if abs(np.mean(scan.power_monitor[a:b])) > _UNSUBTRACTED_REL_THRESHOLD * power_peak \
-            or abs(np.mean(scan.fluor_counts[a:b])) > \
-            _UNSUBTRACTED_REL_THRESHOLD * max(fluor_peak, 1e-300):
-        raise PipelineOrderError("background not subtracted: AOM-off segment "
-                                 "does not average to zero")
-
+    power_bg = float(scan.meta.get("background_power", 0.0))
+    tol = max(ZERO_POWER_REL_THRESHOLD * float(np.max(np.abs(scan.power_monitor))),
+              8 * math.ulp(power_bg))
     excluded = scan.power_monitor <= tol
     if np.all(excluded):
         raise ValueError("all points excluded: no usable laser power")
+    if not {"background_fluor", "background_power"} <= scan.meta.keys():
+        raise PipelineOrderError("background not subtracted: no record of it in meta")
     signal = np.full(len(scan.freq), np.nan)
     signal[~excluded] = scan.fluor_counts[~excluded] / scan.power_monitor[~excluded]
     return NormalizedScan(freq=scan.freq,

@@ -11,7 +11,10 @@ mutates a valid fixture once: a cell set to NaN, +-inf, +-1e308, a
 subnormal, text or nothing; the file cut to its header or to one row,
 its rows reversed or all made equal; a column added to or cut from one
 row; CRLF line endings; a UTF-8 byte-order mark.  Which rows a cell
-mutation hits is drawn once from a fixed seed.
+mutation hits is drawn once from a fixed seed.  The hole scan also has
+its power or its fluorescence trace made flat, each reading within 3 ulp
+of the AOM-off level by draws from the same seed, and `fit hole` runs
+every case with the recorded AOM-off range and with `--aom-off auto`.
 
 The commands that compute or generate data must likewise end on exit 0,
 2 or 3 whatever a numeric flag holds: every such flag is set, one per
@@ -49,6 +52,11 @@ CELL_VALUES = {"nan": "nan", "inf": "inf", "-inf": "-inf", "big": "1e308",
                "empty": ""}
 FILE_MUTATIONS = ["header-only", "one-row", "reversed", "constant",
                   "extra-column", "short-column", "crlf", "bom"]
+# The hole fixture's traces made flat, by their column: every reading set
+# to that of row 0, an AOM-off row, shifted by -3 to +3 ulp.
+FLAT_TRACES = {"flat-fluorescence": 1, "flat-power": 2}
+# `fit hole` runs every case with the recorded AOM-off range and with auto.
+HOLE_RANGES = ([], ["--aom-off", "auto"])
 CONTRACT_CODES = {0, 2, 3, 4}
 
 
@@ -90,6 +98,17 @@ def mutate_file(text, kind):
 def mutate_cell(text, row, column, value):
     head, rows = _split(text)
     rows[row][column] = value
+    return _join(head, rows)
+
+
+def flatten_column(text, column, seed):
+    """Every reading in `column` set to row 0's, shifted by a drawn
+    -3 to +3 ulp."""
+    head, rows = _split(text)
+    rng = random.Random(seed)
+    level = float(rows[0][column])
+    for row in rows:
+        row[column] = repr(level + rng.randint(-3, 3) * math.ulp(level))
     return _join(head, rows)
 
 
@@ -156,17 +175,24 @@ def test_every_mutation_ends_on_a_contract_code(name, valid_texts, tmp_path,
     text = valid_texts[name]
     path = tmp_path / "input.csv"
     path.write_text(text, encoding="utf-8")
-    assert main(argv(name, path, tmp_path)) == 0, "the fixture must fit"
+    ranges = HOLE_RANGES if name == "hole" else ([],)
+    for flags in ranges:
+        assert main([*argv(name, path, tmp_path), *flags]) == 0, \
+            "the fixture must fit"
     cases = [(f"{name}-{kind}", mutate_file(text, kind))
              for kind in FILE_MUTATIONS]
     cases += list(cell_cases(name, text, seed=31))
+    if name == "hole":
+        cases += [(f"hole-{kind}", flatten_column(text, column, seed=31))
+                  for kind, column in FLAT_TRACES.items()]
     report = tmp_path / "report.json"
     broken = []
-    for case, mutated in cases:
+    for (case, mutated), flags in itertools.product(cases, ranges):
+        case = " ".join([case, *flags])
         path.write_text(mutated, encoding="utf-8", newline="")
         report.unlink(missing_ok=True)
         try:
-            code = main(argv(name, path, tmp_path))
+            code = main([*argv(name, path, tmp_path), *flags])
         except Exception as exc:  # a traceback breaks the contract
             broken.append(f"{case}: {type(exc).__name__}: {exc}")
             continue
@@ -178,6 +204,27 @@ def test_every_mutation_ends_on_a_contract_code(name, valid_texts, tmp_path,
             broken.append(f"{case}: exit 4 without a full failure report")
     capsys.readouterr()
     assert not broken, "\n".join(broken)
+
+
+@pytest.mark.parametrize("kind, flags, code, message", [
+    ("flat-power", [], 2, "all points excluded: no usable laser power"),
+    ("flat-power", ["--aom-off", "auto"], 2,
+     "no off segment of sufficient length found"),
+    ("flat-fluorescence", [], 4, "unresolved center_hz, fwhm_hz"),
+    ("flat-fluorescence", ["--aom-off", "auto"], 4,
+     "unresolved center_hz, fwhm_hz"),
+], ids=["power", "power-auto", "fluorescence", "fluorescence-auto"])
+def test_flat_traces_exit_2_on_power_and_4_on_fluorescence(
+        valid_texts, tmp_path, capsys, kind, flags, code, message):
+    # a trace within a few ulp of its AOM-off level: nothing but rounding
+    # is left after subtraction, which is no laser power but is a
+    # fluorescence signal, one without a hole
+    path, report = tmp_path / "input.csv", tmp_path / "report.json"
+    path.write_text(flatten_column(valid_texts["hole"], FLAT_TRACES[kind],
+                                   seed=31), encoding="utf-8")
+    assert main([*argv("hole", path, tmp_path), *flags]) == code
+    assert message in capsys.readouterr().err
+    assert report.exists() == (code == 4)
 
 
 def fit_failure_reported(report, name):

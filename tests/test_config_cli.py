@@ -340,6 +340,15 @@ class TestCli:
         assert code == 2
         assert "absent.ini" in capsys.readouterr().err
 
+    def test_config_without_section_header_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "bare.ini"
+        config.write_text("scale_a = 0.5\n")
+        out = tmp_path / "z.csv"
+        assert main(["--config", str(config), "zeeman", "--delta-f", "1e6",
+                     "--out", str(out)]) == 2
+        assert f"cannot parse {config}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zeeman_empty_list_header_only(self, tmp_path):
         out = tmp_path / "z.csv"
         assert main(["zeeman", "--out", str(out)]) == 0
@@ -717,6 +726,26 @@ class TestCli:
         report = json.loads(report_path.read_text())
         assert report["fwhm_hz"] == pytest.approx(6e6, rel=1e-5)
 
+    def test_fit_hole_explicit_range_matches_recorded(self, tmp_path):
+        scan_path = tmp_path / "scan.csv"
+        assert main(["gen", "holescan", "--aom-off", "0:30",
+                     "--fluor-offset", "90", "--power-offset", "40",
+                     "--noise", "poisson", "--out", str(scan_path)]) == 0
+        reports = [tmp_path / "recorded.json", tmp_path / "explicit.json"]
+        for report, flags in zip(reports, [[], ["--aom-off", "0:30"]]):
+            assert main(["fit", "hole", "--scan", str(scan_path), *flags,
+                         "--out", str(report)]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
+    def test_fit_hole_malformed_range_exit_2(self, tmp_path, capsys):
+        scan_path, report = tmp_path / "scan.csv", tmp_path / "hole.json"
+        assert main(["gen", "holescan", "--out", str(scan_path)]) == 0
+        assert main(["fit", "hole", "--scan", str(scan_path), "--aom-off",
+                     "10:x", "--out", str(report)]) == 2
+        assert "range must look like start:stop, got '10:x'" \
+            in capsys.readouterr().err
+        assert not report.exists()
+
     def test_fit_hole_unresolved_exit_4(self, tmp_path, capsys):
         # no hole: the depth clamps at 0, and the fit returns with no
         # error bar on the center and the width
@@ -984,6 +1013,17 @@ class TestCli:
                      "--out", str(tmp_path / "trap.json")]) == 2
         assert f"{curve_file}: the curve has no data rows" \
             in capsys.readouterr().err
+
+    def test_fit_trap_curve_without_power_names_the_file(self, tmp_path,
+                                                        capsys):
+        curve_file, report = tmp_path / "nopower.csv", tmp_path / "trap.json"
+        csvio.write_table(curve_file, ["time_s", "counts_per_s"],
+                          [[0.0, 10.0, 20.0, 30.0], [9.0, 7.0, 6.0, 5.5]])
+        assert main(["fit", "trap", str(curve_file),
+                     "--out", str(report)]) == 2
+        assert f"{curve_file}: curve metadata lacks power_w" \
+            in capsys.readouterr().err
+        assert not report.exists()
 
     def test_fit_expdecay_no_decay_exit_4(self, tmp_path, capsys):
         # areas on a straight line: tau runs past 100 sampled spans

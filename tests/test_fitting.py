@@ -279,6 +279,10 @@ class TestHoleFit:
         with pytest.raises(ValueError):
             hb.fit_hole_lorentzian(np.arange(5.0), np.ones(5))
 
+    def test_coincident_frequencies_rejected(self):
+        with pytest.raises(ValueError, match="must not all coincide"):
+            hb.fit_hole_lorentzian(np.full(8, 3e6), np.linspace(1.0, 0.6, 8))
+
     def test_nonfinite_signal_rejected(self):
         y = hb.lorentzian_hole(self.freq, 1.0, 0.4, -50e6, 6e6)
         y[3] = np.nan  # e.g. an excluded zero-power point left in
@@ -1222,6 +1226,10 @@ class TestTrapFit:
                                    domain=fast_domain)
         res = hb.fit_trap_model(curve, material, domain=fast_domain)
         assert res.gamma_trap_per_s == pytest.approx(7e4, rel=1e-3)
+
+    def test_no_curve_rejected(self, material):
+        with pytest.raises(ValueError, match="need at least one curve"):
+            hb.fit_trap_model([], material)
 
     def test_degenerate_curve_rejected(self, material, fast_domain):
         t = np.linspace(0, 10, 11)

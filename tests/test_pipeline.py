@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import holeburn as hb
-from holeburn import PipelineOrderError
+from holeburn import PipelineOrderError, csvio
 
 
 def make_raw(n=400, off_a=0, off_b=40, fluor_offset=100.0, power_offset=50.0,
@@ -135,6 +135,48 @@ class TestNormalize:
         with pytest.raises(ValueError, match="no usable laser power"):
             hb.normalize_by_power(scan)
 
+    def test_unsubtracted_zero_mean_off_segment_refused(self):
+        # the AOM-off segment averages to zero, but no subtraction is on
+        # record
+        scan = make_raw(fluor_offset=0.0, power_offset=0.0)
+        with pytest.raises(PipelineOrderError):
+            hb.normalize_by_power(scan)
+
+    def test_record_read_back_from_file(self, tmp_path):
+        # a file's metadata gives the record back as text
+        scan = hb.subtract_background(make_raw(power_offset=33.3))
+        path = tmp_path / "subtracted.csv"
+        csvio.write_raw_scan(path, scan)
+        read = csvio.read_raw_scan(path)
+        assert isinstance(read.meta["background_power"], str)
+        norm, oracle = map(hb.normalize_by_power, (read, scan))
+        assert np.array_equal(norm.freq, oracle.freq)
+        assert np.array_equal(norm.signal, oracle.signal, equal_nan=True)
+        assert np.array_equal(norm.excluded, oracle.excluded)
+
+    @pytest.mark.parametrize("level", [33.0, 1000.0, 0.0])
+    def test_power_flat_to_its_rounding_all_excluded(self, level):
+        # the power stays within 3 ulp of its AOM-off level: what is left
+        # after subtraction is rounding, not laser power
+        rng = np.random.default_rng(5)
+        power = level + rng.integers(-3, 4, 200) * np.spacing(level)
+        scan = hb.subtract_background(hb.RawScan(
+            freq=np.arange(200.0), fluor_counts=np.linspace(90.0, 120.0, 200),
+            power_monitor=power, aom_off_range=(0, 30)))
+        with pytest.raises(ValueError, match="no usable laser power"):
+            hb.normalize_by_power(scan)
+
+    def test_flat_fluorescence_normalizes(self):
+        # fluorescence within 3 ulp of its AOM-off level is no order error
+        raw = make_raw()
+        rng = np.random.default_rng(6)
+        fluor = 120.0 + rng.integers(-3, 4, raw.freq.size) * np.spacing(120.0)
+        flat = hb.RawScan(freq=raw.freq, fluor_counts=fluor,
+                          power_monitor=raw.power_monitor,
+                          aom_off_range=raw.aom_off_range)
+        norm = hb.normalize_by_power(hb.subtract_background(flat))
+        assert np.all(np.abs(norm.signal[norm.included]) < 1e-15)
+
     def test_sloped_power_flat_baseline(self):
         freq = np.linspace(-100e6, 100e6, 3000)
         scan = hb.gen_hole_scan(freq, baseline=1.5, depth=0.0, center=0.0,
@@ -193,6 +235,14 @@ class TestHoleArea:
         assert a.area == pytest.approx(b.area + c.area, rel=1e-12)
         assert a.sigma_area**2 == pytest.approx(
             b.sigma_area**2 + c.sigma_area**2, rel=1e-12)
+
+    def test_hz_values_weighted_by_frequency_step(self):
+        scan = self.make_scan(np.arange(0.0, 50.0, 2.5), np.full(20, 0.5))
+        res = hb.hole_area_with_error(scan, baseline=1.0, sigma_point=0.2)
+        assert res.freq_step == 2.5
+        assert res.area_hz == pytest.approx(res.area * 2.5, rel=1e-15)
+        assert res.sigma_area_hz == pytest.approx(res.sigma_area * 2.5,
+                                                  rel=1e-15)
 
     def test_nonfinite_baseline_rejected(self):
         scan = self.make_scan(np.arange(20.0), np.ones(20))

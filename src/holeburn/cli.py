@@ -1,7 +1,9 @@
 """Command-line front end: simulate, fit, zeeman tables, fixture generation.
 
 Exit codes are a stable contract: 0 success, 2 input or configuration
-error, 3 integration non-convergence, 4 fit failure.  `_write_fit` writes
+error, 3 integration non-convergence, 4 fit failure.  A job whose output
+names a file it reads or its other output exits 2 before it runs
+(`_check_paths`).  `_write_fit` writes
 every fit report (command, input, the record's fields, config) and exits 4
 when the record leaves a parameter unresolved; a fit that raises FitError
 gets a report of the error, its diagnostics and the config, and exits 4.
@@ -79,6 +81,23 @@ def _time_grid(args):
     if args.t_end == 0:
         return np.array([0.0])
     return np.linspace(0.0, args.t_end, args.n_t)
+
+
+def _check_paths(args):
+    """ValueError when an output (`--out`, `--treated-out`) names a file
+    the job reads or another output: the job would overwrite it."""
+    names = {}
+    for dest in ("config", "curves", "scan", "series", "points", "out",
+                 "treated_out"):
+        paths = getattr(args, dest, None)
+        flag = "a curve" if dest == "curves" else "--" + dest.replace("_", "-")
+        for path in paths if isinstance(paths, list) else [paths]:
+            if path is None:
+                continue
+            key = os.path.realpath(path)
+            if key in names and dest in ("out", "treated_out"):
+                raise ValueError(f"{flag} and {names[key]} both name {path}")
+            names.setdefault(key, flag)
 
 
 def _command(args) -> str:
@@ -385,6 +404,7 @@ def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(argv))
     try:
+        _check_paths(args)
         cfg = load_config(args.config)
         return args.func(args, cfg)
     except ConvergenceError as exc:

@@ -2,9 +2,10 @@
 
 All CSV files are comma separated with one header line; metadata rides in
 leading comment lines of the form '# key = value' so that ground truth and
-provenance survive a round trip through the file system.  Every table goes
-through write_table and every reader through _read_table, so the format is
-defined once.  Readers return lists of floats, which the fits and
+provenance survive a round trip through the file system.  A writer writes a
+record's field over any `meta` key of its name.  Every table goes through
+write_table and every reader through _read_table, so the format is defined
+once.  Readers return lists of floats, which the fits and
 `RawScan` take in through `errors._samples`; numpy loads only where
 `read_decay_curve` builds its arrays.
 """
@@ -136,11 +137,9 @@ def write_signal_csv(path, times, model_values, scaled_values):
 
 
 def write_decay_curve(path, curve: DecayCurve):
-    meta = dict(curve.meta)
-    if curve.power_w is not None:
-        meta.setdefault("power_w", curve.power_w)
+    power = {} if curve.power_w is None else {"power_w": curve.power_w}
     write_table(path, ["time_s", "counts_per_s"],
-                [curve.time_s, curve.counts_per_s], meta)
+                [curve.time_s, curve.counts_per_s], {**curve.meta, **power})
 
 
 def read_decay_curve(path) -> DecayCurve:
@@ -152,12 +151,16 @@ def read_decay_curve(path) -> DecayCurve:
                       power_w=power, meta=meta)
 
 
+def _scan_meta(scan: RawScan) -> dict:
+    """The scan's metadata, its AOM-off range written over any recorded."""
+    a, b = scan.aom_off_range
+    return {**scan.meta, "aom_off_start": a, "aom_off_stop": b}
+
+
 def write_raw_scan(path, scan: RawScan):
-    meta = dict(scan.meta)
-    meta.setdefault("aom_off_start", scan.aom_off_range[0])
-    meta.setdefault("aom_off_stop", scan.aom_off_range[1])
     write_table(path, ["freq_hz", "fluor_counts", "power_counts"],
-                [scan.freq, scan.fluor_counts, scan.power_monitor], meta)
+                [scan.freq, scan.fluor_counts, scan.power_monitor],
+                _scan_meta(scan))
 
 
 def read_raw_scan(path, aom_off_range=None) -> RawScan:
@@ -189,11 +192,12 @@ def write_treated_scan(path, scan: RawScan, normalized: NormalizedScan):
     """Treated scan in the raw schema plus the excluded flag column.
 
     fluor_counts holds the power-normalized signal and power_counts the
-    background-subtracted power trace.
+    background-subtracted power trace; the metadata is `scan`'s, with the
+    AOM-off range its backgrounds were averaged over.
     """
     write_table(path, ["freq_hz", "fluor_counts", "power_counts", "excluded"],
                 [normalized.freq, normalized.signal, scan.power_monitor,
-                 normalized.excluded.astype(int)], normalized.meta)
+                 normalized.excluded.astype(int)], _scan_meta(scan))
 
 
 def read_xy(path, x_name, y_name):

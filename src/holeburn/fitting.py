@@ -187,9 +187,9 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     A hole that is not detected (depth within 3 sigma of 0, or below 0.1%
     of the signal's spread) leaves the center and FWHM unresolved: their
     errors are None, `unresolved` lists them and `hom_linewidth_hz` is
-    None; its depth is that of the best-fitting resolved dip, within a
-    few times the signal's spread on an evenly spaced scan.  A simplex
-    that does not converge raises FitError.
+    None; its depth is that of the best-fitting resolved dip, at most
+    twice the signal's spread.  A simplex that does not converge raises
+    FitError.
     """
     f, y = map(np.array, _samples("freq and signal", freq, signal,
                                   min_points=8))
@@ -224,7 +224,10 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
         ds = shape - mean
         wds = w2 * ds
         s_ss = float(np.dot(wds, ds))
-        depth = max(0.0, float(np.dot(wds, dy)) / s_ss) if s_ss > 0 else 0.0
+        # dy spreads over 1; on an even axis a resolved dip takes a sample
+        # to half its depth or more, so a depth beyond 2 overshoots it.
+        depth = float(np.dot(wds, dy)) / s_ss if s_ss > 0 else 0.0
+        depth = min(2.0, max(0.0, depth))
         r = dy - depth * ds
         return float(np.dot(w2 * r, r)), depth, mean
 

@@ -65,7 +65,6 @@ class NormalizedScan:
     freq: np.ndarray
     signal: np.ndarray
     excluded: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     @property
     def included(self) -> np.ndarray:
@@ -155,9 +154,7 @@ def normalize_by_power(scan: RawScan) -> NormalizedScan:
         raise PipelineOrderError("background not subtracted: no record of it in meta")
     signal = np.full(len(scan.freq), np.nan)
     signal[~excluded] = scan.fluor_counts[~excluded] / scan.power_monitor[~excluded]
-    return NormalizedScan(freq=scan.freq,
-                          signal=signal, excluded=excluded,
-                          meta=dict(scan.meta))
+    return NormalizedScan(freq=scan.freq, signal=signal, excluded=excluded)
 
 
 def hole_area_with_error(scan: NormalizedScan, baseline: float,

@@ -227,6 +227,32 @@ def test_flat_traces_exit_2_on_power_and_4_on_fluorescence(
     assert report.exists() == (code == 4)
 
 
+@pytest.mark.parametrize("name, flags, message", [
+    ("trap", ["--out", "{input}"], "--out and a curve both name"),
+    ("hole", ["--treated-out", "{input}"],
+     "--treated-out and --scan both name"),
+    ("expdecay", ["--out", "{input}"], "--out and --series both name"),
+    ("linear", ["--out", "{input}"], "--out and --points both name"),
+    ("hole", ["--treated-out", "{report}"],
+     "--treated-out and --out both name"),
+    ("linear", ["--out", "{config}"], "--out and --config both name"),
+], ids=["trap", "hole", "expdecay", "linear", "hole-two-outputs", "config"])
+def test_no_job_writes_over_a_file_it_reads_or_writes(
+        valid_texts, tmp_path, capsys, name, flags, message):
+    # an output naming an input would replace the data it was fitted from
+    path, report = tmp_path / "input.csv", tmp_path / "report.json"
+    config = tmp_path / "setup.ini"
+    path.write_text(valid_texts[name], encoding="utf-8")
+    config.write_text("[beam]\nfocus_fwhm_m = 1e-6\n", encoding="utf-8")
+    before = {p: p.read_bytes() for p in (path, config)}
+    files = {"input": path, "report": report, "config": config}
+    assert main(["--config", str(config), *argv(name, path, tmp_path),
+                 *(f.format(**files) for f in flags)]) == 2
+    assert message in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in (path, config)} == before
+    assert sorted(tmp_path.iterdir()) == sorted(before)
+
+
 def fit_failure_reported(report, name):
     """An exit-4 report names its command and carries the config, and either
     the error with its diagnostics or the unresolved parameters."""

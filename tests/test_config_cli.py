@@ -238,6 +238,25 @@ class TestCsvIO:
         assert np.array_equal(back.freq, scan.freq)
         assert np.array_equal(back.fluor_counts, scan.fluor_counts)
 
+    def test_written_range_is_the_scans(self, tmp_path):
+        # the field wins over the range the file recorded
+        path = tmp_path / "s.csv"
+        csvio.write_raw_scan(path, hb.gen_hole_scan(
+            np.linspace(-1e8, 1e8, 40), 1.0, 0.3, 0.0, 5e6, 100.0,
+            aom_off_range=(0, 40)))
+        csvio.write_raw_scan(path, csvio.read_raw_scan(path, (5, 35)))
+        assert csvio.read_raw_scan(path).aom_off_range == (5, 35)
+
+    def test_written_power_is_the_curves(self, tmp_path):
+        # the field wins over the power_w its generator recorded in meta
+        curve = hb.gen_decay_batch(hb.MaterialParams(), 7e4, 0.19, 9.4e7,
+                                   [1e-5], np.linspace(0.0, 200.0, 5),
+                                   hb.NoiseSpec())[0]
+        assert curve.meta["power_w"] == 1e-5
+        path = tmp_path / "c.csv"
+        csvio.write_decay_curve(path, dataclasses.replace(curve, power_w=2e-5))
+        assert csvio.read_decay_curve(path).power_w == 2e-5
+
     def test_raw_scan_missing_range(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("freq_hz,fluor_counts,power_counts\n0.0,1.0,1.0\n"
@@ -628,6 +647,26 @@ class TestCli:
         treated = (tmp_path / "treated.csv").read_text().splitlines()
         header = [l for l in treated if l.startswith("freq_hz")][0]
         assert header == "freq_hz,fluor_counts,power_counts,excluded"
+
+    @pytest.mark.parametrize("recorded", [True, False],
+                             ids=["other-range", "no-range"])
+    def test_treated_scan_records_the_range_it_averaged(self, tmp_path,
+                                                        recorded):
+        # the backgrounds in the treated file are the means over --aom-off,
+        # whatever range the raw scan recorded, if any
+        scan, treated = tmp_path / "scan.csv", tmp_path / "treated.csv"
+        assert main(["gen", "holescan", "--n-points", "400",
+                     "--out", str(scan)]) == 0  # records 0:100
+        if not recorded:
+            scan.write_text("".join(
+                line for line in scan.read_text().splitlines(keepends=True)
+                if not line.startswith("# aom_off_")))
+        aom_off = "10:90" if recorded else "0:40"
+        assert main(["fit", "hole", "--scan", str(scan), "--aom-off", aom_off,
+                     "--treated-out", str(treated),
+                     "--out", str(tmp_path / "hole.json")]) == 0
+        meta = csvio.read_xy(treated, "freq_hz", "power_counts")[2]
+        assert f"{meta['aom_off_start']}:{meta['aom_off_stop']}" == aom_off
 
     def test_fit_hole_extreme_power_background_exit_2(self, tmp_path,
                                                       capsys):

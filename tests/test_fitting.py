@@ -347,6 +347,7 @@ class TestHoleFit:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 400),
            level=st.floats(0.0, 4.0))
     @example(seed=0, n=8, level=2.0)  # a gap above the width's 10% seed
+    @example(seed=145193, n=8, level=0.0)  # y = [1, 1, 1, 0, 0, 1, 1, 1]
     def test_no_hole_search_stays_on_resolved_shapes(self, seed, n, level):
         # Poisson scans of 10^level counts a point with no hole: the fit
         # ends on a width from the sample step to the span and a centre on

@@ -4,10 +4,12 @@ floor, and the README's config documentation."""
 
 import ast
 import dataclasses
+import glob
 import importlib
 import json
 import math
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -279,3 +281,21 @@ def test_readme_documents_every_config_key(tmp_path):
     path = tmp_path / "example.ini"
     path.write_text(examples[0])
     load_config(path)
+
+
+def test_readme_cli_example_runs_in_order(tmp_path, monkeypatch, capsys):
+    # each command of the README's example session, continuations joined
+    # and curves/*.csv expanded, exits 0 on the files the earlier ones wrote
+    readme = (ROOT / "README.md").read_text()
+    blocks = [b for b in re.findall(r"```sh\n(.*?)```", readme, re.S)
+              if re.search(r"^holeburn ", b, re.M)]
+    assert len(blocks) == 1
+    commands = [line for line in blocks[0].replace("\\\n", " ").splitlines()
+                if line and not line.startswith("#")]
+    assert all(line.startswith("holeburn ") for line in commands)
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = []
+        for token in shlex.split(command)[1:]:
+            argv += sorted(glob.glob(token)) if "*" in token else [token]
+        assert main(argv) == 0, (command, capsys.readouterr().err)

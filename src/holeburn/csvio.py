@@ -189,11 +189,11 @@ def read_raw_scan(path, aom_off_range=None) -> RawScan:
 
 
 def write_treated_scan(path, scan: RawScan, normalized: NormalizedScan):
-    """Treated scan in the raw schema plus the excluded flag column.
+    """The treatment's output, not a raw scan (`read_raw_scan` refuses it).
 
-    fluor_counts holds the power-normalized signal and power_counts the
-    background-subtracted power trace; the metadata is `scan`'s, with the
-    AOM-off range its backgrounds were averaged over.
+    fluor_counts holds the power-normalized signal, nan on excluded rows,
+    and power_counts the background-subtracted power trace; the metadata
+    is `scan`'s, with the AOM-off range its backgrounds were averaged over.
     """
     write_table(path, ["freq_hz", "fluor_counts", "power_counts", "excluded"],
                 [normalized.freq, normalized.signal, scan.power_monitor,

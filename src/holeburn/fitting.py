@@ -320,14 +320,15 @@ def _curve_triples(curves):
 
 
 def fit_trap_model(curves, material: MaterialParams,
-                   focus_fwhm=_FOCUS_FWHM, domain=None) -> TrapFitResult:
+                   focus_fwhm=_FOCUS_FWHM) -> TrapFitResult:
     """Globally fit the trapping rate to one or more decay curves.
 
     gamma_trap and the background coefficient B are shared across curves;
     the scale factor A is individual, absorbing detection-efficiency drift
     between measurements.  Minimizes the summed squared difference between
     A_c * S_c(t; gamma_trap) + B * P_c and the measured count rates, with
-    A_c >= 0 and B >= 0, over more points than parameters.
+    A_c >= 0 and B >= 0, over more points than parameters.  Each curve's
+    decay cloud is built on `LevelSetRule()`, the CLI's rule.
 
     Parameters
     ----------
@@ -337,9 +338,6 @@ def fit_trap_model(curves, material: MaterialParams,
     material : MaterialParams
     focus_fwhm : float
         Beam focus FWHM shared by all measurements [m].
-    domain : IntegrationDomain or LevelSetRule, optional
-        Rule each curve's decay cloud is built with; the library's
-        default, `LevelSetRule()`, when None.
 
     gamma_trap is searched no lower than 1 / (max_c(max k_c * max t_c) *
     `_MAX_DECAY_SPANS`), k_c the rates of curve c's cloud per unit gamma,
@@ -362,7 +360,7 @@ def fit_trap_model(curves, material: MaterialParams,
     for index, (_, _, p0) in enumerate(triples):
         geom = BeamGeometry.for_material(material, power=p0,
                                          focus_fwhm=focus_fwhm)
-        m = TrapDecayModel(material, geom, domain).compressed()
+        m = TrapDecayModel(material, geom).compressed()
         # The fit squares its model as it squares the data, so the model's
         # S(0) is held to the range of a curve's counts spread.
         _check_within(1 / _MAX_MAGNITUDE, **{

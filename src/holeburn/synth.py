@@ -86,24 +86,22 @@ def gen_decay_batch(material: MaterialParams, gamma_trap: float,
                     powers: Sequence[float], t_grid,
                     noise: NoiseSpec = NoiseSpec(),
                     focus_fwhm: float = _FOCUS_FWHM,
-                    domain=None,
                     refine_tol: float = 0.0) -> list:
     """Simulate one decay curve per power, each on its own noise stream.
 
     Curve i is A * S(t) + B * P_i with counting noise from stream i, so a
     single curve is the batch of one on stream 0.  Ground truth
     (gamma_trap, A, B, noise settings) is stored in each curve's metadata.
-    S(t) comes from `refine_until_converged` on `domain` at `refine_tol`,
-    as in the simulate command, so the fixture matches its output; the
-    default 0 evaluates the rule once.  `domain` None is the library's
-    default, `LevelSetRule()`, which the CLI and `fit_trap_model` use too.
+    S(t) comes from `refine_until_converged` on `LevelSetRule()`, the
+    CLI's rule and `fit_trap_model`'s, at `refine_tol`; the default 0
+    evaluates the rule once.
     """
     curves = []
     for stream, p0 in enumerate(powers):
         geom = BeamGeometry.for_material(material, power=p0,
                                          focus_fwhm=focus_fwhm)
         result = refine_until_converged(t_grid, material, geom, gamma_trap,
-                                        domain, rel_tol=refine_tol)
+                                        rel_tol=refine_tol)
         counts = apply_noise(scaled_signal(result.values, scale_a,
                                            background_b, p0), noise, stream)
         meta = {

@@ -129,8 +129,7 @@ def write_fixtures(root):
     material = hb.MaterialParams()
     t = np.linspace(0.0, 200.0, 21)
     curve = synth.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t,
-                                  hb.NoiseSpec(kind="poisson", seed=1),
-                                  domain=hb.LevelSetRule())[0]
+                                  hb.NoiseSpec(kind="poisson", seed=1))[0]
     scan = synth.gen_hole_scan(np.linspace(-100e6, 100e6, 300), 1.0, 0.4,
                                -20e6, 12e6, 1000.0, (0, 30),
                                fluor_offset=120.0, power_offset=33.0,

@@ -668,6 +668,21 @@ class TestCli:
         meta = csvio.read_xy(treated, "freq_hz", "power_counts")[2]
         assert f"{meta['aom_off_start']}:{meta['aom_off_stop']}" == aom_off
 
+    def test_treated_scan_is_not_a_raw_scan_exit_2(self, tmp_path, capsys):
+        # a treated file holds the normalized signal, nan on excluded rows
+        scan, treated = tmp_path / "scan.csv", tmp_path / "treated.csv"
+        assert main(["gen", "holescan", "--n-points", "400",
+                     "--out", str(scan)]) == 0
+        assert main(["fit", "hole", "--scan", str(scan), "--treated-out",
+                     str(treated), "--out", str(tmp_path / "hole.json")]) == 0
+        capsys.readouterr()
+        report = tmp_path / "again.json"
+        assert main(["fit", "hole", "--scan", str(treated),
+                     "--out", str(report)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {treated}: freq and both traces must be finite\n")
+        assert not report.exists()
+
     def test_fit_hole_extreme_power_background_exit_2(self, tmp_path,
                                                       capsys):
         # -1e308 in an AOM-off power reading leaves every weight 0 after

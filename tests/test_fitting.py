@@ -166,19 +166,12 @@ def material():
 
 
 @pytest.fixture(scope="module")
-def fast_domain():
-    # coarse grid: fit round trips stay self-consistent and quick
-    return hb.IntegrationDomain(n_r=24, n_z=24, n_delta=48)
-
-
-@pytest.fixture(scope="module")
-def two_curve_batch(material, fast_domain):
+def two_curve_batch(material):
     """Poisson two-power batch as (times, counts, power) triples."""
     t = np.linspace(0, 120, 31)
     noise = hb.NoiseSpec(kind="poisson", seed=8)
     powers = [8e-6, 29e-6]
-    curves = hb.gen_decay_batch(material, 9e4, 0.19, 9.4e7, powers, t, noise,
-                                domain=fast_domain)
+    curves = hb.gen_decay_batch(material, 9e4, 0.19, 9.4e7, powers, t, noise)
     return [(c.time_s, c.counts_per_s, p0) for c, p0 in zip(curves, powers)]
 
 
@@ -969,13 +962,12 @@ def test_t_quantile_matches_scipy(dof):
 
 
 @pytest.fixture(scope="module")
-def seven_curve_batch(material, fast_domain):
+def seven_curve_batch(material):
     """Poisson batch at the benchmark's seven trap-fit powers."""
     t = np.linspace(0, 120, 31)
     powers = [2e-6, 4e-6, 8e-6, 13e-6, 21e-6, 29e-6, 44e-6]
     return hb.gen_decay_batch(material, 9e4, 0.19, 9.4e7, powers, t,
-                              hb.NoiseSpec(kind="poisson", seed=11),
-                              domain=fast_domain)
+                              hb.NoiseSpec(kind="poisson", seed=11))
 
 
 @pytest.fixture(scope="module")
@@ -983,16 +975,14 @@ def poisson_batch_3(material):
     """Seed-3 Poisson batch at 2, 20 and 44 uW on the level-set rule."""
     return hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7,
                               [2e-6, 20e-6, 44e-6], np.linspace(0, 200, 81),
-                              hb.NoiseSpec(kind="poisson", seed=3),
-                              domain=hb.LevelSetRule())
+                              hb.NoiseSpec(kind="poisson", seed=3))
 
 
-def trap_batches(material, domain):
+def trap_batches(material):
     """20 Poisson two-power batches, seeds 1 to 20."""
     t = np.linspace(0, 120, 31)
     return [hb.gen_decay_batch(material, 9e4, 0.19, 9.4e7, [8e-6, 29e-6], t,
-                               hb.NoiseSpec(kind="poisson", seed=seed),
-                               domain=domain)
+                               hb.NoiseSpec(kind="poisson", seed=seed))
             for seed in range(1, 21)]
 
 
@@ -1007,26 +997,23 @@ def assert_same_fit_permuted(permuted, fit, order):
     assert permuted.scale_a == [fit.scale_a[i] for i in order]
 
 
-def slowest_resolvable_gamma(material, domain, t, powers):
+def slowest_resolvable_gamma(material, t, powers):
     """The trap fit's lower bound on gamma_trap for curves sampled at t:
     1 / (100 max_c(max k_c * max t)), k_c the rates of curve c's cloud per
     unit gamma_trap, below which the model is a straight line."""
-    fastest = max(TrapDecayModel(
-        material, hb.BeamGeometry.for_material(material, power=p0,
-                                               focus_fwhm=1e-6),
-        domain).compressed().bin_k.max() * t[-1] for p0 in powers)
+    fastest = max(TrapDecayModel(material, hb.BeamGeometry.for_material(
+        material, power=p0, focus_fwhm=1e-6)).compressed().bin_k.max() * t[-1]
+        for p0 in powers)
     return 1 / (100 * fastest)
 
 
 class TestTrapFit:
-    def test_gauss_newton_matches_brent_oracle(self, material, fast_domain,
+    def test_gauss_newton_matches_brent_oracle(self, material,
                                                two_curve_batch, monkeypatch):
-        fit = hb.fit_trap_model(two_curve_batch, material,
-                                domain=fast_domain)
+        fit = hb.fit_trap_model(two_curve_batch, material)
         monkeypatch.setattr(fitting, "gauss_newton",
                             brent_in_place_of_gauss_newton)
-        oracle = hb.fit_trap_model(two_curve_batch, material,
-                                   domain=fast_domain)
+        oracle = hb.fit_trap_model(two_curve_batch, material)
         assert fit.converged and oracle.converged
         assert fit.gamma_trap_per_s == pytest.approx(oracle.gamma_trap_per_s,
                                                      rel=1e-8)
@@ -1034,47 +1021,62 @@ class TestTrapFit:
                                                  rel=1e-12)
         assert fit.nfev < oracle.nfev
 
-    def test_unconverged_search_raises(self, material, fast_domain,
-                                       two_curve_batch, monkeypatch):
+    def test_unconverged_search_raises(self, material, two_curve_batch,
+                                       monkeypatch):
         # one trial step cannot converge the search: the fit raises, with
         # its record's fields as the diagnostics, instead of returning it
         monkeypatch.setattr(simplex, "_GN_MAX_ITER", 1)
         with pytest.raises(FitError, match="trap fit did not converge") as err:
-            hb.fit_trap_model(two_curve_batch, material, domain=fast_domain)
+            hb.fit_trap_model(two_curve_batch, material)
         diagnostics = err.value.diagnostics
         assert list(diagnostics) == [f.name for f in fields(hb.TrapFitResult)]
         assert diagnostics["converged"] is False
 
-    def test_no_rule_named_is_the_level_set_rule(self, material):
-        # the generator and the fit take the CLI's rule by default
-        args = (material, 7e4, 0.19, 9.4e7, [2e-6, 44e-6],
-                np.linspace(0, 200, 41), hb.NoiseSpec(kind="poisson", seed=5))
-        default = hb.gen_decay_batch(*args)
-        named = hb.gen_decay_batch(*args, domain=hb.LevelSetRule())
-        for a, b in zip(default, named, strict=True):
-            assert a.counts_per_s.tolist() == b.counts_per_s.tolist()
-            assert a.meta == b.meta
-        assert hb.fit_trap_model(default, material) == hb.fit_trap_model(
-            named, material, domain=hb.LevelSetRule())
+    def test_no_rule_named_is_the_level_set_rule(self, material,
+                                                 monkeypatch):
+        # the generator and the fit run the CLI's rule and take no other
+        t = np.linspace(0, 200, 41)
+        powers = [2e-6, 44e-6]
+        curves = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, powers, t)
+        for curve, p0 in zip(curves, powers, strict=True):
+            geom = hb.BeamGeometry.for_material(material, power=p0)
+            s = hb.refine_until_converged(t, material, geom, 7e4,
+                                          hb.LevelSetRule(), rel_tol=0)
+            assert curve.counts_per_s.tobytes() == hb.scaled_signal(
+                s.values, 0.19, 9.4e7, p0).tobytes()
+        built = []
 
-    def test_calls_per_fit(self, material, fast_domain):
-        for seed, curves in enumerate(trap_batches(material, fast_domain), 1):
-            res = hb.fit_trap_model(curves, material, domain=fast_domain)
+        def recording(*args, **kwargs):
+            built.append(TrapDecayModel(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(fitting, "TrapDecayModel", recording)
+        hb.fit_trap_model(curves, material)
+        assert [m.domain for m in built] == [hb.LevelSetRule()] * 2
+        for call in (lambda: hb.gen_decay_batch(
+                material, 7e4, 0.19, 9.4e7, powers, t,
+                domain=hb.LevelSetRule()),
+                lambda: hb.fit_trap_model(curves, material,
+                                          domain=hb.LevelSetRule())):
+            with pytest.raises(TypeError, match="domain"):
+                call()
+
+    def test_calls_per_fit(self, material):
+        for seed, curves in enumerate(trap_batches(material), 1):
+            res = hb.fit_trap_model(curves, material)
             assert res.converged
             assert res.nfev <= 6, seed
 
-    def test_lands_on_the_optimum(self, material, fast_domain):
+    def test_lands_on_the_optimum(self, material):
         # The Gauss-Newton step g / h in x = log gamma, from the SSE's
         # exact slope and the free columns, in dense numpy: below 1e-10
         # at the fitted gamma.
-        for seed, curves in enumerate(trap_batches(material, fast_domain), 1):
-            res = hb.fit_trap_model(curves, material, domain=fast_domain)
+        for seed, curves in enumerate(trap_batches(material), 1):
+            res = hb.fit_trap_model(curves, material)
             gamma, design, d, r = res.gamma_trap_per_s, [], [], []
             for c, a in zip(curves, res.scale_a):
                 geom = hb.BeamGeometry.for_material(
                     material, power=c.power_w, focus_fwhm=1e-6)
-                m = TrapDecayModel(material, geom,
-                                   fast_domain).compressed()
+                m = TrapDecayModel(material, geom).compressed()
                 rate = gamma * m.bin_k[None, :] * c.time_s[:, None]
                 s = m.frozen_amp + np.exp(-rate) @ m.bin_amp
                 # d S / d log gamma = -sum amp (gamma k t) exp(-gamma k t)
@@ -1097,44 +1099,41 @@ class TestTrapFit:
             col = -(d - free @ np.linalg.lstsq(free, d, rcond=None)[0])
             assert abs(np.dot(r, col) / np.dot(col, col)) <= 1e-10, seed
 
-    def test_noiseless_roundtrip(self, material, fast_domain):
+    def test_noiseless_roundtrip(self, material):
         t = np.linspace(0, 150, 51)
-        curves = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t,
-                                    domain=fast_domain)
-        res = hb.fit_trap_model(curves, material, domain=fast_domain)
+        curves = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t)
+        res = hb.fit_trap_model(curves, material)
         assert res.converged
         assert res.gamma_trap_per_s == pytest.approx(7e4, rel=0.01)
         assert res.scale_a[0] == pytest.approx(0.19, rel=0.02)
 
-    def test_curve_permutation_invariance(self, material, fast_domain):
+    def test_curve_permutation_invariance(self, material):
         t = np.linspace(0, 120, 31)
         noise = hb.NoiseSpec(kind="poisson", seed=8)
         curves = hb.gen_decay_batch(material, 9e4, 0.19, 9.4e7,
-                                    [8e-6, 29e-6], t, noise,
-                                    domain=fast_domain)
-        fwd = hb.fit_trap_model(curves, material, domain=fast_domain)
-        rev = hb.fit_trap_model(curves[::-1], material, domain=fast_domain)
+                                    [8e-6, 29e-6], t, noise)
+        fwd = hb.fit_trap_model(curves, material)
+        rev = hb.fit_trap_model(curves[::-1], material)
         assert_same_fit_permuted(rev, fwd, [1, 0])
 
     @settings(max_examples=20, deadline=None)
     @given(order=st.integers(3, 7).flatmap(
         lambda n: st.permutations(range(n))))
-    def test_random_curve_permutations(self, material, fast_domain,
-                                       seven_curve_batch, order):
+    def test_random_curve_permutations(self, material, seven_curve_batch,
+                                       order):
         curves = seven_curve_batch[:len(order)]
-        fit = hb.fit_trap_model(curves, material, domain=fast_domain)
-        permuted = hb.fit_trap_model([curves[i] for i in order], material,
-                                     domain=fast_domain)
+        fit = hb.fit_trap_model(curves, material)
+        permuted = hb.fit_trap_model([curves[i] for i in order], material)
         assert_same_fit_permuted(permuted, fit, order)
 
     @settings(max_examples=8, deadline=None)
     @given(c=st.floats(1e-3, 1e3))
-    def test_value_rescaling_scales_a_and_b(self, material, fast_domain,
-                                            two_curve_batch, c):
+    def test_value_rescaling_scales_a_and_b(self, material, two_curve_batch,
+                                            c):
         curves = two_curve_batch
-        base = hb.fit_trap_model(curves, material, domain=fast_domain)
+        base = hb.fit_trap_model(curves, material)
         scaled = hb.fit_trap_model([(t, c * y, p0) for t, y, p0 in curves],
-                                   material, domain=fast_domain)
+                                   material)
         assert scaled.gamma_trap_per_s == pytest.approx(
             base.gamma_trap_per_s, rel=1e-6)
         assert scaled.residual_sse == pytest.approx(c**2 * base.residual_sse,
@@ -1152,31 +1151,38 @@ class TestTrapFit:
         # Counts times 2^k: the search sees every sum scaled exactly, so it
         # takes the same steps to the same gamma, and A_c and B scale by
         # exactly 2^k; g^2 underflows at k = -300, g / h * g does not.
-        rule = hb.LevelSetRule()
-        base = hb.fit_trap_model(poisson_batch_3, material, domain=rule)
+        base = hb.fit_trap_model(poisson_batch_3, material)
         scaled = hb.fit_trap_model(
             [(c.time_s, np.ldexp(c.counts_per_s, k), c.power_w)
-             for c in poisson_batch_3], material, domain=rule)
+             for c in poisson_batch_3], material)
         assert (scaled.gamma_trap_per_s, scaled.nfev) == (
             base.gamma_trap_per_s, base.nfev)
         assert scaled.background_b_counts_per_w == math.ldexp(
             base.background_b_counts_per_w, k)
         assert scaled.scale_a == [math.ldexp(a, k) for a in base.scale_a]
 
-    def test_negative_background_clamped(self, material, fast_domain):
-        # True B = 0 and each curve lowered by 2e6 counts/W x P, so the
+    def test_negative_background_clamped(self, material):
+        # True B = 0 and each curve lowered by 1e7 counts/W x P, so the
         # unconstrained optimum has B < 0; the fit must stop at B = 0.
         t = np.linspace(0, 120, 31)
         noise = hb.NoiseSpec(kind="poisson", seed=3)
         powers = [8e-6, 29e-6]
+        shift = 1e7
         curves = hb.gen_decay_batch(material, 9e4, 0.19, 0.0, powers, t,
-                                    noise, domain=fast_domain)
-        shifted = [(c.time_s, c.counts_per_s - 2e6 * p0, p0)
+                                    noise)
+        # Precondition: the unshifted fit binds no bound, so it is the
+        # unconstrained optimum; B enters linearly, so the shifted curves'
+        # unconstrained optimum is the same gamma and A with B - shift.
+        base = hb.fit_trap_model(curves, material)
+        assert all(a > 0 for a in base.scale_a)
+        assert 0 < base.background_b_counts_per_w < shift
+        shifted = [(c.time_s, c.counts_per_s - shift * p0, p0)
                    for c, p0 in zip(curves, powers)]
-        res = hb.fit_trap_model(shifted, material, domain=fast_domain)
+        res = hb.fit_trap_model(shifted, material)
         assert res.converged
         assert res.background_b_counts_per_w == 0.0
         assert all(a >= 0 for a in res.scale_a)
+        assert res.residual_sse > base.residual_sse
         hb.scaled_signal(np.ones(1), res.scale_a[0],
                          res.background_b_counts_per_w, powers[0])
 
@@ -1189,12 +1195,11 @@ class TestTrapFit:
             curves = [(t, 1e5 * (1 + 0.01 * t / 200)
                        + rng.normal(0, 30, t.size), p0) for p0 in (2e-6, 2e-5)]
             with pytest.raises(FitError, match="no resolvable decay") as err:
-                hb.fit_trap_model(curves, material,
-                                  domain=hb.LevelSetRule(24))
+                hb.fit_trap_model(curves, material)
             diag = err.value.diagnostics
             assert diag["gamma_trap_per_s"] == pytest.approx(
-                slowest_resolvable_gamma(material, hb.LevelSetRule(24), t,
-                                         (2e-6, 2e-5)), rel=1e-12), seed
+                slowest_resolvable_gamma(material, t, (2e-6, 2e-5)),
+                rel=1e-12), seed
             assert diag["nfev"] <= 20, seed
             assert len(diag["scale_a"]) == 2
 
@@ -1203,16 +1208,15 @@ class TestTrapFit:
         # to where no bin leaves a trace (machine epsilon) over the 2.5 s
         # step, instead of returning gamma ~ 6e26 /s
         t = np.linspace(0.0, 200.0, 81)
-        rule = hb.LevelSetRule()
         with pytest.raises(FitError, match="no resolvable decay") as err:
             hb.fit_trap_model([(t, np.where(t == 0, 1e6, 2e3), 2e-5)],
-                              material, domain=rule)
+                              material)
         slowest = TrapDecayModel(material, hb.BeamGeometry.for_material(
-            material, power=2e-5, focus_fwhm=1e-6), rule).compressed().bin_k
+            material, power=2e-5, focus_fwhm=1e-6)).compressed().bin_k
         assert err.value.diagnostics["gamma_trap_per_s"] == pytest.approx(
             -np.log(np.finfo(float).eps) / (slowest.min() * 2.5), rel=1e-12)
 
-    def test_more_points_than_parameters(self, material, fast_domain):
+    def test_more_points_than_parameters(self, material):
         # gamma_trap, B and one A per curve: 3 points on one curve, or 2 on
         # each of two, fit exactly and leave nothing to test the model
         t = np.linspace(0.0, 150.0, 4)
@@ -1222,35 +1226,32 @@ class TestTrapFit:
                                 ([(t[:2], y[:2], 2e-6), (t[:2], y[:2], 2e-5)],
                                  "4 points cannot fit 4 parameters")]:
             with pytest.raises(ValueError, match=message):
-                hb.fit_trap_model(curves, material, domain=fast_domain)
-        curve = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t,
-                                   domain=fast_domain)
-        res = hb.fit_trap_model(curve, material, domain=fast_domain)
+                hb.fit_trap_model(curves, material)
+        curve = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t)
+        res = hb.fit_trap_model(curve, material)
         assert res.gamma_trap_per_s == pytest.approx(7e4, rel=1e-3)
 
     def test_no_curve_rejected(self, material):
         with pytest.raises(ValueError, match="need at least one curve"):
             hb.fit_trap_model([], material)
 
-    def test_degenerate_curve_rejected(self, material, fast_domain):
+    def test_degenerate_curve_rejected(self, material):
         t = np.linspace(0, 10, 11)
         with pytest.raises(ValueError, match="degenerate"):
-            hb.fit_trap_model([(t, np.zeros_like(t), 20e-6)], material,
-                              domain=fast_domain)
+            hb.fit_trap_model([(t, np.zeros_like(t), 20e-6)], material)
 
-    def test_nonmonotonic_times_rejected(self, material, fast_domain):
+    def test_nonmonotonic_times_rejected(self, material):
         t = np.array([0.0, 2.0, 1.0, 3.0])
         with pytest.raises(ValueError, match="increasing"):
             hb.fit_trap_model([(t, np.array([4.0, 3.0, 2.0, 1.0]), 2e-5)],
-                              material, domain=fast_domain)
+                              material)
 
-    def test_negative_times_rejected(self, material, fast_domain,
-                                     two_curve_batch):
+    def test_negative_times_rejected(self, material, two_curve_batch):
         t = np.linspace(-10.0, 150.0, 41)
         curves = [*two_curve_batch, (t, np.linspace(5, 1, 41), 13e-6)]
         with pytest.raises(ValueError, match=r"curve 2 \(1\.3e-05 W\).*"
                                              r"nonnegative"):
-            hb.fit_trap_model(curves, material, domain=fast_domain)
+            hb.fit_trap_model(curves, material)
 
     @pytest.mark.parametrize("t, y, message", [
         ([], [], "no points"),
@@ -1265,49 +1266,48 @@ class TestTrapFit:
          r"counts_per_s spread must be in \[1e-100, 1e\+100\]"),
     ], ids=["empty", "nan", "short", "huge-time", "huge-counts",
             "tiny-counts"])
-    def test_bad_curve_named_by_index_and_power(self, material, fast_domain,
-                                                t, y, message):
+    def test_bad_curve_named_by_index_and_power(self, material, t, y,
+                                                message):
         good = np.linspace(0.0, 150.0, 20)
         curves = [(np.array(t), np.array(y), 2e-5),
                   (good, np.linspace(5, 1, 20), 8e-6)]
         with pytest.raises(ValueError,
                            match=rf"curve 0 \(2e-05 W\): .*{message}"):
-            hb.fit_trap_model(curves, material, domain=fast_domain)
+            hb.fit_trap_model(curves, material)
 
     @pytest.mark.parametrize("constants", [
         {"coll0": 1e-320},
         {"fluor_rate": 1e-100, "ion_density": 1e-100},
         {"fluor_rate": 1e-100},
     ], ids=["subnormal-coll0", "two-keys-tiny", "fluor-tiny"])
-    def test_model_signal_below_range_named(self, two_curve_batch,
-                                            fast_domain, constants):
+    def test_model_signal_below_range_named(self, two_curve_batch, constants):
         # the fit squares its model as it squares the data; below 1e-100
         # every A came out 0 (or past 1e100) and gamma stayed at its seed
         material = hb.MaterialParams(**constants)
         with pytest.raises(ValueError, match=r"curve 0 \(8e-06 W\): the "
                            r"model signal S\(0\) of fluor_rate_per_s.*must "
                            r"be in \[1e-100, 1e\+100\]"):
-            hb.fit_trap_model(two_curve_batch, material, domain=fast_domain)
+            hb.fit_trap_model(two_curve_batch, material)
 
-    def test_missing_power_rejected(self, material, fast_domain):
+    def test_missing_power_rejected(self, material):
         t = np.linspace(0, 10, 11)
         y = np.linspace(5, 1, 11)
         with pytest.raises(ValueError, match="power"):
-            hb.fit_trap_model([(t, y, None)], material, domain=fast_domain)
+            hb.fit_trap_model([(t, y, None)], material)
 
-    def test_nan_power_named_by_index(self, material, fast_domain):
+    def test_nan_power_named_by_index(self, material):
         t = np.linspace(0, 10, 11)
         curves = [(t, np.linspace(5, 1, 11), 2e-5),
                   (t, np.linspace(5, 2, 11), float("nan"))]
         with pytest.raises(ValueError, match=r"curve 1: .*power.*nan"):
-            hb.fit_trap_model(curves, material, domain=fast_domain)
+            hb.fit_trap_model(curves, material)
 
-    def test_curve_power_pair_rejected(self, material, fast_domain):
+    def test_curve_power_pair_rejected(self, material):
         # only DecayCurve records and (times, counts, power) triples
         t = np.linspace(0, 10, 11)
         curve = hb.DecayCurve(time_s=t, counts_per_s=np.linspace(5, 1, 11))
         with pytest.raises(ValueError, match="unpack"):
-            hb.fit_trap_model([(curve, 2e-5)], material, domain=fast_domain)
+            hb.fit_trap_model([(curve, 2e-5)], material)
 
 
 def intake_case(name, seed):
@@ -1330,13 +1330,10 @@ def intake_case(name, seed):
         return (lambda c: hb.fit_hole_lorentzian(*c),
                 [f, y + rng.normal(0, 0.01, f.size)], "freq and signal", 8)
     if name == "trap":
-        domain = hb.IntegrationDomain(n_r=12, n_z=12, n_delta=24)
         t = np.linspace(0, 120, 31)
         curve, = hb.gen_decay_batch(hb.MaterialParams(), 9e4, 0.19, 9.4e7,
-                                    [2e-5], t, hb.NoiseSpec("poisson", seed),
-                                    domain=domain)
-        return (lambda c: hb.fit_trap_model([(*c, 2e-5)], hb.MaterialParams(),
-                                            domain=domain),
+                                    [2e-5], t, hb.NoiseSpec("poisson", seed))
+        return (lambda c: hb.fit_trap_model([(*c, 2e-5)], hb.MaterialParams()),
                 [t, curve.counts_per_s],
                 "curve 0 (2e-05 W): time_s and counts_per_s", 1)
     f = np.linspace(-1e8, 1e8, 40)

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -358,6 +359,26 @@ class TestDetectedSignal:
         t = np.linspace(0, 100, 21)
         res = hb.detected_signal(t, material, geom, 7e4, small_domain)
         assert np.all(np.diff(res.values) < 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule=st.sampled_from([
+        hb.LevelSetRule(8), hb.IntegrationDomain(n_r=6, n_z=6, n_delta=8)]),
+        gamma=st.floats(1e3, 1e6), j=st.integers(-3, 3),
+        s=st.floats(1 / 8, 4))
+    def test_depends_on_gamma_and_t_only_through_their_product(
+            self, material, geom, rule, gamma, j, s):
+        """Every node decays as exp(-gamma k t): scaling gamma by 2^j is
+        scaling t by 2^j bit for bit, and scaling both by s agrees to
+        rounding (ROADMAP direction 5)."""
+        t = np.array([0.0, 0.5, 5.0, 60.0, 200.0])
+
+        def signal(times, rate):
+            return hb.detected_signal(times, material, geom, rate,
+                                      rule).values
+        assert signal(t, math.ldexp(gamma, j)).tobytes() == signal(
+            np.ldexp(t, j), gamma).tobytes()
+        np.testing.assert_allclose(signal(t, gamma * s), signal(t * s, gamma),
+                                   rtol=1e-14, atol=0)
 
     def test_deterministic(self, material, geom, small_domain):
         t = np.array([0.0, 7.0])

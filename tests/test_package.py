@@ -267,6 +267,27 @@ def test_one_place_picks_the_default_rule():
                      ("integrator", "detected_signal", "IntegrationDomain")}
 
 
+@pytest.mark.parametrize("module", ["fitting", "synth", "cli"])
+def test_fits_generators_and_cli_take_no_rule(module):
+    """The rule is a parameter only of the quadrature layer: the trap fit,
+    the generators and the CLI name no rule class and take no `domain`."""
+    tree = ast.parse((ROOT / "src" / "holeburn" / f"{module}.py").read_text(
+        encoding="utf-8"))
+    records = {"LevelSetRule", "IntegrationDomain"}
+    named = {getattr(node, "id", None) or getattr(node, "attr", None)
+             for node in ast.walk(tree)} | {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert named & records == set()
+    takes = [func.name for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda))
+             for arg in (*func.args.posonlyargs, *func.args.args,
+                         *func.args.kwonlyargs)
+             if arg.arg == "domain"]
+    assert takes == []
+
+
 def test_readme_documents_every_config_key(tmp_path):
     readme = (ROOT / "README.md").read_text()
     missing = [f"[{section}] {key}" for section, keys in _SCHEMA.items()

@@ -11,11 +11,6 @@ def material():
     return hb.MaterialParams()
 
 
-@pytest.fixture(scope="module")
-def fast_domain():
-    return hb.IntegrationDomain(n_r=16, n_z=16, n_delta=32)
-
-
 class TestNoiseSpec:
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -67,28 +62,26 @@ class TestNoiseSpec:
 class TestGenDecayCurve:
     """A single curve is the batch of one, on noise stream 0."""
 
-    def test_noiseless_matches_integrator(self, material, fast_domain):
+    def test_noiseless_matches_integrator(self, material):
         t = np.linspace(0, 100, 21)
-        [curve] = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t,
-                                     domain=fast_domain)
+        [curve] = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t)
         geom = hb.BeamGeometry.for_material(material, power=20e-6)
-        direct = hb.detected_signal(t, material, geom, 7e4, fast_domain)
+        direct = hb.detected_signal(t, material, geom, 7e4, hb.LevelSetRule())
         expected = 0.19 * direct.values + 9.4e7 * 20e-6
         assert np.allclose(curve.counts_per_s, expected, rtol=1e-12)
 
-    def test_metadata_truth(self, material, fast_domain):
+    def test_metadata_truth(self, material):
         t = np.linspace(0, 10, 5)
         [curve] = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t,
-                                     NoiseSpec(kind="poisson", seed=4),
-                                     domain=fast_domain)
+                                     NoiseSpec(kind="poisson", seed=4))
         assert curve.meta["gamma_trap_per_s"] == 7e4
         assert curve.meta["noise_seed"] == 4
         assert curve.meta["noise_stream"] == 0
         assert curve.power_w == 20e-6
 
-    def test_seed_reproducibility(self, material, fast_domain):
+    def test_seed_reproducibility(self, material):
         t = np.linspace(0, 10, 5)
-        kw = dict(noise=NoiseSpec(kind="poisson", seed=9), domain=fast_domain)
+        kw = dict(noise=NoiseSpec(kind="poisson", seed=9))
         [a] = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t, **kw)
         [b] = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t, **kw)
         assert np.array_equal(a.counts_per_s, b.counts_per_s)
@@ -101,12 +94,11 @@ class TestGenDecayCurve:
         assert curve.counts_per_s[0] > 1e5
         assert curve.counts_per_s[1] < 0.90 * curve.counts_per_s[0]
 
-    def test_batch_streams_and_powers(self, material, fast_domain):
+    def test_batch_streams_and_powers(self, material):
         t = np.linspace(0, 10, 5)
         powers = [2e-6, 4e-6]
         curves = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, powers, t,
-                                    NoiseSpec(kind="poisson", seed=1),
-                                    domain=fast_domain)
+                                    NoiseSpec(kind="poisson", seed=1))
         assert [c.power_w for c in curves] == powers
         assert curves[0].meta["noise_stream"] == 0
         assert curves[1].meta["noise_stream"] == 1

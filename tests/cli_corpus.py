@@ -37,9 +37,14 @@ JOBS = [
     ["simulate", "--power-w", "2e-6", "--out", "sim_2uW.csv"],
     ["simulate", "--power-w", "20e-6", "--out", "sim_20uW.csv"],
     ["simulate", "--power-w", "44e-6", "--out", "sim_44uW.csv"],
+    ["simulate", "--power-w", "20e-6", "--tol", "0", "--out",
+     "sim_tol0.csv"],
     ["gen", "decay", "--powers", POWERS, "--noise", "poisson", "--seed", "7",
      "--out", "curves"],
     ["fit", "trap", *CURVES, "--out", "trap.json"],
+    ["gen", "decay", "--power-w", "20e-6", "--tol", "0", "--noise",
+     "poisson", "--seed", "11", "--out", "decay_single.csv"],
+    ["fit", "trap", "decay_single.csv", "--out", "trap_single.json"],
     ["gen", "holescan", "--n-points", "400", "--aom-off", "0:40",
      "--power-slope", "0.2", "--fluor-offset", "120", "--power-offset", "33",
      "--noise", "poisson", "--seed", "3", "--out", "scan.csv"],
@@ -47,6 +52,8 @@ JOBS = [
      "--out", "hole.json"],
     ["fit", "hole", "--scan", "scan.csv", "--aom-off", "auto",
      "--treated-out", "treated_auto.csv", "--out", "hole_auto.json"],
+    ["fit", "hole", "--scan", "scan.csv", "--aom-off", "0:40",
+     "--treated-out", "treated_explicit.csv", "--out", "hole_explicit.json"],
     ["gen", "holedecay", "--offset", "0.05", "--noise", "gaussian",
      "--gaussian-sigma", "0.01", "--seed", "5", "--out", "holedecay.csv"],
     ["fit", "expdecay", "--series", "holedecay.csv", "--out",

@@ -6,11 +6,12 @@ rate, and the detected signal is the collection-weighted sum of the
 per-point exponentials, each built from the formulas in `model.py`.  The
 azimuthal integral is a plain factor 2 pi because nothing depends on it.
 
-Two rules place the nodes.  `LevelSetRule`, the default (`_rule`),
-integrates over infinite limits: the collection efficiency shares the
-beam's envelope, so everything depends on (r, z) only through u = I / I0,
-and the focal volume per intensity turns the integral into a smooth one
-on [0, pi/2]^2 with Gauss-Legendre nodes in (alpha, theta).  An
+Two rules place the nodes; only `detected_signal` takes one, and the
+other entries run `LevelSetRule()`.  `LevelSetRule` integrates over
+infinite limits: the collection efficiency shares the beam's envelope,
+so everything depends on (r, z) only through u = I / I0, and the focal
+volume per intensity turns the integral into a smooth one on
+[0, pi/2]^2 with Gauss-Legendre nodes in (alpha, theta).  An
 `IntegrationDomain` is a finite midpoint box in (r, z, detuning), the
 only rule that accepts replacement (r, z) profiles.
 
@@ -203,15 +204,10 @@ def _gauss_legendre(n):
     return x, w
 
 
-def _rule(domain):
-    """The rule to use: `domain`, or the default `LevelSetRule()` if None."""
-    return LevelSetRule() if domain is None else domain
-
-
 def _cloud(material: MaterialParams, geom: BeamGeometry, domain,
            intensity_fn: Optional[Callable] = None,
            coll_fn: Optional[Callable] = None):
-    """(rule, amplitude, k per node) for the rule the record's type names.
+    """(amplitude, k per node) for the rule the record's type names.
 
     amplitude carries everything time-independent: fluorescence rate times
     excited-state density times collection efficiency times the quadrature
@@ -267,7 +263,7 @@ def _cloud(material: MaterialParams, geom: BeamGeometry, domain,
     s_l, d_delta = detuning(model.power_broadened_linewidth(s))
     excited, k = model.steady_state(s_l, s, rho)
     amp = scale * (weight * d_delta * excited).reshape(-1)
-    return domain, amp, k.reshape(-1)
+    return amp, k.reshape(-1)
 
 
 def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
@@ -284,8 +280,8 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
     gamma_trap : float
         Trapping rate from the conduction band [1/s].
     domain : IntegrationDomain or LevelSetRule, optional
-        The midpoint box, also when omitted (unlike the other entries, for
-        acceptance 1a: ROADMAP direction 5), or the level-set rule.
+        The midpoint box, also when omitted (for acceptance 1a: ROADMAP
+        direction 5), or the level-set rule, which every other entry runs.
     intensity_fn, coll_fn : callable, optional
         Overrides mapping (r, z) arrays to intensity / collection
         efficiency on a box; used for oracle checks with flat profiles.
@@ -301,7 +297,7 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
     if not 0 <= gamma_trap < np.inf:
         raise ValueError("gamma_trap must be nonnegative and finite")
     domain = IntegrationDomain() if domain is None else domain
-    domain, amp, k = _cloud(material, geom, domain, intensity_fn, coll_fn)
+    amp, k = _cloud(material, geom, domain, intensity_fn, coll_fn)
     return SignalResult(times=t, values=_decay_sum(t, gamma_trap * k, amp),
                         domain=domain)
 
@@ -319,19 +315,19 @@ def scaled_signal(s_model, scale_a, background_b, power):
 
 def refine_until_converged(t_grid, material: MaterialParams,
                            geom: BeamGeometry, gamma_trap,
-                           domain=None, rel_tol: float = 5e-3) -> SignalResult:
-    """Double the rule's node counts until S(t) changes by less than rel_tol.
+                           rel_tol: float = 5e-3) -> SignalResult:
+    """Double `LevelSetRule()`'s node count until S(t) moves < rel_tol.
 
-    It starts on `domain`, `LevelSetRule()` when None.  rel_tol = 0 evaluates
-    that once: no refinement, and `achieved_rel_change` stays None.  Raises
-    ConvergenceError (carrying the best result so far) when
-    `_MAX_REFINEMENTS` doublings do not meet a positive tolerance.
+    rel_tol = 0 evaluates that rule once: no refinement, and
+    `achieved_rel_change` stays None.  Raises ConvergenceError (carrying
+    the best result so far) when `_MAX_REFINEMENTS` doublings do not meet
+    a positive tolerance.
     """
     if not rel_tol >= 0:
         raise ValueError("rel_tol must be nonnegative")
 
     result = detected_signal(t_grid, material, geom, gamma_trap,
-                             _rule(domain))
+                             LevelSetRule())
     if rel_tol == 0:
         return result
     for step in range(1, _MAX_REFINEMENTS + 1):
@@ -351,16 +347,16 @@ def refine_until_converged(t_grid, material: MaterialParams,
 
 
 class TrapDecayModel:
-    """One curve's cloud (amplitude, k per node), held only for binning.
+    """One curve's cloud (amplitude, k per node) on `LevelSetRule()`.
 
     The cloud does not depend on gamma_trap, so the trap fit builds one
     per curve and evaluates its `compressed` log-k histogram of `_N_BINS`
     bins, at a relative error far below fit tolerances.
     """
 
-    def __init__(self, material: MaterialParams, geom: BeamGeometry,
-                 domain=None):
-        self.domain, self._amp, self._k = _cloud(material, geom, _rule(domain))
+    def __init__(self, material: MaterialParams, geom: BeamGeometry):
+        self.domain = LevelSetRule()
+        self._amp, self._k = _cloud(material, geom, self.domain)
 
     def compressed(self) -> "CompressedDecayModel":
         return CompressedDecayModel(self._amp, self._k, _N_BINS)

@@ -982,11 +982,9 @@ class TestCli:
         assert "no resolvable decay" in data["error"]
         # the search stops on its lower bound, 1 / (100 max k max t)
         material = hb.MaterialParams()
-        fastest = max(TrapDecayModel(
-            material, hb.BeamGeometry.for_material(material, power=p0,
-                                                   focus_fwhm=1e-6),
-            hb.LevelSetRule()).compressed().bin_k.max() * t[-1]
-            for p0 in (2e-6, 2e-5))
+        fastest = max(TrapDecayModel(material, hb.BeamGeometry.for_material(
+            material, power=p0, focus_fwhm=1e-6)).compressed().bin_k.max()
+            * t[-1] for p0 in (2e-6, 2e-5))
         assert data["diagnostics"]["gamma_trap_per_s"] == pytest.approx(
             1 / (100 * fastest), rel=1e-12)
         assert data["diagnostics"]["nfev"] <= 20

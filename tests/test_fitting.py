@@ -1040,8 +1040,7 @@ class TestTrapFit:
         curves = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, powers, t)
         for curve, p0 in zip(curves, powers, strict=True):
             geom = hb.BeamGeometry.for_material(material, power=p0)
-            s = hb.refine_until_converged(t, material, geom, 7e4,
-                                          hb.LevelSetRule(), rel_tol=0)
+            s = hb.refine_until_converged(t, material, geom, 7e4, rel_tol=0)
             assert curve.counts_per_s.tobytes() == hb.scaled_signal(
                 s.values, 0.19, 9.4e7, p0).tobytes()
         built = []

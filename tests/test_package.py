@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import glob
 import importlib
+import inspect
 import json
 import math
 import re
@@ -246,25 +247,46 @@ def test_sources_parse_at_the_declared_python_floor():
 
 
 def test_one_place_picks_the_default_rule():
-    """Only `integrator._rule` builds the default rule record, and only
-    `detected_signal` its own no-rule box: no other code calls
-    `LevelSetRule()` or `IntegrationDomain()` without arguments."""
+    """No code resolves a missing rule: the two entries that take none,
+    `refine_until_converged` and `TrapDecayModel`, build `LevelSetRule()`
+    themselves, and `detected_signal` alone builds its no-rule box.  No
+    other code calls `LevelSetRule()` or `IntegrationDomain()` without
+    arguments, so `LevelSetRule.n` decides the CLI's rule."""
     records = {"LevelSetRule", "IntegrationDomain"}
     sites = set()
     for path in sorted((ROOT / "src" / "holeburn").glob("*.py")):
         owner = {}
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((id(node), func.name) for node in ast.walk(func))
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                name = ".".join(filter(None, [owner.get(id(scope)),
+                                              scope.name]))
+                owner.update((id(node), name) for node in ast.walk(scope))
         for node in ast.walk(tree):
             name = (getattr(node.func, "id", None)
                     or getattr(node.func, "attr", None)
                     if isinstance(node, ast.Call) else None)
             if name in records and not node.args and not node.keywords:
                 sites.add((path.stem, owner.get(id(node), "<module>"), name))
-    assert sites == {("integrator", "_rule", "LevelSetRule"),
-                     ("integrator", "detected_signal", "IntegrationDomain")}
+    assert sites == {
+        ("integrator", "refine_until_converged", "LevelSetRule"),
+        ("integrator", "TrapDecayModel.__init__", "LevelSetRule"),
+        ("integrator", "detected_signal", "IntegrationDomain")}
+
+
+def test_refinement_and_trap_cloud_take_no_rule():
+    """Only `detected_signal` takes a rule: the entries the CLI and the
+    fits run have no `domain` parameter and refuse one."""
+    from holeburn.integrator import TrapDecayModel
+    material = hb.MaterialParams()
+    geom = hb.BeamGeometry.for_material(material, power=20e-6)
+    for entry, args in ((hb.refine_until_converged,
+                         ([0.0, 5.0], material, geom, 7e4)),
+                        (TrapDecayModel, (material, geom))):
+        assert "domain" not in inspect.signature(entry).parameters
+        with pytest.raises(TypeError, match="domain"):
+            entry(*args, domain=hb.LevelSetRule())
 
 
 @pytest.mark.parametrize("module", ["fitting", "synth", "cli"])

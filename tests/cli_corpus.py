@@ -10,6 +10,9 @@ committed manifest.  To regenerate the manifest after a deliberate
 behaviour change (and name each moved job, and why, in CHANGES.md):
 
     PYTHONPATH=src python tests/cli_corpus.py
+
+which first prints every way the fresh run departs from the committed
+manifest, byte for byte, and then writes the new one.
 """
 
 import contextlib
@@ -32,6 +35,16 @@ FLOAT_REL = 1e-13
 
 POWERS = "2e-6,4e-6,8e-6,13e-6,21e-6,29e-6,44e-6"
 CURVES = [f"curves/decay_{p}uW.csv" for p in (2, 4, 8, 13, 21, 29, 44)]
+
+# Config files `run_jobs` writes into the job directory before the first
+# job: a setup off every default the decay path reads, and one that sets
+# the removed [beam] power_w key.
+CONFIGS = {
+    "setup.ini": "[material]\nsat_intensity_w_per_m2 = 1.68e7\n\n"
+                 "[beam]\nfocus_fwhm_m = 1.2e-6\n\n[scale]\nscale_a = 0.25\n",
+    "beam_power.ini": "[beam]\npower_w = 2e-5\n",
+}
+CONFIG_CURVES = [f"curves_config/decay_{p}uW.csv" for p in (4, 13, 29)]
 
 JOBS = [
     ["simulate", "--power-w", "2e-6", "--out", "sim_2uW.csv"],
@@ -70,6 +83,15 @@ JOBS = [
     ["gen", "holescan", "--n-points", "400", "--depth", "0",
      "--noise", "poisson", "--seed", "4", "--out", "flat.csv"],
     ["fit", "hole", "--scan", "flat.csv", "--out", "flat.json"],
+    # the decay path on a non-default setup
+    ["--config", "setup.ini", "simulate", "--power-w", "20e-6", "--out",
+     "sim_config.csv"],
+    ["--config", "setup.ini", "gen", "decay", "--powers", "4e-6,13e-6,29e-6",
+     "--noise", "poisson", "--seed", "13", "--out", "curves_config"],
+    ["--config", "setup.ini", "fit", "trap", *CONFIG_CURVES, "--out",
+     "trap_config.json"],
+    # exit 2: the power is a flag, not a config key
+    ["--config", "beam_power.ini", "simulate", "--out", "beam_power.csv"],
 ]
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
@@ -98,9 +120,12 @@ def _snapshot(root):
 
 
 def run_jobs(root):
-    """The record of each job in JOBS, run in order in directory `root`."""
+    """The record of each job in JOBS, run in order in directory `root`
+    after CONFIGS are written there."""
     from holeburn.cli import main
     root, records = Path(root), []
+    for name, text in CONFIGS.items():
+        (root / name).write_text(text, encoding="utf-8")
     cwd = os.getcwd()
     os.chdir(root)
     try:
@@ -156,14 +181,16 @@ def text_differences(expected, actual):
 def differences(manifest, records, exact):
     """Every way `records` departs from the manifest's jobs; with `exact`,
     each stream and file must also hash as recorded."""
-    problems = []
-    jobs = manifest["jobs"]
-    if len(jobs) != len(records):
-        return [f"{len(records)} jobs ran, the manifest has {len(jobs)}"]
-    for job, record in zip(jobs, records):
-        name = " ".join(job["argv"])
-        if job["argv"] != record["argv"]:
-            problems.append(f"{name}: the job is now {record['argv']}")
+    jobs = {" ".join(job["argv"]): job for job in manifest["jobs"]}
+    ran = {" ".join(record["argv"]): record for record in records}
+    problems = [f"{name}: not in the manifest" for name in ran
+                if name not in jobs]
+    problems += [f"{name}: did not run" for name in jobs if name not in ran]
+    if [n for n in jobs if n in ran] != [n for n in ran if n in jobs]:
+        problems.append("the jobs ran in another order")
+    for name, record in ran.items():
+        job = jobs.get(name)
+        if job is None:
             continue
         if job["exit"] != record["exit"]:
             problems.append(f"{name}: exit {record['exit']} != {job['exit']}")
@@ -192,7 +219,12 @@ def build_manifest(records):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = build_manifest(run_jobs(tmp))
+        records = run_jobs(tmp)
+    if MANIFEST.exists():
+        committed = json.loads(MANIFEST.read_text(encoding="utf-8"))
+        for problem in differences(committed, records, exact=True):
+            print(f"moved: {problem}", file=sys.stderr)
+    manifest = build_manifest(records)
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n",
                         encoding="utf-8")
     print(f"wrote {len(manifest['jobs'])} jobs -> {MANIFEST}",

@@ -24,12 +24,16 @@ def test_corpus_replays_as_recorded(manifest, tmp_path):
 
 
 def test_corpus_covers_every_subcommand_and_exit_code(manifest):
-    commands = {" ".join(job["argv"][:2]) if job["argv"][0] in ("fit", "gen")
-                else job["argv"][0] for job in manifest["jobs"]}
+    argvs = [job["argv"][2:] if job["argv"][0] == "--config"
+             else job["argv"] for job in manifest["jobs"]]
+    commands = {" ".join(argv[:2]) if argv[0] in ("fit", "gen") else argv[0]
+                for argv in argvs}
     assert commands == {"simulate", "fit trap", "fit hole", "fit expdecay",
                         "fit linear", "zeeman", "gen decay", "gen holescan",
                         "gen holedecay"}
     assert {job["exit"] for job in manifest["jobs"]} == {0, 2, 3, 4}
+    # `differences` pairs the replayed jobs with the recorded ones by argv.
+    assert len({" ".join(argv) for argv in argvs}) == len(argvs)
 
 
 @pytest.mark.parametrize("expected, actual, problems", [

@@ -291,13 +291,10 @@ def hom_linewidth_from_hole(fwhm):
 
 
 def _curve_triples(curves):
-    """Normalize fit input to (times, counts, power) triples."""
+    """Each DecayCurve's checked (time_s, counts_per_s, power_w)."""
     out = []
-    for index, item in enumerate(curves):
-        if isinstance(item, tuple):
-            t, y, p0 = item
-        else:
-            t, y, p0 = item.time_s, item.counts_per_s, item.power_w
+    for index, curve in enumerate(curves):
+        t, y, p0 = curve.time_s, curve.counts_per_s, curve.power_w
         if p0 is None or not p0 > 0:
             raise ValueError(f"curve {index}: the excitation power must be "
                              f"positive, got {p0!r}")
@@ -332,9 +329,8 @@ def fit_trap_model(curves, material: MaterialParams,
 
     Parameters
     ----------
-    curves : sequence
-        DecayCurve records carrying power_w, or (times, counts, power)
-        triples.
+    curves : sequence of DecayCurve
+        Records carrying power_w.
     material : MaterialParams
     focus_fwhm : float
         Beam focus FWHM shared by all measurements [m].
@@ -369,17 +365,17 @@ def fit_trap_model(curves, material: MaterialParams,
         models.append(m)
 
     def solve(xn):
+        # one model evaluation gives each curve's (S, dS/dgamma)
         gamma = _GAMMA_SEED * math.exp(xn)
-        blocks = [(m.signal(t, gamma), y, p0)
-                  for m, (t, y, p0) in zip(models, triples)]
-        return gamma, blocks, _arrow_least_squares(blocks)
+        evals = [m.signal(t, gamma) for m, (t, _, _) in zip(models, triples)]
+        blocks = [(s, y, p0) for (s, _), (_, y, p0) in zip(evals, triples)]
+        return gamma, evals, blocks, _arrow_least_squares(blocks)
 
     def project(xn):
-        gamma, blocks, (scales, background, sse, residuals) = solve(xn)
+        gamma, evals, blocks, (scales, background, sse, residuals) = solve(xn)
         # Kaufman's column: minus d model / d xn, projected off the free
         # columns.
-        slopes = [a * gamma * m.signal_slope(t, gamma)
-                  for a, m, (t, _, _) in zip(scales, models, triples)]
+        slopes = [a * gamma * d for a, (_, d) in zip(scales, evals)]
         col = _free_complement(blocks, scales, background, slopes)
         return (sse, np.concatenate(residuals).tolist(),
                 (-np.concatenate(col)).tolist())
@@ -407,7 +403,7 @@ def fit_trap_model(curves, material: MaterialParams,
             "gamma_trap_max_per_s": _GAMMA_SEED * math.exp(hi)})
     res = gauss_newton(project, 0.0, lo, hi)
 
-    gamma, _, (scales, background, sse, _) = solve(res.x)
+    gamma, _, _, (scales, background, sse, _) = solve(res.x)
     result = TrapFitResult(gamma_trap_per_s=gamma,
                            background_b_counts_per_w=background,
                            scale_a=scales, residual_sse=sse,

@@ -16,11 +16,12 @@ volume per intensity turns the integral into a smooth one on
 only rule that accepts replacement (r, z) profiles.
 
 S(t) has two paths: `detected_signal` sums the cloud exactly, and the
-trap fit bins it by log k (`TrapDecayModel(...).compressed()`).  Both go
-through one kernel, `_decay_sum`.  It walks the nodes in blocks of about
-`_SUM_BLOCK_ELEMENTS` node-time pairs and, per block, fills one reused
-(times x nodes) work array with exp(-rate * t) and reduces it against
-the amplitudes.  Each node is read once and the work array stays small,
+trap fit bins it by log k (`TrapDecayModel(...).compressed()`) and takes
+S with dS/dgamma_trap.  Both go through one kernel, `_decay_sum`.  It
+walks the nodes in blocks of about `_SUM_BLOCK_ELEMENTS` node-time pairs
+and, per block, fills one reused (times x nodes) work array with
+exp(-rate * t) and reduces it against each amplitude vector (S's and the
+slope's).  Each node is read once and the work array stays small,
 instead of every time streaming the whole cloud through memory.  The
 reduction is a single-threaded einsum, not BLAS: a threaded gemv or dot
 keeps extra threads busy that cost CPU time without saving wall time at
@@ -157,9 +158,10 @@ def _check_times(t_grid) -> np.ndarray:
     return np.array(t)
 
 
-def _decay_sum(t: np.ndarray, rate: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """sum_i amp_i * exp(-rate_i * t_j) for every t_j, blocked over nodes."""
-    out = np.zeros(t.size)
+def _decay_sum(t: np.ndarray, rate: np.ndarray, *amps) -> np.ndarray:
+    """sum_i amp_i * exp(-rate_i * t_j) for every t_j, one row per vector
+    amp in amps, blocked over nodes."""
+    out = np.zeros((len(amps), t.size))
     block = max(1, _SUM_BLOCK_ELEMENTS // t.size)
     work = np.empty(t.size * min(block, rate.size))
     for start in range(0, rate.size, block):
@@ -167,7 +169,8 @@ def _decay_sum(t: np.ndarray, rate: np.ndarray, amp: np.ndarray) -> np.ndarray:
         m = work[:t.size * r.size].reshape(t.size, r.size)
         np.multiply.outer(-t, r, out=m)
         np.exp(m, out=m)
-        out += np.einsum("ij,j->i", m, amp[start:start + block])
+        for row, amp in zip(out, amps):
+            row += np.einsum("ij,j->i", m, amp[start:start + block])
     return out
 
 
@@ -298,7 +301,7 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
         raise ValueError("gamma_trap must be nonnegative and finite")
     domain = IntegrationDomain() if domain is None else domain
     amp, k = _cloud(material, geom, domain, intensity_fn, coll_fn)
-    return SignalResult(times=t, values=_decay_sum(t, gamma_trap * k, amp),
+    return SignalResult(times=t, values=_decay_sum(t, gamma_trap * k, amp)[0],
                         domain=domain)
 
 
@@ -363,12 +366,13 @@ class TrapDecayModel:
 
 
 class CompressedDecayModel:
-    """Amplitude-weighted log-k histogram of a TrapDecayModel cloud."""
+    """Amplitude-weighted log-k histogram of a TrapDecayModel cloud; the
+    nodes whose amp * k is 0 (k = 0, or underflow) make up `frozen_amp`."""
 
     def __init__(self, amp: np.ndarray, k: np.ndarray, n_bins: int):
         if n_bins < 2:
             raise ValueError("n_bins must be at least 2")
-        live = k > 0
+        live = amp * k > 0
         self.frozen_amp = float(np.sum(amp[~live]))
         k_live, amp_live = k[live], amp[live]
         if k_live.size == 0:
@@ -390,12 +394,10 @@ class CompressedDecayModel:
         self.bin_amp = wsum[used]
         self.bin_k = ksum[used] / wsum[used]
 
-    def signal(self, t_grid, gamma_trap) -> np.ndarray:
-        return self.frozen_amp + _decay_sum(
-            _check_times(t_grid), gamma_trap * self.bin_k, self.bin_amp)
-
-    def signal_slope(self, t_grid, gamma_trap) -> np.ndarray:
-        """dS/dgamma_trap = -t sum amp k exp(-gamma_trap k t)."""
+    def signal(self, t_grid, gamma_trap):
+        """(S, dS/dgamma_trap) from one pass: S = frozen_amp + sum amp
+        exp(-gamma_trap k t), and dS/dgamma_trap = -t sum amp k exp(...)."""
         t = _check_times(t_grid)
-        return -t * _decay_sum(t, gamma_trap * self.bin_k,
-                               self.bin_amp * self.bin_k)
+        decay, slope = _decay_sum(t, gamma_trap * self.bin_k, self.bin_amp,
+                                  self.bin_amp * self.bin_k)
+        return self.frozen_amp + decay, -t * slope

@@ -37,8 +37,8 @@ POWERS = "2e-6,4e-6,8e-6,13e-6,21e-6,29e-6,44e-6"
 CURVES = [f"curves/decay_{p}uW.csv" for p in (2, 4, 8, 13, 21, 29, 44)]
 
 # Config files `run_jobs` writes into the job directory before the first
-# job: a setup off every default the decay path reads, and one that sets
-# the removed [beam] power_w key.
+# job: a setup that moves three values the decay path reads off their
+# defaults, and one that sets the removed [beam] power_w key.
 CONFIGS = {
     "setup.ini": "[material]\nsat_intensity_w_per_m2 = 1.68e7\n\n"
                  "[beam]\nfocus_fwhm_m = 1.2e-6\n\n[scale]\nscale_a = 0.25\n",
@@ -220,10 +220,9 @@ def build_manifest(records):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         records = run_jobs(tmp)
-    if MANIFEST.exists():
-        committed = json.loads(MANIFEST.read_text(encoding="utf-8"))
-        for problem in differences(committed, records, exact=True):
-            print(f"moved: {problem}", file=sys.stderr)
+    committed = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    for problem in differences(committed, records, exact=True):
+        print(f"moved: {problem}", file=sys.stderr)
     manifest = build_manifest(records)
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n",
                         encoding="utf-8")

@@ -343,6 +343,19 @@ class TestCsvIO:
         # a repeated column the reader does not need is no ambiguity
         assert csvio.read_xy(path, "x", "x")[0] == [0.0, 1.0, 2.0]
 
+    def test_blank_lines_between_rows_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("# tau_s = 0.072\n\nx,y\n0,1\n\n  \n1,3\n\n")
+        assert csvio.read_xy(path, "x", "y") == (
+            [0.0, 1.0], [1.0, 3.0], {"tau_s": "0.072"})
+
+    def test_no_header_line_rejected(self, tmp_path):
+        path = tmp_path / "comments.csv"
+        path.write_text("# tau_s = 0.072\n# only comments\n\n")
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(str(path))}: no header line"):
+            csvio.read_xy(path, "x", "y")
+
     def test_header_only_reads_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         csvio.write_table(path, ["wait_time_s", "area"], [[], []],
@@ -865,6 +878,23 @@ class TestCli:
         assert data["nfev"] > data["iterations"] > 0
         assert data["unresolved"] == []
 
+    def test_fit_expdecay_headerless_series_exit_2(self, tmp_path, capsys):
+        series = tmp_path / "comments.csv"
+        series.write_text("# tau_s = 0.072\n# no table follows\n")
+        report = tmp_path / "expdecay.json"
+        assert main(["fit", "expdecay", "--series", str(series),
+                     "--out", str(report)]) == 2
+        assert not report.exists()
+        assert f"{series}: no header line found" in capsys.readouterr().err
+
+    def test_gen_holescan_one_point_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["gen", "holescan", "--n-points", "1",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "freq must be a 1-D axis with at least 2 points" \
+            in capsys.readouterr().err
+
     def test_fit_expdecay_unresolved_exit_4(self, tmp_path, capsys):
         # constant areas: the fit returns, but with no error bar on tau
         series = tmp_path / "series.csv"
@@ -1001,6 +1031,24 @@ class TestCli:
         report = tmp_path / "trap.json"
         assert main(["fit", "trap", str(curve), "--out", str(report)]) == 4
         assert "no resolvable decay" in json.loads(report.read_text())["error"]
+        assert "no resolvable decay" in capsys.readouterr().err
+
+    def test_fit_trap_underflowing_cloud_exit_4(self, tmp_path, capsys):
+        # at 1e-150 W every amp * k of the cloud underflows: the job
+        # reports no resolvable decay instead of "math domain error"
+        path = tmp_path / "huge.ini"
+        path.write_text("[material]\nion_density_per_m3_per_hz = 1e90\n"
+                        "fluor_rate_per_s = 1e9\n")
+        curve = tmp_path / "curve.csv"
+        t = np.linspace(0.0, 120.0, 41)
+        csvio.write_decay_curve(curve, hb.DecayCurve(
+            time_s=t, counts_per_s=1 + np.exp(-t / 30), power_w=1e-150))
+        report = tmp_path / "trap.json"
+        assert main(["--config", str(path), "fit", "trap", str(curve),
+                     "--out", str(report)]) == 4
+        data = json.loads(report.read_text())
+        assert data["error"] == "trap fit found no resolvable decay"
+        assert data["diagnostics"] == {"gamma_trap_max_per_s": 0.0}
         assert "no resolvable decay" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", [

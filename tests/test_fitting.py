@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import run_fresh
 import holeburn as hb
-from holeburn import FitError, csvio, fitting, lifetime, simplex
+from holeburn import (FitError, csvio, fitting, integrator, lifetime,
+                      simplex)
 from holeburn.cli import main
 from holeburn.fitting import _arrow_least_squares
-from holeburn.integrator import TrapDecayModel
+from holeburn.integrator import CompressedDecayModel, TrapDecayModel
 from holeburn.linefit import _t_quantile
 from holeburn.simplex import MinimizeResult
 
@@ -167,12 +168,11 @@ def material():
 
 @pytest.fixture(scope="module")
 def two_curve_batch(material):
-    """Poisson two-power batch as (times, counts, power) triples."""
+    """Poisson two-power batch of DecayCurve records."""
     t = np.linspace(0, 120, 31)
     noise = hb.NoiseSpec(kind="poisson", seed=8)
-    powers = [8e-6, 29e-6]
-    curves = hb.gen_decay_batch(material, 9e4, 0.19, 9.4e7, powers, t, noise)
-    return [(c.time_s, c.counts_per_s, p0) for c, p0 in zip(curves, powers)]
+    return hb.gen_decay_batch(material, 9e4, 0.19, 9.4e7, [8e-6, 29e-6], t,
+                              noise)
 
 
 class TestHoleFit:
@@ -1065,6 +1065,38 @@ class TestTrapFit:
             assert res.converged
             assert res.nfev <= 6, seed
 
+    def test_model_evaluated_once_per_curve_and_step(self, material,
+                                                    seven_curve_batch,
+                                                    monkeypatch):
+        # each objective call and the final solve evaluate every curve's
+        # S and dS/dgamma in one `signal` call
+        calls = []
+        signal = CompressedDecayModel.signal
+
+        def counting(model, t_grid, gamma_trap):
+            calls.append(gamma_trap)
+            return signal(model, t_grid, gamma_trap)
+        monkeypatch.setattr(CompressedDecayModel, "signal", counting)
+        res = hb.fit_trap_model(seven_curve_batch, material)
+        assert len(calls) == (res.nfev + 1) * len(seven_curve_batch)
+        assert not hasattr(CompressedDecayModel, "signal_slope")
+
+    def test_underflowing_cloud_has_no_resolvable_decay(self):
+        # every node's k is positive, but at 1e-150 W each amp * k
+        # underflows to 0, so no bin is live: FitError, where the search's
+        # upper bound once took log(0)
+        material = hb.MaterialParams(ion_density=1e90, fluor_rate=1e9)
+        geom = hb.BeamGeometry.for_material(material, power=1e-150,
+                                            focus_fwhm=1e-6)
+        amp, k = integrator._cloud(material, geom, hb.LevelSetRule())
+        assert np.all(k > 0) and np.all(amp * k == 0)
+        assert TrapDecayModel(material, geom).compressed().bin_k.size == 0
+        t = np.linspace(0.0, 120.0, 41)
+        with pytest.raises(FitError, match="no resolvable decay") as err:
+            hb.fit_trap_model(
+                [hb.DecayCurve(t, 1 + np.exp(-t / 30), 1e-150)], material)
+        assert err.value.diagnostics == {"gamma_trap_max_per_s": 0.0}
+
     def test_lands_on_the_optimum(self, material):
         # The Gauss-Newton step g / h in x = log gamma, from the SSE's
         # exact slope and the free columns, in dense numpy: below 1e-10
@@ -1131,8 +1163,9 @@ class TestTrapFit:
                                             c):
         curves = two_curve_batch
         base = hb.fit_trap_model(curves, material)
-        scaled = hb.fit_trap_model([(t, c * y, p0) for t, y, p0 in curves],
-                                   material)
+        scaled = hb.fit_trap_model(
+            [replace(curve, counts_per_s=c * curve.counts_per_s)
+             for curve in curves], material)
         assert scaled.gamma_trap_per_s == pytest.approx(
             base.gamma_trap_per_s, rel=1e-6)
         assert scaled.residual_sse == pytest.approx(c**2 * base.residual_sse,
@@ -1152,7 +1185,7 @@ class TestTrapFit:
         # exactly 2^k; g^2 underflows at k = -300, g / h * g does not.
         base = hb.fit_trap_model(poisson_batch_3, material)
         scaled = hb.fit_trap_model(
-            [(c.time_s, np.ldexp(c.counts_per_s, k), c.power_w)
+            [replace(c, counts_per_s=np.ldexp(c.counts_per_s, k))
              for c in poisson_batch_3], material)
         assert (scaled.gamma_trap_per_s, scaled.nfev) == (
             base.gamma_trap_per_s, base.nfev)
@@ -1175,8 +1208,8 @@ class TestTrapFit:
         base = hb.fit_trap_model(curves, material)
         assert all(a > 0 for a in base.scale_a)
         assert 0 < base.background_b_counts_per_w < shift
-        shifted = [(c.time_s, c.counts_per_s - shift * p0, p0)
-                   for c, p0 in zip(curves, powers)]
+        shifted = [replace(c, counts_per_s=c.counts_per_s - shift * p0)
+                   for c, p0 in zip(curves, powers, strict=True)]
         res = hb.fit_trap_model(shifted, material)
         assert res.converged
         assert res.background_b_counts_per_w == 0.0
@@ -1191,8 +1224,9 @@ class TestTrapFit:
         t = np.linspace(0.0, 200.0, 81)
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            curves = [(t, 1e5 * (1 + 0.01 * t / 200)
-                       + rng.normal(0, 30, t.size), p0) for p0 in (2e-6, 2e-5)]
+            curves = [hb.DecayCurve(t, 1e5 * (1 + 0.01 * t / 200)
+                                    + rng.normal(0, 30, t.size), p0)
+                      for p0 in (2e-6, 2e-5)]
             with pytest.raises(FitError, match="no resolvable decay") as err:
                 hb.fit_trap_model(curves, material)
             diag = err.value.diagnostics
@@ -1208,8 +1242,9 @@ class TestTrapFit:
         # step, instead of returning gamma ~ 6e26 /s
         t = np.linspace(0.0, 200.0, 81)
         with pytest.raises(FitError, match="no resolvable decay") as err:
-            hb.fit_trap_model([(t, np.where(t == 0, 1e6, 2e3), 2e-5)],
-                              material)
+            hb.fit_trap_model(
+                [hb.DecayCurve(t, np.where(t == 0, 1e6, 2e3), 2e-5)],
+                material)
         slowest = TrapDecayModel(material, hb.BeamGeometry.for_material(
             material, power=2e-5, focus_fwhm=1e-6)).compressed().bin_k
         assert err.value.diagnostics["gamma_trap_per_s"] == pytest.approx(
@@ -1220,10 +1255,12 @@ class TestTrapFit:
         # each of two, fit exactly and leave nothing to test the model
         t = np.linspace(0.0, 150.0, 4)
         y = np.array([5e3, 4e3, 3.5e3, 3.2e3])
-        for curves, message in [([(t[:3], y[:3], 2e-5)], "3 points cannot "
-                                 "fit 3 parameters"),
-                                ([(t[:2], y[:2], 2e-6), (t[:2], y[:2], 2e-5)],
-                                 "4 points cannot fit 4 parameters")]:
+        for curves, message in [
+                ([hb.DecayCurve(t[:3], y[:3], 2e-5)],
+                 "3 points cannot fit 3 parameters"),
+                ([hb.DecayCurve(t[:2], y[:2], 2e-6),
+                  hb.DecayCurve(t[:2], y[:2], 2e-5)],
+                 "4 points cannot fit 4 parameters")]:
             with pytest.raises(ValueError, match=message):
                 hb.fit_trap_model(curves, material)
         curve = hb.gen_decay_batch(material, 7e4, 0.19, 9.4e7, [20e-6], t)
@@ -1237,17 +1274,20 @@ class TestTrapFit:
     def test_degenerate_curve_rejected(self, material):
         t = np.linspace(0, 10, 11)
         with pytest.raises(ValueError, match="degenerate"):
-            hb.fit_trap_model([(t, np.zeros_like(t), 20e-6)], material)
+            hb.fit_trap_model([hb.DecayCurve(t, np.zeros_like(t), 20e-6)],
+                              material)
 
     def test_nonmonotonic_times_rejected(self, material):
         t = np.array([0.0, 2.0, 1.0, 3.0])
         with pytest.raises(ValueError, match="increasing"):
-            hb.fit_trap_model([(t, np.array([4.0, 3.0, 2.0, 1.0]), 2e-5)],
-                              material)
+            hb.fit_trap_model(
+                [hb.DecayCurve(t, np.array([4.0, 3.0, 2.0, 1.0]), 2e-5)],
+                material)
 
     def test_negative_times_rejected(self, material, two_curve_batch):
         t = np.linspace(-10.0, 150.0, 41)
-        curves = [*two_curve_batch, (t, np.linspace(5, 1, 41), 13e-6)]
+        curves = [*two_curve_batch,
+                  hb.DecayCurve(t, np.linspace(5, 1, 41), 13e-6)]
         with pytest.raises(ValueError, match=r"curve 2 \(1\.3e-05 W\).*"
                                              r"nonnegative"):
             hb.fit_trap_model(curves, material)
@@ -1268,8 +1308,8 @@ class TestTrapFit:
     def test_bad_curve_named_by_index_and_power(self, material, t, y,
                                                 message):
         good = np.linspace(0.0, 150.0, 20)
-        curves = [(np.array(t), np.array(y), 2e-5),
-                  (good, np.linspace(5, 1, 20), 8e-6)]
+        curves = [hb.DecayCurve(np.array(t), np.array(y), 2e-5),
+                  hb.DecayCurve(good, np.linspace(5, 1, 20), 8e-6)]
         with pytest.raises(ValueError,
                            match=rf"curve 0 \(2e-05 W\): .*{message}"):
             hb.fit_trap_model(curves, material)
@@ -1292,21 +1332,22 @@ class TestTrapFit:
         t = np.linspace(0, 10, 11)
         y = np.linspace(5, 1, 11)
         with pytest.raises(ValueError, match="power"):
-            hb.fit_trap_model([(t, y, None)], material)
+            hb.fit_trap_model([hb.DecayCurve(t, y, None)], material)
 
     def test_nan_power_named_by_index(self, material):
         t = np.linspace(0, 10, 11)
-        curves = [(t, np.linspace(5, 1, 11), 2e-5),
-                  (t, np.linspace(5, 2, 11), float("nan"))]
+        curves = [hb.DecayCurve(t, np.linspace(5, 1, 11), 2e-5),
+                  hb.DecayCurve(t, np.linspace(5, 2, 11), float("nan"))]
         with pytest.raises(ValueError, match=r"curve 1: .*power.*nan"):
             hb.fit_trap_model(curves, material)
 
     def test_curve_power_pair_rejected(self, material):
-        # only DecayCurve records and (times, counts, power) triples
+        # only DecayCurve records: a tuple has no time_s
         t = np.linspace(0, 10, 11)
         curve = hb.DecayCurve(time_s=t, counts_per_s=np.linspace(5, 1, 11))
-        with pytest.raises(ValueError, match="unpack"):
-            hb.fit_trap_model([(curve, 2e-5)], material)
+        for item in [(curve, 2e-5), (t, np.linspace(5, 1, 11), 2e-5)]:
+            with pytest.raises(AttributeError, match="time_s"):
+                hb.fit_trap_model([item], material)
 
 
 def intake_case(name, seed):
@@ -1332,7 +1373,8 @@ def intake_case(name, seed):
         t = np.linspace(0, 120, 31)
         curve, = hb.gen_decay_batch(hb.MaterialParams(), 9e4, 0.19, 9.4e7,
                                     [2e-5], t, hb.NoiseSpec("poisson", seed))
-        return (lambda c: hb.fit_trap_model([(*c, 2e-5)], hb.MaterialParams()),
+        return (lambda c: hb.fit_trap_model([hb.DecayCurve(*c, 2e-5)],
+                                            hb.MaterialParams()),
                 [t, curve.counts_per_s],
                 "curve 0 (2e-05 W): time_s and counts_per_s", 1)
     f = np.linspace(-1e8, 1e8, 40)

@@ -106,8 +106,9 @@ class TestLevelSetRule:
             t, material, geom, 7e4, rule).values.tobytes()
         amp, k = integrator._cloud(material, geom, hb.LevelSetRule())
         binned = integrator.CompressedDecayModel(amp, k, integrator._N_BINS)
-        assert TrapDecayModel(material, geom).compressed().signal(
-            t, 7e4).tobytes() == binned.signal(t, 7e4).tobytes()
+        assert [a.tobytes() for a in TrapDecayModel(
+            material, geom).compressed().signal(t, 7e4)] == [
+            a.tobytes() for a in binned.signal(t, 7e4)]
 
     @settings(max_examples=200, deadline=None)
     @given(r=st.floats(0.0, 20e-6), z=st.floats(-500e-6, 500e-6),
@@ -504,7 +505,7 @@ class TestDecaySum:
         rate = rng.uniform(0.0, rate_max, n_nodes)
         rate[rng.random(n_nodes) < frozen_frac] = 0.0
         amp = rng.lognormal(0.0, 3.0, n_nodes)
-        np.testing.assert_allclose(integrator._decay_sum(t, rate, amp),
+        np.testing.assert_allclose(integrator._decay_sum(t, rate, amp)[0],
                                    naive_decay_sum(t, rate, amp), rtol=1e-13)
 
     def test_work_array_stays_one_block(self):
@@ -519,6 +520,21 @@ class TestDecaySum:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 8 * integrator._SUM_BLOCK_ELEMENTS + t.nbytes
+
+    def test_rows_match_single_sums(self, material, geom):
+        # a box cloud over six blocks of 81 times: each row of a two-vector
+        # sum is the one-vector sum, bit for bit
+        t = np.linspace(0.0, 200.0, 81)
+        amp, k = integrator._cloud(material, geom, hb.IntegrationDomain(
+            n_r=32, n_z=32, n_delta=64))
+        block = integrator._SUM_BLOCK_ELEMENTS // t.size
+        assert -(-k.size // block) == 6
+        rate = 7e4 * k
+        rows = integrator._decay_sum(t, rate, amp, amp * k)
+        assert rows.shape == (2, t.size)
+        for row, vector in zip(rows, (amp, amp * k)):
+            assert row.tobytes() == integrator._decay_sum(
+                t, rate, vector)[0].tobytes()
 
 
 class TestScaledSignal:
@@ -609,8 +625,8 @@ def assert_bins_match_reference(amp, k, n_bins):
     np.testing.assert_array_equal(comp.bin_k, ref_k)
     t = np.array([0.0, 0.5, 3.0, 40.0])
     ref_signal = float(np.sum(amp[k == 0])) \
-        + integrator._decay_sum(t, 1.7 * ref_k, ref_amp)
-    np.testing.assert_array_equal(comp.signal(t, 1.7), ref_signal)
+        + integrator._decay_sum(t, 1.7 * ref_k, ref_amp)[0]
+    np.testing.assert_array_equal(comp.signal(t, 1.7)[0], ref_signal)
     return comp
 
 
@@ -672,7 +688,8 @@ def decay_models(material, geom):
     exact and binned."""
     return {"direct": lambda t, gamma_trap: hb.detected_signal(
                 t, material, geom, gamma_trap, hb.LevelSetRule()).values,
-            "compressed": TrapDecayModel(material, geom).compressed().signal}
+            "compressed": lambda t, gamma_trap: TrapDecayModel(
+                material, geom).compressed().signal(t, gamma_trap)[0]}
 
 
 class TestTrapDecayModel:
@@ -691,8 +708,46 @@ class TestTrapDecayModel:
             geom = hb.BeamGeometry.for_material(material, power=power)
             exact = hb.detected_signal(t, material, geom, 7e4,
                                        hb.LevelSetRule()).values
-            approx = TrapDecayModel(material, geom).compressed().signal(t, 7e4)
+            approx, _ = TrapDecayModel(material, geom).compressed().signal(
+                t, 7e4)
             assert np.max(np.abs(approx - exact) / exact) < 2e-5, power
+
+    def test_signal_and_slope_match_separate_sums(self, material):
+        # one pass gives S and dS/dgamma exactly as two sums would
+        t = np.linspace(0, 200, 81)
+        for power in [2e-6, 4e-6, 8e-6, 13e-6, 21e-6, 29e-6, 44e-6]:
+            geom = hb.BeamGeometry.for_material(material, power=power)
+            comp = TrapDecayModel(material, geom).compressed()
+            rate = 7e4 * comp.bin_k
+            s, slope = comp.signal(t, 7e4)
+            assert s.tobytes() == (comp.frozen_amp + integrator._decay_sum(
+                t, rate, comp.bin_amp)[0]).tobytes(), power
+            assert slope.tobytes() == (-t * integrator._decay_sum(
+                t, rate, comp.bin_amp * comp.bin_k)[0]).tobytes(), power
+
+    def test_slope_matches_central_difference(self, material, geom):
+        t = np.linspace(0, 200, 81)
+        comp = TrapDecayModel(material, geom).compressed()
+        _, slope = comp.signal(t, 7e4)
+        step = 7e4 * 1e-5
+        diff = (comp.signal(t, 7e4 + step)[0]
+                - comp.signal(t, 7e4 - step)[0]) / (2 * step)
+        np.testing.assert_allclose(slope[1:], diff[1:], rtol=1e-6)
+        assert slope[0] == 0.0
+
+    def test_underflowing_amp_k_joins_frozen_term(self):
+        # every k is positive, but the first node's amp * k underflows to
+        # 0: it counts as frozen, not as a bin of weighted k = 0
+        amp = np.array([2e-10, 1e-10, 3e-10])
+        k = np.array([1e-320, 1e-100, 1e-5])
+        comp = integrator.CompressedDecayModel(amp, k, n_bins=64)
+        assert comp.frozen_amp == 2e-10
+        assert comp.bin_amp.tolist() == [1e-10, 3e-10]
+        assert comp.bin_k.tolist() == [1e-100, 1e-5]
+
+    def test_fewer_than_two_bins_rejected(self):
+        with pytest.raises(ValueError, match="n_bins must be at least 2"):
+            integrator.CompressedDecayModel(np.ones(3), np.ones(3), 1)
 
     def test_compression_keeps_frozen_term(self):
         from holeburn.integrator import CompressedDecayModel
@@ -700,7 +755,7 @@ class TestTrapDecayModel:
         k = np.array([0.0, 1e-6, 2e-6])
         comp = CompressedDecayModel(amp, k, n_bins=8)
         assert comp.frozen_amp == 1.0
-        out = comp.signal(np.array([0.0, 1e12]), 1.0)
+        out, _ = comp.signal(np.array([0.0, 1e12]), 1.0)
         assert out[0] == pytest.approx(6.0)
         assert out[1] == pytest.approx(1.0)
 
@@ -709,8 +764,9 @@ class TestTrapDecayModel:
         comp = CompressedDecayModel(np.array([1.0, 2.0]), np.zeros(2),
                                     n_bins=8)
         assert comp.bin_k.size == 0
-        out = comp.signal(np.array([0.0, 1e12]), 1.0)
+        out, slope = comp.signal(np.array([0.0, 1e12]), 1.0)
         assert np.array_equal(out, [3.0, 3.0])
+        assert np.array_equal(slope, [0.0, 0.0])
 
 
 def test_signal_csv_roundtrip(tmp_path, material, geom, small_domain):

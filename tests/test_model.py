@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holeburn import model
+from holeburn import model, photon_energy
 from holeburn import (BeamGeometry, MaterialParams, beam_intensity,
                       beam_radius, collection_efficiency, detuned_intensity,
                       ionization_rate, power_broadened_linewidth,
@@ -119,6 +119,28 @@ class TestRates:
 
     def test_spont_recombination_zero_degeneracy(self):
         assert spont_recombination_rate(1e-20, 82e12, 371e-9, 0.0) == 0.0
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ionization_rate(-1.0, 1e-22, 371e-9), "nonnegative"),
+        (lambda: ionization_rate(np.array([1.0, -1.0]), 1e-22, 371e-9),
+         "nonnegative"),
+        (lambda: ionization_rate(1e7, -1e-22, 371e-9), "nonnegative"),
+        (lambda: ionization_rate(1e7, 1e-22, 0.0), "wavelength"),
+        (lambda: spont_recombination_rate(0.0, 82e12, 371e-9), "positive"),
+        (lambda: spont_recombination_rate(1e-20, -1.0, 371e-9), "positive"),
+        (lambda: spont_recombination_rate(1e-20, 82e12, 0.0), "positive"),
+        (lambda: spont_recombination_rate(1e-20, 82e12, 371e-9, -1.0),
+         "g_ratio must be nonnegative"),
+    ], ids=["intensity", "intensity-array", "sigma-ion", "wavelength",
+            "sigma-rec", "delta-f", "lambda-deex", "g-ratio"])
+    def test_rate_inputs_checked(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("wavelength", [0.0, -371e-9])
+    def test_photon_energy_needs_positive_wavelength(self, wavelength):
+        with pytest.raises(ValueError, match="wavelength must be positive"):
+            photon_energy(wavelength)
 
     def test_r2_from_rates(self):
         assert r2_from_rates(1e4, 2e8) == pytest.approx(1 + 2e4)
@@ -238,6 +260,17 @@ class TestLinewidthAndDetuning:
         assert detuned_intensity(1e7, 0.0, 4e6) == pytest.approx(1e7)
         assert detuned_intensity(1e7, 2e6, 4e6) == pytest.approx(5e6)
         assert detuned_intensity(1e7, 1e15, 4e6) == pytest.approx(0.0, abs=1e-3)
+
+    def test_negative_saturation_rejected(self):
+        for s in (-1.0, np.array([0.0, -1e-3])):
+            with pytest.raises(ValueError, match="s must be nonnegative"):
+                power_broadened_linewidth(s)
+
+    def test_nonpositive_linewidth_rejected(self):
+        for gamma_hom in (0.0, -4e6, np.array([4e6, 0.0])):
+            with pytest.raises(ValueError,
+                               match="gamma_hom must be positive"):
+                detuned_intensity(1e7, 2e6, gamma_hom)
 
     @settings(max_examples=100, deadline=None)
     @given(delta=st.floats(0.0, 1e9), step=st.floats(1.0, 1e9))

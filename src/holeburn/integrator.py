@@ -12,8 +12,8 @@ infinite limits: the collection efficiency shares the beam's envelope,
 so everything depends on (r, z) only through u = I / I0, and the focal
 volume per intensity turns the integral into a smooth one on
 [0, pi/2]^2 with Gauss-Legendre nodes in (alpha, theta).  An
-`IntegrationDomain` is a finite midpoint box in (r, z, detuning), the
-only rule that accepts replacement (r, z) profiles.
+`IntegrationDomain` is a finite midpoint box in (r, z, detuning), and
+its record carries its own (r, z) profiles.
 
 S(t) has two paths: `detected_signal` sums the cloud exactly, and the
 trap fit bins it by log k (`TrapDecayModel(...).compressed()`) and takes
@@ -56,9 +56,20 @@ _N_BINS = 1024
 _MAX_REFINEMENTS = 3
 
 
+def _check_counts(**counts):
+    """Raise ValueError naming the first count that is not an integer
+    (a Python or numpy one, not a bool) of at least 1."""
+    for name, n in counts.items():
+        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                or n < 1):
+            raise ValueError(f"{name} must be an integer of at least 1, "
+                             f"got {n!r}")
+
+
 @dataclass(frozen=True)
 class IntegrationDomain:
-    """Integration limits and grid counts for (r, z, detuning)."""
+    """Limits and grid counts for (r, z, detuning), and the box's profiles
+    intensity_fn(r, z) and coll_fn(r, z), where None is the beam's own."""
 
     r_max: float = 4e-6
     z_halfwidth: float = 60e-6
@@ -66,13 +77,14 @@ class IntegrationDomain:
     n_r: int = 64
     n_z: int = 64
     n_delta: int = 128
+    intensity_fn: Optional[Callable] = None
+    coll_fn: Optional[Callable] = None
 
     def __post_init__(self):
-        if not (self.r_max > 0 and self.z_halfwidth > 0
-                and self.delta_halfwidth > 0):
-            raise ValueError("integration limits must be positive")
-        if min(self.n_r, self.n_z, self.n_delta) < 1:
-            raise ValueError("grid counts must be at least 1")
+        _check_within(1 / _MAX_MAGNITUDE, r_max=self.r_max,
+                      z_halfwidth=self.z_halfwidth,
+                      delta_halfwidth=self.delta_halfwidth)
+        _check_counts(n_r=self.n_r, n_z=self.n_z, n_delta=self.n_delta)
 
     def doubled(self) -> "IntegrationDomain":
         return replace(self, n_r=2 * self.n_r, n_z=2 * self.n_z,
@@ -109,8 +121,7 @@ class LevelSetRule:
     n: int = 48
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
+        _check_counts(n=self.n)
 
     def doubled(self) -> "LevelSetRule":
         return replace(self, n=2 * self.n)
@@ -207,26 +218,21 @@ def _gauss_legendre(n):
     return x, w
 
 
-def _cloud(material: MaterialParams, geom: BeamGeometry, domain,
-           intensity_fn: Optional[Callable] = None,
-           coll_fn: Optional[Callable] = None):
+def _cloud(material: MaterialParams, geom: BeamGeometry, domain):
     """(amplitude, k per node) for the rule the record's type names.
 
     amplitude carries everything time-independent: fluorescence rate times
     excited-state density times collection efficiency times the quadrature
     weight.  k is the conduction-band fraction so that the per-node signal
     is amplitude * exp(-gamma_trap * k * t).  An `IntegrationDomain` is
-    the midpoint box, whose (r, z) profiles intensity_fn and coll_fn may
-    each replace; a `LevelSetRule` is the infinite-limit Gauss rule, and
-    overrides are an error there.  Per node
+    the midpoint box over the (r, z) profiles its record carries, the
+    beam's own where they are None; a `LevelSetRule` is the infinite-limit
+    Gauss rule.  Per node
     all is dimensionless (s = I / I_sat, s_L, and the weight over the
     signal scale F of `model._groups`, which multiplies once at the end).
     """
     s0, rho, scale = model._groups(material, geom)
     if isinstance(domain, LevelSetRule):
-        if intensity_fn is not None or coll_fn is not None:
-            raise ValueError("intensity_fn and coll_fn need an "
-                             "IntegrationDomain")
         x, w = _gauss_legendre(domain.n)
         node, w = np.pi / 4 * (x + 1), np.pi / 4 * w
         alpha, theta = node[:, None], node
@@ -242,11 +248,10 @@ def _cloud(material: MaterialParams, geom: BeamGeometry, domain,
         cos2 = np.cos(theta) ** 2
         detuning = lambda b: (s * cos2, b * w / cos2)
     else:
-        if intensity_fn is None:
-            intensity_fn = partial(model.beam_intensity, geom=geom)
-        if coll_fn is None:
-            coll_fn = partial(model.collection_efficiency, geom=geom,
-                              coll0=material.coll0)
+        intensity_fn = (domain.intensity_fn
+                        or partial(model.beam_intensity, geom=geom))
+        coll_fn = domain.coll_fn or partial(
+            model.collection_efficiency, geom=geom, coll0=material.coll0)
         r, z, d, dr, dz, dd = _grid_axes(domain)
         rr, zz = np.meshgrid(r, z, indexing="ij")
         i_sp, coll = (np.broadcast_to(np.asarray(fn(rr, zz), dtype=float),
@@ -270,9 +275,7 @@ def _cloud(material: MaterialParams, geom: BeamGeometry, domain,
 
 
 def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
-                    gamma_trap, domain=None,
-                    intensity_fn: Optional[Callable] = None,
-                    coll_fn: Optional[Callable] = None) -> SignalResult:
+                    gamma_trap, domain=None) -> SignalResult:
     """Integrate the local fluorescence over the grid for each time.
 
     Parameters
@@ -285,9 +288,7 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
     domain : IntegrationDomain or LevelSetRule, optional
         The midpoint box, also when omitted (for acceptance 1a: ROADMAP
         direction 5), or the level-set rule, which every other entry runs.
-    intensity_fn, coll_fn : callable, optional
-        Overrides mapping (r, z) arrays to intensity / collection
-        efficiency on a box; used for oracle checks with flat profiles.
+        A box's record carries its (r, z) profiles.
 
     Returns
     -------
@@ -300,7 +301,7 @@ def detected_signal(t_grid, material: MaterialParams, geom: BeamGeometry,
     if not 0 <= gamma_trap < np.inf:
         raise ValueError("gamma_trap must be nonnegative and finite")
     domain = IntegrationDomain() if domain is None else domain
-    amp, k = _cloud(material, geom, domain, intensity_fn, coll_fn)
+    amp, k = _cloud(material, geom, domain)
     return SignalResult(times=t, values=_decay_sum(t, gamma_trap * k, amp)[0],
                         domain=domain)
 

@@ -90,14 +90,13 @@ class TestCriterion2FlatBeamOracle:
         material = hb.MaterialParams()
         geom = hb.BeamGeometry.for_material(material, power=DRIVE_POWER)
         intensity, coll = 5e6, 0.01
-        domain = hb.IntegrationDomain(r_max=2e-6, z_halfwidth=10e-6,
-                                      delta_halfwidth=0.5, n_r=16, n_z=16,
-                                      n_delta=8)
-        t = np.linspace(0.0, 3000.0, 50)
-        result = hb.detected_signal(
-            t, material, geom, REF_GAMMA_TRAP, domain,
+        domain = hb.IntegrationDomain(
+            r_max=2e-6, z_halfwidth=10e-6, delta_halfwidth=0.5, n_r=16,
+            n_z=16, n_delta=8,
             intensity_fn=lambda r, z: np.full_like(r, intensity),
             coll_fn=lambda r, z: np.full_like(r, coll))
+        t = np.linspace(0.0, 3000.0, 50)
+        result = hb.detected_signal(t, material, geom, REF_GAMMA_TRAP, domain)
         r1 = saturation_ratio(intensity, material.sat_intensity)
         g_ion = hb.ionization_rate(intensity, material.sigma_ion,
                                    material.vac_wavelength)

@@ -60,12 +60,38 @@ class TestDomain:
         with pytest.raises(ValueError):
             hb.IntegrationDomain(n_r=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_r", 2.5), ("n_z", math.nan), ("n_delta", math.inf),
+        ("n_r", True), ("n_z", 0), ("n_delta", np.int64(0)), ("n_r", 3.0),
+        ("r_max", math.inf), ("r_max", 1e-320), ("r_max", math.nan),
+        ("z_halfwidth", 1e308), ("z_halfwidth", 0.0),
+        ("delta_halfwidth", 1e300), ("delta_halfwidth", -1.0)])
+    def test_rejects_what_it_cannot_integrate(self, field, value):
+        # a fractional count would run ceil(n) cells of width limit / n,
+        # past the limit, and limits beyond the package's range give
+        # S = NaN or 0
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            hb.IntegrationDomain(**{field: value})
+
+    def test_accepts_numpy_integers_and_range_ends(self):
+        d = hb.IntegrationDomain(r_max=1e-100, z_halfwidth=1e100,
+                                 n_r=np.int32(3), n_z=np.int64(2))
+        assert d.n_points == 3 * 2 * 128
+
     def test_doubled_and_widened(self):
         d = hb.IntegrationDomain()
         assert d.doubled().n_points == 8 * d.n_points
         w = d.widened(1.5)
         assert w.r_max == pytest.approx(6e-6)
         assert w.n_r == 96
+
+    def test_refined_box_keeps_its_profiles(self):
+        ifn, cfn = flat_profiles(5e6, 0.01)
+        d = hb.IntegrationDomain(n_r=4, n_z=4, n_delta=4, intensity_fn=ifn,
+                                 coll_fn=cfn)
+        for refined in (d.doubled(), d.widened(1.5)):
+            assert refined.intensity_fn is ifn and refined.coll_fn is cfn
+        assert hb.IntegrationDomain() == hb.IntegrationDomain()
 
 
 class TestLevelSetRule:
@@ -75,15 +101,22 @@ class TestLevelSetRule:
         with pytest.raises(ValueError):
             hb.LevelSetRule(n=0)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, True, -1])
+    def test_rejects_a_count_it_cannot_run(self, n):
+        # a float n cannot size the Gauss rule, and n = True would run
+        # one node
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            hb.LevelSetRule(n=n)
+
     def test_doubled_and_widened(self):
         rule = hb.LevelSetRule(n=12)
         assert rule.doubled() == hb.LevelSetRule(n=24)
         assert rule.widened(1.5) == rule
 
-    def test_overrides_need_a_box(self, material, geom):
-        with pytest.raises(ValueError, match="IntegrationDomain"):
-            hb.detected_signal([0.0], material, geom, 7e4, hb.LevelSetRule(),
-                               intensity_fn=hb.beam_intensity)
+    def test_holds_no_profiles(self):
+        # only a box's record carries (r, z) profiles
+        with pytest.raises(TypeError):
+            hb.LevelSetRule(intensity_fn=hb.beam_intensity)
 
     def test_records_resolve_never_none(self, material, geom):
         assert hb.detected_signal([0.0], material, geom, 7e4).domain \
@@ -337,13 +370,13 @@ class TestDetectedSignal:
 
     def test_flat_beam_oracle(self, material, geom):
         intensity, coll = 5e6, 0.01
+        ifn, cfn = flat_profiles(intensity, coll)
         domain = hb.IntegrationDomain(r_max=2e-6, z_halfwidth=10e-6,
                                       delta_halfwidth=0.5, n_r=16, n_z=16,
-                                      n_delta=8)
+                                      n_delta=8, intensity_fn=ifn,
+                                      coll_fn=cfn)
         t = np.linspace(0, 3000, 50)
-        ifn, cfn = flat_profiles(intensity, coll)
-        res = hb.detected_signal(t, material, geom, 7e4, domain,
-                                 intensity_fn=ifn, coll_fn=cfn)
+        res = hb.detected_signal(t, material, geom, 7e4, domain)
         oracle = flat_beam_oracle(material, intensity, coll, domain, 7e4, t)
         assert np.max(np.abs(res.values - oracle) / oracle) < 1e-3
 
@@ -408,8 +441,8 @@ class TestDetectedSignal:
                   r, z, geom, material.coll0)}[override]
         t = np.linspace(0, 200, 9)
         default = hb.detected_signal(t, material, geom, 7e4, small_domain)
-        overridden = hb.detected_signal(t, material, geom, 7e4, small_domain,
-                                        **{override: fn})
+        overridden = hb.detected_signal(t, material, geom, 7e4, replace(
+            small_domain, **{override: fn}))
         np.testing.assert_allclose(overridden.values, default.values,
                                    rtol=1e-13)
 
@@ -558,15 +591,14 @@ class TestScaledSignal:
 
 class TestRefinement:
     def test_flat_integrand_converges_first_step(self, material, geom):
+        ifn, cfn = flat_profiles(5e6, 0.01)
         domain = hb.IntegrationDomain(r_max=2e-6, z_halfwidth=10e-6,
                                       delta_halfwidth=0.5, n_r=8, n_z=8,
-                                      n_delta=8)
-        ifn, cfn = flat_profiles(5e6, 0.01)
+                                      n_delta=8, intensity_fn=ifn,
+                                      coll_fn=cfn)
         t = np.array([0.0, 100.0])
-        res = hb.detected_signal(t, material, geom, 7e4, domain,
-                                 intensity_fn=ifn, coll_fn=cfn)
-        finer = hb.detected_signal(t, material, geom, 7e4, domain.doubled(),
-                                   intensity_fn=ifn, coll_fn=cfn)
+        res = hb.detected_signal(t, material, geom, 7e4, domain)
+        finer = hb.detected_signal(t, material, geom, 7e4, domain.doubled())
         change = np.max(np.abs(finer.values - res.values) / res.values)
         assert change < 1e-12
 

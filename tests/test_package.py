@@ -289,6 +289,26 @@ def test_refinement_and_trap_cloud_take_no_rule():
             entry(*args, domain=hb.LevelSetRule())
 
 
+def test_box_profiles_live_in_the_rule_record():
+    """`detected_signal` and `_cloud` take the physics and one rule record:
+    no profile parameter, and a box's record holds its (r, z) profiles."""
+    from holeburn import integrator
+    material = hb.MaterialParams()
+    geom = hb.BeamGeometry.for_material(material, power=20e-6)
+    box = hb.IntegrationDomain(n_r=2, n_z=2, n_delta=2)
+    for entry, args in ((hb.detected_signal,
+                         ([0.0], material, geom, 7e4, box)),
+                        (integrator._cloud, (material, geom, box))):
+        for name in ("intensity_fn", "coll_fn"):
+            assert name not in inspect.signature(entry).parameters
+            with pytest.raises(TypeError, match=name):
+                entry(*args, **{name: hb.beam_intensity})
+    fields = {record: {f.name for f in dataclasses.fields(record)}
+              for record in (hb.IntegrationDomain, hb.LevelSetRule)}
+    assert {"intensity_fn", "coll_fn"} <= fields[hb.IntegrationDomain]
+    assert {"intensity_fn", "coll_fn"} & fields[hb.LevelSetRule] == set()
+
+
 @pytest.mark.parametrize("module", ["fitting", "synth", "cli"])
 def test_fits_generators_and_cli_take_no_rule(module):
     """The rule is a parameter only of the quadrature layer: the trap fit,

@@ -5,6 +5,12 @@ The README's "Paper claims" table lists all four and says which the
 model computes and which `holeburn` takes in by fiat; only C3 is
 computed.  Each bound is the paper's own number, run through the same
 command a user runs.
+
+C3 rests on the detection profile, which the paper does not state: the
+model collects in proportion to u = I / I0, through a detection mode
+matched to the excitation.  With collection proportional to u^p, S falls
+by 120 s at 20 uW by 40.1% at p = 0.75, 59.3% at p = 1 and 83.0% at
+p = 2, so C3 fails at p = 0.75.  The test runs the model's p = 1.
 """
 
 import numpy as np

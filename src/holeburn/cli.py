@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import _deferred, csvio
-from .config import ConfigError, load_config
+from .config import load_config
 from .csvio import write_signal_csv
 from .errors import ConvergenceError, FitError, _check_within
 
@@ -418,7 +418,7 @@ def _run(argv) -> int:
         csvio.write_report(args.out, _report(args, cfg, {
             "error": str(exc), "diagnostics": exc.diagnostics}))
         return EXIT_FITFAIL
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -16,8 +16,8 @@ volume per intensity turns the integral into a smooth one on
 its record carries its own (r, z) profiles.
 
 S(t) has two paths: `detected_signal` sums the cloud exactly, and the
-trap fit bins it by log k (`TrapDecayModel(...).compressed()`) and takes
-S with dS/dgamma_trap.  Both go through one kernel, `_decay_sum`.  It
+trap fit bins it into `_N_BINS` log-k bins (`TrapDecayModel.compressed`)
+for S and dS/dgamma_trap.  Both sum through one kernel, `_decay_sum`: it
 walks the nodes in blocks of about `_SUM_BLOCK_ELEMENTS` node-time pairs
 and, per block, fills one reused (times x nodes) work array with
 exp(-rate * t) and reduces it against each amplitude vector (S's and the
@@ -47,7 +47,7 @@ from .model import BeamGeometry, MaterialParams
 # Node-time pairs per block of `_decay_sum` (one 8 MB float64 work array).
 _SUM_BLOCK_ELEMENTS = 1 << 20
 
-# Log-k bins of `TrapDecayModel.compressed`.  On the CLI's level-set cloud
+# Log-k bins of every `CompressedDecayModel`.  On the CLI's level-set cloud
 # the histogram is at most 2e-5 off the exact sum from 2 to 44 uW, far
 # below any fit tolerance.
 _N_BINS = 1024
@@ -258,9 +258,10 @@ def _cloud(material: MaterialParams, geom: BeamGeometry, domain):
                                       rr.shape)[:, :, None]
                       for fn in (intensity_fn, coll_fn))
         s = i_sp / material.sat_intensity
-        # 2 pi r dr dz coll over the pi w0^2 z_R coll0 in F
-        weight = (2 * rr[:, :, None] * dr / geom.waist**2 * dz / geom.rayleigh
-                  * coll / material.coll0)
+        # 2 pi r dr dz coll over the pi w0^2 z_R coll0 in F; coll first, so
+        # a node the collection misses adds 0 even where the rest overflows
+        weight = (coll / material.coll0 * 2 * rr[:, :, None] * dr
+                  / geom.waist**2 * dz / geom.rayleigh)
         g0 = material.hom_linewidth0
         detuning = lambda b: (model.detuned_intensity(s, d, g0 * b), dd / g0)
 
@@ -363,16 +364,14 @@ class TrapDecayModel:
         self._amp, self._k = _cloud(material, geom, self.domain)
 
     def compressed(self) -> "CompressedDecayModel":
-        return CompressedDecayModel(self._amp, self._k, _N_BINS)
+        return CompressedDecayModel(self._amp, self._k)
 
 
 class CompressedDecayModel:
-    """Amplitude-weighted log-k histogram of a TrapDecayModel cloud; the
-    nodes whose amp * k is 0 (k = 0, or underflow) make up `frozen_amp`."""
+    """A TrapDecayModel cloud's amp-weighted histogram in `_N_BINS` log-k
+    bins; nodes whose amp * k is 0 (k = 0, or underflow) are `frozen_amp`."""
 
-    def __init__(self, amp: np.ndarray, k: np.ndarray, n_bins: int):
-        if n_bins < 2:
-            raise ValueError("n_bins must be at least 2")
+    def __init__(self, amp: np.ndarray, k: np.ndarray):
         live = amp * k > 0
         self.frozen_amp = float(np.sum(amp[~live]))
         k_live, amp_live = k[live], amp[live]
@@ -384,13 +383,13 @@ class CompressedDecayModel:
         lo = log_k.min()
         # The tiny floor keeps an all-equal cloud at k = 1 (log k = 0, whose
         # one-ulp span underflows when divided) in bin 0 instead of 0/0.
-        width = max((np.nextafter(log_k.max(), np.inf) - lo) / n_bins,
+        width = max((np.nextafter(log_k.max(), np.inf) - lo) / _N_BINS,
                     np.finfo(float).tiny)
         # log_k - lo >= 0, so truncation is floor; the largest k can round
-        # up to n_bins and belongs in the last bin.
-        idx = np.minimum(((log_k - lo) / width).astype(np.intp), n_bins - 1)
-        wsum = np.bincount(idx, weights=amp_live, minlength=n_bins)
-        ksum = np.bincount(idx, weights=amp_live * k_live, minlength=n_bins)
+        # up to _N_BINS and belongs in the last bin.
+        idx = np.minimum(((log_k - lo) / width).astype(np.intp), _N_BINS - 1)
+        wsum = np.bincount(idx, weights=amp_live, minlength=_N_BINS)
+        ksum = np.bincount(idx, weights=amp_live * k_live, minlength=_N_BINS)
         used = wsum > 0
         self.bin_amp = wsum[used]
         self.bin_k = ksum[used] / wsum[used]

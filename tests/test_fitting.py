@@ -978,6 +978,15 @@ def poisson_batch_3(material):
                               hb.NoiseSpec(kind="poisson", seed=3))
 
 
+@pytest.fixture(scope="module")
+def seven_curve_batch_3(material):
+    """The seven-power batch of `seven_curve_batch`, drawn at seed 3."""
+    t = np.linspace(0, 120, 31)
+    powers = [2e-6, 4e-6, 8e-6, 13e-6, 21e-6, 29e-6, 44e-6]
+    return hb.gen_decay_batch(material, 9e4, 0.19, 9.4e7, powers, t,
+                              hb.NoiseSpec(kind="poisson", seed=3))
+
+
 def trap_batches(material):
     """20 Poisson two-power batches, seeds 1 to 20."""
     t = np.linspace(0, 120, 31)
@@ -1192,6 +1201,44 @@ class TestTrapFit:
         assert scaled.background_b_counts_per_w == math.ldexp(
             base.background_b_counts_per_w, k)
         assert scaled.scale_a == [math.ldexp(a, k) for a in base.scale_a]
+
+    @settings(max_examples=50, deadline=None)
+    @given(scaling=st.one_of(
+        st.tuples(st.sampled_from(["fluor_rate", "ion_density",
+                                   "hom_linewidth0", "refr_index"]),
+                  st.integers(-30, 30)),
+        # coll0 = 0.016 stays a fraction up to 2^5 times
+        st.tuples(st.just("coll0"), st.integers(-30, 5))))
+    @example(scaling=("fluor_rate", 2))
+    @example(scaling=("ion_density", -3))
+    @example(scaling=("hom_linewidth0", 1))
+    @example(scaling=("refr_index", 1))
+    @example(scaling=("coll0", -1))
+    def test_amplitude_constants_leave_the_fit(self, material,
+                                               seven_curve_batch_3, scaling):
+        # These constants enter S(t) only through its scale F, which the
+        # power of two scales exactly; each A_c absorbs it, so the search
+        # sees the same sums and takes the same steps.
+        name, k = scaling
+        base = hb.fit_trap_model(seven_curve_batch_3, material)
+        fit = hb.fit_trap_model(seven_curve_batch_3, replace(
+            material, **{name: math.ldexp(getattr(material, name), k)}))
+        assert (fit.gamma_trap_per_s, fit.background_b_counts_per_w,
+                fit.residual_sse, fit.nfev) == (
+            base.gamma_trap_per_s, base.background_b_counts_per_w,
+            base.residual_sse, base.nfev)
+        assert fit.scale_a == [math.ldexp(a, -k) for a in base.scale_a]
+
+    def test_amplitude_constant_off_a_power_of_two(self, material,
+                                                   seven_curve_batch_3):
+        # F is no longer scaled exactly, so gamma and B move by rounding
+        base = hb.fit_trap_model(seven_curve_batch_3, material)
+        fit = hb.fit_trap_model(seven_curve_batch_3, replace(
+            material, fluor_rate=3 * material.fluor_rate))
+        assert fit.gamma_trap_per_s == pytest.approx(base.gamma_trap_per_s,
+                                                     rel=1e-12)
+        assert fit.background_b_counts_per_w == pytest.approx(
+            base.background_b_counts_per_w, rel=1e-12)
 
     def test_negative_background_clamped(self, material):
         # True B = 0 and each curve lowered by 1e7 counts/W x P, so the

@@ -78,6 +78,20 @@ class TestDomain:
                                  n_r=np.int32(3), n_z=np.int64(2))
         assert d.n_points == 3 * 2 * 128
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r_max", [1e-100, 4e-6, 1e100])
+    @pytest.mark.parametrize("z_halfwidth", [1e-100, 60e-6, 1e100])
+    @pytest.mark.parametrize("delta_halfwidth", [1e-100, 100e6, 1e100])
+    def test_every_corner_of_the_range_is_finite(self, material, geom, r_max,
+                                                 z_halfwidth, delta_halfwidth):
+        # a node the collection misses adds exactly 0: its weight, which
+        # overflows far from the focus, never meets coll = 0 as inf * 0
+        box = hb.IntegrationDomain(r_max=r_max, z_halfwidth=z_halfwidth,
+                                   delta_halfwidth=delta_halfwidth,
+                                   n_r=8, n_z=8, n_delta=8)
+        res = hb.detected_signal([0.0, 10.0], material, geom, 7e4, box)
+        assert np.all(np.isfinite(res.values))
+
     def test_doubled_and_widened(self):
         d = hb.IntegrationDomain()
         assert d.doubled().n_points == 8 * d.n_points
@@ -138,7 +152,7 @@ class TestLevelSetRule:
         assert res.values.tobytes() == hb.detected_signal(
             t, material, geom, 7e4, rule).values.tobytes()
         amp, k = integrator._cloud(material, geom, hb.LevelSetRule())
-        binned = integrator.CompressedDecayModel(amp, k, integrator._N_BINS)
+        binned = integrator.CompressedDecayModel(amp, k)
         assert [a.tobytes() for a in TrapDecayModel(
             material, geom).compressed().signal(t, 7e4)] == [
             a.tobytes() for a in binned.signal(t, 7e4)]
@@ -628,13 +642,14 @@ class TestRefinement:
         assert best.achieved_rel_change >= 0.0
 
 
-def searchsorted_bins(amp, k, n_bins):
-    """Reference histogram: linspace log-k edges and searchsorted.
+def searchsorted_bins(amp, k):
+    """Reference histogram: `_N_BINS` linspace log-k edges and searchsorted.
 
     Also returns whether a live node lies within a few ulps of an interior
     edge.  There the reference rounds the edge, the direct index rounds
     the quotient, and the two may put the node in either neighbour.
     """
+    n_bins = integrator._N_BINS
     live = k > 0
     k_live, amp_live = k[live], amp[live]
     log_k = np.log(k_live)
@@ -650,9 +665,9 @@ def searchsorted_bins(amp, k, n_bins):
     return wsum[used], ksum[used] / wsum[used], near_edge
 
 
-def assert_bins_match_reference(amp, k, n_bins):
-    comp = integrator.CompressedDecayModel(amp, k, n_bins)
-    ref_amp, ref_k, _ = searchsorted_bins(amp, k, n_bins)
+def assert_bins_match_reference(amp, k):
+    comp = integrator.CompressedDecayModel(amp, k)
+    ref_amp, ref_k, _ = searchsorted_bins(amp, k)
     np.testing.assert_array_equal(comp.bin_amp, ref_amp)
     np.testing.assert_array_equal(comp.bin_k, ref_k)
     t = np.array([0.0, 0.5, 3.0, 40.0])
@@ -670,48 +685,51 @@ _k_values = st.one_of(
 class TestCompressionBins:
     @settings(max_examples=300, deadline=None)
     @given(nodes=st.lists(st.tuples(st.floats(1e-3, 1e3), _k_values),
-                          min_size=2, max_size=60),
-           n_bins=st.sampled_from([2, 3, 7, 64, 1024]))
-    def test_direct_index_matches_searchsorted(self, nodes, n_bins):
+                          min_size=2, max_size=60))
+    def test_direct_index_matches_searchsorted(self, nodes):
         amp, k = map(np.array, zip(*nodes))
         assume(np.count_nonzero(k > 0) >= 2)
-        assume(not searchsorted_bins(amp, k, n_bins)[2])
-        assert_bins_match_reference(amp, k, n_bins)
+        assume(not searchsorted_bins(amp, k)[2])
+        assert_bins_match_reference(amp, k)
 
     def test_node_on_an_edge_moves_at_most_one_bin(self):
         # log 1 - log 1e-5 is 5/8 of log 1e3 - log 1e-5, so k = 1 sits on
-        # edge 40 of 64 up to rounding.  The reference puts it below the
-        # edge with k = 0.75; the direct index puts it above, alone.
+        # edge 640 of 1024 up to rounding, and `below` half a bin under it.
+        # The reference puts k = 1 below the edge with `below`; the direct
+        # index puts it above, alone.
+        width = np.log(1e8) / integrator._N_BINS
+        below = float(np.exp(-width / 2))
         amp = np.ones(4)
-        k = np.array([1.0, 1e3, 0.75, 1e-5])
-        ref_amp, _, near_edge = searchsorted_bins(amp, k, 64)
+        k = np.array([1.0, 1e3, below, 1e-5])
+        ref_amp, _, near_edge = searchsorted_bins(amp, k)
         assert near_edge and ref_amp.tolist() == [1.0, 2.0, 1.0]
-        comp = integrator.CompressedDecayModel(amp, k, 64)
+        comp = integrator.CompressedDecayModel(amp, k)
         assert comp.bin_amp.tolist() == [1.0, 1.0, 1.0, 1.0]
-        assert comp.bin_k.tolist() == [1e-5, 0.75, 1.0, 1e3]
+        assert comp.bin_k.tolist() == [1e-5, below, 1.0, 1e3]
 
     @pytest.mark.parametrize("k_value", [1.0, 0.3, 7e-5])
     def test_all_live_k_equal(self, k_value):
-        # at k = 1, log k = 0 and the one-ulp span over n_bins underflows
+        # at k = 1, log k = 0 and the one-ulp span over _N_BINS underflows
         amp = np.array([1.0, 2.0, 3.0, 4.0])
         k = np.array([0.0, k_value, k_value, k_value])
-        comp = assert_bins_match_reference(amp, k, 1024)
+        comp = assert_bins_match_reference(amp, k)
         assert comp.bin_amp.tolist() == [9.0]
         assert comp.bin_k[0] == pytest.approx(k_value, rel=1e-15)
 
     def test_single_live_node(self):
         comp = assert_bins_match_reference(np.array([2.0, 5.0, 1.0]),
-                                           np.array([0.0, 3e-3, 0.0]), 64)
+                                           np.array([0.0, 3e-3, 0.0]))
         assert comp.bin_amp.tolist() == [5.0] and comp.frozen_amp == 3.0
 
     def test_largest_k_lands_in_last_bin(self):
-        # log k = (-8, -1, 0) with 4 bins: (0 - lo) / width rounds to
-        # exactly 4, one past the last bin, which must still hold k = 1
+        # log k = (-8, -1, 0): the bin width 8 / 1024 is exact, so
+        # (0 - lo) / width is exactly 1024, one past the last bin, which
+        # must still hold k = 1
         amp = np.array([1.0, 2.0, 3.0])
         k = np.exp([-8.0, -1.0, 0.0])
         assert k[-1] == 1.0
-        comp = assert_bins_match_reference(amp, k, 4)
-        assert comp.bin_amp.tolist() == [1.0, 5.0]
+        comp = assert_bins_match_reference(amp, k)
+        assert comp.bin_amp.tolist() == [1.0, 2.0, 3.0]
 
 
 @pytest.fixture(scope="module")
@@ -772,20 +790,16 @@ class TestTrapDecayModel:
         # 0: it counts as frozen, not as a bin of weighted k = 0
         amp = np.array([2e-10, 1e-10, 3e-10])
         k = np.array([1e-320, 1e-100, 1e-5])
-        comp = integrator.CompressedDecayModel(amp, k, n_bins=64)
+        comp = integrator.CompressedDecayModel(amp, k)
         assert comp.frozen_amp == 2e-10
         assert comp.bin_amp.tolist() == [1e-10, 3e-10]
         assert comp.bin_k.tolist() == [1e-100, 1e-5]
-
-    def test_fewer_than_two_bins_rejected(self):
-        with pytest.raises(ValueError, match="n_bins must be at least 2"):
-            integrator.CompressedDecayModel(np.ones(3), np.ones(3), 1)
 
     def test_compression_keeps_frozen_term(self):
         from holeburn.integrator import CompressedDecayModel
         amp = np.array([1.0, 2.0, 3.0])
         k = np.array([0.0, 1e-6, 2e-6])
-        comp = CompressedDecayModel(amp, k, n_bins=8)
+        comp = CompressedDecayModel(amp, k)
         assert comp.frozen_amp == 1.0
         out, _ = comp.signal(np.array([0.0, 1e12]), 1.0)
         assert out[0] == pytest.approx(6.0)
@@ -793,8 +807,7 @@ class TestTrapDecayModel:
 
     def test_all_frozen_cloud_is_constant(self):
         from holeburn.integrator import CompressedDecayModel
-        comp = CompressedDecayModel(np.array([1.0, 2.0]), np.zeros(2),
-                                    n_bins=8)
+        comp = CompressedDecayModel(np.array([1.0, 2.0]), np.zeros(2))
         assert comp.bin_k.size == 0
         out, slope = comp.signal(np.array([0.0, 1e12]), 1.0)
         assert np.array_equal(out, [3.0, 3.0])

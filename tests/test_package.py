@@ -246,14 +246,9 @@ def test_sources_parse_at_the_declared_python_floor():
         ast.parse(path.read_text(), str(path), feature_version=version)
 
 
-def test_one_place_picks_the_default_rule():
-    """No code resolves a missing rule: the two entries that take none,
-    `refine_until_converged` and `TrapDecayModel`, build `LevelSetRule()`
-    themselves, and `detected_signal` alone builds its no-rule box.  No
-    other code calls `LevelSetRule()` or `IntegrationDomain()` without
-    arguments, so `LevelSetRule.n` decides the CLI's rule."""
-    records = {"LevelSetRule", "IntegrationDomain"}
-    sites = set()
+def source_calls():
+    """(module, enclosing "Class.function" or "<module>", callee name, call
+    node) for every call in the package's source."""
     for path in sorted((ROOT / "src" / "holeburn").glob("*.py")):
         owner = {}
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -264,11 +259,22 @@ def test_one_place_picks_the_default_rule():
                                               scope.name]))
                 owner.update((id(node), name) for node in ast.walk(scope))
         for node in ast.walk(tree):
-            name = (getattr(node.func, "id", None)
-                    or getattr(node.func, "attr", None)
-                    if isinstance(node, ast.Call) else None)
-            if name in records and not node.args and not node.keywords:
-                sites.add((path.stem, owner.get(id(node), "<module>"), name))
+            if isinstance(node, ast.Call):
+                yield (path.stem, owner.get(id(node), "<module>"),
+                       getattr(node.func, "id", None)
+                       or getattr(node.func, "attr", None), node)
+
+
+def test_one_place_picks_the_default_rule():
+    """No code resolves a missing rule: the two entries that take none,
+    `refine_until_converged` and `TrapDecayModel`, build `LevelSetRule()`
+    themselves, and `detected_signal` alone builds its no-rule box.  No
+    other code calls `LevelSetRule()` or `IntegrationDomain()` without
+    arguments, so `LevelSetRule.n` decides the CLI's rule."""
+    records = {"LevelSetRule", "IntegrationDomain"}
+    sites = {(module, owner, name)
+             for module, owner, name, node in source_calls()
+             if name in records and not node.args and not node.keywords}
     assert sites == {
         ("integrator", "refine_until_converged", "LevelSetRule"),
         ("integrator", "TrapDecayModel.__init__", "LevelSetRule"),
@@ -287,6 +293,20 @@ def test_refinement_and_trap_cloud_take_no_rule():
         assert "domain" not in inspect.signature(entry).parameters
         with pytest.raises(TypeError, match="domain"):
             entry(*args, domain=hb.LevelSetRule())
+
+
+def test_trap_model_bins_at_one_count():
+    """`CompressedDecayModel` takes the cloud alone and bins it into
+    `integrator._N_BINS` log-k bins: no source names a bin count, and
+    `TrapDecayModel.compressed` is its one constructor."""
+    from holeburn.integrator import CompressedDecayModel
+    assert list(inspect.signature(CompressedDecayModel).parameters) == [
+        "amp", "k"]
+    assert [path.name for path in (ROOT / "src" / "holeburn").glob("*.py")
+            if "n_bins" in path.read_text(encoding="utf-8")] == []
+    assert [(module, owner) for module, owner, name, _ in source_calls()
+            if name == "CompressedDecayModel"] == [
+        ("integrator", "TrapDecayModel.compressed")]
 
 
 def test_box_profiles_live_in_the_rule_record():

@@ -16,9 +16,9 @@ _EXPORTS = {
                "ZeemanConfig", "photon_energy"),
     "csvio": ("DecayCurve",),
     "errors": ("ConvergenceError", "FitError"),
-    "fitting": ("LorentzianHoleFit", "TrapFitResult", "fit_hole_lorentzian",
-                "fit_trap_model", "hom_linewidth_from_hole",
-                "lorentzian_hole"),
+    "fitting": ("LorentzianHoleFit", "MinimizeOptions", "TrapFitResult",
+                "fit_hole_lorentzian", "fit_trap_model",
+                "hom_linewidth_from_hole", "lorentzian_hole", "minimize"),
     "integrator": ("IntegrationDomain", "LevelSetRule", "SignalResult",
                    "detected_signal", "refine_until_converged",
                    "scaled_signal"),
@@ -31,7 +31,7 @@ _EXPORTS = {
     "pipeline": ("HoleArea", "NormalizedScan", "PipelineOrderError",
                  "RawScan", "detect_aom_off_range", "hole_area_with_error",
                  "normalize_by_power", "subtract_background"),
-    "simplex": ("MinimizeOptions", "MinimizeResult", "minimize"),
+    "simplex": ("MinimizeResult",),
     "synth": ("NoiseSpec", "apply_noise", "gen_decay_batch",
               "gen_hole_decay_series", "gen_hole_scan"),
     "zeeman": ("ResonanceFields", "applied_field", "resonance_fields",

@@ -5,9 +5,8 @@ leading comment lines of the form '# key = value' so that ground truth and
 provenance survive a round trip through the file system.  A writer writes a
 record's field over any `meta` key of its name.  Every table goes through
 write_table and every reader through _read_table, so the format is defined
-once.  Readers return lists of floats, which the fits and
-`RawScan` take in through `errors._samples`; numpy loads only where
-`read_decay_curve` builds its arrays.
+once.  Readers return lists of floats, which the fits and `RawScan` take
+in through `errors._samples`; the module imports no numpy.
 """
 
 from __future__ import annotations
@@ -16,20 +15,19 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .pipeline import NormalizedScan, RawScan
 
 
 @dataclass
 class DecayCurve:
-    """Fluorescence decay record: count rate versus time under constant drive."""
+    """Fluorescence decay record: count rate versus time under constant
+    drive, in any 1-D columns of numbers (the trap fit checks them)."""
 
-    time_s: np.ndarray
-    counts_per_s: np.ndarray
+    time_s: Sequence[float]
+    counts_per_s: Sequence[float]
     power_w: Optional[float] = None
     meta: dict = field(default_factory=dict)
 
@@ -143,12 +141,9 @@ def write_decay_curve(path, curve: DecayCurve):
 
 
 def read_decay_curve(path) -> DecayCurve:
-    import numpy as np
     meta, cols = _read_table(path, ["time_s", "counts_per_s"])
     power = _meta_number(path, meta, "power_w") if "power_w" in meta else None
-    return DecayCurve(time_s=np.array(cols["time_s"]),
-                      counts_per_s=np.array(cols["counts_per_s"]),
-                      power_w=power, meta=meta)
+    return DecayCurve(cols["time_s"], cols["counts_per_s"], power, meta)
 
 
 def _scan_meta(scan: RawScan) -> dict:

@@ -5,7 +5,8 @@ the lists it returns once with `np.array`.  Scale-like parameters enter
 every model linearly, so the minimizer
 searches only the nonlinear ones and the objective solves the rest by
 linear least squares (variable projection, Golub & Pereyra 1973).  The
-hole fit searches its center and width by simplex (`minimize`) on
+hole fit sorts its points, so its record does not depend on their order,
+and searches its center and width by this module's simplex (`minimize`) on
 normalized data (frequencies in units of the scan span, signals in units
 of their spread), so its stopping rule is invariant to shifts and scaling;
 its baseline and depth come in closed form from moments about the weighted
@@ -31,7 +32,7 @@ from . import _deferred
 from .config import _FOCUS_FWHM, MaterialParams
 from .errors import (_DETECTION_SIGMAS, _MAX_DECAY_SPANS, _MAX_MAGNITUDE,
                      FitError, _check_within, _converged, _samples)
-from .simplex import MinimizeOptions, _jacobian_errors, gauss_newton, minimize
+from .simplex import MinimizeResult, _jacobian_errors, gauss_newton
 
 # The trap fit's model, loaded with the integrator on the fit's first call.
 TrapDecayModel = _deferred("integrator", "TrapDecayModel")
@@ -46,9 +47,16 @@ _REJECT = 1e300
 # samples share, and a wider one a slope of the baseline.
 _MAX_FWHM_SPANS = 1.0
 
-# Search settings of the hole fit.  The trap fit searches
-# log(gamma_trap / _GAMMA_SEED) [gamma in 1/s] from 0.
-_SEARCH = MinimizeOptions(xtol_rel=1e-10, ftol_rel=1e-10, max_iter=4000)
+# The hole fit's simplex coefficients (`minimize`).
+_REFLECT = 1.0
+_EXPAND = 2.0
+_CONTRACT = 0.5
+_SHRINK = 0.5
+# First trial step from x: _STEP_REL * |x|, no shorter than _STEP_ABS.
+_STEP_REL = 0.05
+_STEP_ABS = 0.00025
+
+# The trap fit searches log(gamma_trap / _GAMMA_SEED) [gamma in 1/s] from 0.
 _GAMMA_SEED = 1e5
 
 
@@ -172,6 +180,108 @@ class TrapFitResult:
     nfev: int
 
 
+@dataclass(frozen=True)
+class MinimizeOptions:
+    """`minimize`'s stopping rules, by default the hole fit's."""
+
+    xtol_rel: float = 1e-10
+    ftol_rel: float = 1e-10
+    max_iter: int = 4000
+
+    def __post_init__(self):
+        for name in ("xtol_rel", "ftol_rel"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if not self.max_iter >= 0:
+            raise ValueError("max_iter must be nonnegative")
+
+
+def _first_step(x: float) -> float:
+    """First trial step from x: relative, but no shorter than the absolute.
+
+    The floor keeps a tiny but nonzero start (say 1e-30) from a step so
+    short that the search stops at once on a false minimum.
+    """
+    return math.copysign(max(_STEP_REL * abs(x), _STEP_ABS), x)
+
+
+def minimize(objective, x0, options=None) -> MinimizeResult:
+    """Minimize a scalar function of a vector by simplex descent.
+
+    Nelder & Mead, Comput. J. 7, 308 (1965), with reflection 1, expansion
+    2, contraction 0.5 and shrink 0.5, from an initial simplex that steps
+    each coordinate of x0 by `_first_step`.  It stops when both the simplex
+    extent and the spread of function values are below their relative
+    tolerances (`options`, by default `MinimizeOptions()`), or at the
+    iteration cap with the best point so far and converged=False.
+    """
+    opts = options or MinimizeOptions()
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    n = x0.size
+    f0 = float(objective(x0))
+    if not np.isfinite(f0):
+        raise ValueError("objective must be finite at the starting point")
+
+    sim = np.empty((n + 1, n))
+    fvals = np.empty(n + 1)
+    sim[0], fvals[0] = x0, f0
+    nfev = 1
+    for i in range(n):
+        x = x0.copy()
+        x[i] += _first_step(x[i])
+        sim[i + 1] = x
+        fvals[i + 1] = objective(x)
+        nfev += 1
+
+    iterations = 0
+    while iterations < opts.max_iter:
+        order = np.argsort(fvals, kind="stable")
+        sim, fvals = sim[order], fvals[order]
+
+        xscale = max(1.0, float(np.max(np.abs(sim[0]))))
+        size = float(np.max(np.abs(sim[1:] - sim[0]))) / xscale
+        fscale = max(1.0, abs(fvals[0]))
+        spread = float(fvals[-1] - fvals[0]) / fscale
+        if size <= opts.xtol_rel and spread <= opts.ftol_rel:
+            return MinimizeResult(x=sim[0].copy(), fun=float(fvals[0]),
+                                  iterations=iterations, nfev=nfev,
+                                  converged=True)
+        iterations += 1
+
+        centroid = sim[:-1].mean(axis=0)
+        xr = centroid + _REFLECT * (centroid - sim[-1])
+        fr = float(objective(xr))
+        nfev += 1
+        if fr < fvals[0]:
+            xe = centroid + _EXPAND * (centroid - sim[-1])
+            fe = float(objective(xe))
+            nfev += 1
+            if fe < fr:
+                sim[-1], fvals[-1] = xe, fe
+            else:
+                sim[-1], fvals[-1] = xr, fr
+        elif fr < fvals[-2]:
+            sim[-1], fvals[-1] = xr, fr
+        else:
+            if fr < fvals[-1]:
+                xc = centroid + _CONTRACT * (xr - centroid)
+            else:
+                xc = centroid - _CONTRACT * (centroid - sim[-1])
+            fc = float(objective(xc))
+            nfev += 1
+            if fc < min(fr, fvals[-1]):
+                sim[-1], fvals[-1] = xc, fc
+            else:
+                for i in range(1, n + 1):
+                    sim[i] = sim[0] + _SHRINK * (sim[i] - sim[0])
+                    fvals[i] = objective(sim[i])
+                    nfev += 1
+
+    order = np.argsort(fvals, kind="stable")
+    return MinimizeResult(x=sim[order[0]].copy(), fun=float(fvals[order[0]]),
+                          iterations=iterations, nfev=nfev, converged=False)
+
+
 def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     """Fit a constant minus a Lorentzian to an (unsmoothed) hole scan.
 
@@ -193,18 +303,23 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
     """
     f, y = map(np.array, _samples("freq and signal", freq, signal,
                                   min_points=8))
+    # Every sum runs over the points in (freq, signal) order, so the record
+    # does not depend on the order they come in.
+    order = np.lexsort((y, f))
+    f, y = f[order], y[order]
     span = float(np.ptp(f))
     if span <= 0:
         raise ValueError("freq values must not all coincide")
     _check_within(1 / _MAX_MAGNITUDE, freq_span=span)
     _check_within(signal=y)
 
-    f_mid = 0.5 * float(np.min(f) + np.max(f))
+    f_mid = 0.5 * float(f[0] + f[-1])
     x = (f - f_mid) / span
     y_scale = float(np.ptp(y)) or 1.0
     point_weights = np.ones_like(y)  # 1/sigma, or 1
     if sigma_point is not None:
-        sigma = np.broadcast_to(np.asarray(sigma_point, dtype=float), y.shape)
+        sigma = np.broadcast_to(np.asarray(sigma_point, dtype=float),
+                                y.shape)[order]
         if not np.all((sigma > 0) & (sigma < np.inf)):
             raise ValueError("sigma_point must be positive and finite")
         point_weights = 1.0 / sigma
@@ -232,16 +347,15 @@ def fit_hole_lorentzian(freq, signal, sigma_point=None) -> LorentzianHoleFit:
         return float(np.dot(w2 * r, r)), depth, mean
 
     # The resolved shapes (see _MAX_FWHM_SPANS).
-    gaps = np.diff(np.sort(f))  # np.unique would load numpy.ma
-    min_fwhm, lo, hi = float(gaps[gaps > 0].min()) / span, x.min(), x.max()
+    gaps = np.diff(f)  # np.unique would load numpy.ma
+    min_fwhm, lo, hi = float(gaps[gaps > 0].min()) / span, x[0], x[-1]
 
     def objective(p):
         resolved = lo <= p[0] <= hi and min_fwhm <= p[1] <= _MAX_FWHM_SPANS
         return project(p)[0] if resolved else _REJECT
 
     # Seeds: center at the minimum, width at 10% of the span or one gap.
-    res = minimize(objective, [float(x[np.argmin(y)]), max(0.1, min_fwhm)],
-                   _SEARCH)
+    res = minimize(objective, [float(x[np.argmin(y)]), max(0.1, min_fwhm)])
 
     xn0, wn = map(float, res.x)
     # A residual in units of y_scale, weighted by root_w2 = y_scale /

@@ -1,14 +1,13 @@
-"""The fits' minimizers, and the error bars of the fits they serve.
+"""The separable search the trap and lifetime fits share, and the error
+bars of the fits.
 
-`minimize` is a plain Nelder-Mead descent with the classic coefficient set
-(reflection 1, expansion 2, contraction 0.5, shrink 0.5) and relative
-size/value stopping rules; the hole fit, with two nonlinear parameters,
-uses it.  `gauss_newton` searches the one nonlinear parameter of the trap
-and lifetime fits by Gauss-Newton steps on the projected residual, within
-the bounds each fit's data can resolve.  Both are reproducible from their
-starting point alone.  `_jacobian_errors` turns the analytic Jacobian of
-the hole or lifetime fit into one-sigma errors.  `minimize` imports numpy
-when called; the rest is plain Python, so the lifetime fit loads no numpy.
+`gauss_newton` searches the one nonlinear parameter of the trap and
+lifetime fits by Gauss-Newton steps on the projected residual, within the
+bounds each fit's data can resolve; it is reproducible from its starting
+point alone.  `_jacobian_errors` turns the analytic Jacobian of the hole
+or lifetime fit into one-sigma errors.  The module is plain Python, so the
+lifetime fit loads no numpy.  The hole fit's Nelder-Mead descent lives in
+`fitting`, beside its one caller.
 """
 
 from __future__ import annotations
@@ -16,130 +15,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Optional
+from typing import Callable
 
-_REFLECT = 1.0
-_EXPAND = 2.0
-_CONTRACT = 0.5
-_SHRINK = 0.5
-# First trial step from x: _STEP_REL * |x|, no shorter than _STEP_ABS.
-_STEP_REL = 0.05
-_STEP_ABS = 0.00025
 # Gauss-Newton: the relative step that ends the search, and the cap on
 # trial steps.
 _GN_XTOL_REL = 1e-10
 _GN_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class MinimizeOptions:
-    xtol_rel: float = 1e-8
-    ftol_rel: float = 1e-8
-    max_iter: int = 2000
-
-    def __post_init__(self):
-        for name in ("xtol_rel", "ftol_rel"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
-        if not self.max_iter >= 0:
-            raise ValueError("max_iter must be nonnegative")
-
-
 @dataclass
 class MinimizeResult:
-    x: object  # an array from minimize, a float from gauss_newton
+    x: object  # a float from gauss_newton, an array from fitting.minimize
     fun: float
     iterations: int
     nfev: int
     converged: bool
-
-
-def _first_step(x: float) -> float:
-    """First trial step from x: relative, but no shorter than the absolute.
-
-    The floor keeps a tiny but nonzero start (say 1e-30) from a step so
-    short that the search stops at once on a false minimum.
-    """
-    return math.copysign(max(_STEP_REL * abs(x), _STEP_ABS), x)
-
-
-def minimize(objective: Callable, x0,
-             options: Optional[MinimizeOptions] = None) -> MinimizeResult:
-    """Minimize a scalar function of a vector by simplex descent.
-
-    The initial simplex perturbs each coordinate of x0 by a relative step,
-    no shorter than the absolute one.  Iteration stops when both the simplex
-    extent and the spread of function values are below their relative
-    tolerances, or at the iteration cap, in which case the best point so
-    far is returned with converged=False.
-    """
-    import numpy as np
-
-    opts = options or MinimizeOptions()
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n = x0.size
-    f0 = float(objective(x0))
-    if not np.isfinite(f0):
-        raise ValueError("objective must be finite at the starting point")
-
-    sim = np.empty((n + 1, n))
-    fvals = np.empty(n + 1)
-    sim[0], fvals[0] = x0, f0
-    nfev = 1
-    for i in range(n):
-        x = x0.copy()
-        x[i] += _first_step(x[i])
-        sim[i + 1] = x
-        fvals[i + 1] = objective(x)
-        nfev += 1
-
-    iterations = 0
-    while iterations < opts.max_iter:
-        order = np.argsort(fvals, kind="stable")
-        sim, fvals = sim[order], fvals[order]
-
-        xscale = max(1.0, float(np.max(np.abs(sim[0]))))
-        size = float(np.max(np.abs(sim[1:] - sim[0]))) / xscale
-        fscale = max(1.0, abs(fvals[0]))
-        spread = float(fvals[-1] - fvals[0]) / fscale
-        if size <= opts.xtol_rel and spread <= opts.ftol_rel:
-            return MinimizeResult(x=sim[0].copy(), fun=float(fvals[0]),
-                                  iterations=iterations, nfev=nfev,
-                                  converged=True)
-        iterations += 1
-
-        centroid = sim[:-1].mean(axis=0)
-        xr = centroid + _REFLECT * (centroid - sim[-1])
-        fr = float(objective(xr))
-        nfev += 1
-        if fr < fvals[0]:
-            xe = centroid + _EXPAND * (centroid - sim[-1])
-            fe = float(objective(xe))
-            nfev += 1
-            if fe < fr:
-                sim[-1], fvals[-1] = xe, fe
-            else:
-                sim[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-2]:
-            sim[-1], fvals[-1] = xr, fr
-        else:
-            if fr < fvals[-1]:
-                xc = centroid + _CONTRACT * (xr - centroid)
-            else:
-                xc = centroid - _CONTRACT * (centroid - sim[-1])
-            fc = float(objective(xc))
-            nfev += 1
-            if fc < min(fr, fvals[-1]):
-                sim[-1], fvals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    sim[i] = sim[0] + _SHRINK * (sim[i] - sim[0])
-                    fvals[i] = objective(sim[i])
-                    nfev += 1
-
-    order = np.argsort(fvals, kind="stable")
-    return MinimizeResult(x=sim[order[0]].copy(), fun=float(fvals[order[0]]),
-                          iterations=iterations, nfev=nfev, converged=False)
 
 
 def gauss_newton(project: Callable, x0: float, lo: float = -math.inf,

@@ -434,7 +434,7 @@ class TestCli:
         # simulate's time grid: one sample, not --n-t copies of t = 0
         out = tmp_path / "decay.csv"
         assert main(["gen", "decay", "--t-end", "0", "--out", str(out)]) == 0
-        assert csvio.read_decay_curve(out).time_s.tolist() == [0.0]
+        assert csvio.read_decay_curve(out).time_s == [0.0]
 
     def test_gen_decay_negative_t_end_exit_2(self, tmp_path, capsys):
         code = main(["gen", "decay", "--t-end", "-5",

@@ -141,6 +141,28 @@ print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in rec.spans}}),
     assert report["counts"]["integrator.refinements"] > 0
 
 
+def test_nelder_mead_lives_beside_the_hole_fit():
+    """`simplex` is the plain-Python separable search alone; the hole fit's
+    Nelder-Mead search and its options live in `fitting`, where
+    bench/tracing.py wraps it."""
+    path = ROOT / "src" / "holeburn" / "simplex.py"
+    defined = {node.name for node in ast.parse(path.read_text(
+        encoding="utf-8")).body if hasattr(node, "name")}
+    # _wrap_minimize(rec, hb.fitting, undo) wraps the one search in fitting,
+    # and simplex, which every fit expdecay job loads, stays numpy-free
+    assert "numpy" not in _imported_modules(path)
+    assert defined & {"minimize", "MinimizeOptions", "_first_step"} == set()
+    # the tracer's wrapper calls original(timed, x0, options)
+    signature = inspect.signature(hb.fitting.minimize)
+    assert [(p.name, p.default) for p in signature.parameters.values()] == [
+        ("objective", inspect.Parameter.empty),
+        ("x0", inspect.Parameter.empty), ("options", None)]
+    # the tracer's owner.minimize = wrapper rebinds fitting's name, the one
+    # the package exports
+    assert hb.minimize is hb.fitting.minimize
+    assert hb.MinimizeOptions() == hb.MinimizeOptions(1e-10, 1e-10, 4000)
+
+
 def _records():
     """(record class, valid keyword arguments) for every validated record."""
     geom = hb.BeamGeometry.for_material(hb.MaterialParams(), 2e-5, 1e-6)
